@@ -36,7 +36,7 @@ from .qcore import (
 )
 from .sweep import (
     SweepConfig,
-    SweepRow,
+    SweepResult,
     parse_config,
     run_sweep,
     write_csv,

@@ -25,9 +25,9 @@ from .compiler import compile_generic, global_phase_distance
 from .noise import NoiseModel, exact_confusion, mitigate, readout_matrix
 from .sweep import (
     SweepConfig,
-    evaluate_point,
+    as_records,
+    evaluate_grid,
     parse_config,
-    row_as_dict,
     run_sweep,
     sweep_transition_matrix,
     write_outputs,
@@ -74,8 +74,7 @@ def _build_parser() -> _Parser:
 def _cmd_sweep(args) -> int:
     with open(args.config) as fh:
         cfg = parse_config(fh.read())
-    rows = run_sweep(cfg)
-    for path in write_outputs(cfg, rows):
+    for path in write_outputs(cfg, run_sweep(cfg)):
         print(path)
     return 0
 
@@ -83,18 +82,16 @@ def _cmd_sweep(args) -> int:
 def _cmd_point(args) -> int:
     cfg = SweepConfig()
     for key in ("f0", "f1", "f2", "p1", "p2", "eps01", "eps10", "scheme", "v",
-                "shots", "seed"):
+                "shots", "seed", "hot_energy_mode"):
         value = getattr(args, key)
         if value is not None:
             setattr(cfg, key, value)
     if args.mitigation is not None:
         cfg.mitigation = args.mitigation == "on"
-    if args.hot_energy_mode is not None:
-        cfg.hot_energy_mode = args.hot_energy_mode
     cfg.validate()
-    tm = sweep_transition_matrix(cfg)
-    row = evaluate_point(cfg, tm, args.th, args.tc)
-    print(json.dumps(row_as_dict(row), indent=2))
+    # a 1x1 grid holding the temperatures as given (grid_axes needs n >= 2)
+    res = evaluate_grid(cfg, sweep_transition_matrix(cfg), [args.th], [args.tc])
+    print(json.dumps(as_records(res)[0], indent=2))
     return 0
 
 

@@ -1,34 +1,29 @@
 """Grid sweeps over preparation temperatures and their file outputs.
 
 A sweep evaluates the engine once (the transition matrix does not depend on
-the preparation temperatures) and then reweights it over an (T_H, T_C) grid,
-producing one row per grid point.  Outputs are plain CSV / JSON / binary PPM
-so any external plotter can reproduce the phase diagrams.
+the preparation temperatures), then reweights it over the whole (T_H, T_C)
+grid in array operations.  The SweepResult holds one array per output column;
+``qfridge point`` is the same kernel on a 1x1 grid.  Outputs are plain CSV /
+JSON / binary PPM so any external plotter can reproduce the phase diagrams.
 """
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .circuits import LINE3, build_target_unitary, build_vstar_circuit
 from .compiler import compile_generic
-from .noise import NoiseModel, calibrate
-from . import thermo
+from .noise import NoiseModel, calibrate, exact_confusion
+from . import qcore, thermo
 from .thermo import (
     BOUNDARY_EPS,
-    ColdTemperature,
+    H_OVER_KB,
     DeviceSpec,
-    classify_mode,
+    _gibbs_weights,
     cold_energies,
-    energy_changes,
-    excited_cold_population,
-    final_cold_temperature,
     hot_energies,
-    is_purifier,
-    prepare,
     transition_matrix,
 )
 
@@ -66,32 +61,43 @@ class SweepConfig:
     heatmap_field: str = "mode"
     output_prefix: str = "sweep"
 
-    def validate(self) -> "SweepConfig":
-        if min(self.f0, self.f1, self.f2) <= 0:
+    def check_key(self, key: str) -> None:
+        """Raise ConfigError if `key` breaks a rule on its own value."""
+        val = getattr(self, key)
+        if key in ("f0", "f1", "f2") and val <= 0:
             raise ConfigError("frequencies must be positive")
-        if self.scheme not in thermo.SCHEMES:
-            raise ConfigError(f"unknown scheme {self.scheme!r}")
-        if self.v not in ("identity", "vstar"):
-            raise ConfigError(f"unknown v {self.v!r}")
-        for key in ("p1", "p2", "eps01", "eps10"):
-            val = getattr(self, key)
-            if not 0.0 <= val <= 1.0:
-                raise ConfigError(f"{key} = {val} outside [0, 1]")
-        if self.shots < 0:
+        if key == "scheme" and val not in thermo.SCHEMES:
+            raise ConfigError(f"unknown scheme {val!r}")
+        if key == "v" and val not in ("identity", "vstar"):
+            raise ConfigError(f"unknown v {val!r}")
+        if key in ("p1", "p2", "eps01", "eps10") and not 0.0 <= val <= 1.0:
+            raise ConfigError(f"{key} = {val} outside [0, 1]")
+        if key == "shots" and val < 0:
             raise ConfigError("shots must be >= 0 (0 = exact)")
-        if self.t_h_min <= 0 or self.t_c_min <= 0:
+        if key in ("t_h_min", "t_c_min") and val <= 0:
             raise ConfigError("grid temperatures must be positive")
-        if self.t_h_max <= self.t_h_min or self.t_c_max <= self.t_c_min:
-            raise ConfigError("grid bounds need max > min")
-        if self.n_h < 2 or self.n_c < 2:
+        if key in ("n_h", "n_c") and val < 2:
             raise ConfigError("grid needs at least 2 points per axis")
-        if self.hot_energy_mode not in thermo.HOT_ENERGY_MODES:
-            raise ConfigError(f"unknown hot_energy_mode {self.hot_energy_mode!r}")
-        for out in self.outputs:
-            if out not in ("csv", "json", "heatmap"):
-                raise ConfigError(f"unknown output {out!r}")
-        if self.heatmap_field not in ("mode", "t_c_final", "p_g_final"):
-            raise ConfigError(f"unknown heatmap_field {self.heatmap_field!r}")
+        if key == "hot_energy_mode" and val not in thermo.HOT_ENERGY_MODES:
+            raise ConfigError(f"unknown hot_energy_mode {val!r}")
+        if key == "outputs":
+            for out in val:
+                if out not in ("csv", "json", "heatmap"):
+                    raise ConfigError(f"unknown output {out!r}")
+        if key == "heatmap_field" and val not in HEATMAP_FIELDS:
+            raise ConfigError(f"unknown heatmap_field {val!r}")
+
+    def check_grid_bounds(self, lines: dict[str, int] | None = None) -> None:
+        """max > min on both axes; an error cites the later line of its pair."""
+        for lo, hi in (("t_h_min", "t_h_max"), ("t_c_min", "t_c_max")):
+            if getattr(self, hi) <= getattr(self, lo):
+                line = max((lines or {}).get(k, 0) for k in (lo, hi)) or None
+                raise ConfigError("grid bounds need max > min", line)
+
+    def validate(self) -> "SweepConfig":
+        for f in fields(self):
+            self.check_key(f.name)
+        self.check_grid_bounds()
         return self
 
     def device(self) -> DeviceSpec:
@@ -101,18 +107,17 @@ class SweepConfig:
         return NoiseModel.uniform(self.p1, self.p2, self.eps01, self.eps10)
 
 
-_FLOAT_KEYS = {
-    "f0", "f1", "f2", "p1", "p2", "eps01", "eps10",
-    "t_h_min", "t_h_max", "t_c_min", "t_c_max",
-}
-_INT_KEYS = {"shots", "seed", "n_h", "n_c"}
-_BOOL_KEYS = {"mitigation"}
-_STR_KEYS = {"scheme", "v", "hot_energy_mode", "heatmap_field", "output_prefix"}
+#: config key -> the type of its default value
+_KEY_TYPES = {f.name: type(f.default) for f in fields(SweepConfig)}
 
 
 def parse_config(text: str) -> SweepConfig:
-    """Parse a flat `key = value` document with # comments into a config."""
+    """Parse a flat `key = value` document with # comments into a config.
+
+    Each key's own rule is checked on its line, the grid bounds at the end.
+    """
     cfg = SweepConfig()
+    lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line or (line.startswith("[") and line.endswith("]")):
@@ -120,60 +125,26 @@ def parse_config(text: str) -> SweepConfig:
         if "=" not in line:
             raise ConfigError(f"malformed line {raw.strip()!r}", lineno)
         key, value = (part.strip() for part in line.split("=", 1))
+        kind = _KEY_TYPES.get(key)
         try:
-            if key in _FLOAT_KEYS:
-                setattr(cfg, key, float(value))
-            elif key in _INT_KEYS:
-                setattr(cfg, key, int(value))
-            elif key in _BOOL_KEYS:
+            if kind in (float, int, str):
+                setattr(cfg, key, kind(value))
+            elif kind is bool:
                 if value not in ("on", "off"):
-                    raise ConfigError(f"{key} must be on or off", lineno)
+                    raise ConfigError(f"{key} must be on or off")
                 setattr(cfg, key, value == "on")
-            elif key in _STR_KEYS:
-                setattr(cfg, key, value)
-            elif key == "outputs":
-                cfg.outputs = tuple(
-                    v.strip() for v in value.split(",") if v.strip()
-                )
+            elif kind is tuple:
+                setattr(cfg, key, tuple(v.strip() for v in value.split(",") if v.strip()))
             else:
-                raise ConfigError(f"unknown key {key!r}", lineno)
-        except ConfigError:
-            raise
-        except ValueError:
-            raise ConfigError(f"bad value {value!r} for {key}", lineno) from None
-        try:
-            cfg.validate()
+                raise ConfigError(f"unknown key {key!r}")
+            cfg.check_key(key)
         except ConfigError as err:
             raise ConfigError(str(err), lineno) from None
-    return cfg.validate()
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    t_hot: float
-    t_cold: float
-    de_hot: float
-    de_cold: float
-    work: float
-    mode: str
-    t_cold_final: ColdTemperature
-    p_g_final: float
-    purifier: bool
-
-
-def _sampling_eps(tm, prep, spec, hot_energy_mode: str, shots: int) -> float:
-    """Boundary tolerance: 3 standard errors of the sampled energy changes."""
-    if shots <= 0:
-        return BOUNDARY_EPS
-    e_h = hot_energies(spec, hot_energy_mode)
-    e_c = cold_energies(spec)
-    worst = 0.0
-    for e in (e_h, e_c, e_h + e_c):
-        mean = e @ tm.p
-        var_cols = (e ** 2) @ tm.p - mean ** 2
-        var = float(np.sum(prep.probs ** 2 * var_cols)) / shots
-        worst = max(worst, 3.0 * math.sqrt(max(var, 0.0)))
-    return max(worst, BOUNDARY_EPS)
+        except ValueError:
+            raise ConfigError(f"bad value {value!r} for {key}", lineno) from None
+        lines[key] = lineno
+    cfg.check_grid_bounds(lines)
+    return cfg
 
 
 def build_engine(cfg: SweepConfig):
@@ -188,10 +159,12 @@ def build_engine(cfg: SweepConfig):
 
 
 def sweep_transition_matrix(cfg: SweepConfig):
+    """The engine's transition matrix; exact runs mitigate with the exact
+    confusion matrix, sampled runs with one calibrated at cfg.shots."""
     nm = cfg.noise()
     conf = None
     if cfg.mitigation:
-        conf = calibrate(nm, cfg.shots if cfg.shots > 0 else 8192, cfg.seed + 1000)
+        conf = calibrate(nm, cfg.shots, cfg.seed + 1000) if cfg.shots else exact_confusion(nm)
     return transition_matrix(build_engine(cfg), nm, cfg.shots, cfg.seed, mitigation=conf)
 
 
@@ -202,99 +175,150 @@ def grid_axes(cfg: SweepConfig) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def evaluate_point(cfg: SweepConfig, tm, t_hot: float, t_cold: float) -> SweepRow:
+@dataclass(frozen=True)
+class SweepResult:
+    """Sweep outputs as columns over an n_h x n_c grid, row-major, T_H outer.
+    t_cold_final_kind is "finite", "infinite" or "inverted" (as in
+    thermo.ColdTemperature); t_cold_final is NaN where it is not finite."""
+
+    n_h: int
+    n_c: int
+    t_hot: np.ndarray
+    t_cold: np.ndarray
+    de_hot: np.ndarray
+    de_cold: np.ndarray
+    mode: np.ndarray
+    t_cold_final: np.ndarray
+    t_cold_final_kind: np.ndarray
+    p_g_final: np.ndarray
+    purifier: np.ndarray
+
+    def __post_init__(self):
+        for f in fields(self)[2:]:
+            col = np.asarray(getattr(self, f.name))
+            if col.shape != (self.n_h * self.n_c,):
+                raise ValueError(f"column {f.name} does not fill a {self.n_h}x{self.n_c} grid")
+            object.__setattr__(self, f.name, col)
+
+    @property
+    def work(self) -> np.ndarray:
+        return self.de_hot + self.de_cold
+
+
+def _prepare_rows(scheme: str, spec: DeviceSpec, t_hot, t_cold) -> np.ndarray:
+    """thermo.prepare's probabilities for each (t_hot[n], t_cold[n]) as (N, 8)
+    rows, in the scalar operation order so the bits agree."""
+    if min(t_hot.min(), t_cold.min()) <= 0:
+        raise ValueError("temperatures must be positive")
+    if scheme == "swap4":
+        # populated states (i, i, k) in the order (i, k) = 00, 01, 10, 11
+        u_h, u_c = H_OVER_KB / t_hot, H_OVER_KB / t_cold
+        e = (np.array([-0.5, -0.5, 0.5, 0.5]) * spec.omega_sum * u_h[:, None]
+             + np.array([-0.5, 0.5, -0.5, 0.5]) * spec.f1 * u_c[:, None])
+        probs = np.zeros((t_hot.size, qcore.DIM))
+        probs[:, [0, 1, 6, 7]] = _gibbs_weights(e, 1.0)
+    elif scheme == "full8":
+        # single-qubit Gibbs weights of q0 and q2 at t_hot, q1 at t_cold
+        u = H_OVER_KB * np.array([[spec.f0], [spec.f2], [spec.f1]]) / [t_hot, t_hot, t_cold]
+        s0, s2, s1 = _gibbs_weights(np.array([-0.5, 0.5]), u[..., None])
+        # logical index 4i + 2j + k: q0 bit i, q2 bit j, cold bit k
+        probs = (s0[:, :, None, None] * s2[:, None, :, None] * s1[:, None, None, :]).reshape(-1, 8)
+    else:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    if probs.min() < 0 or np.max(np.abs(probs.sum(axis=1) - 1.0)) > qcore.STATE_ATOL:
+        raise ValueError("preparation is not a probability vector")
+    return probs
+
+
+def evaluate_grid(cfg: SweepConfig, tm, t_h_axis, t_c_axis) -> SweepResult:
+    """Every (T_H, T_C) pair of the two axes through the engine `tm`: per
+    point, thermo's prepare -> energy_changes -> role_ordered -> classify_mode
+    -> final_cold_temperature -> is_purifier chain, as array operations."""
+    t_h_axis, t_c_axis = np.asarray(t_h_axis, float), np.asarray(t_c_axis, float)
+    t_hot = np.repeat(t_h_axis, t_c_axis.size)
+    t_cold = np.tile(t_c_axis, t_h_axis.size)
     spec = cfg.device()
-    prep = prepare(cfg.scheme, spec, t_hot, t_cold)
-    ledger = energy_changes(tm, prep, spec, cfg.hot_energy_mode)
-    eps = _sampling_eps(tm, prep, spec, cfg.hot_energy_mode, cfg.shots)
-    mode = classify_mode(ledger.role_ordered(t_hot, t_cold), eps)
-    t_final = final_cold_temperature(tm, prep, spec)
-    p_g_final = 1.0 - excited_cold_population(tm, prep)
-    purifier = (
-        cfg.scheme == "full8" and mode.tag == "R" and is_purifier(tm, prep)
-    )
-    return SweepRow(
-        t_hot=t_hot,
-        t_cold=t_cold,
-        de_hot=ledger.de_hot,
-        de_cold=ledger.de_cold,
-        work=ledger.work,
-        mode=mode.tag,
-        t_cold_final=t_final,
-        p_g_final=p_g_final,
-        purifier=purifier,
+    probs = _prepare_rows(cfg.scheme, spec, t_hot, t_cold)
+    after = probs @ tm.p.T
+    e_h, e_c = hot_energies(spec, cfg.hot_energy_mode), cold_energies(spec)
+    de_hot, de_cold = (after - probs) @ e_h, (after - probs) @ e_c
+    # boundary tolerance: 3 standard errors of the sampled energy changes
+    eps = BOUNDARY_EPS
+    if cfg.shots > 0:
+        for e in (e_h, e_c, e_h + e_c):
+            var_cols = (e ** 2) @ tm.p - (e @ tm.p) ** 2
+            var = (probs ** 2) @ var_cols / cfg.shots
+            eps = np.maximum(eps, 3.0 * np.sqrt(np.maximum(var, 0.0)))
+    # classify with the roles tied to the actually hotter body
+    swap = t_hot < t_cold
+    de_h, de_c = np.where(swap, de_cold, de_hot), np.where(swap, de_hot, de_cold)
+    w = de_h + de_c
+    near_zero = np.minimum(np.minimum(abs(de_h), abs(de_c)), abs(w)) < eps
+    mode = np.select([near_zero, de_c < 0, w < 0, de_h < 0], ["Boundary", "R", "E", "A"], "H")
+    # final cold temperature from the excited population q of the cold qubit
+    q = after[:, 1] + after[:, 3] + after[:, 5] + after[:, 7]
+    kind = np.select([abs(q - 0.5) < 1e-12, q > 0.5], ["infinite", "inverted"], "finite")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_final = np.where(q <= 0.0, 0.0, H_OVER_KB * spec.f1 / np.log((1 - q) / q))
+    p_g_final = 1.0 - q
+    purifier = np.zeros(t_hot.size, dtype=bool)
+    if cfg.scheme == "full8":
+        # ground marginals of q0 (i = 0), q1 (k = 0) and q2 (j = 0)
+        g = np.stack([probs[:, 0] + probs[:, 1] + probs[:, 2] + probs[:, 3],
+                      probs[:, 0] + probs[:, 2] + probs[:, 4] + probs[:, 6],
+                      probs[:, 0] + probs[:, 1] + probs[:, 4] + probs[:, 5]])
+        purifier = (mode == "R") & ~swap & (g.min(0) >= 0.5) & (p_g_final > g.max(0))
+    return SweepResult(
+        t_h_axis.size, t_c_axis.size, t_hot, t_cold, de_hot, de_cold, mode,
+        np.where(kind == "finite", t_final, np.nan), kind, p_g_final, purifier,
     )
 
 
-def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
-    """All grid rows in row-major order, T_H as the outer axis."""
+def run_sweep(cfg: SweepConfig) -> SweepResult:
+    """The whole configured grid, T_H as the outer axis."""
     cfg.validate()
-    tm = sweep_transition_matrix(cfg)
-    t_h_axis, t_c_axis = grid_axes(cfg)
-    return [
-        evaluate_point(cfg, tm, th, tc) for th in t_h_axis for tc in t_c_axis
-    ]
+    return evaluate_grid(cfg, sweep_transition_matrix(cfg), *grid_axes(cfg))
 
 
 # ---------------------------------------------------------------------------
 # outputs
 
 CSV_HEADER = "T_H_mK,T_C_mK,dE_H,dE_C,W,mode,T_C_final_mK,p_g_final,purifier"
+RECORD_KEYS = ("T_H", "T_C", "dE_H", "dE_C", "W", "mode", "T_C_final", "p_g_final", "purifier")
+_NON_FINITE_TEXT = {"infinite": "inf", "inverted": "inverted"}
 
 
 def _fmt(value: float) -> str:
     return f"{value:.9g}"
 
 
-def _final_temp_text(t: ColdTemperature) -> str:
-    if t.kind == "infinite":
-        return "inf"
-    if t.kind == "inverted":
-        return "inverted"
-    return _fmt(t.millikelvin)
+def _columns(res: SweepResult) -> list[list]:
+    """The RECORD_KEYS columns as Python values; T_C_final may be "inf"/"inverted"."""
+    t_final = zip(res.t_cold_final.tolist(), res.t_cold_final_kind.tolist())
+    return [
+        res.t_hot.tolist(), res.t_cold.tolist(), res.de_hot.tolist(),
+        res.de_cold.tolist(), res.work.tolist(), res.mode.tolist(),
+        [_NON_FINITE_TEXT.get(kind, t) for t, kind in t_final],
+        res.p_g_final.tolist(), res.purifier.tolist(),
+    ]
 
 
-def write_csv(rows: list[SweepRow]) -> str:
-    lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(r.t_hot),
-                    _fmt(r.t_cold),
-                    _fmt(r.de_hot),
-                    _fmt(r.de_cold),
-                    _fmt(r.work),
-                    r.mode,
-                    _final_temp_text(r.t_cold_final),
-                    _fmt(r.p_g_final),
-                    "true" if r.purifier else "false",
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+def write_csv(res: SweepResult) -> str:
+    lines = [
+        f"{th:.9g},{tc:.9g},{dh:.9g},{dc:.9g},{w:.9g},{mode},"
+        f"{t if isinstance(t, str) else _fmt(t)},{pg:.9g},{'true' if pur else 'false'}"
+        for th, tc, dh, dc, w, mode, t, pg, pur in zip(*_columns(res))
+    ]
+    return "\n".join([CSV_HEADER, *lines]) + "\n"
 
 
-def row_as_dict(r: SweepRow) -> dict:
-    if r.t_cold_final.kind == "finite":
-        t_final = r.t_cold_final.millikelvin
-    else:
-        t_final = "inf" if r.t_cold_final.kind == "infinite" else "inverted"
-    return {
-        "T_H": r.t_hot,
-        "T_C": r.t_cold,
-        "dE_H": r.de_hot,
-        "dE_C": r.de_cold,
-        "W": r.work,
-        "mode": r.mode,
-        "T_C_final": t_final,
-        "p_g_final": r.p_g_final,
-        "purifier": r.purifier,
-    }
+def as_records(res: SweepResult) -> list[dict]:
+    """One dict per grid point, keyed by RECORD_KEYS."""
+    return [dict(zip(RECORD_KEYS, row)) for row in zip(*_columns(res))]
 
 
-def write_json(rows: list[SweepRow]) -> str:
-    return json.dumps([row_as_dict(r) for r in rows], indent=2) + "\n"
+def write_json(res: SweepResult) -> str:
+    return json.dumps(as_records(res), indent=2) + "\n"
 
 
 MODE_COLORS = {
@@ -312,32 +336,21 @@ NON_FINITE_COLOR = (128, 128, 128)
 HEATMAP_FIELDS = ("mode", "t_c_final", "p_g_final")
 
 
-def _grid_shape(rows: list[SweepRow]) -> tuple[int, int]:
-    n_h = len({r.t_hot for r in rows})
-    n_c = len({r.t_cold for r in rows})
-    if n_h * n_c != len(rows):
-        raise ValueError("rows do not form a complete grid")
-    return n_h, n_c
+def _scalar_field(res: SweepResult, fname: str) -> np.ndarray:
+    """The field's values, NaN where they are not finite."""
+    return res.p_g_final if fname == "p_g_final" else res.t_cold_final
 
 
-def _scalar_values(rows: list[SweepRow], fname: str) -> list[float | None]:
-    if fname == "p_g_final":
-        return [r.p_g_final for r in rows]
-    return [
-        r.t_cold_final.millikelvin if r.t_cold_final.kind == "finite" else None
-        for r in rows
-    ]
-
-
-def heatmap_range(rows: list[SweepRow], fname: str) -> tuple[float, float]:
+def heatmap_range(res: SweepResult, fname: str) -> tuple[float, float]:
     """(min, max) of the finite values of a scalar heatmap field."""
-    values = [v for v in _scalar_values(rows, fname) if v is not None]
-    if not values:
+    values = _scalar_field(res, fname)
+    values = values[np.isfinite(values)]
+    if not values.size:
         raise ValueError(f"no finite values for field {fname!r}")
-    return min(values), max(values)
+    return float(values.min()), float(values.max())
 
 
-def write_heatmap(rows: list[SweepRow], fname: str = "mode") -> bytes:
+def write_heatmap(res: SweepResult, fname: str = "mode") -> bytes:
     """Binary P6 pixmap of a sweep grid, one pixel per grid point.
 
     Mode maps use the fixed color table MODE_COLORS (purifying R points are
@@ -346,50 +359,33 @@ def write_heatmap(rows: list[SweepRow], fname: str = "mode") -> bytes:
     """
     if fname not in HEATMAP_FIELDS:
         raise ValueError(f"unknown heatmap field {fname!r}")
-    n_h, n_c = _grid_shape(rows)
-    pixels = bytearray()
     if fname == "mode":
-        for r in rows:
-            tag = "P" if (r.mode == "R" and r.purifier) else r.mode
-            pixels.extend(MODE_COLORS[tag])
+        tags = np.where(res.purifier & (res.mode == "R"), "P", res.mode)
+        tags, index = np.unique(tags, return_inverse=True)
+        pixels = np.array([MODE_COLORS[t] for t in tags.tolist()])[index]
     else:
-        lo, hi = heatmap_range(rows, fname)
-        span = hi - lo if hi > lo else 1.0
-        for v in _scalar_values(rows, fname):
-            if v is None:
-                pixels.extend(NON_FINITE_COLOR)
-            else:
-                t = (v - lo) / span
-                pixels.extend(
-                    int(round(a + t * (b - a)))
-                    for a, b in zip(RAMP_LOW, RAMP_HIGH)
-                )
-    header = f"P6\n{n_c} {n_h}\n255\n".encode()
-    return header + bytes(pixels)
+        lo, hi = heatmap_range(res, fname)
+        values = _scalar_field(res, fname)
+        t = (values - lo) / (hi - lo if hi > lo else 1.0)
+        pixels = np.rint(np.add(RAMP_LOW, t[:, None] * np.subtract(RAMP_HIGH, RAMP_LOW)))
+        pixels[~np.isfinite(values)] = NON_FINITE_COLOR
+    header = f"P6\n{res.n_c} {res.n_h}\n255\n".encode()
+    return header + pixels.astype(np.uint8).tobytes()
 
 
-def write_outputs(cfg: SweepConfig, rows: list[SweepRow]) -> list[str]:
+def write_outputs(cfg: SweepConfig, res: SweepResult) -> list[str]:
     """Write the configured output files; returns the paths written."""
-    written = []
+    files = {}
     if "csv" in cfg.outputs:
-        path = cfg.output_prefix + ".csv"
-        with open(path, "w") as fh:
-            fh.write(write_csv(rows))
-        written.append(path)
+        files[".csv"] = write_csv(res)
     if "json" in cfg.outputs:
-        path = cfg.output_prefix + ".json"
-        with open(path, "w") as fh:
-            fh.write(write_json(rows))
-        written.append(path)
+        files[".json"] = write_json(res)
     if "heatmap" in cfg.outputs:
-        path = cfg.output_prefix + ".ppm"
-        with open(path, "wb") as fh:
-            fh.write(write_heatmap(rows, cfg.heatmap_field))
-        written.append(path)
+        files[".ppm"] = write_heatmap(res, cfg.heatmap_field)
         if cfg.heatmap_field != "mode":
-            lo, hi = heatmap_range(rows, cfg.heatmap_field)
-            side = path + ".range.txt"
-            with open(side, "w") as fh:
-                fh.write(f"min {_fmt(lo)}\nmax {_fmt(hi)}\n")
-            written.append(side)
-    return written
+            lo, hi = heatmap_range(res, cfg.heatmap_field)
+            files[".ppm.range.txt"] = f"min {_fmt(lo)}\nmax {_fmt(hi)}\n"
+    for suffix, data in files.items():
+        with open(cfg.output_prefix + suffix, "wb" if suffix == ".ppm" else "w") as fh:
+            fh.write(data)
+    return [cfg.output_prefix + suffix for suffix in files]

@@ -92,11 +92,11 @@ class ThermalPrep:
 
 
 def _gibbs_weights(energies: np.ndarray, u_per_unit: float) -> np.ndarray:
-    """softmax of -u*E, stable for very low temperatures."""
+    """softmax of -u*E along the last axis, stable for very low temperatures."""
     z = -u_per_unit * energies
-    z -= z.max()
+    z -= z.max(axis=-1, keepdims=True)
     w = np.exp(z)
-    return w / w.sum()
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 def cold_energies(spec: DeviceSpec) -> np.ndarray:
@@ -318,8 +318,12 @@ def analytic_regions(
         return OperationMode("A")
     if t_hot > ratio * t_cold:
         return OperationMode("E")
-    purity_ratio = max(spec.f0 / spec.f1, spec.f2 / spec.f1, 1.0)
-    return OperationMode("R", purifier=t_hot >= purity_ratio * t_cold)
+    # is_purifier in closed form (t_hot > t_cold holds here): the cold qubit
+    # ends at ground population g1 - dE_C / f1
+    g0, g1, g2 = (0.5 + 0.5 * np.tanh(dimensionless_beta_omega(f, t) / 2)
+                  for f, t in ((spec.f0, t_hot), (spec.f1, t_cold), (spec.f2, t_hot)))
+    final = g1 - analytic_energy_changes(spec, t_hot, t_cold).de_cold / spec.f1
+    return OperationMode("R", purifier=bool(min(g0, g1, g2) >= 0.5 and final > max(g0, g1, g2)))
 
 
 @dataclass(frozen=True)

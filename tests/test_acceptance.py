@@ -128,7 +128,7 @@ def test_criterion_05_mode_map_vs_analytic_regions(capsys):
     with criterion(capsys, "criterion 5/11: 64x64 mode map matches analytic regions"):
         start = time.monotonic()
         cfg = SweepConfig(shots=0, n_h=64, n_c=64)
-        rows = run_sweep(cfg)
+        res = run_sweep(cfg)
         spec = cfg.device()
         ths, tcs = grid_axes(cfg)
         dth, dtc = ths[1] - ths[0], tcs[1] - tcs[0]
@@ -138,21 +138,24 @@ def test_criterion_05_mode_map_vs_analytic_regions(capsys):
             max(spec.f0 / spec.f1, spec.f2 / spec.f1, 1.0),
         )
         checked = 0
-        for r in rows:
+        for t_hot, t_cold, mode, purifier in zip(res.t_hot, res.t_cold, res.mode, res.purifier):
             near_curve = any(
-                abs(r.t_hot - m * r.t_cold) <= 2.0 * (dth + m * dtc) for m in slopes
+                abs(t_hot - m * t_cold) <= 2.0 * (dth + m * dtc) for m in slopes
             )
             if near_curve:
                 continue
-            ana = analytic_regions(spec, r.t_hot, r.t_cold)
-            assert r.mode == ana.tag, (r.t_hot, r.t_cold, r.mode, ana.tag)
-            assert r.purifier == ana.purifier, (r.t_hot, r.t_cold)
+            ana = analytic_regions(spec, t_hot, t_cold)
+            assert mode == ana.tag, (t_hot, t_cold, mode, ana.tag)
+            assert purifier == ana.purifier, (t_hot, t_cold)
             checked += 1
         assert checked > 2500
         # identical frequencies: the purifying set is exactly the R region
         cfg_eq = SweepConfig(f0=4.76, f1=4.76, f2=4.76, shots=0, n_h=32, n_c=32)
-        for r in run_sweep(cfg_eq):
-            assert r.purifier == (r.mode == "R"), (r.t_hot, r.t_cold, r.mode)
+        res_eq = run_sweep(cfg_eq)
+        for t_hot, t_cold, mode, purifier in zip(
+            res_eq.t_hot, res_eq.t_cold, res_eq.mode, res_eq.purifier
+        ):
+            assert purifier == (mode == "R"), (t_hot, t_cold, mode)
         assert time.monotonic() - start < 10.0
 
 
@@ -225,7 +228,7 @@ def test_criterion_10_noise_threshold(capsys):
                 f0=5.24, f1=5.01, f2=5.11, scheme="swap4", v="vstar",
                 p2=p2, shots=0, n_h=24, n_c=24,
             )
-            tags = [r.mode for r in run_sweep(cfg)]
+            tags = run_sweep(cfg).mode.tolist()
             r_counts.append(tags.count("R"))
             h_counts.append(tags.count("H"))
         assert all(a >= b for a, b in zip(r_counts, r_counts[1:])), r_counts

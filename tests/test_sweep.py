@@ -9,19 +9,19 @@ from qfridge.sweep import (
     CSV_HEADER,
     ConfigError,
     SweepConfig,
-    SweepRow,
-    evaluate_point,
+    SweepResult,
+    as_records,
+    evaluate_grid,
     grid_axes,
     heatmap_range,
     parse_config,
-    row_as_dict,
     run_sweep,
     sweep_transition_matrix,
     write_csv,
     write_heatmap,
     write_json,
 )
-from qfridge.thermo import ColdTemperature, TransitionMatrix
+from qfridge.thermo import TransitionMatrix
 
 
 # ---------------------------------------------------------------------------
@@ -95,35 +95,55 @@ def test_config_error_carries_line_number():
     assert err.value.line == 2
 
 
+def test_grid_bounds_are_checked_after_the_whole_document():
+    # raising a bound past the default other end is fine in either order
+    for text in ("t_h_min = 2000\nt_h_max = 3000\n", "t_h_max = 3000\nt_h_min = 2000\n"):
+        cfg = parse_config(text)
+        assert (cfg.t_h_min, cfg.t_h_max) == (2000.0, 3000.0)
+    # a broken pair cites the later of its two lines
+    with pytest.raises(ConfigError, match="max > min") as err:
+        parse_config("t_c_max = 50\nshots = 0\nt_c_min = 80\nseed = 1\n")
+    assert err.value.line == 3
+    with pytest.raises(ConfigError, match="max > min") as err:
+        parse_config("shots = 0\nt_h_min = 2000\n")
+    assert err.value.line == 2
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 
 def test_identity_transition_is_all_boundary():
     cfg = SweepConfig(shots=0)
     tm = TransitionMatrix(np.eye(8))
-    row = evaluate_point(cfg, tm, 300.0, 100.0)
-    assert row.mode == "Boundary"
-    assert not row.purifier
-    assert row.de_hot == 0.0 and row.de_cold == 0.0
+    res = evaluate_grid(cfg, tm, [300.0], [100.0])
+    assert res.mode.tolist() == ["Boundary"]
+    assert not res.purifier[0]
+    assert res.de_hot[0] == 0.0 and res.de_cold[0] == 0.0
 
 
 def test_run_sweep_row_major_order():
     cfg = SweepConfig(shots=0, n_h=3, n_c=4, t_h_max=100.0, t_c_max=100.0)
-    rows = run_sweep(cfg)
+    res = run_sweep(cfg)
     ths, tcs = grid_axes(cfg)
-    assert len(rows) == 12
+    assert (res.n_h, res.n_c) == (3, 4) and len(res.t_hot) == 12
     for a, th in enumerate(ths):
         for b, tc in enumerate(tcs):
-            r = rows[a * 4 + b]
-            assert r.t_hot == th and r.t_cold == tc
+            assert res.t_hot[a * 4 + b] == th and res.t_cold[a * 4 + b] == tc
 
 
 def test_sweep_reuses_one_transition_matrix():
     cfg = SweepConfig(shots=256, seed=9, n_h=4, n_c=4)
     tm = sweep_transition_matrix(cfg)
     ths, tcs = grid_axes(cfg)
-    expect = [evaluate_point(cfg, tm, th, tc) for th in ths for tc in tcs]
-    assert run_sweep(cfg) == expect
+    expect = evaluate_grid(cfg, tm, ths, tcs)
+    assert write_json(run_sweep(cfg)) == write_json(expect)
+
+
+def test_exact_mitigated_runs_do_not_depend_on_the_seed():
+    cfg = dict(shots=0, mitigation=True, eps01=0.05, eps10=0.03)
+    a = sweep_transition_matrix(SweepConfig(seed=0, **cfg)).p
+    b = sweep_transition_matrix(SweepConfig(seed=1, **cfg)).p
+    assert np.array_equal(a, b)
 
 
 def test_sweep_is_deterministic():
@@ -136,25 +156,28 @@ def test_sweep_is_deterministic():
 def test_sampled_boundary_tolerance_widens_bands():
     cfg_exact = SweepConfig(shots=0, n_h=8, n_c=8)
     cfg_sampled = SweepConfig(shots=64, seed=2, n_h=8, n_c=8)
-    exact_b = sum(r.mode == "Boundary" for r in run_sweep(cfg_exact))
-    sampled_b = sum(r.mode == "Boundary" for r in run_sweep(cfg_sampled))
+    exact_b = np.sum(run_sweep(cfg_exact).mode == "Boundary")
+    sampled_b = np.sum(run_sweep(cfg_sampled).mode == "Boundary")
     assert sampled_b >= exact_b
 
 
 # ---------------------------------------------------------------------------
 # outputs
 
-def _tiny_rows():
-    return [
-        SweepRow(100.0, 50.0, 0.5, -0.25, 0.25, "R",
-                 ColdTemperature("finite", 42.5), 0.9, True),
-        SweepRow(100.0, 75.0, -0.5, 0.25, -0.25, "E",
-                 ColdTemperature("infinite"), 0.5, False),
-        SweepRow(200.0, 50.0, -0.1, 0.2, 0.1, "A",
-                 ColdTemperature("inverted"), 0.3, False),
-        SweepRow(200.0, 75.0, 0.1, 0.2, 0.3, "H",
-                 ColdTemperature("finite", 80.0), 0.6, False),
-    ]
+def _tiny_rows(n=4):
+    """A 2x2 result; n < 4 leaves the grid incomplete."""
+    columns = dict(
+        t_hot=[100.0, 100.0, 200.0, 200.0],
+        t_cold=[50.0, 75.0, 50.0, 75.0],
+        de_hot=[0.5, -0.5, -0.1, 0.1],
+        de_cold=[-0.25, 0.25, 0.2, 0.2],
+        mode=["R", "E", "A", "H"],
+        t_cold_final=[42.5, np.nan, np.nan, 80.0],
+        t_cold_final_kind=["finite", "infinite", "inverted", "finite"],
+        p_g_final=[0.9, 0.5, 0.3, 0.6],
+        purifier=[True, False, False, False],
+    )
+    return SweepResult(2, 2, **{k: v[:n] for k, v in columns.items()})
 
 
 def test_write_csv():
@@ -182,10 +205,11 @@ def test_write_json_roundtrip():
     }
 
 
-def test_row_as_dict_matches_row():
-    row = _tiny_rows()[0]
-    d = row_as_dict(row)
-    assert d["T_H"] == row.t_hot and d["dE_C"] == row.de_cold
+def test_as_records_match_columns():
+    res = _tiny_rows()
+    d = as_records(res)[0]
+    assert d["T_H"] == res.t_hot[0] and d["dE_C"] == res.de_cold[0]
+    assert d["W"] == res.de_hot[0] + res.de_cold[0]
 
 
 def test_mode_heatmap_pixels():
@@ -224,10 +248,10 @@ def test_heatmap_rejects_bad_input():
     with pytest.raises(ValueError, match="field"):
         write_heatmap(_tiny_rows(), "work")
     with pytest.raises(ValueError, match="grid"):
-        write_heatmap(_tiny_rows()[:3], "mode")
-    only_bad = [
-        SweepRow(1.0, 1.0, 0, 0, 0, "Boundary", ColdTemperature("infinite"), 0.5, False)
-    ]
+        _tiny_rows(n=3)
+    only_bad = SweepResult(
+        1, 1, [1.0], [1.0], [0.0], [0.0], ["Boundary"], [np.nan], ["infinite"], [0.5], [False]
+    )
     with pytest.raises(ValueError, match="no finite"):
         heatmap_range(only_bad, "t_c_final")
 
@@ -290,13 +314,13 @@ def test_cli_sweep_writes_outputs(tmp_path, monkeypatch, capsys):
 def test_cli_heatmap_pixels_match_rows(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     cfg = parse_config("shots = 0\nn_h = 6\nn_c = 6\n")
-    rows = run_sweep(cfg)
-    ppm = write_heatmap(rows, "mode")
+    res = run_sweep(cfg)
+    ppm = write_heatmap(res, "mode")
     pixels = ppm.split(b"\n255\n", 1)[1]
     from qfridge.sweep import MODE_COLORS
 
-    for idx, r in enumerate(rows):
-        tag = "P" if (r.mode == "R" and r.purifier) else r.mode
+    for idx, (mode, purifier) in enumerate(zip(res.mode, res.purifier)):
+        tag = "P" if (mode == "R" and purifier) else mode
         assert pixels[3 * idx:3 * idx + 3] == bytes(MODE_COLORS[tag])
 
 

@@ -10,6 +10,7 @@ from qfridge.thermo import (
     ColdTemperature,
     DeviceSpec,
     EnergyLedger,
+    OperationMode,
     ThermalPrep,
     TransitionMatrix,
     analytic_energy_changes,
@@ -234,11 +235,30 @@ def test_analytic_regions():
     assert analytic_regions(spec, 700.0, 100.0).tag == "E"
     assert analytic_regions(spec, 200.0, 200.0).tag == "Boundary"
     assert analytic_regions(spec, ratio * 100.0, 100.0).tag == "Boundary"
-    # purifier boundary sits at the largest frequency ratio f2 / f1 = 1.0294
+    # every R point of this device purifies, also below T_H = (f2 / f1) T_C
     low = analytic_regions(spec, 102.0, 100.0)
     high = analytic_regions(spec, 103.0, 100.0)
-    assert low.tag == "R" and not low.purifier
+    assert low.tag == "R" and low.purifier
     assert high.tag == "R" and high.purifier
+    # a strongly unequal hot pair leaves a non-purifying band inside R, whose
+    # edge (near T_H = 1.7 T_C here) is below T_H = (f2 / f1) T_C = 1.8 T_C
+    skew = DeviceSpec(1.0, 5.0, 9.0)
+    assert analytic_regions(skew, 30.0, 20.0) == OperationMode("R", purifier=False)
+    assert analytic_regions(skew, 35.0, 20.0) == OperationMode("R", purifier=True)
+
+
+def test_analytic_purifier_flag_matches_is_purifier():
+    tm = _exact_tm()
+    for spec, n in ((DeviceSpec.casablanca(), 200), (DeviceSpec(1.0, 5.0, 9.0), 60)):
+        checked = 0
+        for th in np.linspace(20, 1000, n):
+            for tc in np.linspace(20, 1000, n):
+                ana = analytic_regions(spec, th, tc)
+                if ana.tag == "R":
+                    prep = prepare("full8", spec, th, tc)
+                    assert ana.purifier == is_purifier(tm, prep), (th, tc)
+                    checked += 1
+        assert checked > n * n // 5
 
 
 def test_analytic_regions_validates_temperatures():
