@@ -1,12 +1,14 @@
 """Elementary-gate IR, the cooling-gate constructors, and the QASM emitter.
 
 The hardware gate set is {rz(theta), x, sx, cx}.  Circuits live in physical
-wire order; :func:`unitary_of_circuit` conjugates the evaluated matrix with
-the logical/physical permutation so its result compares directly against
-:func:`build_target_unitary`, which is written in logical |ij,k> order.
+wire order.  :func:`embed_gate`, the one gate kernel, lifts a gate matrix to
+the full register through cached index tables; :func:`unitary_of_circuit` and
+``noise.evolve_noisy`` both apply gates with it.  Three-wire unitaries are
+returned in the logical |ij,k> order of :func:`build_target_unitary`.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +20,8 @@ GATE_NAMES = ("rz", "x", "sx", "cx")
 X_MATRIX = np.array([[0, 1], [1, 0]], dtype=complex)
 # fixed convention for sqrt(X)
 SX_MATRIX = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])
+# control most significant: the identity with its last two rows swapped
+CX_MATRIX = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
 
 
 def rz_matrix(theta: float) -> np.ndarray:
@@ -53,9 +57,7 @@ class Gate:
             return X_MATRIX
         if self.name == "sx":
             return SX_MATRIX
-        m = np.eye(4, dtype=complex)
-        m[2:, 2:] = X_MATRIX
-        return m
+        return CX_MATRIX
 
 
 def rz(wire: int, angle: float) -> Gate:
@@ -192,39 +194,42 @@ def build_target_unitary(v_choice, phases: PhaseChoice = ZERO_PHASES) -> np.ndar
     return u
 
 
-def _embed_gate(g: Gate, n_wires: int) -> np.ndarray:
-    """Full-register matrix of a gate, physical order, wire 0 most significant."""
-    if g.name == "cx":
-        dim = 2 ** n_wires
-        c, t = g.wires
-        m = np.zeros((dim, dim), dtype=complex)
-        for s in range(dim):
-            cbit = (s >> (n_wires - 1 - c)) & 1
-            out = s ^ (cbit << (n_wires - 1 - t))
-            m[out, s] = 1.0
-        return m
-    w = g.wires[0]
-    m = np.eye(1, dtype=complex)
-    for pos in range(n_wires):
-        m = np.kron(m, g.matrix() if pos == w else np.eye(2, dtype=complex))
-    return m
+@functools.lru_cache(maxsize=None)
+def _embed_tables(wires: tuple[int, ...], n_wires: int):
+    """Flat gate-local index of every register entry, and the 0/1 mask of
+    entries whose other wires agree (wire 0 most significant)."""
+    s = np.arange(2 ** n_wires)
+    local = np.zeros_like(s)
+    for w in wires:
+        local = 2 * local + ((s >> (n_wires - 1 - w)) & 1)
+    others = s & ~sum(1 << (n_wires - 1 - w) for w in wires)
+    flat = local[:, None] * 2 ** len(wires) + local[None, :]
+    return flat, (others[:, None] == others[None, :]).astype(complex)
+
+
+def embed_gate(matrix: np.ndarray, wires, n_wires: int) -> np.ndarray:
+    """Full-register matrix of a gate acting on `wires` (first most significant).
+
+    matrix may be a stack (..., 2^k, 2^k) for k = len(wires); its entries are
+    read through the cached tables, so no Kronecker products are formed.
+    """
+    flat, same = _embed_tables(tuple(wires), n_wires)
+    return matrix.reshape(matrix.shape[:-2] + (-1,)).take(flat, axis=-1) * same
 
 
 def unitary_of_circuit(c: Circuit) -> np.ndarray:
     """Evaluate the circuit to a matrix.
 
     Gates are multiplied in application order in physical wire order; for the
-    three-wire register the result is conjugated into logical |ij,k> order so
+    three-wire register the result is permuted into logical |ij,k> order so
     it compares directly against build_target_unitary.
     """
     c.validate()
-    dim = 2 ** c.n_wires
-    u = np.eye(dim, dtype=complex)
+    u = np.eye(2 ** c.n_wires, dtype=complex)
     for g in c.gates:
-        u = _embed_gate(g, c.n_wires) @ u
+        u = embed_gate(g.matrix(), g.wires, c.n_wires) @ u
     if c.n_wires == qcore.N_WIRES:
-        p = qcore.logical_to_physical_matrix()
-        u = p.T @ u @ p
+        u = qcore.to_logical(u)
     return u
 
 

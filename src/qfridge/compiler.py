@@ -331,11 +331,7 @@ def compile_generic(
     n = int(round(np.log2(d)))
     if 2 ** n != d or n < 1:
         raise ValueError("dimension must be a power of two >= 2")
-    if n == qcore.N_WIRES:
-        p = qcore.logical_to_physical_matrix()
-        u_phys = p @ u @ p.T
-    else:
-        u_phys = u
+    u_phys = qcore.to_physical(u) if n == qcore.N_WIRES else u
     ops: list = []
     for g, a, b in _two_level_factor(u_phys):
         ops += _two_level_ops(g, a, b, n)

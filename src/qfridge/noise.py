@@ -4,17 +4,19 @@ The gate-noise model is deliberately minimal: after each gate's unitary, the
 gate's wires are depolarized with probability p1 (single-qubit gates) or p2
 (two-qubit gates).  Readout error is a per-qubit classical bit flip applied
 to the outcome distribution.  Both are unital, so they cannot cool anything
-for free.
+for free.  :func:`evolve_noisy` evolves a whole stack of densities (say the
+8 basis inputs of a transition matrix) in one pass: per gate, one embedded
+matrix, one conjugation, and a partial trace with I/d put back.
 """
 from __future__ import annotations
 
-import string
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import qcore
-from .circuits import Circuit, _embed_gate
+from .circuits import Circuit, embed_gate
 
 
 @dataclass(frozen=True)
@@ -46,55 +48,40 @@ class NoiseModel:
         return self.p1 == 0.0 and self.p2 == 0.0
 
 
-def _replace_with_mixed(rho: np.ndarray, wires, n: int) -> np.ndarray:
-    """Trace out `wires` (physical order) and reinsert maximally mixed there."""
-    keep = [w for w in range(n) if w not in wires]
-    t = rho.reshape([2] * (2 * n))
-    letters = string.ascii_lowercase
-    row = list(letters[:n])
-    col = list(letters[n:2 * n])
-    traced = list(col)
-    for w in wires:
-        traced[w] = row[w]
-    sigma_sub = "".join([row[w] for w in keep] + [col[w] for w in keep])
-    sigma = np.einsum("".join(row + traced) + "->" + sigma_sub, t)
-    operands = [sigma]
-    subs = [sigma_sub]
-    for w in wires:
-        operands.append(np.eye(2) / 2)
-        subs.append(row[w] + col[w])
-    out = np.einsum(",".join(subs) + "->" + "".join(row + col), *operands)
-    return out.reshape(2 ** n, 2 ** n)
-
-
-def _depolarize(rho: np.ndarray, wires, p: float, n: int) -> np.ndarray:
-    if p == 0.0:
-        return rho
-    return (1 - p) * rho + p * _replace_with_mixed(rho, wires, n)
+@functools.lru_cache(maxsize=None)
+def _trace_plan(wires: tuple[int, ...], n: int):
+    """Wires kept by a partial trace over `wires`, and its einsum sublists."""
+    keep = tuple(w for w in range(n) if w not in wires)
+    col = [w if w in wires else n + w for w in range(n)]
+    return keep, [Ellipsis, *range(n), *col], [Ellipsis, *keep, *(n + w for w in keep)]
 
 
 def evolve_noisy(c: Circuit, rho: np.ndarray, nm: NoiseModel) -> np.ndarray:
-    """Run a circuit on a density operator with per-gate depolarizing noise.
+    """Run a circuit on a density operator, or a stack (..., d, d) of them,
+    with per-gate depolarizing noise.
 
     rho is taken and returned in logical order; the per-gate evolution runs
     in physical wire order.
     """
     c.validate()
     rho = np.asarray(rho, dtype=complex)
-    dim = 2 ** c.n_wires
-    if rho.shape != (dim, dim):
+    n = c.n_wires
+    if rho.shape[-2:] != (2 ** n, 2 ** n):
         raise ValueError("state dimension does not match the circuit")
-    perm = None
-    if c.n_wires == qcore.N_WIRES:
-        perm = qcore.logical_to_physical_matrix()
-        rho = perm @ rho @ perm.T
+    if n == qcore.N_WIRES:
+        rho = qcore.to_physical(rho)
+    batch = rho.shape[:-2]
     for g in c.gates:
-        u = _embed_gate(g, c.n_wires)
+        u = embed_gate(g.matrix(), g.wires, n)
         rho = u @ rho @ u.conj().T
         p = nm.p2 if g.name == "cx" else nm.p1
-        rho = _depolarize(rho, g.wires, p, c.n_wires)
-    if perm is not None:
-        rho = perm.T @ rho @ perm
+        if p:
+            keep, sub_in, sub_out = _trace_plan(g.wires, n)
+            sigma = np.einsum(rho.reshape(batch + (2,) * (2 * n)), sub_in, sub_out)
+            sigma = sigma.reshape(batch + (2 ** len(keep),) * 2)
+            rho = (1 - p) * rho + p / 2 ** len(g.wires) * embed_gate(sigma, keep, n)
+    if n == qcore.N_WIRES:
+        rho = qcore.to_logical(rho)
     return rho
 
 

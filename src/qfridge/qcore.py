@@ -10,8 +10,9 @@ the basis convention for the three-qubit register:
   bit, as used by the circuit evaluator.
 
 Mixing the two orderings is the most likely silent bug in this codebase, so
-the permutation between them is a first-class, tested object
-(``logical_to_physical_matrix``).
+the permutation between them is a first-class, tested object: every module
+that crosses between the orders calls :func:`to_physical`/:func:`to_logical`,
+which reorder the last two axes of an operator or of a stack of operators.
 """
 from __future__ import annotations
 
@@ -48,10 +49,19 @@ phys_of_logical = np.array(
 
 def logical_to_physical_matrix() -> np.ndarray:
     """Permutation matrix P with v_phys = P @ v_logical."""
-    p = np.zeros((DIM, DIM))
-    for m in range(DIM):
-        p[phys_of_logical[m], m] = 1.0
-    return p
+    return np.eye(DIM)[:, phys_of_logical]
+
+
+def to_physical(a: np.ndarray) -> np.ndarray:
+    """P @ a @ P.T on the last two axes: logical-order operators to physical.
+
+    P swaps the j and k bits, so it is its own inverse: the same reindexing
+    maps physical order back to logical (:func:`to_logical`).
+    """
+    return a[..., phys_of_logical[:, None], phys_of_logical]
+
+
+to_logical = to_physical
 
 
 def check_state(psi: np.ndarray) -> np.ndarray:
@@ -118,10 +128,10 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def apply_unitary(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """U rho U^dagger."""
+    """U rho U^dagger, for one density operator or a stack (..., d, d)."""
     u = np.asarray(u, dtype=complex)
     rho = np.asarray(rho, dtype=complex)
-    if u.shape != rho.shape:
+    if u.shape != rho.shape[-2:]:
         raise ValueError(
             f"dimension mismatch: unitary {u.shape} vs state {rho.shape}"
         )

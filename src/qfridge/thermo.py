@@ -198,15 +198,16 @@ def transition_matrix(
     bare unitary in logical order (exact conjugation; gate noise does not
     apply since there are no gates).  shots = 0 means exact probabilities,
     otherwise column i is a multinomial sample with seed + i, optionally
-    mitigated.
+    mitigated.  The 8 basis densities are evolved together as one stack.
     """
+    basis = np.eye(qcore.DIM, dtype=complex)
+    rhos = basis[:, :, None] * basis[:, None, :]
+    if isinstance(engine, Circuit):
+        rhos = evolve_noisy(engine, rhos, nm)
+    else:
+        rhos = qcore.apply_unitary(engine, rhos)
     cols = []
-    for i in range(qcore.DIM):
-        rho = qcore.pure_density(qcore.basis_state(i))
-        if isinstance(engine, Circuit):
-            rho = evolve_noisy(engine, rho, nm)
-        else:
-            rho = qcore.apply_unitary(engine, rho)
+    for i, rho in enumerate(rhos):
         p = qcore.born_probabilities(rho)
         p = apply_readout_error(p, nm)
         if shots:

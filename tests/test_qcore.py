@@ -48,6 +48,19 @@ def test_permutation_matrix_maps_basis_states():
         assert v.sum() == 1.0
 
 
+def test_permutation_helpers_match_the_permutation_matrix():
+    rng = np.random.default_rng(3)
+    p = qcore.logical_to_physical_matrix()
+    stack = np.array([haar_unitary(8, rng) for _ in range(3)])
+    phys = qcore.to_physical(stack)
+    for a, b in zip(stack, phys):
+        assert np.array_equal(b, p @ a @ p.T)
+        assert np.array_equal(qcore.to_logical(b), a)
+    assert np.array_equal(qcore.to_logical(qcore.to_physical(stack[0])), stack[0])
+    # the cold bit sits on wire 1: logical |00,1> is physical index 2
+    assert qcore.to_physical(np.diag(np.arange(8.0)))[2, 2] == 1.0
+
+
 def test_check_state():
     qcore.check_state(qcore.basis_state(3))
     with pytest.raises(ValueError):
