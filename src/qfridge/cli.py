@@ -122,6 +122,8 @@ def _selftest_checks():
     from .circuits import unitary_of_circuit
     from .thermo import prepare, transition_matrix
 
+    exact_tm = transition_matrix(build_target_unitary("identity"), NoiseModel(), 0, 0)
+
     def check_gate_maps():
         u = build_target_unitary("identity")
         perm = np.abs(u) ** 2
@@ -145,12 +147,9 @@ def _selftest_checks():
 
     def check_analytics():
         spec = DeviceSpec.casablanca()
-        tm = transition_matrix(
-            build_target_unitary("identity"), NoiseModel(), 0, 0
-        )
         for th in (80.0, 240.0, 700.0):
             for tc in (50.0, 300.0, 900.0):
-                sim = energy_changes(tm, prepare("full8", spec, th, tc), spec)
+                sim = energy_changes(exact_tm, prepare("full8", spec, th, tc), spec)
                 ana = analytic_energy_changes(spec, th, tc)
                 assert abs(sim.de_hot - ana.de_hot) < 1e-12
                 assert abs(sim.de_cold - ana.de_cold) < 1e-12
@@ -164,11 +163,23 @@ def _selftest_checks():
         assert np.max(np.abs(rec - p)) < 1e-10
 
     def check_population_map():
-        assert abs(thermo.ground_population_map(0.8) - 0.896) < 1e-15
+        # equal preparations at ground population 0.8 purify to 0.896
+        spec = DeviceSpec(4.76, 4.76, 4.76)
+        t = float(thermo.final_temperatures(0.2, 4.76)[1])
+        final = 1.0 - thermo.excited_cold_population(exact_tm, prepare("full8", spec, t, t))
+        assert abs(final - thermo.ground_population_map(0.8)) < 1e-12
+        assert abs(final - 0.896) < 1e-12
 
     def check_final_temperature():
-        t = thermo.H_OVER_KB * 5.01 / np.log(0.8 / 0.2)
-        assert abs(t - 173.4) < 0.1
+        # identity dynamics reads the preparation temperature back
+        spec = DeviceSpec(4.82, 5.01, 4.90)
+        identity = thermo.TransitionMatrix(np.eye(8))
+        for t_in in (77.0, 173.4, 300.0, 650.0):
+            for scheme in thermo.SCHEMES:
+                prep = prepare(scheme, spec, 400.0, t_in)
+                got = thermo.final_cold_temperature(identity, prep, spec)
+                assert got.kind == "finite"
+                assert abs(got.millikelvin - t_in) / t_in < 1e-9
 
     def check_renyi():
         rng = np.random.default_rng(11)
@@ -181,12 +192,9 @@ def _selftest_checks():
 
     def check_second_law():
         spec = DeviceSpec.casablanca()
-        tm = transition_matrix(
-            build_target_unitary("identity"), NoiseModel(), 0, 0
-        )
         for th in np.linspace(20, 1000, 20):
             for tc in np.linspace(20, 1000, 20):
-                ledger = energy_changes(tm, prepare("full8", spec, th, tc), spec)
+                ledger = energy_changes(exact_tm, prepare("full8", spec, th, tc), spec)
                 assert not (ledger.de_cold < 0 and ledger.work < 0)
 
     return [

@@ -2,12 +2,15 @@
 
 A sweep evaluates the engine once (the transition matrix does not depend on
 the preparation temperatures), then reweights it over the whole (T_H, T_C)
-grid in array operations.  The SweepResult holds one array per output column;
-``qfridge point`` is the same kernel on a 1x1 grid.  Outputs are plain CSV /
-JSON / binary PPM so any external plotter can reproduce the phase diagrams.
+grid with thermo's per-point array rules (the scalar API runs them on one
+point); only the sampling boundary tolerance is computed here.  The
+SweepResult holds one array per output column; ``qfridge point`` is the same
+kernel on a 1x1 grid.  Outputs are plain CSV / JSON / binary PPM so any
+external plotter can reproduce the phase diagrams.
 """
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, fields
 
@@ -16,16 +19,8 @@ import numpy as np
 from .circuits import LINE3, build_target_unitary, build_vstar_circuit
 from .compiler import compile_generic
 from .noise import NoiseModel, calibrate, exact_confusion
-from . import qcore, thermo
-from .thermo import (
-    BOUNDARY_EPS,
-    H_OVER_KB,
-    DeviceSpec,
-    _gibbs_weights,
-    cold_energies,
-    hot_energies,
-    transition_matrix,
-)
+from . import thermo
+from .thermo import BOUNDARY_EPS, DeviceSpec, cold_energies, hot_energies, transition_matrix
 
 
 class ConfigError(ValueError):
@@ -74,6 +69,8 @@ class SweepConfig:
             raise ConfigError(f"{key} = {val} outside [0, 1]")
         if key == "shots" and val < 0:
             raise ConfigError("shots must be >= 0 (0 = exact)")
+        if key == "seed" and val < 0:
+            raise ConfigError(f"seed = {val} must be >= 0")
         if key in ("t_h_min", "t_c_min") and val <= 0:
             raise ConfigError("grid temperatures must be positive")
         if key in ("n_h", "n_c") and val < 2:
@@ -154,8 +151,14 @@ def build_engine(cfg: SweepConfig):
         return build_vstar_circuit()
     if cfg.noise().is_gate_noiseless():
         return build_target_unitary("identity")
-    circuit, _ = compile_generic(build_target_unitary("identity"), LINE3)
-    return circuit
+    return _compiled_identity()
+
+
+@functools.cache
+def _compiled_identity():
+    """V = identity compiled for LINE3, once per process; callers share the
+    circuit and must not modify it."""
+    return compile_generic(build_target_unitary("identity"), LINE3)[0]
 
 
 def sweep_transition_matrix(cfg: SweepConfig):
@@ -205,40 +208,15 @@ class SweepResult:
         return self.de_hot + self.de_cold
 
 
-def _prepare_rows(scheme: str, spec: DeviceSpec, t_hot, t_cold) -> np.ndarray:
-    """thermo.prepare's probabilities for each (t_hot[n], t_cold[n]) as (N, 8)
-    rows, in the scalar operation order so the bits agree."""
-    if min(t_hot.min(), t_cold.min()) <= 0:
-        raise ValueError("temperatures must be positive")
-    if scheme == "swap4":
-        # populated states (i, i, k) in the order (i, k) = 00, 01, 10, 11
-        u_h, u_c = H_OVER_KB / t_hot, H_OVER_KB / t_cold
-        e = (np.array([-0.5, -0.5, 0.5, 0.5]) * spec.omega_sum * u_h[:, None]
-             + np.array([-0.5, 0.5, -0.5, 0.5]) * spec.f1 * u_c[:, None])
-        probs = np.zeros((t_hot.size, qcore.DIM))
-        probs[:, [0, 1, 6, 7]] = _gibbs_weights(e, 1.0)
-    elif scheme == "full8":
-        # single-qubit Gibbs weights of q0 and q2 at t_hot, q1 at t_cold
-        u = H_OVER_KB * np.array([[spec.f0], [spec.f2], [spec.f1]]) / [t_hot, t_hot, t_cold]
-        s0, s2, s1 = _gibbs_weights(np.array([-0.5, 0.5]), u[..., None])
-        # logical index 4i + 2j + k: q0 bit i, q2 bit j, cold bit k
-        probs = (s0[:, :, None, None] * s2[:, None, :, None] * s1[:, None, None, :]).reshape(-1, 8)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    if probs.min() < 0 or np.max(np.abs(probs.sum(axis=1) - 1.0)) > qcore.STATE_ATOL:
-        raise ValueError("preparation is not a probability vector")
-    return probs
-
-
 def evaluate_grid(cfg: SweepConfig, tm, t_h_axis, t_c_axis) -> SweepResult:
-    """Every (T_H, T_C) pair of the two axes through the engine `tm`: per
-    point, thermo's prepare -> energy_changes -> role_ordered -> classify_mode
-    -> final_cold_temperature -> is_purifier chain, as array operations."""
+    """Every (T_H, T_C) pair of the two axes through the engine `tm`: thermo's
+    per-point rules (preparation, roles, mode, final temperature, purifier)
+    applied to whole columns."""
     t_h_axis, t_c_axis = np.asarray(t_h_axis, float), np.asarray(t_c_axis, float)
     t_hot = np.repeat(t_h_axis, t_c_axis.size)
     t_cold = np.tile(t_c_axis, t_h_axis.size)
     spec = cfg.device()
-    probs = _prepare_rows(cfg.scheme, spec, t_hot, t_cold)
+    probs = thermo.preparation_rows(cfg.scheme, spec, t_hot, t_cold)
     after = probs @ tm.p.T
     e_h, e_c = hot_energies(spec, cfg.hot_energy_mode), cold_energies(spec)
     de_hot, de_cold = (after - probs) @ e_h, (after - probs) @ e_c
@@ -249,28 +227,18 @@ def evaluate_grid(cfg: SweepConfig, tm, t_h_axis, t_c_axis) -> SweepResult:
             var_cols = (e ** 2) @ tm.p - (e @ tm.p) ** 2
             var = (probs ** 2) @ var_cols / cfg.shots
             eps = np.maximum(eps, 3.0 * np.sqrt(np.maximum(var, 0.0)))
-    # classify with the roles tied to the actually hotter body
-    swap = t_hot < t_cold
-    de_h, de_c = np.where(swap, de_cold, de_hot), np.where(swap, de_hot, de_cold)
-    w = de_h + de_c
-    near_zero = np.minimum(np.minimum(abs(de_h), abs(de_c)), abs(w)) < eps
-    mode = np.select([near_zero, de_c < 0, w < 0, de_h < 0], ["Boundary", "R", "E", "A"], "H")
-    # final cold temperature from the excited population q of the cold qubit
-    q = after[:, 1] + after[:, 3] + after[:, 5] + after[:, 7]
-    kind = np.select([abs(q - 0.5) < 1e-12, q > 0.5], ["infinite", "inverted"], "finite")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_final = np.where(q <= 0.0, 0.0, H_OVER_KB * spec.f1 / np.log((1 - q) / q))
+    swap = thermo.roles_exchanged(t_hot, t_cold)
+    mode = thermo.mode_tags(np.where(swap, de_cold, de_hot), np.where(swap, de_hot, de_cold), eps)
+    q = thermo.cold_excitation(after)
+    kind, t_final = thermo.final_temperatures(q, spec.f1)
     p_g_final = 1.0 - q
     purifier = np.zeros(t_hot.size, dtype=bool)
     if cfg.scheme == "full8":
-        # ground marginals of q0 (i = 0), q1 (k = 0) and q2 (j = 0)
-        g = np.stack([probs[:, 0] + probs[:, 1] + probs[:, 2] + probs[:, 3],
-                      probs[:, 0] + probs[:, 2] + probs[:, 4] + probs[:, 6],
-                      probs[:, 0] + probs[:, 1] + probs[:, 4] + probs[:, 5]])
-        purifier = (mode == "R") & ~swap & (g.min(0) >= 0.5) & (p_g_final > g.max(0))
+        g = thermo.ground_populations(probs)
+        purifier = (mode == "R") & thermo.purifies(g, p_g_final, t_hot, t_cold)
     return SweepResult(
         t_h_axis.size, t_c_axis.size, t_hot, t_cold, de_hot, de_cold, mode,
-        np.where(kind == "finite", t_final, np.nan), kind, p_g_final, purifier,
+        t_final, kind, p_g_final, purifier,
     )
 
 

@@ -83,12 +83,17 @@ class ThermalPrep:
 
     def ground_marginals(self) -> tuple[float, float, float]:
         """(q0, q1, q2) probabilities of reading 0, from the 8-outcome vector."""
-        p = self.probs
-        labels = [qcore.basis_label(m) for m in range(qcore.DIM)]
-        g0 = sum(p[m] for m, (i, _, _) in enumerate(labels) if i == 0)
-        g1 = sum(p[m] for m, (_, _, k) in enumerate(labels) if k == 0)
-        g2 = sum(p[m] for m, (_, j, _) in enumerate(labels) if j == 0)
+        g0, g1, g2 = ground_populations(self.probs)
         return float(g0), float(g1), float(g2)
+
+
+def ground_populations(p: np.ndarray) -> np.ndarray:
+    """Ground populations (g0, g1, g2) of q0, q1, q2 in each 8-outcome row of
+    `p` (..., 8), stacked on a new first axis."""
+    # logical index 4i + 2j + k: q0 bit i, q2 bit j, cold (q1) bit k
+    return np.stack([p[..., 0] + p[..., 1] + p[..., 2] + p[..., 3],
+                     p[..., 0] + p[..., 2] + p[..., 4] + p[..., 6],
+                     p[..., 0] + p[..., 1] + p[..., 4] + p[..., 5]])
 
 
 def _gibbs_weights(energies: np.ndarray, u_per_unit: float) -> np.ndarray:
@@ -125,43 +130,42 @@ def hot_energies(spec: DeviceSpec, mode: str) -> np.ndarray:
     return e
 
 
-def prepare(scheme: str, spec: DeviceSpec, t_hot: float, t_cold: float) -> ThermalPrep:
-    """Bi-thermal preparation over the 8 logical basis states.
+def preparation_rows(scheme: str, spec: DeviceSpec, t_hot, t_cold) -> np.ndarray:
+    """Bi-thermal preparations over the 8 logical basis states, one (N, 8) row
+    per pair (t_hot[n], t_cold[n]).
 
     swap4: mass only on the four i = j states, hot part Gibbs-weighted with
     the ideal -/+ Omega/2 spectrum at t_hot, cold part at t_cold.
     full8: product of three single-qubit Gibbs states, q0 and q2 at t_hot,
     q1 at t_cold.
     """
-    if t_hot <= 0 or t_cold <= 0:
+    t_hot, t_cold = np.asarray(t_hot, float), np.asarray(t_cold, float)
+    if min(t_hot.min(), t_cold.min()) <= 0:
         raise ValueError("temperatures must be positive")
     if scheme == "swap4":
-        u_h = dimensionless_beta_omega(1.0, t_hot)
-        u_c = dimensionless_beta_omega(1.0, t_cold)
-        # joint exponent over the 4 populated states, then embed
-        states = [(i, k) for i in (0, 1) for k in (0, 1)]
-        e = np.array(
-            [
-                (0.5 if i else -0.5) * spec.omega_sum * u_h
-                + (0.5 if k else -0.5) * spec.f1 * u_c
-                for i, k in states
-            ]
-        )
-        w = _gibbs_weights(e, 1.0)
-        probs = np.zeros(qcore.DIM)
-        for (i, k), wk in zip(states, w):
-            probs[qcore.basis_index(i, i, k)] = wk
+        # joint exponent over the populated states (i, i, k), (i, k) = 00, 01, 10, 11
+        u_h, u_c = H_OVER_KB / t_hot, H_OVER_KB / t_cold
+        e = (np.array([-0.5, -0.5, 0.5, 0.5]) * spec.omega_sum * u_h[:, None]
+             + np.array([-0.5, 0.5, -0.5, 0.5]) * spec.f1 * u_c[:, None])
+        probs = np.zeros((t_hot.size, qcore.DIM))
+        probs[:, [0, 1, 6, 7]] = _gibbs_weights(e, 1.0)
     elif scheme == "full8":
-        singles = []
-        for f, t in ((spec.f0, t_hot), (spec.f2, t_hot), (spec.f1, t_cold)):
-            u = dimensionless_beta_omega(f, t)
-            singles.append(_gibbs_weights(np.array([-0.5, 0.5]), u))
-        probs = np.zeros(qcore.DIM)
-        for m in range(qcore.DIM):
-            i, j, k = qcore.basis_label(m)
-            probs[m] = singles[0][i] * singles[1][j] * singles[2][k]
+        # single-qubit Gibbs weights of q0 and q2 at t_hot, q1 at t_cold
+        u = H_OVER_KB * np.array([[spec.f0], [spec.f2], [spec.f1]]) / [t_hot, t_hot, t_cold]
+        s0, s2, s1 = _gibbs_weights(np.array([-0.5, 0.5]), u[..., None])
+        # logical index 4i + 2j + k: q0 bit i, q2 bit j, cold bit k
+        probs = (s0[:, :, None, None] * s2[:, None, :, None] * s1[:, None, None, :]).reshape(-1, 8)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
+    if probs.min() < 0 or np.max(np.abs(probs.sum(axis=1) - 1.0)) > qcore.STATE_ATOL:
+        raise ValueError("preparation is not a probability vector")
+    return probs
+
+
+def prepare(scheme: str, spec: DeviceSpec, t_hot: float, t_cold: float) -> ThermalPrep:
+    """Bi-thermal preparation over the 8 logical basis states: the one row of
+    preparation_rows at (t_hot, t_cold)."""
+    probs = preparation_rows(scheme, spec, [t_hot], [t_cold])[0]
     return ThermalPrep(scheme, t_hot, t_cold, probs)
 
 
@@ -236,9 +240,14 @@ class EnergyLedger:
         labeled hot really is the hotter one; when t_hot < t_cold the roles
         of the two subsystems are exchanged before classification.
         """
-        if t_hot < t_cold:
+        if roles_exchanged(t_hot, t_cold):
             return EnergyLedger(self.de_cold, self.de_hot)
         return self
+
+
+def roles_exchanged(t_hot, t_cold) -> np.ndarray:
+    """Per point: is the subsystem labeled hot the colder one (t_hot < t_cold)?"""
+    return np.less(t_hot, t_cold)
 
 
 def energy_changes(
@@ -286,22 +295,20 @@ class OperationMode:
 
 
 def classify_mode(ledger: EnergyLedger, eps: float = BOUNDARY_EPS) -> OperationMode:
-    """Operation mode from the signs of the energy changes.
+    """Operation mode from the signs of the energy changes (see mode_tags)."""
+    return OperationMode(str(mode_tags(ledger.de_hot, ledger.de_cold, eps)))
+
+
+def mode_tags(de_hot, de_cold, eps=BOUNDARY_EPS) -> np.ndarray:
+    """Operation mode tag per point from the signs of the energy changes.
 
     Any quantity within eps of zero makes the point a boundary.  R takes
     precedence over E; they are disjoint for exact dynamics, and the
     precedence only resolves noise-induced sign conflicts.
     """
-    de_h, de_c, w = ledger.de_hot, ledger.de_cold, ledger.work
-    if min(abs(de_h), abs(de_c), abs(w)) < eps:
-        return OperationMode("Boundary")
-    if de_c < 0:
-        return OperationMode("R")
-    if w < 0:
-        return OperationMode("E")
-    if de_h < 0:
-        return OperationMode("A")
-    return OperationMode("H")
+    w = de_hot + de_cold
+    near_zero = np.minimum(np.minimum(abs(de_hot), abs(de_cold)), abs(w)) < eps
+    return np.select([near_zero, de_cold < 0, w < 0, de_hot < 0], ["Boundary", "R", "E", "A"], "H")
 
 
 def analytic_regions(
@@ -321,10 +328,10 @@ def analytic_regions(
         return OperationMode("E")
     # is_purifier in closed form (t_hot > t_cold holds here): the cold qubit
     # ends at ground population g1 - dE_C / f1
-    g0, g1, g2 = (0.5 + 0.5 * np.tanh(dimensionless_beta_omega(f, t) / 2)
-                  for f, t in ((spec.f0, t_hot), (spec.f1, t_cold), (spec.f2, t_hot)))
-    final = g1 - analytic_energy_changes(spec, t_hot, t_cold).de_cold / spec.f1
-    return OperationMode("R", purifier=bool(min(g0, g1, g2) >= 0.5 and final > max(g0, g1, g2)))
+    g = [0.5 + 0.5 * np.tanh(dimensionless_beta_omega(f, t) / 2)
+         for f, t in ((spec.f0, t_hot), (spec.f1, t_cold), (spec.f2, t_hot))]
+    final = g[1] - analytic_energy_changes(spec, t_hot, t_cold).de_cold / spec.f1
+    return OperationMode("R", purifier=bool(purifies(g, final, t_hot, t_cold)))
 
 
 @dataclass(frozen=True)
@@ -343,22 +350,34 @@ class ColdTemperature:
 
 def excited_cold_population(p: TransitionMatrix, prep: ThermalPrep) -> float:
     """Final population Q of the cold qubit's excited state."""
-    after = p.propagate(prep.probs)
-    return float(sum(after[m] for m in range(qcore.DIM) if qcore.basis_label(m)[2]))
+    return float(cold_excitation(p.propagate(prep.probs)))
+
+
+def cold_excitation(after: np.ndarray) -> np.ndarray:
+    """Excited population of the cold qubit (k = 1) in each 8-outcome row."""
+    return after[..., 1] + after[..., 3] + after[..., 5] + after[..., 7]
 
 
 def final_cold_temperature(
     p: TransitionMatrix, prep: ThermalPrep, spec: DeviceSpec
 ) -> ColdTemperature:
     """Invert the two-level Gibbs relation on the cold qubit's final state."""
-    q = excited_cold_population(p, prep)
-    if abs(q - 0.5) < 1e-12:
-        return ColdTemperature("infinite")
-    if q > 0.5:
-        return ColdTemperature("inverted")
-    if q <= 0.0:
-        return ColdTemperature("finite", 0.0)
-    return ColdTemperature("finite", H_OVER_KB * spec.f1 / np.log((1 - q) / q))
+    kind, millikelvin = final_temperatures(excited_cold_population(p, prep), spec.f1)
+    kind = str(kind)
+    return ColdTemperature(kind, float(millikelvin) if kind == "finite" else None)
+
+
+def final_temperatures(q, f1: float) -> tuple[np.ndarray, np.ndarray]:
+    """(kind, mK) per cold excited population q at frequency f1 (GHz).
+
+    kind is "infinite" within 1e-12 of q = 1/2, "inverted" above it, else
+    "finite"; q <= 0 reads 0 mK.  mK is NaN where the kind is not finite.
+    """
+    q = np.asarray(q, float)
+    kind = np.select([abs(q - 0.5) < 1e-12, q > 0.5], ["infinite", "inverted"], "finite")
+    with np.errstate(all="ignore"):  # q = 0 and subnormal q read 0 mK
+        t = np.where(q <= 0.0, 0.0, H_OVER_KB * f1 / np.log((1 - q) / q))
+    return kind, np.where(kind == "finite", t, np.nan)
 
 
 def ground_population_map(x: float) -> float:
@@ -376,21 +395,24 @@ def projected_purity(pg: float) -> float:
 
 
 def is_purifier(p: TransitionMatrix, prep: ThermalPrep) -> bool:
-    """Did the cold qubit end purer than every qubit started?
-
-    Requires the full thermal preparation; defined only when every initial
-    ground population is at least 1/2.  Purification is a claim about the
-    refrigeration regime, so preparations with t_hot < t_cold never qualify.
-    """
+    """Did the cold qubit end purer than every qubit started?  Requires the
+    full thermal preparation; the rule is `purifies`."""
     if prep.scheme != "full8":
         raise ValueError("purification is assessed on the full thermal scheme")
-    if prep.t_hot < prep.t_cold:
-        return False
-    g0, g1, g2 = prep.ground_marginals()
-    if min(g0, g1, g2) < 0.5:
-        return False
     final_ground = 1.0 - excited_cold_population(p, prep)
-    return final_ground > max(g0, g1, g2)
+    return bool(purifies(ground_populations(prep.probs), final_ground, prep.t_hot, prep.t_cold))
+
+
+def purifies(g, final_ground, t_hot, t_cold) -> np.ndarray:
+    """Per point: does the cold qubit end at a ground population final_ground
+    above every initial one, g = (g0, g1, g2) of a full thermal preparation?
+
+    Defined only when every initial ground population is at least 1/2.
+    Purification is a claim about the refrigeration regime, so preparations
+    with t_hot < t_cold never qualify.
+    """
+    return (~roles_exchanged(t_hot, t_cold) & (np.min(g, axis=0) >= 0.5)
+            & (final_ground > np.max(g, axis=0)))
 
 
 def swap_engine_cop(spec: DeviceSpec) -> float:

@@ -4,7 +4,9 @@ import json
 import numpy as np
 import pytest
 
+from qfridge import sweep
 from qfridge.cli import cli_main
+from qfridge.compiler import compile_generic
 from qfridge.sweep import (
     CSV_HEADER,
     ConfigError,
@@ -109,6 +111,15 @@ def test_grid_bounds_are_checked_after_the_whole_document():
     assert err.value.line == 2
 
 
+def test_negative_seed_is_rejected_on_its_line(capsys):
+    with pytest.raises(ConfigError, match="seed") as err:
+        parse_config("shots = 64\nseed = -3\n")
+    assert err.value.line == 2
+    argv = ["point", "--th", "100", "--tc", "50", "--seed", "-1", "--eps01", "0.02"]
+    assert cli_main(argv) == 2
+    assert "seed" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 
@@ -144,6 +155,24 @@ def test_exact_mitigated_runs_do_not_depend_on_the_seed():
     a = sweep_transition_matrix(SweepConfig(seed=0, **cfg)).p
     b = sweep_transition_matrix(SweepConfig(seed=1, **cfg)).p
     assert np.array_equal(a, b)
+
+
+def test_noisy_sweeps_compile_the_engine_once(monkeypatch):
+    calls = []
+
+    def counting_compile(*args):
+        calls.append(args)
+        return compile_generic(*args)
+
+    monkeypatch.setattr(sweep, "compile_generic", counting_compile)
+    sweep._compiled_identity.cache_clear()
+    cfg = SweepConfig(p1=0.001, p2=0.01, shots=0, n_h=3, n_c=3)
+    try:
+        first, second = write_json(run_sweep(cfg)), write_json(run_sweep(cfg))
+    finally:
+        sweep._compiled_identity.cache_clear()
+    assert len(calls) == 1
+    assert first == second
 
 
 def test_sweep_is_deterministic():

@@ -1,5 +1,9 @@
-"""The columnar sweep kernel against thermo's single-point chain and against
-golden outputs.
+"""The columnar sweep kernel and thermo's scalar API against frozen
+single-point references, and against golden outputs.
+
+The ``_reference_*`` helpers are thermo's scalar bodies as they stood before
+the scalar API and the kernel came to share one set of array rules; they keep
+both checks independent of the code under test.
 
 The golden files in tests/data were written by the per-point sweep that the
 kernel replaced, from the configs next to them:
@@ -17,11 +21,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qfridge.cli import cli_main
+from qfridge.qcore import DIM, basis_index, basis_label
 from qfridge.sweep import SweepConfig, evaluate_grid, sweep_transition_matrix
 from qfridge.thermo import (
     BOUNDARY_EPS,
+    H_OVER_KB,
     HOT_ENERGY_MODES,
     SCHEMES,
+    DeviceSpec,
+    EnergyLedger,
     TransitionMatrix,
     classify_mode,
     cold_energies,
@@ -47,38 +55,117 @@ def _engine_tm(engine):
     return sweep_transition_matrix(SweepConfig(**ENGINES[engine]))
 
 
-def _reference_eps(tm, prep, spec, hot_energy_mode, shots):
+def _reference_gibbs(energies, u):
+    """softmax of -u*E, stable for very low temperatures."""
+    z = -u * energies
+    z -= z.max()
+    w = np.exp(z)
+    return w / w.sum()
+
+
+def _reference_prepare(scheme, spec, t_hot, t_cold):
+    """Preparation probabilities from per-state loops (swap4: joint Gibbs
+    weights on the i = j states; full8: product of single-qubit Gibbs states)."""
+    probs = np.zeros(DIM)
+    if scheme == "swap4":
+        u_h, u_c = H_OVER_KB * 1.0 / t_hot, H_OVER_KB * 1.0 / t_cold
+        states = [(i, k) for i in (0, 1) for k in (0, 1)]
+        e = np.array([(0.5 if i else -0.5) * spec.omega_sum * u_h
+                      + (0.5 if k else -0.5) * spec.f1 * u_c for i, k in states])
+        for (i, k), wk in zip(states, _reference_gibbs(e, 1.0)):
+            probs[basis_index(i, i, k)] = wk
+        return probs
+    singles = [_reference_gibbs(np.array([-0.5, 0.5]), H_OVER_KB * f / t)
+               for f, t in ((spec.f0, t_hot), (spec.f2, t_hot), (spec.f1, t_cold))]
+    for m in range(DIM):
+        i, j, k = basis_label(m)
+        probs[m] = singles[0][i] * singles[1][j] * singles[2][k]
+    return probs
+
+
+def _reference_marginals(probs):
+    """(q0, q1, q2) ground populations, summed over the basis labels."""
+    labels = [basis_label(m) for m in range(DIM)]
+    g0 = sum(probs[m] for m, (i, _, _) in enumerate(labels) if i == 0)
+    g1 = sum(probs[m] for m, (_, _, k) in enumerate(labels) if k == 0)
+    g2 = sum(probs[m] for m, (_, j, _) in enumerate(labels) if j == 0)
+    return float(g0), float(g1), float(g2)
+
+
+def _reference_excited(tm, probs):
+    after = tm.p @ probs
+    return float(sum(after[m] for m in range(DIM) if basis_label(m)[2]))
+
+
+def _reference_mode(de_h, de_c, eps):
+    """classify_mode's precedence as an if-chain."""
+    w = de_h + de_c
+    if min(abs(de_h), abs(de_c), abs(w)) < eps:
+        return "Boundary"
+    if de_c < 0:
+        return "R"
+    if w < 0:
+        return "E"
+    if de_h < 0:
+        return "A"
+    return "H"
+
+
+def _reference_final_temperature(q, f1):
+    """(kind, mK or None) from the cold excited population q."""
+    if abs(q - 0.5) < 1e-12:
+        return "infinite", None
+    if q > 0.5:
+        return "inverted", None
+    if q <= 0.0:
+        return "finite", 0.0
+    return "finite", H_OVER_KB * f1 / np.log((1 - q) / q)
+
+
+def _reference_purifier(probs, q, t_hot, t_cold):
+    if t_hot < t_cold:
+        return False
+    g0, g1, g2 = _reference_marginals(probs)
+    if min(g0, g1, g2) < 0.5:
+        return False
+    return 1.0 - q > max(g0, g1, g2)
+
+
+def _reference_eps(tm, probs, e_h, e_c, shots):
     """Boundary tolerance: 3 standard errors of the sampled energy changes."""
     if shots <= 0:
         return BOUNDARY_EPS
-    e_h = hot_energies(spec, hot_energy_mode)
-    e_c = cold_energies(spec)
     worst = 0.0
     for e in (e_h, e_c, e_h + e_c):
         mean = e @ tm.p
         var_cols = (e ** 2) @ tm.p - mean ** 2
-        var = float(np.sum(prep.probs ** 2 * var_cols)) / shots
+        var = float(np.sum(probs ** 2 * var_cols)) / shots
         worst = max(worst, 3.0 * math.sqrt(max(var, 0.0)))
     return max(worst, BOUNDARY_EPS)
 
 
 def _reference_point(cfg, tm, t_hot, t_cold):
-    """One grid point through the scalar thermo functions."""
+    """One grid point through the reference helpers."""
     spec = cfg.device()
-    prep = prepare(cfg.scheme, spec, t_hot, t_cold)
-    ledger = energy_changes(tm, prep, spec, cfg.hot_energy_mode)
-    eps = _reference_eps(tm, prep, spec, cfg.hot_energy_mode, cfg.shots)
-    mode = classify_mode(ledger.role_ordered(t_hot, t_cold), eps).tag
-    t_final = final_cold_temperature(tm, prep, spec)
+    probs = _reference_prepare(cfg.scheme, spec, t_hot, t_cold)
+    delta = tm.p @ probs - probs
+    e_h, e_c = hot_energies(spec, cfg.hot_energy_mode), cold_energies(spec)
+    de_hot, de_cold = float(e_h @ delta), float(e_c @ delta)
+    eps = _reference_eps(tm, probs, e_h, e_c, cfg.shots)
+    ordered = (de_cold, de_hot) if t_hot < t_cold else (de_hot, de_cold)
+    mode = _reference_mode(*ordered, eps)
+    q = _reference_excited(tm, probs)
+    kind, t_final = _reference_final_temperature(q, spec.f1)
     return dict(
-        de_hot=ledger.de_hot,
-        de_cold=ledger.de_cold,
-        work=ledger.work,
+        de_hot=de_hot,
+        de_cold=de_cold,
+        work=de_hot + de_cold,
         mode=mode,
-        kind=t_final.kind,
-        t_final=t_final.millikelvin,
-        p_g_final=1.0 - excited_cold_population(tm, prep),
-        purifier=cfg.scheme == "full8" and mode == "R" and is_purifier(tm, prep),
+        kind=kind,
+        t_final=t_final,
+        p_g_final=1.0 - q,
+        purifier=cfg.scheme == "full8" and mode == "R"
+        and _reference_purifier(probs, q, t_hot, t_cold),
     )
 
 
@@ -119,6 +206,45 @@ def test_kernel_matches_scalar_chain(engine, scheme, hot_energy_mode, t_h_axis, 
     if cfg.shots == 0:
         # no cooling together with work extraction
         assert not np.any((res.de_cold < 0) & (res.work < 0))
+
+
+_FLIP = TransitionMatrix(np.eye(8)[[m ^ 1 for m in range(8)]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    engine=st.sampled_from(sorted(ENGINES) + ["identity", "flip"]),
+    scheme=st.sampled_from(SCHEMES),
+    freqs=st.tuples(*[st.floats(1.0, 10.0)] * 3),
+    t_hot=st.floats(1.0, 5000.0),
+    t_cold=st.one_of(st.none(), st.floats(1.0, 5000.0), st.floats(1e10, 1e23)),
+    eps=st.floats(1e-8, 1e-1),
+)
+def test_scalar_api_matches_the_reference_bit_for_bit(engine, scheme, freqs, t_hot, t_cold, eps):
+    t_cold = t_hot if t_cold is None else t_cold
+    spec = DeviceSpec(*freqs)
+    tm = {"identity": TransitionMatrix(np.eye(8)), "flip": _FLIP}.get(engine) or _engine_tm(engine)
+    prep = prepare(scheme, spec, t_hot, t_cold)
+    ref_probs = _reference_prepare(scheme, spec, t_hot, t_cold)
+    assert prep.probs.tobytes() == ref_probs.tobytes()
+    assert prep.ground_marginals() == _reference_marginals(ref_probs)
+    q = excited_cold_population(tm, prep)
+    assert q == _reference_excited(tm, ref_probs)
+    ledger = energy_changes(tm, prep, spec)
+    for de_h, de_c in ((ledger.de_hot, ledger.de_cold), (0.0, ledger.de_cold),
+                       (ledger.de_hot, -ledger.de_hot)):
+        ordered = EnergyLedger(de_h, de_c).role_ordered(t_hot, t_cold)
+        want = (de_c, de_h) if t_hot < t_cold else (de_h, de_c)
+        assert (ordered.de_hot, ordered.de_cold) == want
+        for e in (BOUNDARY_EPS, eps):
+            assert classify_mode(ordered, e).tag == _reference_mode(*want, e)
+    out = final_cold_temperature(tm, prep, spec)
+    assert (out.kind, out.millikelvin) == _reference_final_temperature(q, spec.f1)
+    if scheme == "full8":
+        assert is_purifier(tm, prep) == _reference_purifier(ref_probs, q, t_hot, t_cold)
+    else:
+        with pytest.raises(ValueError, match="full thermal"):
+            is_purifier(tm, prep)
 
 
 def test_kernel_final_temperature_kinds_at_the_edges():
