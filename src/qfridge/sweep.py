@@ -6,13 +6,17 @@ grid with thermo's per-point array rules (the scalar API runs them on one
 point); only the sampling boundary tolerance is computed here.  The
 SweepResult holds one array per output column; ``qfridge point`` is the same
 kernel on a 1x1 grid.  Outputs are plain CSV / JSON / binary PPM so any
-external plotter can reproduce the phase diagrams.
+external plotter can reproduce the phase diagrams.  The CSV and JSON writers
+work column by column: each column becomes a list of texts, and one ``%``
+fill of a repeated row template writes the whole file.
 """
 from __future__ import annotations
 
 import functools
-import json
+import itertools
+import math
 from dataclasses import dataclass, fields
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -59,6 +63,8 @@ class SweepConfig:
     def check_key(self, key: str) -> None:
         """Raise ConfigError if `key` breaks a rule on its own value."""
         val = getattr(self, key)
+        if _KEY_TYPES[key] is float and not math.isfinite(val):
+            raise ConfigError(f"{key} = {val} must be finite")
         if key in ("f0", "f1", "f2") and val <= 0:
             raise ConfigError("frequencies must be positive")
         if key == "scheme" and val not in thermo.SCHEMES:
@@ -254,6 +260,11 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
 CSV_HEADER = "T_H_mK,T_C_mK,dE_H,dE_C,W,mode,T_C_final_mK,p_g_final,purifier"
 RECORD_KEYS = ("T_H", "T_C", "dE_H", "dE_C", "W", "mode", "T_C_final", "p_g_final", "purifier")
 _NON_FINITE_TEXT = {"infinite": "inf", "inverted": "inverted"}
+_CSV_ROW = "%.9g,%.9g,%.9g,%.9g,%.9g,%s,%s,%.9g,%s\n"
+_JSON_RECORD = "  {\n" + ",\n".join(f'    "{key}": %s' for key in RECORD_KEYS) + "\n  }"
+_JSON_TAGS = {kind: encode_basestring_ascii(text) for kind, text in _NON_FINITE_TEXT.items()}
+#: json's spelling of the float reprs that are not JSON numbers
+_JSON_CONSTANTS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _fmt(value: float) -> str:
@@ -262,22 +273,39 @@ def _fmt(value: float) -> str:
 
 def _columns(res: SweepResult) -> list[list]:
     """The RECORD_KEYS columns as Python values; T_C_final may be "inf"/"inverted"."""
-    t_final = zip(res.t_cold_final.tolist(), res.t_cold_final_kind.tolist())
     return [
         res.t_hot.tolist(), res.t_cold.tolist(), res.de_hot.tolist(),
         res.de_cold.tolist(), res.work.tolist(), res.mode.tolist(),
-        [_NON_FINITE_TEXT.get(kind, t) for t, kind in t_final],
+        _t_final_column(res, res.t_cold_final.tolist(), _NON_FINITE_TEXT),
         res.p_g_final.tolist(), res.purifier.tolist(),
     ]
 
 
+def _fill(row: str, sep: str, columns: list) -> str:
+    """`row` once per grid point, joined by `sep`, filled in one `%` from
+    the columns (one value per `%` field of `row`)."""
+    return sep.join([row] * len(columns[0])) % tuple(itertools.chain.from_iterable(zip(*columns)))
+
+
+def _t_final_column(res: SweepResult, values: list, tags: dict) -> list:
+    """The T_C_final column: `values` where the kind is finite, else its tag."""
+    return [tags.get(kind, t) for t, kind in zip(values, res.t_cold_final_kind.tolist())]
+
+
+def _purifier_texts(res: SweepResult) -> list[str]:
+    return np.where(res.purifier, "true", "false").tolist()
+
+
 def write_csv(res: SweepResult) -> str:
-    lines = [
-        f"{th:.9g},{tc:.9g},{dh:.9g},{dc:.9g},{w:.9g},{mode},"
-        f"{t if isinstance(t, str) else _fmt(t)},{pg:.9g},{'true' if pur else 'false'}"
-        for th, tc, dh, dc, w, mode, t, pg, pur in zip(*_columns(res))
+    """One row per grid point, numbers as `%.9g`."""
+    columns = [col.tolist() for col in (res.t_hot, res.t_cold, res.de_hot, res.de_cold, res.work)]
+    columns += [
+        res.mode.tolist(),
+        _t_final_column(res, list(map(_fmt, res.t_cold_final.tolist())), _NON_FINITE_TEXT),
+        res.p_g_final.tolist(),
+        _purifier_texts(res),
     ]
-    return "\n".join([CSV_HEADER, *lines]) + "\n"
+    return CSV_HEADER + "\n" + _fill(_CSV_ROW, "", columns)
 
 
 def as_records(res: SweepResult) -> list[dict]:
@@ -285,8 +313,27 @@ def as_records(res: SweepResult) -> list[dict]:
     return [dict(zip(RECORD_KEYS, row)) for row in zip(*_columns(res))]
 
 
+def _json_numbers(col: np.ndarray) -> list[str]:
+    """json's text of each number: float.__repr__ (as json calls it), with
+    NaN and the infinities spelled as json spells them."""
+    texts = repr(col.tolist())[1:-1].split(", ")
+    if not np.isfinite(col).all():
+        texts = [_JSON_CONSTANTS.get(t, t) for t in texts]
+    return texts
+
+
 def write_json(res: SweepResult) -> str:
-    return json.dumps(as_records(res), indent=2) + "\n"
+    """The records as ``json.dumps(as_records(res), indent=2)`` writes them."""
+    if not res.t_hot.size:
+        return "[]\n"
+    columns = [_json_numbers(col) for col in (res.t_hot, res.t_cold, res.de_hot, res.de_cold, res.work)]
+    columns += [
+        list(map(encode_basestring_ascii, res.mode.tolist())),
+        _t_final_column(res, _json_numbers(res.t_cold_final), _JSON_TAGS),
+        _json_numbers(res.p_g_final),
+        _purifier_texts(res),
+    ]
+    return "[\n" + _fill(_JSON_RECORD, ",\n", columns) + "\n]\n"
 
 
 MODE_COLORS = {

@@ -140,7 +140,7 @@ def preparation_rows(scheme: str, spec: DeviceSpec, t_hot, t_cold) -> np.ndarray
     q1 at t_cold.
     """
     t_hot, t_cold = np.asarray(t_hot, float), np.asarray(t_cold, float)
-    if min(t_hot.min(), t_cold.min()) <= 0:
+    if not ((t_hot > 0).all() and (t_cold > 0).all()):  # NaN fails too
         raise ValueError("temperatures must be positive")
     if scheme == "swap4":
         # joint exponent over the populated states (i, i, k), (i, k) = 00, 01, 10, 11
@@ -179,6 +179,8 @@ class TransitionMatrix:
         p = np.asarray(self.p, dtype=float)
         if p.shape != (qcore.DIM, qcore.DIM):
             raise ValueError("transition matrix must be 8x8")
+        if not np.isfinite(p).all():
+            raise ValueError("transition matrix has a non-finite entry")
         if np.min(p) < 0:
             raise ValueError("transition matrix has a negative entry")
         if np.max(np.abs(p.sum(axis=0) - 1.0)) > 1e-9:

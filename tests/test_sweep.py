@@ -120,6 +120,31 @@ def test_negative_seed_is_rejected_on_its_line(capsys):
     assert "seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key,value",
+    [("f1", "nan"), ("f0", "inf"), ("p2", "nan"), ("eps01", "inf"),
+     ("t_h_max", "inf"), ("t_c_min", "nan")],
+)
+def test_non_finite_values_are_rejected_on_their_line(key, value):
+    with pytest.raises(ConfigError, match=f"{key} = {value} must be finite") as err:
+        parse_config(f"shots = 0\n{key} = {value}\n")
+    assert err.value.line == 2
+
+
+def test_point_rejects_a_non_finite_flag(capsys):
+    assert cli_main(["point", "--th", "100", "--tc", "50", "--shots", "0", "--f1", "nan"]) == 2
+    assert "f1 = nan must be finite" in capsys.readouterr().err
+
+
+def test_point_rejects_a_nan_temperature_but_not_an_infinite_one(capsys):
+    assert cli_main(["point", "--th", "nan", "--tc", "50", "--shots", "0"]) == 2
+    assert "temperatures must be positive" in capsys.readouterr().err
+    # an infinite T_H is the maximally mixed hot qubits: finite energies
+    assert cli_main(["point", "--th", "inf", "--tc", "50", "--shots", "0"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert np.isfinite([out["dE_H"], out["dE_C"], out["W"]]).all()
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 

@@ -1,9 +1,11 @@
-"""The columnar sweep kernel and thermo's scalar API against frozen
-single-point references, and against golden outputs.
+"""The columnar sweep kernel, thermo's scalar API and the sweep writers
+against frozen references, and against golden outputs.
 
 The ``_reference_*`` helpers are thermo's scalar bodies as they stood before
 the scalar API and the kernel came to share one set of array rules; they keep
-both checks independent of the code under test.
+both checks independent of the code under test.  ``_reference_write_csv``
+and ``_reference_write_json`` are the row-by-row writers that the column
+writers replaced.
 
 The golden files in tests/data were written by the per-point sweep that the
 kernel replaced, from the configs next to them:
@@ -22,11 +24,21 @@ from hypothesis import given, settings, strategies as st
 
 from qfridge.cli import cli_main
 from qfridge.qcore import DIM, basis_index, basis_label
-from qfridge.sweep import SweepConfig, evaluate_grid, sweep_transition_matrix
+from qfridge.sweep import (
+    CSV_HEADER,
+    SweepConfig,
+    SweepResult,
+    as_records,
+    evaluate_grid,
+    sweep_transition_matrix,
+    write_csv,
+    write_json,
+)
 from qfridge.thermo import (
     BOUNDARY_EPS,
     H_OVER_KB,
     HOT_ENERGY_MODES,
+    MODE_TAGS,
     SCHEMES,
     DeviceSpec,
     EnergyLedger,
@@ -292,3 +304,46 @@ def test_outputs_match_golden_files(name, tmp_path, monkeypatch, capsys):
                         assert value == golden_row[key], (path, key)
         else:
             assert got == want, path
+
+
+def _reference_write_csv(res):
+    lines = [
+        f"{th:.9g},{tc:.9g},{dh:.9g},{dc:.9g},{w:.9g},{mode},"
+        f"{t if isinstance(t, str) else f'{t:.9g}'},{pg:.9g},{'true' if pur else 'false'}"
+        for th, tc, dh, dc, w, mode, t, pg, pur in (r.values() for r in as_records(res))
+    ]
+    return "\n".join([CSV_HEADER, *lines]) + "\n"
+
+
+def _reference_write_json(res):
+    return json.dumps(as_records(res), indent=2) + "\n"
+
+
+@st.composite
+def sweep_results(draw):
+    """Hand-built results: any float (NaN, +-inf, -0.0, subnormal, huge) in
+    every float column, every mode tag (and any other text, which json must
+    escape) and every final-temperature kind."""
+    n_h, n_c = draw(st.integers(0, 6)), draw(st.integers(1, 6))
+
+    def column(elements):
+        return draw(st.lists(elements, min_size=n_h * n_c, max_size=n_h * n_c))
+
+    return SweepResult(
+        n_h, n_c,
+        t_hot=column(st.floats()), t_cold=column(st.floats()),
+        de_hot=column(st.floats()), de_cold=column(st.floats()),
+        mode=column(st.one_of(st.sampled_from(MODE_TAGS), st.text(max_size=4))),
+        t_cold_final=column(st.floats()),
+        t_cold_final_kind=column(st.sampled_from(["finite", "infinite", "inverted"])),
+        p_g_final=column(st.floats()),
+        purifier=column(st.booleans()),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(res=sweep_results())
+def test_writers_match_the_row_by_row_references_byte_for_byte(res):
+    with np.errstate(over="ignore", invalid="ignore"):  # W of huge or infinite energies
+        assert write_csv(res) == _reference_write_csv(res)
+        assert write_json(res) == _reference_write_json(res)

@@ -25,6 +25,7 @@ from qfridge.thermo import (
     hot_energies,
     is_purifier,
     prepare,
+    preparation_rows,
     projected_purity,
     renyi2_purity_check,
     swap_engine_cop,
@@ -132,6 +133,17 @@ def test_prepare_rejects_bad_input():
         ThermalPrep("bogus", 1.0, 1.0, np.full(8, 0.125))
 
 
+@pytest.mark.parametrize("scheme", ["swap4", "full8"])
+def test_preparation_rows_reject_nan_and_accept_infinite_temperatures(scheme):
+    spec = DeviceSpec.casablanca()
+    for t_hot, t_cold in (([np.nan], [50.0]), ([100.0, 200.0], [50.0, np.nan])):
+        with pytest.raises(ValueError, match="temperatures must be positive"):
+            preparation_rows(scheme, spec, t_hot, t_cold)
+    # infinite temperature is the maximally mixed limit
+    probs = preparation_rows(scheme, spec, [np.inf], [50.0])
+    assert np.isfinite(probs).all() and abs(probs.sum() - 1.0) < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # transition matrices
 
@@ -142,6 +154,14 @@ def test_transition_matrix_validation():
         TransitionMatrix(-np.eye(8))
     with pytest.raises(ValueError):
         TransitionMatrix(np.eye(8) * 0.5)
+
+
+def test_transition_matrix_rejects_non_finite_entries():
+    one_nan = np.eye(8)
+    one_nan[3, 5] = np.nan
+    for p in (np.full((8, 8), np.nan), one_nan):
+        with pytest.raises(ValueError, match="non-finite"):
+            TransitionMatrix(p)
 
 
 def test_exact_transition_matrices_are_the_basis_permutations():
