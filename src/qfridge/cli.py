@@ -14,6 +14,7 @@ included).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import qcore, thermo
 from .circuits import LINE3, build_target_unitary, build_vstar_circuit, emit_qasm
-from .compiler import compile_generic, global_phase_distance
+from .compiler import CompileReport, compile_generic, global_phase_distance
 from .noise import NoiseModel, exact_confusion, mitigate, readout_matrix
 from .sweep import (
     SweepConfig,
@@ -98,19 +99,9 @@ def _cmd_point(args) -> int:
 def _cmd_compile(args) -> int:
     if args.v == "vstar":
         circuit = build_vstar_circuit()
-        report = {
-            "total_gates": len(circuit.gates),
-            "cnot_count": circuit.cnot_count(),
-            "depth": circuit.depth(),
-        }
     else:
-        circuit, rep = compile_generic(build_target_unitary("identity"), LINE3)
-        report = {
-            "total_gates": rep.total_gates,
-            "cnot_count": rep.cnot_count,
-            "depth": rep.depth,
-        }
-    print(json.dumps(report, indent=2))
+        circuit, _ = compile_generic(build_target_unitary("identity"), LINE3)
+    print(json.dumps(dataclasses.asdict(CompileReport.of(circuit)), indent=2))
     if args.qasm:
         with open(args.qasm, "w") as fh:
             fh.write(emit_qasm(circuit))

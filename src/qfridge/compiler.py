@@ -1,20 +1,26 @@
 """Generic unitary-to-elementary-gate compiler.
 
-Textbook pipeline, correctness over gate-count optimality:
+The Quantum Shannon Decomposition (Shende, Bullock & Markov, "Synthesis of
+quantum logic circuits", IEEE TCAD 25 (2006), arXiv:quant-ph/0406176):
 
-1. factor the target into two-level Givens rotations,
-2. realize each two-level rotation by Gray-code conditioning with
-   multi-controlled single-qubit operations,
-3. expand multi-controls recursively into cx + single-qubit operations,
+1. split the physical-order target on its first wire by a cosine-sine
+   decomposition, u = (L0 + L1) CS (R0 + R1) with + the direct sum; CS is
+   an Ry on that wire uniformly controlled by the others,
+2. demultiplex each block pair, A1 + A2 = (I x V)(D + D^dagger)(I x W),
+   where D + D^dagger is a uniformly controlled Rz,
+3. recurse on every V and W down to one-wire leaves, and realize each
+   uniformly controlled rotation by a Gray-code cx ladder (Mottonen et al.,
+   "Quantum circuits for general multiqubit gates", PRL 93, 130502 (2004)),
 4. merge adjacent single-qubit operations and rewrite each survivor into
    rz-sx-rz-sx-rz form,
 5. route cx gates that violate the coupling map via SWAP chains
-   (SWAP = 3 cx).
+   (SWAP = 3 cx), then cancel adjacent equal cx pairs.
 
 The compiled circuit reproduces the target up to a global phase.
 """
 from __future__ import annotations
 
+import cmath
 from collections import deque
 from dataclasses import dataclass
 
@@ -42,75 +48,13 @@ class CompileReport:
     cnot_count: int
     depth: int
 
-
-# ---------------------------------------------------------------------------
-# two-level factorization
-
-def _lmul_rows(a: np.ndarray, g: np.ndarray, i: int, j: int) -> None:
-    rows = g @ np.vstack((a[i], a[j]))
-    a[i], a[j] = rows[0], rows[1]
-
-
-def _two_level_factor(u: np.ndarray) -> list[tuple[np.ndarray, int, int]]:
-    """Factor u into two-level unitaries, returned in application order.
-
-    Each item is (g, a, b) with a < b and g the 2x2 action on span{|a>,|b>}.
-    """
-    d = u.shape[0]
-    a_mat = u.astype(complex).copy()
-    left: list[tuple[np.ndarray, int, int]] = []
-    for c in range(d - 1):
-        for r in range(d - 1, c, -1):
-            x0, x1 = a_mat[c, c], a_mat[r, c]
-            if abs(x1) <= _ATOL:
-                continue
-            n = np.hypot(abs(x0), abs(x1))
-            g = np.array(
-                [[x0.conjugate() / n, x1.conjugate() / n], [-x1 / n, x0 / n]]
-            )
-            _lmul_rows(a_mat, g, c, r)
-            left.append((g, c, r))
-    for k in range(d):
-        ph = a_mat[k, k]
-        if abs(ph - 1.0) > _ATOL:
-            partner = k + 1 if k + 1 < d else k - 1
-            lo, hi = min(k, partner), max(k, partner)
-            g = np.eye(2, dtype=complex)
-            g[0 if lo == k else 1, 0 if lo == k else 1] = ph.conjugate()
-            _lmul_rows(a_mat, g, lo, hi)
-            left.append((g, lo, hi))
-    return [(g.conj().T, i, j) for (g, i, j) in reversed(left)]
+    @classmethod
+    def of(cls, circuit: Circuit) -> "CompileReport":
+        return cls(len(circuit.gates), circuit.cnot_count(), circuit.depth())
 
 
 # ---------------------------------------------------------------------------
-# multi-controlled expansion (raw ops: ("u", wire, 2x2) | ("cx", ctrl, tgt))
-
-def _sqrt_unitary2(u: np.ndarray) -> np.ndarray:
-    """Principal square root of a 2x2 unitary."""
-    alpha = np.angle(np.linalg.det(u)) / 2
-    v = u * np.exp(-1j * alpha)  # now in SU(2): v = cos(t/2) I - i sin(t/2) n.sigma
-    cos_half = np.clip(v.trace().real / 2, -1.0, 1.0)
-    theta = 2 * np.arccos(cos_half)
-    sin_half = np.sin(theta / 2)
-    if abs(sin_half) < _ATOL:
-        axis = np.diag([1.0, -1.0]).astype(complex)  # arbitrary axis, v = +/- I
-    else:
-        axis = (v - cos_half * np.eye(2)) / (-1j * sin_half)
-    root = np.cos(theta / 4) * np.eye(2) - 1j * np.sin(theta / 4) * axis
-    return np.exp(1j * alpha / 2) * root
-
-
-def _zyz_angles(v: np.ndarray) -> tuple[float, float, float]:
-    """Euler angles with v = Rz(beta) Ry(gamma) Rz(delta), v in SU(2)."""
-    gamma = 2 * np.arctan2(abs(v[1, 0]), abs(v[0, 0]))
-    if abs(v[0, 0]) > _ATOL and abs(v[1, 0]) > _ATOL:
-        s = np.angle(v[1, 1])
-        d2 = np.angle(v[1, 0])
-        return s + d2, gamma, s - d2
-    if abs(v[1, 0]) <= _ATOL:
-        return 2 * np.angle(v[1, 1]), gamma, 0.0
-    return 2 * np.angle(v[1, 0]), gamma, 0.0
-
+# Quantum Shannon Decomposition (raw ops: ("u", wire, 2x2) | ("cx", ctrl, tgt))
 
 def _rz2(a: float) -> np.ndarray:
     return np.array([[np.exp(-0.5j * a), 0], [0, np.exp(0.5j * a)]])
@@ -121,88 +65,130 @@ def _ry2(a: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]], dtype=complex)
 
 
-def _controlled_u_ops(control: int, target: int, u: np.ndarray) -> list:
-    """ABC decomposition of a singly controlled 2x2 unitary."""
-    alpha = np.angle(np.linalg.det(u)) / 2
-    v = u * np.exp(-1j * alpha)
-    beta, gamma, delta = _zyz_angles(v)
-    a = _rz2(beta) @ _ry2(gamma / 2)
-    b = _ry2(-gamma / 2) @ _rz2(-(delta + beta) / 2)
-    c = _rz2((delta - beta) / 2)
-    phase = np.diag([1.0, np.exp(1j * alpha)]).astype(complex)
-    return [
-        ("u", target, c),
-        ("cx", control, target),
-        ("u", target, b),
-        ("cx", control, target),
-        ("u", target, a),
-        ("u", control, phase),
-    ]
+def _cossin(u: np.ndarray):
+    """Cosine-sine decomposition of u about its first (most significant) wire.
+
+    Returns (l0, l1, theta, r0, r1) with u = (l0 + l1) CS (r0 + r1), where +
+    is the direct sum and CS = [[C, -S], [S, C]], C = diag(cos theta),
+    S = diag(sin theta), 0 <= theta <= pi/2.
+    """
+    h = u.shape[0] // 2
+    u00, u01, u10, u11 = u[:h, :h], u[:h, h:], u[h:, :h], u[h:, h:]
+    l0, c, r0 = np.linalg.svd(u00)
+    # Cosines near 1 fix their rows of r0 only up to a rotation among
+    # themselves, and their sines are too small to read off 1 - c^2; an SVD
+    # of u10 on those rows picks the rotation and gives the sines.  Below
+    # 1/sqrt(2) the SVD of u00 resolves the rows, and the sines come from
+    # column norms of u10 r0^dagger.
+    k = int(np.count_nonzero(c >= np.sqrt(0.5)))
+    p, s_near, qh = np.linalg.svd(u10 @ r0[:k].conj().T)
+    r0[:k] = qh @ r0[:k]
+    x_near = u00 @ r0[:k].conj().T
+    c[:k] = np.linalg.norm(x_near, axis=0)
+    l0[:, :k] = x_near / c[:k]
+    y_far = u10 @ r0[k:].conj().T
+    s = np.concatenate([s_near, np.linalg.norm(y_far, axis=0)])
+    tiny = s <= _ATOL
+    s[tiny] = 0.0
+    # l1 = (u10 r0^dagger) / s where s is not tiny, completed from l0's
+    # columns elsewhere; one QR, largest sines first, makes it unitary
+    l1 = np.concatenate([p[:, :k], y_far / s[k:]], axis=1)
+    l1[:, tiny] = l0[:, tiny]
+    order = np.argsort(-s, kind="stable")
+    q, r = np.linalg.qr(l1[:, order])
+    l1[:, order] = q * np.exp(1j * np.angle(np.diagonal(r)))
+    r1 = c[:, None] * (l1.conj().T @ u11) - s[:, None] * (l0.conj().T @ u01)
+    return l0, l1, np.arctan2(s, c), r0, r1
 
 
-def _cku_ops(controls: tuple[int, ...], target: int, u: np.ndarray) -> list:
-    """u on target, conditioned on every control wire being |1>."""
-    if not controls:
-        return [("u", target, u)]
-    if len(controls) == 1:
-        if np.max(np.abs(u - X_MATRIX)) < _ATOL:
-            return [("cx", controls[0], target)]
-        return _controlled_u_ops(controls[0], target, u)
-    head, last = controls[:-1], controls[-1]
-    v = _sqrt_unitary2(u)
+def _separating_angle(lam: list[complex]) -> float:
+    """psi at which Re(e^{-i psi} lam) keeps the distinct eigenvalues apart.
+
+    A pair at lam_j - lam_k = r e^{i phi} ends r |cos(psi - phi)| apart, so
+    every fixed psi merges some pairs.  Of m = pairs + 1 angles k pi / m one
+    keeps each |cos(psi - phi)| >= sin(pi / 2m).  Pairs within _ATOL are
+    equal to rounding: any basis of their eigenspace serves.
+    """
+    pairs = [a - b for i, a in enumerate(lam) for b in lam[i + 1:]]
+    dirs = [p / abs(p) for p in pairs if abs(p) > _ATOL]
+    m = len(dirs) + 1
+
+    def spread(psi: float) -> float:
+        turn = cmath.exp(-1j * psi)
+        return min((abs((turn * u).real) for u in dirs), default=1.0)
+
+    return max((np.pi * k / m for k in range(m)), key=spread)
+
+
+def _demultiplex(a1: np.ndarray, a2: np.ndarray):
+    """Split a1 + a2 (direct sum) into (I x V)(D + D^dagger)(I x W).
+
+    Returns (v, d, w) with d the diagonal of D: a1 = v D w and
+    a2 = v D^dagger w.  V diagonalizes the normal matrix a1 a2^dagger =
+    v D^2 v^dagger as the eigenbasis of its Hermitian part turned by the
+    psi of _separating_angle, which resolves every spectrum.
+    """
+    nrm = a1 @ a2.conj().T
+    nrm_psi = np.exp(-1j * _separating_angle(np.linalg.eigvals(nrm).tolist())) * nrm
+    _, v = np.linalg.eigh((nrm_psi + nrm_psi.conj().T) / 2)
+    d = np.exp(0.5j * np.angle(np.diagonal(v.conj().T @ nrm @ v)))
+    return v, d, d[:, None] * (v.conj().T @ a2)
+
+
+def _ucr_ops(
+    rot, angles: np.ndarray, target: int, controls: tuple[int, ...]
+) -> list:
+    """rot(angles[j]) on target under control state j (controls[0] most
+    significant), as a Gray-code cx ladder (Mottonen et al., PRL 93, 130502).
+
+    X rot(a) X = rot(-a) for rot in {Rz, Ry}, so a rotation made while the
+    target carries the parity p of the controls turns by
+    (-1)^popcount(j & p) a under state j; the angle per parity is a
+    Walsh-Hadamard transform of the angles.  Vanishing angles are skipped
+    together with the cx that would only serve them.
+    """
+    m = len(controls)
+    walsh = np.ones((1, 1))
+    for _ in range(m):
+        walsh = np.kron(walsh, [[1.0, 1.0], [1.0, -1.0]])
+    gray = [k ^ (k >> 1) for k in range(2 ** m)]
+    thetas = walsh[gray] @ angles / 2 ** m
+
+    def flip(mask: int) -> list:
+        bits = (mask >> (m - 1 - i) & 1 for i in range(m))
+        return [("cx", c, target) for c, bit in zip(controls, bits) if bit]
+
+    ops: list = []
+    parity = 0
+    for p, theta in zip(gray, thetas):
+        if abs(theta) > _ATOL:
+            ops += flip(parity ^ p)
+            ops.append(("u", target, rot(theta)))
+            parity = p
+    return ops + flip(parity)
+
+
+def _qsd_ops(u: np.ndarray, wires: tuple[int, ...]) -> list:
+    """Raw ops, in application order, realizing u on wires (first most
+    significant) by recursive cosine-sine splits down to one-wire leaves."""
+    if len(wires) == 1:
+        return [("u", wires[0], u)]
+    top, rest = wires[0], wires[1:]
+    l0, l1, theta, r0, r1 = _cossin(u)
+
+    def demultiplexed(a1, a2) -> list:
+        v, d, w = _demultiplex(a1, a2)
+        return (
+            _qsd_ops(w, rest)
+            + _ucr_ops(_rz2, -2 * np.angle(d), top, rest)
+            + _qsd_ops(v, rest)
+        )
+
     return (
-        _cku_ops((last,), target, v)
-        + _cku_ops(head, last, X_MATRIX)
-        + _cku_ops((last,), target, v.conj().T)
-        + _cku_ops(head, last, X_MATRIX)
-        + _cku_ops(head, target, v)
+        demultiplexed(r0, r1)
+        + _ucr_ops(_ry2, 2 * theta, top, rest)
+        + demultiplexed(l0, l1)
     )
-
-
-def _mcu_ops(controls, ctrl_values, target: int, u: np.ndarray) -> list:
-    """Multi-controlled u with arbitrary control values (0-controls X-wrapped)."""
-    wrap = [("u", c, X_MATRIX) for c, v in zip(controls, ctrl_values) if v == 0]
-    return wrap + _cku_ops(tuple(controls), target, u) + wrap
-
-
-def _bit(state: int, wire: int, n: int) -> int:
-    return (state >> (n - 1 - wire)) & 1
-
-
-def _inverse_ops(ops: list) -> list:
-    inv = []
-    for op in reversed(ops):
-        if op[0] == "u":
-            inv.append(("u", op[1], op[2].conj().T))
-        else:
-            inv.append(op)
-    return inv
-
-
-def _two_level_ops(g: np.ndarray, a: int, b: int, n: int) -> list:
-    """Gray-code realization of a two-level unitary on basis states a < b."""
-    if n == 1:
-        return [("u", 0, g)]
-    diffs = [w for w in range(n) if _bit(a, w, n) != _bit(b, w, n)]
-    chain: list = []
-    state = a
-    for w in diffs[:-1]:
-        nxt = state ^ (1 << (n - 1 - w))
-        others = [q for q in range(n) if q != w]
-        values = [_bit(nxt, q, n) for q in others]
-        chain += _mcu_ops(others, values, w, X_MATRIX)
-        state = nxt
-    d = diffs[-1]
-    others = [q for q in range(n) if q != d]
-    values = [_bit(state, q, n) for q in others]
-    if _bit(state, d, n) == 0:
-        central = g
-    else:
-        central = g[::-1, ::-1].copy()
-    ops = list(chain)
-    ops += _mcu_ops(others, values, d, central)
-    ops += _inverse_ops(chain)
-    return ops
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +224,12 @@ def _rewrite_single(wire: int, m: np.ndarray) -> list[Gate]:
         gamma = np.angle(m[0, 0])
         theta = 2 * np.arctan2(abs(m[1, 0]), abs(m[0, 0]))
         phi = np.angle(m[1, 0]) - gamma
-        lam = np.angle(-m[0, 1]) - gamma
+        # read phi + lam from m[1, 1] when the off-diagonal entries are the
+        # small ones: their phases carry an error of about eps / |m[1, 0]|
+        if abs(m[1, 0]) < abs(m[0, 0]):
+            lam = np.angle(m[1, 1]) - gamma - phi
+        else:
+            lam = np.angle(-m[0, 1]) - gamma
     gates = []
     for ang in (lam, None, theta + np.pi, None, phi + np.pi):
         if ang is None:
@@ -316,6 +307,27 @@ def _route(gates: list[Gate], coupling: CouplingMap | None) -> list[Gate]:
     return routed
 
 
+def _cancel_cx_pairs(gates: list[Gate], n: int) -> list[Gate]:
+    """Drop pairs of equal cx with no gate between them on either wire.
+
+    Each wire keeps a stack of the kept gates on it, so a pair that meets
+    only once the pairs inside it are gone cancels in the same pass.
+    """
+    kept: list[Gate | None] = []
+    stacks: list[list[int]] = [[] for _ in range(n)]
+    for g in gates:
+        if g.name == "cx":
+            a, b = (stacks[w] for w in g.wires)
+            if a and b and a[-1] == b[-1] and kept[a[-1]] == g:
+                kept[a.pop()] = None
+                b.pop()
+                continue
+        for w in g.wires:
+            stacks[w].append(len(kept))
+        kept.append(g)
+    return [g for g in kept if g is not None]
+
+
 # ---------------------------------------------------------------------------
 
 def compile_generic(
@@ -332,18 +344,10 @@ def compile_generic(
     if 2 ** n != d or n < 1:
         raise ValueError("dimension must be a power of two >= 2")
     u_phys = qcore.to_physical(u) if n == qcore.N_WIRES else u
-    ops: list = []
-    for g, a, b in _two_level_factor(u_phys):
-        ops += _two_level_ops(g, a, b, n)
-    gates = _merge_and_rewrite(ops, n)
-    gates = _route(gates, coupling)
+    gates = _merge_and_rewrite(_qsd_ops(u_phys, tuple(range(n))), n)
+    gates = _cancel_cx_pairs(_route(gates, coupling), n)
     circuit = Circuit(n, gates, coupling).validate()
-    report = CompileReport(
-        total_gates=len(gates),
-        cnot_count=circuit.cnot_count(),
-        depth=circuit.depth(),
-    )
-    return circuit, report
+    return circuit, CompileReport.of(circuit)
 
 
 def global_phase_distance(a: np.ndarray, b: np.ndarray) -> float:
