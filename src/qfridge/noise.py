@@ -102,8 +102,9 @@ def readout_matrix(nm: NoiseModel, dim: int = qcore.DIM) -> np.ndarray:
 
 
 def apply_readout_error(p: np.ndarray, nm: NoiseModel) -> np.ndarray:
+    """Read out p, or each vector of a stack (..., d), rounding as R @ p does."""
     p = qcore.check_probabilities(p)
-    return readout_matrix(nm, p.size) @ p
+    return (readout_matrix(nm, p.shape[-1]) @ p[..., None])[..., 0]
 
 
 @dataclass(frozen=True)
@@ -128,21 +129,16 @@ class ConfusionMatrix:
 
 
 def calibrate(
-    nm: NoiseModel, shots: int, seed: int, dim: int = qcore.DIM
+    nm: NoiseModel, shots: int, seed: int | np.random.SeedSequence, dim: int = qcore.DIM
 ) -> ConfusionMatrix:
     """Empirical confusion matrix: prepare each basis state, read out, count.
 
-    Column t uses seed + t, so columns can be sampled in parallel without
-    changing the result.
+    All columns are one multinomial draw from the generator seeded by seed.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    m_ro = readout_matrix(nm, dim)
-    cols = []
-    for t in range(dim):
-        counts = qcore.sample_counts(m_ro[:, t], shots, seed + t)
-        cols.append(counts / shots)
-    return ConfusionMatrix(np.column_stack(cols))
+    counts = qcore.sample_counts(readout_matrix(nm, dim).T, shots, seed)
+    return ConfusionMatrix(counts.T / shots)
 
 
 def exact_confusion(nm: NoiseModel, dim: int = qcore.DIM) -> ConfusionMatrix:
@@ -151,16 +147,17 @@ def exact_confusion(nm: NoiseModel, dim: int = qcore.DIM) -> ConfusionMatrix:
 
 
 def mitigate(raw: np.ndarray, m: ConfusionMatrix) -> np.ndarray:
-    """Least-squares inversion of the confusion matrix, clipped to the simplex."""
+    """Least-squares inversion of the confusion matrix, clipped to the simplex;
+    a stack (..., d) is one solve with a right-hand side per vector."""
     raw = qcore.check_probabilities(raw)
-    if raw.size != m.dim:
+    if raw.shape[-1] != m.dim:
         raise ValueError("dimension mismatch between distribution and matrix")
     cond = np.linalg.cond(m.entries)
     if not np.isfinite(cond) or cond > 1e12:
         raise ValueError(f"confusion matrix is singular (cond={cond:.3g})")
-    q, *_ = np.linalg.lstsq(m.entries, raw, rcond=None)
-    q = np.clip(q, 0.0, None)
-    total = q.sum()
-    if total <= 0:
+    q, *_ = np.linalg.lstsq(m.entries, raw.reshape(-1, m.dim).T, rcond=None)
+    q = np.clip(q.T.reshape(raw.shape), 0.0, None, order="C")  # rows sum as lone vectors do
+    total = q.sum(axis=-1, keepdims=True)
+    if np.min(total) <= 0:
         raise ValueError("mitigated distribution vanished")
     return q / total

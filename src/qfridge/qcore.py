@@ -97,12 +97,13 @@ def check_density(rho: np.ndarray) -> np.ndarray:
 
 
 def check_probabilities(p: np.ndarray) -> np.ndarray:
+    """A probability vector, or a stack (..., d) of them."""
     p = np.asarray(p, dtype=float)
-    if p.ndim != 1:
-        raise ValueError("probability vector must be one-dimensional")
+    if p.ndim < 1:
+        raise ValueError("probability vector must be at least one-dimensional")
     if np.min(p) < 0:
         raise ValueError("probability vector has a negative entry")
-    if abs(p.sum() - 1.0) > STATE_ATOL:
+    if np.max(np.abs(p.sum(axis=-1) - 1.0)) > STATE_ATOL:
         raise ValueError("probability vector does not sum to 1")
     return p
 
@@ -139,22 +140,24 @@ def apply_unitary(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 
 def born_probabilities(rho: np.ndarray) -> np.ndarray:
-    """Computational-basis outcome probabilities of a density operator.
+    """Computational-basis outcome probabilities of a density operator, or
+    of each operator in a stack (..., d, d), as (..., d).
 
     Diagonal entries within -NEG_CLIP of zero are clipped to zero and the
     vector renormalized; anything more negative signals an upstream bug and
     raises.
     """
     rho = np.asarray(rho, dtype=complex)
-    diag = np.diag(rho).real
+    diag = np.diagonal(rho, axis1=-2, axis2=-1).real
     if np.min(diag) < -NEG_CLIP:
         raise ValueError(f"diagonal entry {np.min(diag)} below -{NEG_CLIP}")
-    p = np.clip(diag, 0.0, None)
-    return p / p.sum()
+    p = np.clip(diag, 0.0, None, order="C")  # in C order each row sums as a lone vector does
+    return p / p.sum(axis=-1, keepdims=True)
 
 
-def sample_counts(p: np.ndarray, shots: int, seed: int) -> np.ndarray:
-    """Multinomial counts over the outcomes of p; deterministic in seed."""
+def sample_counts(p: np.ndarray, shots: int, seed: int | np.random.SeedSequence) -> np.ndarray:
+    """Multinomial counts over the outcomes of p, or of each vector of a
+    stack (..., d), all drawn from one generator; deterministic in seed."""
     p = check_probabilities(p)
     if shots < 1:
         raise ValueError("shots must be >= 1")

@@ -169,12 +169,14 @@ def _compiled_identity():
 
 def sweep_transition_matrix(cfg: SweepConfig):
     """The engine's transition matrix; exact runs mitigate with the exact
-    confusion matrix, sampled runs with one calibrated at cfg.shots."""
+    confusion matrix, sampled runs with one calibrated at cfg.shots.  The two
+    streams of SeedSequence(cfg.seed).spawn(2) sample the matrix and the calibration."""
     nm = cfg.noise()
+    tm_seed, calibration_seed = np.random.SeedSequence(cfg.seed).spawn(2)
     conf = None
     if cfg.mitigation:
-        conf = calibrate(nm, cfg.shots, cfg.seed + 1000) if cfg.shots else exact_confusion(nm)
-    return transition_matrix(build_engine(cfg), nm, cfg.shots, cfg.seed, mitigation=conf)
+        conf = calibrate(nm, cfg.shots, calibration_seed) if cfg.shots else exact_confusion(nm)
+    return transition_matrix(build_engine(cfg), nm, cfg.shots, tm_seed, mitigation=conf)
 
 
 def grid_axes(cfg: SweepConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -226,12 +228,12 @@ def evaluate_grid(cfg: SweepConfig, tm, t_h_axis, t_c_axis) -> SweepResult:
     after = probs @ tm.p.T
     e_h, e_c = hot_energies(spec, cfg.hot_energy_mode), cold_energies(spec)
     de_hot, de_cold = (after - probs) @ e_h, (after - probs) @ e_c
-    # boundary tolerance: 3 standard errors of the sampled energy changes
+    # boundary tolerance: 3 standard errors of the sampled energy changes,
+    # propagated through the mitigation (see TransitionMatrix.shot_variances)
     eps = BOUNDARY_EPS
     if cfg.shots > 0:
         for e in (e_h, e_c, e_h + e_c):
-            var_cols = (e ** 2) @ tm.p - (e @ tm.p) ** 2
-            var = (probs ** 2) @ var_cols / cfg.shots
+            var = (probs ** 2) @ tm.shot_variances(e) / cfg.shots
             eps = np.maximum(eps, 3.0 * np.sqrt(np.maximum(var, 0.0)))
     swap = thermo.roles_exchanged(t_hot, t_cold)
     mode = thermo.mode_tags(np.where(swap, de_cold, de_hot), np.where(swap, de_hot, de_cold), eps)

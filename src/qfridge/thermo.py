@@ -171,12 +171,19 @@ def prepare(scheme: str, spec: DeviceSpec, t_hot: float, t_cold: float) -> Therm
 
 @dataclass(frozen=True)
 class TransitionMatrix:
-    """Column-stochastic p[i'|i] over the 8 logical basis states."""
+    """Column-stochastic p[i'|i] over the 8 logical basis states.
+
+    raw holds the read-out columns that p was estimated from, and unmix the
+    linear map from them to p before clipping: the pseudo-inverse of the
+    confusion matrix when mitigated, else the identity (the defaults).
+    """
 
     p: np.ndarray
+    raw: np.ndarray | None = None
+    unmix: np.ndarray | None = None
 
     def __post_init__(self):
-        p = np.asarray(self.p, dtype=float)
+        p = np.ascontiguousarray(self.p, dtype=float)  # BLAS may round by layout
         if p.shape != (qcore.DIM, qcore.DIM):
             raise ValueError("transition matrix must be 8x8")
         if not np.isfinite(p).all():
@@ -186,25 +193,36 @@ class TransitionMatrix:
         if np.max(np.abs(p.sum(axis=0) - 1.0)) > 1e-9:
             raise ValueError("transition matrix columns must sum to 1")
         object.__setattr__(self, "p", p)
+        object.__setattr__(self, "raw", p if self.raw is None else np.asarray(self.raw, float))
+        object.__setattr__(self, "unmix", np.eye(qcore.DIM) if self.unmix is None else self.unmix)
 
     def propagate(self, probs: np.ndarray) -> np.ndarray:
         return self.p @ probs
+
+    def shot_variances(self, e: np.ndarray) -> np.ndarray:
+        """Per column i, the variance of one shot's estimate of e @ p[:, i], by
+        the delta method through unmix before clipping: e @ p[:, i] is
+        f @ raw[:, i] with f = unmix.T @ e.  The confusion matrix counts as
+        exact; its calibration's sampling noise is not included."""
+        f = self.unmix.T @ e
+        return (f ** 2) @ self.raw - (f @ self.raw) ** 2
 
 
 def transition_matrix(
     engine: Circuit | np.ndarray,
     nm: NoiseModel,
     shots: int,
-    seed: int,
+    seed: int | np.random.SeedSequence,
     mitigation: ConfusionMatrix | None = None,
 ) -> TransitionMatrix:
     """Measure the engine's outcome statistics per prepared basis state.
 
     engine may be a circuit (evolved with per-gate depolarizing noise) or a
     bare unitary in logical order (exact conjugation; gate noise does not
-    apply since there are no gates).  shots = 0 means exact probabilities,
-    otherwise column i is a multinomial sample with seed + i, optionally
-    mitigated.  The 8 basis densities are evolved together as one stack.
+    apply since there are no gates).  The 8 basis densities are evolved,
+    read out and mitigated together as one stack.  shots = 0 means exact
+    probabilities; otherwise the 8 columns are one multinomial draw from the
+    generator seeded by seed (an int or a SeedSequence).
     """
     basis = np.eye(qcore.DIM, dtype=complex)
     rhos = basis[:, :, None] * basis[:, None, :]
@@ -212,16 +230,14 @@ def transition_matrix(
         rhos = evolve_noisy(engine, rhos, nm)
     else:
         rhos = qcore.apply_unitary(engine, rhos)
-    cols = []
-    for i, rho in enumerate(rhos):
-        p = qcore.born_probabilities(rho)
-        p = apply_readout_error(p, nm)
-        if shots:
-            p = qcore.sample_counts(p, shots, seed + i) / shots
-        if mitigation is not None:
-            p = mitigate(p, mitigation)
-        cols.append(p)
-    return TransitionMatrix(np.column_stack(cols))
+    # row i is the outcome distribution of basis input i: column i of p
+    raw = apply_readout_error(qcore.born_probabilities(rhos), nm)
+    if shots:
+        raw = qcore.sample_counts(raw, shots, seed) / shots
+    if mitigation is None:
+        return TransitionMatrix(raw.T)
+    unmix = np.linalg.pinv(mitigation.entries)
+    return TransitionMatrix(mitigate(raw, mitigation).T, raw.T, unmix)
 
 
 @dataclass(frozen=True)

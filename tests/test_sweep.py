@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from qfridge import sweep
+from qfridge import cli, sweep
 from qfridge.cli import cli_main
 from qfridge.compiler import compile_generic
 from qfridge.sweep import (
@@ -384,6 +384,22 @@ def test_cli_exit_codes(capsys):
     assert cli_main(["compile", "--v", "hadamard"]) == 1
     assert cli_main(["bogus"]) == 1
     capsys.readouterr()
+
+
+def test_cli_reuses_one_parser(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "tiny.conf").write_text("shots = 0\nn_h = 2\nn_c = 2\n")
+    point = ["point", "--th", "300", "--tc", "80", "--shots", "64", "--seed", "3",
+             "--eps01", "0.02", "--mitigation", "on"]
+    cli._build_parser.cache_clear()
+    assert cli_main(point) == 0
+    first = capsys.readouterr().out
+    assert cli_main(["point", "--th", "300"]) == 1
+    assert cli_main(["sweep", "tiny.conf"]) == 0
+    capsys.readouterr()
+    assert cli_main(point) == 0
+    assert capsys.readouterr().out == first
+    assert cli._build_parser.cache_info().misses == 1
 
 
 def test_cli_selftest(capsys):

@@ -9,12 +9,19 @@ writers replaced.
 
 The golden files in tests/data were written from the configs next to them:
 ``python -m qfridge.cli sweep tests/data/<name>.conf``, then ``gzip -n -9``
-on the CSV and JSON.  ``exact64`` and ``sampled64`` come from the per-point
-sweep that the kernel replaced; they never compile, so no compiler change
-moves them.  ``noisy16`` applies gate noise per gate of the compiled
-V = identity circuit, so it was rewritten when the Quantum Shannon
-Decomposition replaced the two-level Givens compiler (the commit after
-97d3e6c; 220 gates, 72 cx, where the old circuit had 374 and 184).
+on the CSV and JSON.  ``exact64`` comes from the per-point sweep that the
+kernel replaced; it never compiles, so no compiler change moves it.
+``noisy16`` applies gate noise per gate of the compiled V = identity
+circuit, so it was rewritten when the Quantum Shannon Decomposition
+replaced the two-level Givens compiler (the commit after 97d3e6c; 220
+gates, 72 cx, where the old circuit had 374 and 184).  ``sampled64`` was
+rewritten when the seed came to seed two independent streams
+(``SeedSequence(seed).spawn(2)``) instead of one generator per column
+seeded ``seed + i``; with REPO the checkout's root::
+
+    cd "$(mktemp -d)"
+    PYTHONPATH=$REPO/src python -m qfridge.cli sweep $REPO/tests/data/sampled64.conf
+    gzip -n -9 sampled64.csv sampled64.json && cp sampled64.* $REPO/tests/data/
 """
 import functools
 import gzip

@@ -1,0 +1,158 @@
+"""The transition matrix as whole-stack operations, against the per-column
+loop it replaced; its sampling streams; and the boundary tolerance of
+mitigated runs.
+
+``_reference_transition_matrix`` is ``thermo.transition_matrix`` as it stood
+when each of the 8 columns was read out, sampled and mitigated on its own
+(column i sampled with ``seed + i``).  It keeps the exact (shots = 0) checks
+independent of the code under test.
+"""
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from qfridge import qcore, sweep
+from qfridge.circuits import Circuit, build_vstar_circuit, cx, rz, sx, x
+from qfridge.noise import (
+    NoiseModel,
+    apply_readout_error,
+    calibrate,
+    evolve_noisy,
+    exact_confusion,
+    mitigate,
+)
+from qfridge.sweep import SweepConfig, evaluate_grid, sweep_transition_matrix
+from qfridge.thermo import TransitionMatrix, hot_energies, preparation_rows, transition_matrix
+
+from helpers import haar_unitary, random_density
+
+
+def _reference_transition_matrix(engine, nm, shots, seed, mitigation=None):
+    basis = np.eye(qcore.DIM, dtype=complex)
+    rhos = basis[:, :, None] * basis[:, None, :]
+    if isinstance(engine, Circuit):
+        rhos = evolve_noisy(engine, rhos, nm)
+    else:
+        rhos = qcore.apply_unitary(engine, rhos)
+    cols = []
+    for i, rho in enumerate(rhos):
+        p = qcore.born_probabilities(rho)
+        p = apply_readout_error(p, nm)
+        if shots:
+            p = qcore.sample_counts(p, shots, seed + i) / shots
+        if mitigation is not None:
+            p = mitigate(p, mitigation)
+        cols.append(p)
+    return TransitionMatrix(np.column_stack(cols))
+
+
+# ---------------------------------------------------------------------------
+# sampling streams
+
+UNIFORM_READOUT = dict(eps01=0.5, eps10=0.5, shots=512)
+
+
+class _Calibrated(Exception):
+    """Carries the confusion matrix out of a run, which then stops."""
+
+
+def _calibration_of_run(monkeypatch, seed):
+    """The calibrated confusion matrix that a mitigated run at `seed` uses."""
+    def capture(*args):
+        raise _Calibrated(calibrate(*args))
+
+    monkeypatch.setattr(sweep, "calibrate", capture)
+    with pytest.raises(_Calibrated) as got:
+        sweep_transition_matrix(SweepConfig(seed=seed, mitigation=True, **UNIFORM_READOUT))
+    monkeypatch.undo()
+    return got.value.args[0].entries
+
+
+@pytest.mark.parametrize("seed", [0, 7, 41])
+def test_no_two_sampled_columns_share_a_stream(monkeypatch, seed):
+    # readout flips of 1/2 make every column exactly uniform, so two columns
+    # drawn from one stream come out equal
+    def columns(s):
+        return sweep_transition_matrix(SweepConfig(seed=s, **UNIFORM_READOUT)).p.T
+
+    drawn = [*columns(seed), *columns(seed + 1), *columns(seed + 1000),
+             *_calibration_of_run(monkeypatch, seed).T]
+    assert len({col.tobytes() for col in drawn}) == len(drawn) == 32
+
+
+# ---------------------------------------------------------------------------
+# the stack against the per-column reference
+
+@st.composite
+def engines(draw, max_gates=12):
+    """A three-wire circuit over {rz, x, sx, cx}, or a Haar unitary."""
+    if draw(st.booleans()):
+        return haar_unitary(qcore.DIM, np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))))
+    wire = st.integers(0, qcore.N_WIRES - 1)
+    gates = []
+    for kind in draw(st.lists(st.sampled_from(["rz", "x", "sx", "cx"]), max_size=max_gates)):
+        if kind == "cx":
+            gates.append(cx(*draw(st.lists(wire, min_size=2, max_size=2, unique=True))))
+        elif kind == "rz":
+            gates.append(rz(draw(wire), draw(st.floats(-2 * np.pi, 2 * np.pi))))
+        else:
+            gates.append((x if kind == "x" else sx)(draw(wire)))
+    return Circuit(qcore.N_WIRES, gates)
+
+
+small = st.floats(0.0, 0.2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(engine=engines(), p1=small, p2=small,
+       eps=st.one_of(st.just((0.0, 0.0)), st.tuples(small, small)), mitigated=st.booleans())
+def test_exact_matrix_matches_the_per_column_reference(engine, p1, p2, eps, mitigated):
+    nm = NoiseModel.uniform(p1, p2, *eps)
+    conf = exact_confusion(nm) if mitigated else None
+    got = transition_matrix(engine, nm, 0, 0, mitigation=conf).p
+    want = _reference_transition_matrix(engine, nm, 0, 0, mitigation=conf).p
+    assert np.min(got) >= 0.0
+    assert np.max(np.abs(got.sum(axis=0) - 1.0)) <= 1e-12
+    assert np.max(np.abs(got - want)) <= 1e-12
+    if eps == (0.0, 0.0):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_stacked_primitives_act_row_by_row():
+    rng = np.random.default_rng(5)
+    rhos = np.array([random_density(qcore.DIM, rng) for _ in range(5)])
+    nm = NoiseModel.uniform(eps01=0.03, eps10=0.07)
+    born = qcore.born_probabilities(rhos)
+    assert born.tobytes() == np.array([qcore.born_probabilities(r) for r in rhos]).tobytes()
+    read = apply_readout_error(born, nm)
+    assert read.tobytes() == np.array([apply_readout_error(p, nm) for p in born]).tobytes()
+    rows = np.array([mitigate(p, exact_confusion(nm)) for p in read])
+    assert np.max(np.abs(mitigate(read, exact_confusion(nm)) - rows)) < 1e-15
+    assert np.max(np.abs(rows - born)) < 1e-12
+    counts = qcore.sample_counts(read, 100, np.random.SeedSequence(3))
+    assert counts.shape == read.shape and (counts.sum(axis=-1) == 100).all()
+
+
+# ---------------------------------------------------------------------------
+# the boundary tolerance of mitigated runs
+
+def test_mitigated_spread_matches_the_propagated_sigma():
+    # V* under depolarizing noise keeps every outcome off zero, where clipping
+    # (which the delta method leaves out) would narrow the spread
+    cfg = SweepConfig(v="vstar", p2=0.3, eps01=0.15, eps10=0.15, mitigation=True)
+    nm, engine, conf = cfg.noise(), build_vstar_circuit(), exact_confusion(cfg.noise())
+    th, tc = 600.0, 150.0
+    spec = cfg.device()
+    probs = preparation_rows(cfg.scheme, spec, [th], [tc])[0]
+    e_h = hot_energies(spec, cfg.hot_energy_mode)
+    de_hot, sigma, unpropagated = [], [], []
+    for seed in range(200):
+        tm = transition_matrix(engine, nm, cfg.shots, seed, mitigation=conf)
+        de_hot.append(evaluate_grid(cfg, tm, [th], [tc]).de_hot[0])
+        sigma.append(np.sqrt(probs ** 2 @ tm.shot_variances(e_h) / cfg.shots))
+        naive = (e_h ** 2) @ tm.p - (e_h @ tm.p) ** 2
+        unpropagated.append(np.sqrt(probs ** 2 @ naive / cfg.shots))
+    spread = np.std(de_hot, ddof=1)
+    assert abs(np.mean(sigma) / spread - 1.0) < 0.2
+    # the variance of the mitigated columns alone misses what M+ amplifies
+    assert abs(np.mean(unpropagated) / spread - 1.0) > 0.2
