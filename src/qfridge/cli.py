@@ -6,7 +6,7 @@ Subcommands:
 * ``point --th <mK> --tc <mK> [flags]``: evaluate one grid point, print JSON.
 * ``compile --v {identity,vstar} [--qasm <path>]``: compile the cooling gate,
   print the gate-count report, optionally emit OpenQASM 2.0.
-* ``selftest``: run the built-in oracle checks.
+* ``selftest``: run the eleven release criteria of ``qfridge.oracles``.
 
 Exit codes: 0 success, 1 usage error, 2 runtime error (selftest failures
 included).
@@ -19,12 +19,9 @@ import functools
 import json
 import sys
 
-import numpy as np
-
-from . import qcore, thermo
+from . import thermo
 from .circuits import LINE3, build_target_unitary, build_vstar_circuit, emit_qasm
-from .compiler import CompileReport, compile_generic, global_phase_distance
-from .noise import NoiseModel, exact_confusion, mitigate, readout_matrix
+from .compiler import CompileReport, compile_generic
 from .sweep import (
     SweepConfig,
     as_records,
@@ -34,7 +31,6 @@ from .sweep import (
     sweep_transition_matrix,
     write_outputs,
 )
-from .thermo import DeviceSpec, analytic_energy_changes, energy_changes
 
 
 class _UsageError(Exception):
@@ -70,7 +66,7 @@ def _build_parser() -> _Parser:
     p_compile.add_argument("--v", choices=("identity", "vstar"), required=True)
     p_compile.add_argument("--qasm", help="write OpenQASM 2.0 to this path")
 
-    sub.add_parser("selftest", help="run the built-in oracle checks")
+    sub.add_parser("selftest", help="run the eleven release criteria")
     return parser
 
 
@@ -111,107 +107,18 @@ def _cmd_compile(args) -> int:
     return 0
 
 
-def _selftest_checks():
-    from .circuits import unitary_of_circuit
-    from .thermo import prepare, transition_matrix
-
-    exact_tm = transition_matrix(build_target_unitary("identity"), NoiseModel(), 0, 0)
-
-    def check_gate_maps():
-        u = build_target_unitary("identity")
-        perm = np.abs(u) ** 2
-        want = np.eye(8)
-        a, b = qcore.basis_index(0, 0, 1), qcore.basis_index(1, 1, 0)
-        want[[a, b]] = want[[b, a]]
-        assert np.max(np.abs(perm - want)) < 1e-12
-        u = build_target_unitary("vstar")
-        for m in range(8):
-            i, j, k = qcore.basis_label(m)
-            target = qcore.basis_index(k, i ^ j ^ k, i)
-            assert abs(abs(u[target, m]) - 1.0) < 1e-12
-
-    def check_vstar_circuit():
-        c = build_vstar_circuit()
-        assert c.cnot_count() == 4
-        d = global_phase_distance(
-            unitary_of_circuit(c), build_target_unitary("vstar")
-        )
-        assert d < 1e-12
-
-    def check_analytics():
-        spec = DeviceSpec.casablanca()
-        for th in (80.0, 240.0, 700.0):
-            for tc in (50.0, 300.0, 900.0):
-                sim = energy_changes(exact_tm, prepare("full8", spec, th, tc), spec)
-                ana = analytic_energy_changes(spec, th, tc)
-                assert abs(sim.de_hot - ana.de_hot) < 1e-12
-                assert abs(sim.de_cold - ana.de_cold) < 1e-12
-
-    def check_mitigation():
-        nm = NoiseModel.uniform(eps01=0.05, eps10=0.05)
-        rng = np.random.default_rng(7)
-        p = rng.dirichlet(np.ones(8))
-        raw = readout_matrix(nm) @ p
-        rec = mitigate(raw, exact_confusion(nm))
-        assert np.max(np.abs(rec - p)) < 1e-10
-
-    def check_population_map():
-        # equal preparations at ground population 0.8 purify to 0.896
-        spec = DeviceSpec(4.76, 4.76, 4.76)
-        t = float(thermo.final_temperatures(0.2, 4.76)[1])
-        final = 1.0 - thermo.excited_cold_population(exact_tm, prepare("full8", spec, t, t))
-        assert abs(final - thermo.ground_population_map(0.8)) < 1e-12
-        assert abs(final - 0.896) < 1e-12
-
-    def check_final_temperature():
-        # identity dynamics reads the preparation temperature back
-        spec = DeviceSpec(4.82, 5.01, 4.90)
-        identity = thermo.TransitionMatrix(np.eye(8))
-        for t_in in (77.0, 173.4, 300.0, 650.0):
-            for scheme in thermo.SCHEMES:
-                prep = prepare(scheme, spec, 400.0, t_in)
-                got = thermo.final_cold_temperature(identity, prep, spec)
-                assert got.kind == "finite"
-                assert abs(got.millikelvin - t_in) / t_in < 1e-9
-
-    def check_renyi():
-        rng = np.random.default_rng(11)
-        for _ in range(100):
-            a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            rho = a @ a.conj().T
-            rho /= np.trace(rho).real
-            full, projected = thermo.renyi2_purity_check(rho)
-            assert full - projected >= -1e-12
-
-    def check_second_law():
-        spec = DeviceSpec.casablanca()
-        for th in np.linspace(20, 1000, 20):
-            for tc in np.linspace(20, 1000, 20):
-                ledger = energy_changes(exact_tm, prepare("full8", spec, th, tc), spec)
-                assert not (ledger.de_cold < 0 and ledger.work < 0)
-
-    return [
-        ("gate maps", check_gate_maps),
-        ("4-CNOT circuit", check_vstar_circuit),
-        ("analytics vs simulation", check_analytics),
-        ("readout mitigation", check_mitigation),
-        ("population map", check_population_map),
-        ("final temperature", check_final_temperature),
-        ("renyi-2 data processing", check_renyi),
-        ("second law", check_second_law),
-    ]
-
-
 def _cmd_selftest() -> int:
+    from .oracles import CRITERIA  # loaded on demand: the other commands never need it
+
     failures = 0
-    for name, check in _selftest_checks():
+    for label, check in CRITERIA:
         try:
             check()
         except Exception as err:  # noqa: BLE001 - report and keep going
             failures += 1
-            print(f"FAIL {name}: {err}")
+            print(f"FAIL {label}: {err}")
         else:
-            print(f"ok   {name}")
+            print(f"ok   {label}")
     if failures:
         print(f"{failures} check(s) failed", file=sys.stderr)
         return 2

@@ -37,8 +37,8 @@ class NoiseModel:
             raise ValueError("eps01 and eps10 must cover the same qubits")
 
     @classmethod
-    def uniform(cls, p1=0.0, p2=0.0, eps01=0.0, eps10=0.0, n_qubits=3):
-        return cls(p1, p2, (eps01,) * n_qubits, (eps10,) * n_qubits)
+    def uniform(cls, p1=0.0, p2=0.0, eps01=0.0, eps10=0.0):
+        return cls(p1, p2, (eps01,) * qcore.N_WIRES, (eps10,) * qcore.N_WIRES)
 
     def flip_matrix(self, qubit: int) -> np.ndarray:
         e01, e10 = self.eps01[qubit], self.eps10[qubit]
@@ -85,26 +85,21 @@ def evolve_noisy(c: Circuit, rho: np.ndarray, nm: NoiseModel) -> np.ndarray:
     return rho
 
 
-def readout_matrix(nm: NoiseModel, dim: int = qcore.DIM) -> np.ndarray:
-    """Tensor product of per-qubit flip matrices, in logical index order.
-
-    For the three-qubit register the logical bits (i, j, k) belong to qubits
-    (q0, q2, q1), so the factors are ordered accordingly.
-    """
-    n = int(round(np.log2(dim)))
-    order = (0, 2, 1) if n == qcore.N_WIRES else tuple(range(n))
-    if max(order) >= len(nm.eps01):
+def readout_matrix(nm: NoiseModel) -> np.ndarray:
+    """Tensor product of the register's per-qubit flip matrices, in logical
+    index order: the logical bits (i, j, k) belong to qubits (q0, q2, q1)."""
+    if len(nm.eps01) < qcore.N_WIRES:
         raise ValueError("noise model does not cover enough qubits")
-    m = np.eye(1)
-    for q in order:
-        m = np.kron(m, nm.flip_matrix(q))
-    return m
+    f0, f1, f2 = (nm.flip_matrix(q) for q in range(qcore.N_WIRES))
+    return np.einsum("ab,cd,ef->acebdf", f0, f2, f1).reshape(qcore.DIM, qcore.DIM)
 
 
 def apply_readout_error(p: np.ndarray, nm: NoiseModel) -> np.ndarray:
-    """Read out p, or each vector of a stack (..., d), rounding as R @ p does."""
+    """Read out p, or each vector of a stack (..., 8), rounding as R @ p does."""
     p = qcore.check_probabilities(p)
-    return (readout_matrix(nm, p.shape[-1]) @ p[..., None])[..., 0]
+    if p.shape[-1] != qcore.DIM:
+        raise ValueError(f"readout acts on {qcore.DIM} outcomes, not {p.shape[-1]}")
+    return (readout_matrix(nm) @ p[..., None])[..., 0]
 
 
 @dataclass(frozen=True)
@@ -128,22 +123,20 @@ class ConfusionMatrix:
         return self.entries.shape[0]
 
 
-def calibrate(
-    nm: NoiseModel, shots: int, seed: int | np.random.SeedSequence, dim: int = qcore.DIM
-) -> ConfusionMatrix:
+def calibrate(nm: NoiseModel, shots: int, seed: int | np.random.SeedSequence) -> ConfusionMatrix:
     """Empirical confusion matrix: prepare each basis state, read out, count.
 
     All columns are one multinomial draw from the generator seeded by seed.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    counts = qcore.sample_counts(readout_matrix(nm, dim).T, shots, seed)
+    counts = qcore.sample_counts(readout_matrix(nm).T, shots, seed)
     return ConfusionMatrix(counts.T / shots)
 
 
-def exact_confusion(nm: NoiseModel, dim: int = qcore.DIM) -> ConfusionMatrix:
+def exact_confusion(nm: NoiseModel) -> ConfusionMatrix:
     """Infinite-shot limit of calibrate."""
-    return ConfusionMatrix(readout_matrix(nm, dim))
+    return ConfusionMatrix(readout_matrix(nm))
 
 
 def mitigate(raw: np.ndarray, m: ConfusionMatrix) -> np.ndarray:

@@ -64,7 +64,7 @@ class DeviceSpec:
 
 def dimensionless_beta_omega(f_ghz: float, t_mk: float) -> float:
     """h f / (k_B T)."""
-    if t_mk <= 0:
+    if not t_mk > 0:  # NaN fails too
         raise ValueError("temperature must be positive")
     return H_OVER_KB * f_ghz / t_mk
 
@@ -288,7 +288,7 @@ def energy_changes(
 def analytic_energy_changes(spec: DeviceSpec, t_hot: float, t_cold: float) -> EnergyLedger:
     """Closed-form energy changes for the ideal V = identity engine on the
     full thermal (product Gibbs) preparation."""
-    if t_hot <= 0 or t_cold <= 0:
+    if not (t_hot > 0 and t_cold > 0):  # NaN fails too
         raise ValueError("temperatures must be positive")
     x_h = dimensionless_beta_omega(spec.omega_sum, t_hot)
     y_c = dimensionless_beta_omega(spec.f1, t_cold)
@@ -334,7 +334,7 @@ def analytic_regions(
 ) -> OperationMode:
     """Closed-form mode map for the ideal V = identity engine on the full
     thermal preparation; equalities are reported as boundaries."""
-    if t_hot <= 0 or t_cold <= 0:
+    if not (t_hot > 0 and t_cold > 0):  # NaN fails too
         raise ValueError("temperatures must be positive")
     ratio = spec.omega_sum / spec.f1
     tol = rtol * max(t_hot, t_cold)

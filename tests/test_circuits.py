@@ -25,8 +25,7 @@ from qfridge.circuits import (
     x,
 )
 from qfridge.compiler import global_phase_distance
-
-from helpers import haar_unitary
+from qfridge.oracles import haar_unitary
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,7 @@ from qfridge.compiler import (
     compile_generic,
     global_phase_distance,
 )
-
-from helpers import haar_unitary
+from qfridge.oracles import haar_unitary
 
 
 def _assert_compiles_to(u, coupling, tol=1e-8):

@@ -16,8 +16,7 @@ from hypothesis import given, settings, strategies as st
 from qfridge import qcore
 from qfridge.circuits import Circuit, Gate, cx, embed_gate, rz, sx, unitary_of_circuit, x
 from qfridge.noise import NoiseModel, evolve_noisy
-
-from helpers import random_density
+from qfridge.oracles import random_density
 
 
 def _reference_embed(g: Gate, n_wires: int) -> np.ndarray:

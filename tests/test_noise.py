@@ -23,8 +23,7 @@ from qfridge.noise import (
     mitigate,
     readout_matrix,
 )
-
-from helpers import random_density
+from qfridge.oracles import random_density
 
 
 def _random_circuit(rng, n_wires=3, depth=8):
@@ -125,6 +124,13 @@ def test_readout_qubit_to_logical_bit_mapping(qubit, flipped_index):
     assert abs(out[0] - 0.75) < 1e-15
     assert abs(out[flipped_index] - 0.25) < 1e-15
     assert abs(out.sum() - 1.0) < 1e-12
+
+
+def test_readout_error_rejects_other_registers():
+    with pytest.raises(ValueError, match="8 outcomes"):
+        apply_readout_error(np.full(4, 0.25), NoiseModel())
+    with pytest.raises(ValueError, match="cover"):
+        readout_matrix(NoiseModel(eps01=(0.0, 0.0), eps10=(0.0, 0.0)))
 
 
 def test_readout_matrix_is_stochastic():

@@ -3,8 +3,7 @@ import numpy as np
 import pytest
 
 from qfridge import qcore
-
-from helpers import haar_unitary, random_density
+from qfridge.oracles import haar_unitary, random_density
 
 
 def test_basis_index_roundtrip():

@@ -1,5 +1,10 @@
 """Config parsing, grid sweeps, file outputs, and the CLI."""
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +12,7 @@ import pytest
 from qfridge import cli, sweep
 from qfridge.cli import cli_main
 from qfridge.compiler import compile_generic
+from qfridge.oracles import CRITERIA
 from qfridge.sweep import (
     CSV_HEADER,
     ConfigError,
@@ -404,5 +410,27 @@ def test_cli_reuses_one_parser(tmp_path, monkeypatch, capsys):
 
 def test_cli_selftest(capsys):
     assert cli_main(["selftest"]) == 0
-    out = capsys.readouterr().out
-    assert out.count("ok ") == 8 and "FAIL" not in out
+    assert capsys.readouterr().out.splitlines() == [f"ok   {label}" for label, _ in CRITERIA]
+
+
+def test_cli_selftest_fails_loudly_under_python_O():
+    # asserts compiled away, a wrong oracle answer must still fail with a
+    # message, and the selftest must load nothing beyond the package and numpy
+    script = textwrap.dedent("""
+        import json, sys
+        from qfridge import thermo
+        thermo.ground_population_map = lambda x: 0.0
+        from qfridge.cli import cli_main
+        lazy = "qfridge.oracles" not in sys.modules
+        code = cli_main(["selftest"])
+        print(json.dumps([code, sys.flags.optimize, lazy, "pytest" in sys.modules,
+                          "hypothesis" in sys.modules]))
+    """)
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    run = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                         text=True, env=env, timeout=300)
+    *lines, summary = run.stdout.splitlines()
+    assert json.loads(summary) == [2, 1, True, False, False]
+    failed = [line for line in lines if line.startswith("FAIL ")]
+    assert failed and all(line.split(": ", 1)[1].strip() for line in failed)

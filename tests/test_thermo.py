@@ -5,6 +5,7 @@ import pytest
 from qfridge import qcore
 from qfridge.circuits import W_SUBSPACE, build_target_unitary, build_vstar_circuit
 from qfridge.noise import NoiseModel
+from qfridge.oracles import random_density
 from qfridge.thermo import (
     H_OVER_KB,
     ColdTemperature,
@@ -32,8 +33,6 @@ from qfridge.thermo import (
     transition_matrix,
 )
 
-from helpers import random_density
-
 
 def _exact_tm(v_choice="identity"):
     return transition_matrix(build_target_unitary(v_choice), NoiseModel(), 0, 0)
@@ -51,8 +50,10 @@ def test_dimensionless_beta_omega():
     # 5.01 GHz at 240.4 mK sits almost exactly at the thermal crossover
     assert abs(dimensionless_beta_omega(5.01, 240.4) - 1.000175) < 1e-4
     assert dimensionless_beta_omega(1.0, H_OVER_KB) == 1.0
-    with pytest.raises(ValueError):
-        dimensionless_beta_omega(5.0, 0.0)
+    for t in (0.0, np.nan):
+        with pytest.raises(ValueError):
+            dimensionless_beta_omega(5.0, t)
+    assert dimensionless_beta_omega(5.0, np.inf) == 0.0
 
 
 def test_device_spec():
@@ -282,8 +283,12 @@ def test_analytic_purifier_flag_matches_is_purifier():
 
 
 def test_analytic_regions_validates_temperatures():
-    with pytest.raises(ValueError):
-        analytic_regions(DeviceSpec.casablanca(), 0.0, 100.0)
+    spec = DeviceSpec.casablanca()
+    for closed_form in (analytic_regions, analytic_energy_changes):
+        for t_hot, t_cold in ((0.0, 100.0), (np.nan, 100.0), (100.0, np.nan)):
+            with pytest.raises(ValueError):
+                closed_form(spec, t_hot, t_cold)
+        closed_form(spec, np.inf, 100.0)  # infinite temperatures stay accepted
 
 
 # ---------------------------------------------------------------------------

@@ -21,10 +21,9 @@ from qfridge.noise import (
     exact_confusion,
     mitigate,
 )
+from qfridge.oracles import haar_unitary, random_density
 from qfridge.sweep import SweepConfig, evaluate_grid, sweep_transition_matrix
 from qfridge.thermo import TransitionMatrix, hot_energies, preparation_rows, transition_matrix
-
-from helpers import haar_unitary, random_density
 
 
 def _reference_transition_matrix(engine, nm, shots, seed, mitigation=None):
