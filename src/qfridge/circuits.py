@@ -149,14 +149,9 @@ class Circuit:
 
 
 def _swap_block(phases: tuple[float, float, float, float]) -> np.ndarray:
-    """4x4 block that phases the outer states and swaps the inner pair."""
-    p1, p2, p3, p4 = phases
-    b = np.zeros((4, 4), dtype=complex)
-    b[0, 0] = np.exp(1j * p1)
-    b[1, 2] = np.exp(1j * p2)
-    b[2, 1] = np.exp(1j * p3)
-    b[3, 3] = np.exp(1j * p4)
-    return b
+    """4x4 block that phases the outer states and swaps the inner pair:
+    entries (0, 0), (1, 2), (2, 1), (3, 3) are e^{i phases}."""
+    return np.diag(np.exp(1j * np.asarray(phases, dtype=float)))[:, [0, 2, 1, 3]]
 
 
 # logical indices of the two invariant subspaces of the cooling gate
@@ -173,10 +168,7 @@ def build_target_unitary(v_choice, phases: PhaseChoice = ZERO_PHASES) -> np.ndar
     or an explicit 4x4 unitary.
     """
     u = np.zeros((qcore.DIM, qcore.DIM), dtype=complex)
-    w = _swap_block(phases.w)
-    for a, ia in enumerate(W_SUBSPACE):
-        for b, ib in enumerate(W_SUBSPACE):
-            u[ia, ib] = w[a, b]
+    u[np.ix_(W_SUBSPACE, W_SUBSPACE)] = _swap_block(phases.w)
     if isinstance(v_choice, str):
         if v_choice == "identity":
             v = np.eye(4, dtype=complex)
@@ -188,9 +180,7 @@ def build_target_unitary(v_choice, phases: PhaseChoice = ZERO_PHASES) -> np.ndar
         v = qcore.check_unitary(np.asarray(v_choice, dtype=complex))
         if v.shape != (4, 4):
             raise ValueError("custom V must be 4x4")
-    for a, ia in enumerate(V_SUBSPACE):
-        for b, ib in enumerate(V_SUBSPACE):
-            u[ia, ib] = v[a, b]
+    u[np.ix_(V_SUBSPACE, V_SUBSPACE)] = v
     return u
 
 

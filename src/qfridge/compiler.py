@@ -35,6 +35,7 @@ from .circuits import (
     X_MATRIX,
     cx,
     rz,
+    rz_matrix,
     sx,
     x,
 )
@@ -56,10 +57,6 @@ class CompileReport:
 # ---------------------------------------------------------------------------
 # Quantum Shannon Decomposition (raw ops: ("u", wire, 2x2) | ("cx", ctrl, tgt))
 
-def _rz2(a: float) -> np.ndarray:
-    return np.array([[np.exp(-0.5j * a), 0], [0, np.exp(0.5j * a)]])
-
-
 def _ry2(a: float) -> np.ndarray:
     c, s = np.cos(a / 2), np.sin(a / 2)
     return np.array([[c, -s], [s, c]], dtype=complex)
@@ -70,10 +67,14 @@ def _cossin(u: np.ndarray):
 
     Returns (l0, l1, theta, r0, r1) with u = (l0 + l1) CS (r0 + r1), where +
     is the direct sum and CS = [[C, -S], [S, C]], C = diag(cos theta),
-    S = diag(sin theta), 0 <= theta <= pi/2.
+    S = diag(sin theta), 0 <= theta <= pi/2; a block-diagonal u has
+    theta = 0 and r0 = r1 = I.
     """
     h = u.shape[0] // 2
     u00, u01, u10, u11 = u[:h, :h], u[:h, h:], u[h:, :h], u[h:, h:]
+    if max(np.max(np.abs(u01)), np.max(np.abs(u10))) <= _ATOL:
+        eye = np.eye(h, dtype=complex)
+        return u00, u11, np.zeros(h), eye, eye
     l0, c, r0 = np.linalg.svd(u00)
     # Cosines near 1 fix their rows of r0 only up to a rotation among
     # themselves, and their sines are too small to read off 1 - c^2; an SVD
@@ -126,9 +127,14 @@ def _demultiplex(a1: np.ndarray, a2: np.ndarray):
     Returns (v, d, w) with d the diagonal of D: a1 = v D w and
     a2 = v D^dagger w.  V diagonalizes the normal matrix a1 a2^dagger =
     v D^2 v^dagger as the eigenbasis of its Hermitian part turned by the
-    psi of _separating_angle, which resolves every spectrum.
+    psi of _separating_angle, which resolves every spectrum; V = I when
+    a1 a2^dagger is diagonal, where its eigenbasis would be rounding noise.
     """
     nrm = a1 @ a2.conj().T
+    diag = np.diagonal(nrm)
+    if np.max(np.abs(nrm - np.diag(diag))) <= _ATOL:
+        d = np.exp(0.5j * np.angle(diag))
+        return np.eye(len(nrm), dtype=complex), d, d[:, None] * a2
     nrm_psi = np.exp(-1j * _separating_angle(np.linalg.eigvals(nrm).tolist())) * nrm
     _, v = np.linalg.eigh((nrm_psi + nrm_psi.conj().T) / 2)
     d = np.exp(0.5j * np.angle(np.diagonal(v.conj().T @ nrm @ v)))
@@ -180,7 +186,7 @@ def _qsd_ops(u: np.ndarray, wires: tuple[int, ...]) -> list:
         v, d, w = _demultiplex(a1, a2)
         return (
             _qsd_ops(w, rest)
-            + _ucr_ops(_rz2, -2 * np.angle(d), top, rest)
+            + _ucr_ops(rz_matrix, -2 * np.angle(d), top, rest)
             + _qsd_ops(v, rest)
         )
 
@@ -202,8 +208,7 @@ def _is_phase_of(m: np.ndarray, ref: np.ndarray) -> bool:
 
 
 def _norm_angle(a: float) -> float:
-    a = (a + np.pi) % (2 * np.pi) - np.pi
-    return a
+    return (a + np.pi) % (2 * np.pi) - np.pi
 
 
 def _rewrite_single(wire: int, m: np.ndarray) -> list[Gate]:
@@ -285,10 +290,6 @@ def _shortest_path(coupling: CouplingMap, a: int, b: int) -> list[int]:
     raise ValueError(f"wires {a} and {b} are not connected in the coupling map")
 
 
-def _swap_gates(a: int, b: int) -> list[Gate]:
-    return [cx(a, b), cx(b, a), cx(a, b)]
-
-
 def _route(gates: list[Gate], coupling: CouplingMap | None) -> list[Gate]:
     if coupling is None:
         return gates
@@ -299,8 +300,8 @@ def _route(gates: list[Gate], coupling: CouplingMap | None) -> list[Gate]:
             continue
         path = _shortest_path(coupling, *g.wires)
         swaps: list[Gate] = []
-        for i in range(len(path) - 2):
-            swaps += _swap_gates(path[i], path[i + 1])
+        for a, b in zip(path[:-2], path[1:-1]):
+            swaps += [cx(a, b), cx(b, a), cx(a, b)]  # SWAP(a, b)
         routed += swaps
         routed.append(cx(path[-2], path[-1]))
         routed += swaps[::-1]

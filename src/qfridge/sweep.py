@@ -4,11 +4,11 @@ A sweep evaluates the engine once (the transition matrix does not depend on
 the preparation temperatures), then reweights it over the whole (T_H, T_C)
 grid with thermo's per-point array rules (the scalar API runs them on one
 point); only the sampling boundary tolerance is computed here.  The
-SweepResult holds one array per output column; ``qfridge point`` is the same
-kernel on a 1x1 grid.  Outputs are plain CSV / JSON / binary PPM so any
-external plotter can reproduce the phase diagrams.  The CSV and JSON writers
-work column by column: each column becomes a list of texts, and one ``%``
-fill of a repeated row template writes the whole file.
+SweepResult holds the two axes and one array per other column; ``qfridge
+point`` is the same kernel on a 1x1 grid.  Outputs are plain CSV / JSON /
+binary PPM so any external plotter can reproduce the phase diagrams.  The
+writers turn each column into texts (T_H and T_C once per axis value), and
+one ``%`` fill of a repeated row template writes the whole file.
 """
 from __future__ import annotations
 
@@ -188,14 +188,13 @@ def grid_axes(cfg: SweepConfig) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Sweep outputs as columns over an n_h x n_c grid, row-major, T_H outer.
-    t_cold_final_kind is "finite", "infinite" or "inverted" (as in
-    thermo.ColdTemperature); t_cold_final is NaN where it is not finite."""
+    """Sweep outputs as columns over the grid of the two axes, row-major, T_H
+    outer; t_hot and t_cold spread the axes over it.  t_cold_final_kind is
+    "finite", "infinite" or "inverted" (as in thermo.ColdTemperature);
+    t_cold_final is NaN where it is not finite."""
 
-    n_h: int
-    n_c: int
-    t_hot: np.ndarray
-    t_cold: np.ndarray
+    t_h_axis: np.ndarray
+    t_c_axis: np.ndarray
     de_hot: np.ndarray
     de_cold: np.ndarray
     mode: np.ndarray
@@ -205,11 +204,29 @@ class SweepResult:
     purifier: np.ndarray
 
     def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, np.asarray(getattr(self, f.name)))
+        if self.t_h_axis.ndim != 1 or self.t_c_axis.ndim != 1:
+            raise ValueError("the axes must be one-dimensional")
         for f in fields(self)[2:]:
-            col = np.asarray(getattr(self, f.name))
-            if col.shape != (self.n_h * self.n_c,):
+            if getattr(self, f.name).shape != (self.n_h * self.n_c,):
                 raise ValueError(f"column {f.name} does not fill a {self.n_h}x{self.n_c} grid")
-            object.__setattr__(self, f.name, col)
+
+    @property
+    def n_h(self) -> int:
+        return self.t_h_axis.size
+
+    @property
+    def n_c(self) -> int:
+        return self.t_c_axis.size
+
+    @property
+    def t_hot(self) -> np.ndarray:
+        return np.repeat(self.t_h_axis, self.n_c)
+
+    @property
+    def t_cold(self) -> np.ndarray:
+        return np.tile(self.t_c_axis, self.n_h)
 
     @property
     def work(self) -> np.ndarray:
@@ -221,10 +238,9 @@ def evaluate_grid(cfg: SweepConfig, tm, t_h_axis, t_c_axis) -> SweepResult:
     per-point rules (preparation, roles, mode, final temperature, purifier)
     applied to whole columns."""
     t_h_axis, t_c_axis = np.asarray(t_h_axis, float), np.asarray(t_c_axis, float)
-    t_hot = np.repeat(t_h_axis, t_c_axis.size)
-    t_cold = np.tile(t_c_axis, t_h_axis.size)
     spec = cfg.device()
-    probs = thermo.preparation_rows(cfg.scheme, spec, t_hot, t_cold)
+    probs = thermo.preparation_grid(cfg.scheme, spec, t_h_axis, t_c_axis)
+    t_hot, t_cold = np.repeat(t_h_axis, t_c_axis.size), np.tile(t_c_axis, t_h_axis.size)
     after = probs @ tm.p.T
     e_h, e_c = hot_energies(spec, cfg.hot_energy_mode), cold_energies(spec)
     de_hot, de_cold = (after - probs) @ e_h, (after - probs) @ e_c
@@ -244,10 +260,7 @@ def evaluate_grid(cfg: SweepConfig, tm, t_h_axis, t_c_axis) -> SweepResult:
     if cfg.scheme == "full8":
         g = thermo.ground_populations(probs)
         purifier = (mode == "R") & thermo.purifies(g, p_g_final, t_hot, t_cold)
-    return SweepResult(
-        t_h_axis.size, t_c_axis.size, t_hot, t_cold, de_hot, de_cold, mode,
-        t_final, kind, p_g_final, purifier,
-    )
+    return SweepResult(t_h_axis, t_c_axis, de_hot, de_cold, mode, t_final, kind, p_g_final, purifier)
 
 
 def run_sweep(cfg: SweepConfig) -> SweepResult:
@@ -262,25 +275,22 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
 CSV_HEADER = "T_H_mK,T_C_mK,dE_H,dE_C,W,mode,T_C_final_mK,p_g_final,purifier"
 RECORD_KEYS = ("T_H", "T_C", "dE_H", "dE_C", "W", "mode", "T_C_final", "p_g_final", "purifier")
 _NON_FINITE_TEXT = {"infinite": "inf", "inverted": "inverted"}
-_CSV_ROW = "%.9g,%.9g,%.9g,%.9g,%.9g,%s,%s,%.9g,%s\n"
+_CSV_ROW = "%s,%s,%.9g,%.9g,%.9g,%s,%s,%.9g,%s\n"
 _JSON_RECORD = "  {\n" + ",\n".join(f'    "{key}": %s' for key in RECORD_KEYS) + "\n  }"
 _JSON_TAGS = {kind: encode_basestring_ascii(text) for kind, text in _NON_FINITE_TEXT.items()}
 #: json's spelling of the float reprs that are not JSON numbers
 _JSON_CONSTANTS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.9g}"
+def _g9_texts(col: np.ndarray) -> list[str]:
+    """`%.9g` of each value, in one C-level fill."""
+    return ("%.9g\n" * col.size % tuple(col.tolist())).split("\n")[:-1]
 
 
-def _columns(res: SweepResult) -> list[list]:
-    """The RECORD_KEYS columns as Python values; T_C_final may be "inf"/"inverted"."""
-    return [
-        res.t_hot.tolist(), res.t_cold.tolist(), res.de_hot.tolist(),
-        res.de_cold.tolist(), res.work.tolist(), res.mode.tolist(),
-        _t_final_column(res, res.t_cold_final.tolist(), _NON_FINITE_TEXT),
-        res.p_g_final.tolist(), res.purifier.tolist(),
-    ]
+def _grid_texts(res: SweepResult, texts) -> list[list[str]]:
+    """The T_H and T_C columns from `texts` of each axis value."""
+    h_texts, c_texts = texts(res.t_h_axis), texts(res.t_c_axis)
+    return [np.repeat(np.array(h_texts, dtype=object), res.n_c).tolist(), c_texts * res.n_h]
 
 
 def _fill(row: str, sep: str, columns: list) -> str:
@@ -290,29 +300,36 @@ def _fill(row: str, sep: str, columns: list) -> str:
 
 
 def _t_final_column(res: SweepResult, values: list, tags: dict) -> list:
-    """The T_C_final column: `values` where the kind is finite, else its tag."""
-    return [tags.get(kind, t) for t, kind in zip(values, res.t_cold_final_kind.tolist())]
-
-
-def _purifier_texts(res: SweepResult) -> list[str]:
-    return np.where(res.purifier, "true", "false").tolist()
+    """The T_C_final column: `values` where the kind is finite, else its tag (in place)."""
+    kinds = res.t_cold_final_kind
+    for n in np.flatnonzero(kinds != "finite").tolist():
+        values[n] = tags[kinds[n]]
+    return values
 
 
 def write_csv(res: SweepResult) -> str:
     """One row per grid point, numbers as `%.9g`."""
-    columns = [col.tolist() for col in (res.t_hot, res.t_cold, res.de_hot, res.de_cold, res.work)]
+    columns = _grid_texts(res, _g9_texts)
+    columns += [col.tolist() for col in (res.de_hot, res.de_cold, res.work)]
     columns += [
         res.mode.tolist(),
-        _t_final_column(res, list(map(_fmt, res.t_cold_final.tolist())), _NON_FINITE_TEXT),
+        _t_final_column(res, _g9_texts(res.t_cold_final), _NON_FINITE_TEXT),
         res.p_g_final.tolist(),
-        _purifier_texts(res),
+        np.where(res.purifier, "true", "false").tolist(),
     ]
     return CSV_HEADER + "\n" + _fill(_CSV_ROW, "", columns)
 
 
 def as_records(res: SweepResult) -> list[dict]:
-    """One dict per grid point, keyed by RECORD_KEYS."""
-    return [dict(zip(RECORD_KEYS, row)) for row in zip(*_columns(res))]
+    """One dict per grid point, keyed by RECORD_KEYS, with Python values;
+    T_C_final may be "inf"/"inverted"."""
+    columns = [
+        res.t_hot.tolist(), res.t_cold.tolist(), res.de_hot.tolist(),
+        res.de_cold.tolist(), res.work.tolist(), res.mode.tolist(),
+        _t_final_column(res, res.t_cold_final.tolist(), _NON_FINITE_TEXT),
+        res.p_g_final.tolist(), res.purifier.tolist(),
+    ]
+    return [dict(zip(RECORD_KEYS, row)) for row in zip(*columns)]
 
 
 def _json_numbers(col: np.ndarray) -> list[str]:
@@ -326,14 +343,15 @@ def _json_numbers(col: np.ndarray) -> list[str]:
 
 def write_json(res: SweepResult) -> str:
     """The records as ``json.dumps(as_records(res), indent=2)`` writes them."""
-    if not res.t_hot.size:
+    if not res.de_hot.size:
         return "[]\n"
-    columns = [_json_numbers(col) for col in (res.t_hot, res.t_cold, res.de_hot, res.de_cold, res.work)]
+    columns = _grid_texts(res, _json_numbers)
+    columns += [_json_numbers(col) for col in (res.de_hot, res.de_cold, res.work)]
     columns += [
         list(map(encode_basestring_ascii, res.mode.tolist())),
         _t_final_column(res, _json_numbers(res.t_cold_final), _JSON_TAGS),
         _json_numbers(res.p_g_final),
-        _purifier_texts(res),
+        np.where(res.purifier, "true", "false").tolist(),
     ]
     return "[\n" + _fill(_JSON_RECORD, ",\n", columns) + "\n]\n"
 
@@ -401,7 +419,7 @@ def write_outputs(cfg: SweepConfig, res: SweepResult) -> list[str]:
         files[".ppm"] = write_heatmap(res, cfg.heatmap_field)
         if cfg.heatmap_field != "mode":
             lo, hi = heatmap_range(res, cfg.heatmap_field)
-            files[".ppm.range.txt"] = f"min {_fmt(lo)}\nmax {_fmt(hi)}\n"
+            files[".ppm.range.txt"] = f"min {lo:.9g}\nmax {hi:.9g}\n"
     for suffix, data in files.items():
         with open(cfg.output_prefix + suffix, "wb" if suffix == ".ppm" else "w") as fh:
             fh.write(data)

@@ -12,6 +12,7 @@ the cold subsystem is qubit q1 at frequency f1.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,31 +131,33 @@ def hot_energies(spec: DeviceSpec, mode: str) -> np.ndarray:
     return e
 
 
-def preparation_rows(scheme: str, spec: DeviceSpec, t_hot, t_cold) -> np.ndarray:
-    """Bi-thermal preparations over the 8 logical basis states, one (N, 8) row
-    per pair (t_hot[n], t_cold[n]).
+def preparation_grid(scheme: str, spec: DeviceSpec, t_h_axis, t_c_axis) -> np.ndarray:
+    """Bi-thermal preparations over the 8 logical basis states, one row per
+    grid point (t_h_axis[h], t_c_axis[c]): (n_h * n_c, 8), row-major, T_H outer.
 
     swap4: mass only on the four i = j states, hot part Gibbs-weighted with
-    the ideal -/+ Omega/2 spectrum at t_hot, cold part at t_cold.
-    full8: product of three single-qubit Gibbs states, q0 and q2 at t_hot,
-    q1 at t_cold.
+    the ideal -/+ Omega/2 spectrum at T_H, cold part at T_C.
+    full8: product of three single-qubit Gibbs states, q0 and q2 at T_H,
+    q1 at T_C.  Each axis value's weights are computed once.
     """
-    t_hot, t_cold = np.asarray(t_hot, float), np.asarray(t_cold, float)
-    if not ((t_hot > 0).all() and (t_cold > 0).all()):  # NaN fails too
+    t_h, t_c = np.asarray(t_h_axis, float), np.asarray(t_c_axis, float)
+    if not ((t_h > 0).all() and (t_c > 0).all()):  # NaN fails too
         raise ValueError("temperatures must be positive")
     if scheme == "swap4":
-        # joint exponent over the populated states (i, i, k), (i, k) = 00, 01, 10, 11
-        u_h, u_c = H_OVER_KB / t_hot, H_OVER_KB / t_cold
-        e = (np.array([-0.5, -0.5, 0.5, 0.5]) * spec.omega_sum * u_h[:, None]
-             + np.array([-0.5, 0.5, -0.5, 0.5]) * spec.f1 * u_c[:, None])
-        probs = np.zeros((t_hot.size, qcore.DIM))
-        probs[:, [0, 1, 6, 7]] = _gibbs_weights(e, 1.0)
+        # joint exponent on the states (i, i, k), (i, k) = 00, 01, 10, 11: hot part + cold part
+        hot = np.array([-0.5, -0.5, 0.5, 0.5]) * spec.omega_sum * (H_OVER_KB / t_h)[:, None]
+        cold = np.array([-0.5, 0.5, -0.5, 0.5]) * spec.f1 * (H_OVER_KB / t_c)[:, None]
+        probs = np.zeros((t_h.size * t_c.size, qcore.DIM))
+        probs[:, [0, 1, 6, 7]] = _gibbs_weights((hot[:, None] + cold).reshape(-1, 4), 1.0)
     elif scheme == "full8":
-        # single-qubit Gibbs weights of q0 and q2 at t_hot, q1 at t_cold
-        u = H_OVER_KB * np.array([[spec.f0], [spec.f2], [spec.f1]]) / [t_hot, t_hot, t_cold]
-        s0, s2, s1 = _gibbs_weights(np.array([-0.5, 0.5]), u[..., None])
+        # single-qubit Gibbs weights of q0 and q2 per T_H, q1 per T_C
+        u = np.concatenate([H_OVER_KB * spec.f0 / t_h, H_OVER_KB * spec.f2 / t_h,
+                            H_OVER_KB * spec.f1 / t_c])
+        s = _gibbs_weights(np.array([-0.5, 0.5]), u[:, None])
+        s0, s2, s1 = s[:t_h.size], s[t_h.size:2 * t_h.size], s[2 * t_h.size:]
         # logical index 4i + 2j + k: q0 bit i, q2 bit j, cold bit k
-        probs = (s0[:, :, None, None] * s2[:, None, :, None] * s1[:, None, None, :]).reshape(-1, 8)
+        hot = (s0[:, :, None] * s2[:, None, :]).reshape(-1, 1, 4, 1)
+        probs = (hot * s1[:, None, :]).reshape(-1, 8)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
     if probs.min() < 0 or np.max(np.abs(probs.sum(axis=1) - 1.0)) > qcore.STATE_ATOL:
@@ -163,9 +166,9 @@ def preparation_rows(scheme: str, spec: DeviceSpec, t_hot, t_cold) -> np.ndarray
 
 
 def prepare(scheme: str, spec: DeviceSpec, t_hot: float, t_cold: float) -> ThermalPrep:
-    """Bi-thermal preparation over the 8 logical basis states: the one row of
-    preparation_rows at (t_hot, t_cold)."""
-    probs = preparation_rows(scheme, spec, [t_hot], [t_cold])[0]
+    """Bi-thermal preparation over the 8 logical basis states: the 1x1
+    preparation_grid at (t_hot, t_cold)."""
+    probs = preparation_grid(scheme, spec, [t_hot], [t_cold])[0]
     return ThermalPrep(scheme, t_hot, t_cold, probs)
 
 
@@ -333,12 +336,12 @@ def analytic_regions(
     spec: DeviceSpec, t_hot: float, t_cold: float, rtol: float = 1e-12
 ) -> OperationMode:
     """Closed-form mode map for the ideal V = identity engine on the full
-    thermal preparation; equalities are reported as boundaries."""
+    thermal preparation; equalities to rtol (math.isclose, so an infinite
+    temperature equals only itself) are reported as boundaries."""
     if not (t_hot > 0 and t_cold > 0):  # NaN fails too
         raise ValueError("temperatures must be positive")
     ratio = spec.omega_sum / spec.f1
-    tol = rtol * max(t_hot, t_cold)
-    if abs(t_hot - t_cold) <= tol or abs(t_hot - ratio * t_cold) <= tol:
+    if math.isclose(t_hot, t_cold, rel_tol=rtol) or math.isclose(t_hot, ratio * t_cold, rel_tol=rtol):
         return OperationMode("Boundary")
     if t_hot < t_cold:
         return OperationMode("A")

@@ -201,6 +201,22 @@ def test_compile_controlled_unitary_with_merged_eigenvalues():
     _assert_compiles_to(u, LINE3, tol=1e-12)
 
 
+def test_compile_factors_on_fewer_wires_without_extra_cx():
+    # B on one wire, or A on (q1, q2), padded with identities (physical
+    # order): the cosine-sine splits of I x M are block diagonal and their
+    # demultiplexers trivial, so no cx beyond the factor's own remain
+    rng = np.random.default_rng(19)
+    i2 = np.eye(2)
+    for _ in range(3):
+        b, a = haar_unitary(2, rng), haar_unitary(4, rng)
+        on_one_wire = (np.kron(b, np.eye(4)), np.kron(i2, np.kron(b, i2)), np.kron(np.eye(4), b))
+        for u_phys in on_one_wire:
+            _, report = _assert_compiles_to(qcore.to_logical(u_phys), LINE3, tol=1e-12)
+            assert report.cnot_count == 0 and report.total_gates <= 5
+        _, report = _assert_compiles_to(qcore.to_logical(np.kron(i2, a)), LINE3, tol=1e-12)
+        assert report.cnot_count <= 6
+
+
 def _target(family, n, seed):
     """A physical-order 2^n x 2^n unitary of the named family."""
     rng = np.random.default_rng(seed)

@@ -1,5 +1,6 @@
-"""Hypothesis pins of two thermodynamic invariants: transition matrices are
-column-stochastic, and identity dynamics return the cold qubit at T_C."""
+"""Hypothesis pins of thermodynamic invariants: transition matrices are
+column-stochastic, identity dynamics return the cold qubit at T_C, and no
+sweep cell cools the colder body while it extracts work."""
 import functools
 import math
 
@@ -9,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from qfridge.circuits import LINE3, build_target_unitary, build_vstar_circuit
 from qfridge.compiler import compile_generic
 from qfridge.noise import NoiseModel, calibrate, exact_confusion
-from qfridge.sweep import SweepConfig, evaluate_grid
+from qfridge.sweep import SweepConfig, evaluate_grid, sweep_transition_matrix
 from qfridge.thermo import SCHEMES, TransitionMatrix, final_cold_temperature, prepare, transition_matrix
 
 ENGINES = ("identity", "vstar", "four_cnot", "compiled_identity")
@@ -69,3 +70,31 @@ def test_identity_dynamics_return_the_cold_temperature(scheme, t_hot, t_c_axis):
         assert math.isclose(scalar.millikelvin, t_cold, rel_tol=1e-12)
         assert res.t_cold_final_kind[n] == "finite"
         assert math.isclose(res.t_cold_final[n], t_cold, rel_tol=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    freqs=st.tuples(*[st.floats(1.0, 10.0)] * 3),
+    v=st.sampled_from(["identity", "vstar"]),
+    p1=small,
+    p2=small,
+    flip=small,
+    t_h_axis=st.lists(st.floats(1.0, 5000.0), min_size=1, max_size=5),
+    t_c_axis=st.lists(st.floats(1.0, 5000.0), min_size=1, max_size=5),
+)
+def test_no_cooling_together_with_work_extraction(freqs, v, p1, p2, flip, t_h_axis, t_c_axis):
+    # Unitary gates, depolarizing noise and readout flips of equal
+    # probability both ways make a doubly stochastic map, which cannot lower
+    # the entropy of the product Gibbs input (full8, detuned ledger energies):
+    # dE_H / T_H + dE_C / T_C >= 0.  Cooling the colder body together with
+    # W < 0 would break it.  Unequal flips are not doubly stochastic.
+    f0, f1, f2 = freqs
+    cfg = SweepConfig(f0=f0, f1=f1, f2=f2, scheme="full8", v=v, p1=p1, p2=p2,
+                      eps01=flip, eps10=flip, shots=0, hot_energy_mode="detuned")
+    res = evaluate_grid(cfg, sweep_transition_matrix(cfg), t_h_axis, t_c_axis)
+    spec = cfg.device()
+    t_hot, t_cold = res.t_hot, res.t_cold
+    scale = spec.omega_sum / t_hot + spec.f1 / t_cold
+    assert np.all(res.de_hot / t_hot + res.de_cold / t_cold >= -1e-12 * scale)
+    colder = np.where(t_hot < t_cold, res.de_hot, res.de_cold)
+    assert not np.any((colder < -1e-12) & (res.work < -1e-12))

@@ -227,8 +227,6 @@ def test_sampled_boundary_tolerance_widens_bands():
 def _tiny_rows(n=4):
     """A 2x2 result; n < 4 leaves the grid incomplete."""
     columns = dict(
-        t_hot=[100.0, 100.0, 200.0, 200.0],
-        t_cold=[50.0, 75.0, 50.0, 75.0],
         de_hot=[0.5, -0.5, -0.1, 0.1],
         de_cold=[-0.25, 0.25, 0.2, 0.2],
         mode=["R", "E", "A", "H"],
@@ -237,7 +235,27 @@ def _tiny_rows(n=4):
         p_g_final=[0.9, 0.5, 0.3, 0.6],
         purifier=[True, False, False, False],
     )
-    return SweepResult(2, 2, **{k: v[:n] for k, v in columns.items()})
+    return SweepResult([100.0, 200.0], [50.0, 75.0], **{k: v[:n] for k, v in columns.items()})
+
+
+def test_sweep_result_columns_fill_the_grid_of_its_axes():
+    columns = dict(
+        de_hot=np.arange(6.0), de_cold=np.zeros(6), mode=["R"] * 6,
+        t_cold_final=np.ones(6), t_cold_final_kind=["finite"] * 6,
+        p_g_final=np.full(6, 0.5), purifier=np.zeros(6, bool),
+    )
+    res = SweepResult([100.0, 200.0], [10.0, 20.0, 30.0], **columns)
+    assert (res.n_h, res.n_c) == (2, 3)
+    assert res.t_hot.tolist() == [100.0] * 3 + [200.0] * 3
+    assert res.t_cold.tolist() == [10.0, 20.0, 30.0] * 2
+    for name in columns:
+        short = dict(columns, **{name: columns[name][:5]})
+        with pytest.raises(ValueError, match=f"column {name} does not fill a 2x3 grid"):
+            SweepResult([100.0, 200.0], [10.0, 20.0, 30.0], **short)
+    with pytest.raises(ValueError, match="does not fill a 2x2 grid"):
+        SweepResult([100.0, 200.0], [10.0, 20.0], **columns)
+    with pytest.raises(ValueError, match="axes must be one-dimensional"):
+        SweepResult([100.0, 200.0], [[10.0, 20.0, 30.0]], **columns)
 
 
 def test_write_csv():
@@ -310,7 +328,7 @@ def test_heatmap_rejects_bad_input():
     with pytest.raises(ValueError, match="grid"):
         _tiny_rows(n=3)
     only_bad = SweepResult(
-        1, 1, [1.0], [1.0], [0.0], [0.0], ["Boundary"], [np.nan], ["infinite"], [0.5], [False]
+        [1.0], [1.0], [0.0], [0.0], ["Boundary"], [np.nan], ["infinite"], [0.5], [False]
     )
     with pytest.raises(ValueError, match="no finite"):
         heatmap_range(only_bad, "t_c_final")

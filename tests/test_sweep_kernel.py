@@ -61,6 +61,7 @@ from qfridge.thermo import (
     final_cold_temperature,
     hot_energies,
     is_purifier,
+    preparation_grid,
     prepare,
 )
 
@@ -79,11 +80,11 @@ def _engine_tm(engine):
 
 
 def _reference_gibbs(energies, u):
-    """softmax of -u*E, stable for very low temperatures."""
+    """softmax of -u*E along the last axis, stable for very low temperatures."""
     z = -u * energies
-    z -= z.max()
+    z -= z.max(axis=-1, keepdims=True)
     w = np.exp(z)
-    return w / w.sum()
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 def _reference_prepare(scheme, spec, t_hot, t_cold):
@@ -197,6 +198,41 @@ def _close(a, b):
 
 
 temperatures = st.lists(st.floats(1.0, 5000.0), min_size=1, max_size=4)
+
+
+def _paired_preparations(scheme, spec, t_hot, t_cold):
+    """The (N, 8) preparations of the paired columns (t_hot[n], t_cold[n]),
+    as the kernel computed them before it took the two axes."""
+    if scheme == "swap4":
+        u_h, u_c = H_OVER_KB / t_hot, H_OVER_KB / t_cold
+        e = (np.array([-0.5, -0.5, 0.5, 0.5]) * spec.omega_sum * u_h[:, None]
+             + np.array([-0.5, 0.5, -0.5, 0.5]) * spec.f1 * u_c[:, None])
+        probs = np.zeros((t_hot.size, DIM))
+        probs[:, [0, 1, 6, 7]] = _reference_gibbs(e, 1.0)
+        return probs
+    u = H_OVER_KB * np.array([[spec.f0], [spec.f2], [spec.f1]]) / [t_hot, t_hot, t_cold]
+    s0, s2, s1 = _reference_gibbs(np.array([-0.5, 0.5]), u[..., None])
+    return (s0[:, :, None, None] * s2[:, None, :, None] * s1[:, None, None, :]).reshape(-1, 8)
+
+
+axis_temperatures = st.lists(
+    st.one_of(st.floats(1e-3, 1e9), st.just(math.inf)), min_size=1, max_size=8
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    scheme=st.sampled_from(SCHEMES),
+    freqs=st.tuples(*[st.floats(0.1, 20.0)] * 3),
+    t_h_axis=axis_temperatures,
+    t_c_axis=axis_temperatures,
+)
+def test_preparation_grid_equals_the_paired_columns_bit_for_bit(scheme, freqs, t_h_axis, t_c_axis):
+    spec = DeviceSpec(*freqs)
+    t_hot = np.repeat(t_h_axis, len(t_c_axis))
+    t_cold = np.tile(t_c_axis, len(t_h_axis))
+    want = _paired_preparations(scheme, spec, t_hot, t_cold)
+    assert np.array_equal(preparation_grid(scheme, spec, t_h_axis, t_c_axis), want)
 
 
 @settings(max_examples=150, deadline=None)
@@ -332,17 +368,16 @@ def _reference_write_json(res):
 
 @st.composite
 def sweep_results(draw):
-    """Hand-built results: any float (NaN, +-inf, -0.0, subnormal, huge) in
-    every float column, every mode tag (and any other text, which json must
-    escape) and every final-temperature kind."""
+    """Hand-built results: any float (NaN, +-inf, -0.0, subnormal, huge) on
+    both axes and in every float column, every mode tag (and any other text,
+    which json must escape) and every final-temperature kind."""
     n_h, n_c = draw(st.integers(0, 6)), draw(st.integers(1, 6))
 
-    def column(elements):
-        return draw(st.lists(elements, min_size=n_h * n_c, max_size=n_h * n_c))
+    def column(elements, size=n_h * n_c):
+        return draw(st.lists(elements, min_size=size, max_size=size))
 
     return SweepResult(
-        n_h, n_c,
-        t_hot=column(st.floats()), t_cold=column(st.floats()),
+        t_h_axis=column(st.floats(), n_h), t_c_axis=column(st.floats(), n_c),
         de_hot=column(st.floats()), de_cold=column(st.floats()),
         mode=column(st.one_of(st.sampled_from(MODE_TAGS), st.text(max_size=4))),
         t_cold_final=column(st.floats()),

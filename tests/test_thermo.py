@@ -26,7 +26,7 @@ from qfridge.thermo import (
     hot_energies,
     is_purifier,
     prepare,
-    preparation_rows,
+    preparation_grid,
     projected_purity,
     renyi2_purity_check,
     swap_engine_cop,
@@ -135,13 +135,13 @@ def test_prepare_rejects_bad_input():
 
 
 @pytest.mark.parametrize("scheme", ["swap4", "full8"])
-def test_preparation_rows_reject_nan_and_accept_infinite_temperatures(scheme):
+def test_preparation_grid_rejects_nan_and_accepts_infinite_temperatures(scheme):
     spec = DeviceSpec.casablanca()
-    for t_hot, t_cold in (([np.nan], [50.0]), ([100.0, 200.0], [50.0, np.nan])):
+    for t_h_axis, t_c_axis in (([np.nan], [50.0]), ([100.0, 200.0], [50.0, np.nan])):
         with pytest.raises(ValueError, match="temperatures must be positive"):
-            preparation_rows(scheme, spec, t_hot, t_cold)
+            preparation_grid(scheme, spec, t_h_axis, t_c_axis)
     # infinite temperature is the maximally mixed limit
-    probs = preparation_rows(scheme, spec, [np.inf], [50.0])
+    probs = preparation_grid(scheme, spec, [np.inf], [50.0])
     assert np.isfinite(probs).all() and abs(probs.sum() - 1.0) < 1e-12
 
 
@@ -289,6 +289,17 @@ def test_analytic_regions_validates_temperatures():
             with pytest.raises(ValueError):
                 closed_form(spec, t_hot, t_cold)
         closed_form(spec, np.inf, 100.0)  # infinite temperatures stay accepted
+
+
+def test_analytic_regions_at_infinite_temperature():
+    # an infinite temperature is close only to itself, so T_H = inf lies
+    # above every finite multiple of T_C, where the simulation finds E
+    spec = DeviceSpec.casablanca()
+    assert analytic_regions(spec, np.inf, 100.0) == OperationMode("E")
+    assert analytic_regions(spec, 100.0, np.inf) == OperationMode("A")
+    assert analytic_regions(spec, np.inf, np.inf) == OperationMode("Boundary")
+    prep = prepare("full8", spec, np.inf, 100.0)
+    assert classify_mode(energy_changes(_exact_tm(), prep, spec)).tag == "E"
 
 
 # ---------------------------------------------------------------------------

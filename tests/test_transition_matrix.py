@@ -23,7 +23,7 @@ from qfridge.noise import (
 )
 from qfridge.oracles import haar_unitary, random_density
 from qfridge.sweep import SweepConfig, evaluate_grid, sweep_transition_matrix
-from qfridge.thermo import TransitionMatrix, hot_energies, preparation_rows, transition_matrix
+from qfridge.thermo import TransitionMatrix, hot_energies, preparation_grid, transition_matrix
 
 
 def _reference_transition_matrix(engine, nm, shots, seed, mitigation=None):
@@ -142,7 +142,7 @@ def test_mitigated_spread_matches_the_propagated_sigma():
     nm, engine, conf = cfg.noise(), build_vstar_circuit(), exact_confusion(cfg.noise())
     th, tc = 600.0, 150.0
     spec = cfg.device()
-    probs = preparation_rows(cfg.scheme, spec, [th], [tc])[0]
+    probs = preparation_grid(cfg.scheme, spec, [th], [tc])[0]
     e_h = hot_energies(spec, cfg.hot_energy_mode)
     de_hot, sigma, unpropagated = [], [], []
     for seed in range(200):
