@@ -37,6 +37,7 @@ from .qcore import (
 from .sweep import (
     SweepConfig,
     SweepResult,
+    evaluate_grid,
     parse_config,
     run_sweep,
     write_csv,
@@ -44,21 +45,14 @@ from .sweep import (
     write_json,
 )
 from .thermo import (
-    ColdTemperature,
     DeviceSpec,
     EnergyLedger,
     OperationMode,
-    ThermalPrep,
     TransitionMatrix,
     analytic_energy_changes,
     analytic_regions,
-    classify_mode,
     dimensionless_beta_omega,
-    energy_changes,
-    final_cold_temperature,
     ground_population_map,
-    is_purifier,
-    prepare,
     projected_purity,
     renyi2_purity_check,
     swap_engine_cop,

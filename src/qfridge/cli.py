@@ -80,13 +80,11 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_point(args) -> int:
     cfg = SweepConfig()
-    for key in ("f0", "f1", "f2", "p1", "p2", "eps01", "eps10", "scheme", "v",
-                "shots", "seed", "hot_energy_mode"):
-        value = getattr(args, key)
-        if value is not None:
-            setattr(cfg, key, value)
-    if args.mitigation is not None:
-        cfg.mitigation = args.mitigation == "on"
+    # every given flag that names a config field; --mitigation reads on/off
+    keys = {f.name for f in dataclasses.fields(cfg)}
+    for key, value in vars(args).items():
+        if key in keys and value is not None:
+            setattr(cfg, key, value == "on" if key == "mitigation" else value)
     cfg.validate()
     # a 1x1 grid holding the temperatures as given (grid_axes needs n >= 2)
     res = evaluate_grid(cfg, sweep_transition_matrix(cfg), [args.th], [args.tc])

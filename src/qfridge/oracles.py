@@ -18,10 +18,10 @@ from . import qcore, thermo
 from .circuits import LINE3, build_target_unitary, build_vstar_circuit, unitary_of_circuit
 from .compiler import compile_generic, global_phase_distance
 from .noise import NoiseModel, apply_readout_error, calibrate, exact_confusion, mitigate
-from .sweep import SweepConfig, grid_axes, run_sweep
+from .sweep import SweepConfig, evaluate_grid, grid_axes, run_sweep
 from .thermo import (
     H_OVER_KB, DeviceSpec, TransitionMatrix, analytic_energy_changes, analytic_regions,
-    energy_changes, excited_cold_population, final_cold_temperature, prepare, transition_matrix,
+    transition_matrix,
 )
 
 
@@ -46,6 +46,12 @@ def _require(ok, detail: str) -> None:
 
 def _exact_tm(v_choice="identity"):
     return transition_matrix(build_target_unitary(v_choice), NoiseModel(), 0, 0)
+
+
+def _grid(spec, tm, t_h_axis, t_c_axis, scheme="full8"):
+    """The exact-run kernel on spec's device over the grid of the two axes."""
+    cfg = SweepConfig(f0=spec.f0, f1=spec.f1, f2=spec.f2, scheme=scheme, shots=0)
+    return evaluate_grid(cfg, tm, t_h_axis, t_c_axis)
 
 
 def _temp_for_ground_population(x, f_ghz):
@@ -108,14 +114,13 @@ def _compiler_roundtrip() -> str:
 
 def _analytics_match_simulation() -> None:
     tm = _exact_tm()
+    axis = np.linspace(25, 975, 10)
     for spec in (DeviceSpec.casablanca(), DeviceSpec.jakarta()):
-        for th in np.linspace(25, 975, 10):
-            for tc in np.linspace(25, 975, 10):
-                prep = prepare("full8", spec, th, tc)
-                sim = energy_changes(tm, prep, spec, "detuned")
-                ana = analytic_energy_changes(spec, th, tc)
-                _require(abs(sim.de_hot - ana.de_hot) < 1e-12, f"dE_H at ({th}, {tc}) mK")
-                _require(abs(sim.de_cold - ana.de_cold) < 1e-12, f"dE_C at ({th}, {tc}) mK")
+        res = _grid(spec, tm, axis, axis)
+        for th, tc, de_hot, de_cold in zip(res.t_hot, res.t_cold, res.de_hot, res.de_cold):
+            ana = analytic_energy_changes(spec, th, tc)
+            _require(abs(de_hot - ana.de_hot) < 1e-12, f"dE_H at ({th}, {tc}) mK")
+            _require(abs(de_cold - ana.de_cold) < 1e-12, f"dE_C at ({th}, {tc}) mK")
 
 
 def _mode_map_vs_analytic_regions() -> None:
@@ -156,15 +161,14 @@ def _mode_map_vs_analytic_regions() -> None:
 def _purification_cubic() -> None:
     spec = DeviceSpec(4.76, 4.76, 4.76)
     t = _temp_for_ground_population(0.8, 4.76)
-    prep = prepare("full8", spec, t, t)
-    exact = 1.0 - excited_cold_population(_exact_tm(), prep)
+    exact = _grid(spec, _exact_tm(), [t], [t]).p_g_final[0]
     cubic = thermo.ground_population_map(0.8)
     _require(abs(exact - cubic) < 1e-12, f"engine gives {exact}, the cubic map {cubic}")
     _require(abs(exact - 0.896) < 1e-12, f"engine gives {exact}, want 0.896")
     tm_mc = transition_matrix(
         build_target_unitary("identity"), NoiseModel(), 8192, 1
     )
-    sampled = 1.0 - excited_cold_population(tm_mc, prep)
+    sampled = _grid(spec, tm_mc, [t], [t]).p_g_final[0]
     # 3 binomial standard errors at 8192 shots around 0.896
     _require(abs(sampled - 0.896) < 0.0101, f"8192 shots give {sampled}, want 0.896 +- 0.0101")
 
@@ -172,18 +176,16 @@ def _purification_cubic() -> None:
 def _final_temperature() -> None:
     spec = DeviceSpec(4.82, 5.01, 4.90)
     t = _temp_for_ground_population(0.8, 5.01)  # excited population 0.2
-    prep = prepare("full8", spec, 400.0, t)
-    out = final_cold_temperature(TransitionMatrix(np.eye(8)), prep, spec)
-    _require(out.kind == "finite", f"readout is {out.kind}")
-    _require(abs(out.millikelvin - 173.4) < 0.1, f"readout {out.millikelvin} mK, want 173.4")
-    # identity-dynamics round-trip at 1e-9 relative accuracy
-    for t_in in (77.0, 173.4, 300.0, 650.0):
-        for scheme in ("swap4", "full8"):
-            prep = prepare(scheme, spec, 400.0, t_in)
-            got = final_cold_temperature(TransitionMatrix(np.eye(8)), prep, spec)
-            _require(got.kind == "finite", f"{scheme} at {t_in} mK reads {got.kind}")
-            _require(abs(got.millikelvin - t_in) / t_in < 1e-9,
-                     f"{scheme} at {t_in} mK reads {got.millikelvin} mK")
+    t_c_axis = [t, 77.0, 173.4, 300.0, 650.0]
+    for scheme in ("swap4", "full8"):
+        res = _grid(spec, TransitionMatrix(np.eye(8)), [400.0], t_c_axis, scheme)
+        kinds, readouts = res.t_cold_final_kind.tolist(), res.t_cold_final.tolist()
+        _require(kinds[0] == "finite", f"{scheme} readout is {kinds[0]}")
+        _require(abs(readouts[0] - 173.4) < 0.1, f"{scheme} readout {readouts[0]} mK, want 173.4")
+        # identity-dynamics round-trip at 1e-9 relative accuracy
+        for t_in, kind, got in zip(t_c_axis[1:], kinds[1:], readouts[1:]):
+            _require(kind == "finite", f"{scheme} at {t_in} mK reads {kind}")
+            _require(abs(got - t_in) / t_in < 1e-9, f"{scheme} at {t_in} mK reads {got} mK")
 
 
 def _readout_mitigation() -> None:
@@ -203,13 +205,11 @@ def _readout_mitigation() -> None:
 
 
 def _second_law() -> None:
-    tm = _exact_tm()
-    spec = DeviceSpec.casablanca()
-    for th in np.linspace(20, 1000, 50):
-        for tc in np.linspace(20, 1000, 50):
-            ledger = energy_changes(tm, prepare("full8", spec, th, tc), spec)
-            _require(not (ledger.de_cold < 0 and ledger.work < 0),
-                     f"({th}, {tc}) mK cools while extracting work")
+    axis = np.linspace(20, 1000, 50)
+    res = _grid(DeviceSpec.casablanca(), _exact_tm(), axis, axis)
+    bad = (res.de_cold < 0) & (res.work < 0)
+    _require(not bad.any(), "cools while extracting work at (T_H, T_C) = "
+             f"{list(zip(res.t_hot[bad].tolist(), res.t_cold[bad].tolist()))} mK")
 
 
 def _noise_threshold() -> str:

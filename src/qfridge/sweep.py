@@ -2,13 +2,14 @@
 
 A sweep evaluates the engine once (the transition matrix does not depend on
 the preparation temperatures), then reweights it over the whole (T_H, T_C)
-grid with thermo's per-point array rules (the scalar API runs them on one
-point); only the sampling boundary tolerance is computed here.  The
-SweepResult holds the two axes and one array per other column; ``qfridge
-point`` is the same kernel on a 1x1 grid.  Outputs are plain CSV / JSON /
-binary PPM so any external plotter can reproduce the phase diagrams.  The
-writers turn each column into texts (T_H and T_C once per axis value), and
-one ``%`` fill of a repeated row template writes the whole file.
+grid with thermo's per-point array rules; only the energy ledger and the
+sampling boundary tolerance are computed here.  ``evaluate_grid`` is the one
+way to evaluate points: ``qfridge point`` and the oracles run it on a 1x1 or
+small grid.  The SweepResult holds the two axes and one array per other
+column.  Outputs are plain CSV / JSON / binary PPM so any external plotter
+can reproduce the phase diagrams.  The writers turn each column into texts
+(T_H and T_C once per axis value), and one ``%`` fill of a repeated row
+template writes the whole file.
 """
 from __future__ import annotations
 
@@ -190,7 +191,7 @@ def grid_axes(cfg: SweepConfig) -> tuple[np.ndarray, np.ndarray]:
 class SweepResult:
     """Sweep outputs as columns over the grid of the two axes, row-major, T_H
     outer; t_hot and t_cold spread the axes over it.  t_cold_final_kind is
-    "finite", "infinite" or "inverted" (as in thermo.ColdTemperature);
+    "finite", "infinite" or "inverted" (thermo.final_temperatures);
     t_cold_final is NaN where it is not finite."""
 
     t_h_axis: np.ndarray
@@ -409,18 +410,23 @@ def write_heatmap(res: SweepResult, fname: str = "mode") -> bytes:
 
 
 def write_outputs(cfg: SweepConfig, res: SweepResult) -> list[str]:
-    """Write the configured output files; returns the paths written."""
-    files = {}
+    """Write the configured output files; returns the paths written.  Each
+    file is written as soon as it is made, CSV and JSON first, so a heatmap
+    that cannot be drawn (ValueError) still leaves them on disk."""
+    paths = []
+
+    def save(suffix, data):
+        paths.append(cfg.output_prefix + suffix)
+        with open(paths[-1], "wb" if suffix == ".ppm" else "w") as fh:
+            fh.write(data)
+
     if "csv" in cfg.outputs:
-        files[".csv"] = write_csv(res)
+        save(".csv", write_csv(res))
     if "json" in cfg.outputs:
-        files[".json"] = write_json(res)
+        save(".json", write_json(res))
     if "heatmap" in cfg.outputs:
-        files[".ppm"] = write_heatmap(res, cfg.heatmap_field)
+        save(".ppm", write_heatmap(res, cfg.heatmap_field))
         if cfg.heatmap_field != "mode":
             lo, hi = heatmap_range(res, cfg.heatmap_field)
-            files[".ppm.range.txt"] = f"min {lo:.9g}\nmax {hi:.9g}\n"
-    for suffix, data in files.items():
-        with open(cfg.output_prefix + suffix, "wb" if suffix == ".ppm" else "w") as fh:
-            fh.write(data)
-    return [cfg.output_prefix + suffix for suffix in files]
+            save(".ppm.range.txt", f"min {lo:.9g}\nmax {hi:.9g}\n")
+    return paths

@@ -1,4 +1,8 @@
-"""Thermal preparations, energy accounting, mode classification, analytics.
+"""Thermal preparations, transition matrices, the per-point rules, analytics.
+
+Each per-point rule is an array function that ``sweep.evaluate_grid``
+composes over a whole grid (one point is a 1x1 grid); the closed forms for
+the ideal engine return one point's ``EnergyLedger`` or ``OperationMode``.
 
 Unit conventions, used consistently everywhere:
 
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qcore
-from .circuits import Circuit, unitary_of_circuit
+from .circuits import Circuit
 from .noise import ConfusionMatrix, NoiseModel, apply_readout_error, evolve_noisy, mitigate
 
 #: h / k_B in mK per GHz
@@ -68,24 +72,6 @@ def dimensionless_beta_omega(f_ghz: float, t_mk: float) -> float:
     if not t_mk > 0:  # NaN fails too
         raise ValueError("temperature must be positive")
     return H_OVER_KB * f_ghz / t_mk
-
-
-@dataclass(frozen=True)
-class ThermalPrep:
-    scheme: str
-    t_hot: float
-    t_cold: float
-    probs: np.ndarray
-
-    def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-        object.__setattr__(self, "probs", qcore.check_probabilities(self.probs))
-
-    def ground_marginals(self) -> tuple[float, float, float]:
-        """(q0, q1, q2) probabilities of reading 0, from the 8-outcome vector."""
-        g0, g1, g2 = ground_populations(self.probs)
-        return float(g0), float(g1), float(g2)
 
 
 def ground_populations(p: np.ndarray) -> np.ndarray:
@@ -165,13 +151,6 @@ def preparation_grid(scheme: str, spec: DeviceSpec, t_h_axis, t_c_axis) -> np.nd
     return probs
 
 
-def prepare(scheme: str, spec: DeviceSpec, t_hot: float, t_cold: float) -> ThermalPrep:
-    """Bi-thermal preparation over the 8 logical basis states: the 1x1
-    preparation_grid at (t_hot, t_cold)."""
-    probs = preparation_grid(scheme, spec, [t_hot], [t_cold])[0]
-    return ThermalPrep(scheme, t_hot, t_cold, probs)
-
-
 @dataclass(frozen=True)
 class TransitionMatrix:
     """Column-stochastic p[i'|i] over the 8 logical basis states.
@@ -198,9 +177,6 @@ class TransitionMatrix:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "raw", p if self.raw is None else np.asarray(self.raw, float))
         object.__setattr__(self, "unmix", np.eye(qcore.DIM) if self.unmix is None else self.unmix)
-
-    def propagate(self, probs: np.ndarray) -> np.ndarray:
-        return self.p @ probs
 
     def shot_variances(self, e: np.ndarray) -> np.ndarray:
         """Per column i, the variance of one shot's estimate of e @ p[:, i], by
@@ -254,38 +230,10 @@ class EnergyLedger:
     def work(self) -> float:
         return self.de_hot + self.de_cold
 
-    def role_ordered(self, t_hot: float, t_cold: float) -> "EnergyLedger":
-        """Ledger with the hot/cold fields tied to the actually hotter body.
-
-        The sign rules that classify operation modes assume the subsystem
-        labeled hot really is the hotter one; when t_hot < t_cold the roles
-        of the two subsystems are exchanged before classification.
-        """
-        if roles_exchanged(t_hot, t_cold):
-            return EnergyLedger(self.de_cold, self.de_hot)
-        return self
-
 
 def roles_exchanged(t_hot, t_cold) -> np.ndarray:
     """Per point: is the subsystem labeled hot the colder one (t_hot < t_cold)?"""
     return np.less(t_hot, t_cold)
-
-
-def energy_changes(
-    p: TransitionMatrix,
-    prep: ThermalPrep,
-    spec: DeviceSpec,
-    hot_energy_mode: str = "detuned",
-) -> EnergyLedger:
-    """First-moment energy balance of one engine stroke."""
-    e_h = hot_energies(spec, hot_energy_mode)
-    e_c = cold_energies(spec)
-    before = prep.probs
-    after = p.propagate(before)
-    return EnergyLedger(
-        de_hot=float(e_h @ (after - before)),
-        de_cold=float(e_c @ (after - before)),
-    )
 
 
 def analytic_energy_changes(spec: DeviceSpec, t_hot: float, t_cold: float) -> EnergyLedger:
@@ -315,11 +263,6 @@ class OperationMode:
             raise ValueError(f"unknown mode tag {self.tag!r}")
 
 
-def classify_mode(ledger: EnergyLedger, eps: float = BOUNDARY_EPS) -> OperationMode:
-    """Operation mode from the signs of the energy changes (see mode_tags)."""
-    return OperationMode(str(mode_tags(ledger.de_hot, ledger.de_cold, eps)))
-
-
 def mode_tags(de_hot, de_cold, eps=BOUNDARY_EPS) -> np.ndarray:
     """Operation mode tag per point from the signs of the energy changes.
 
@@ -347,45 +290,17 @@ def analytic_regions(
         return OperationMode("A")
     if t_hot > ratio * t_cold:
         return OperationMode("E")
-    # is_purifier in closed form (t_hot > t_cold holds here): the cold qubit
-    # ends at ground population g1 - dE_C / f1
+    # the purifier test in closed form (t_hot > t_cold holds here): the cold
+    # qubit ends at ground population g1 - dE_C / f1
     g = [0.5 + 0.5 * np.tanh(dimensionless_beta_omega(f, t) / 2)
          for f, t in ((spec.f0, t_hot), (spec.f1, t_cold), (spec.f2, t_hot))]
     final = g[1] - analytic_energy_changes(spec, t_hot, t_cold).de_cold / spec.f1
     return OperationMode("R", purifier=bool(purifies(g, final, t_hot, t_cold)))
 
 
-@dataclass(frozen=True)
-class ColdTemperature:
-    """Final cold-qubit temperature, or a tagged non-thermal outcome."""
-
-    kind: str  # "finite" | "infinite" | "inverted"
-    millikelvin: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("finite", "infinite", "inverted"):
-            raise ValueError(f"unknown kind {self.kind!r}")
-        if (self.kind == "finite") != (self.millikelvin is not None):
-            raise ValueError("finite outcomes and only those carry a value")
-
-
-def excited_cold_population(p: TransitionMatrix, prep: ThermalPrep) -> float:
-    """Final population Q of the cold qubit's excited state."""
-    return float(cold_excitation(p.propagate(prep.probs)))
-
-
 def cold_excitation(after: np.ndarray) -> np.ndarray:
     """Excited population of the cold qubit (k = 1) in each 8-outcome row."""
     return after[..., 1] + after[..., 3] + after[..., 5] + after[..., 7]
-
-
-def final_cold_temperature(
-    p: TransitionMatrix, prep: ThermalPrep, spec: DeviceSpec
-) -> ColdTemperature:
-    """Invert the two-level Gibbs relation on the cold qubit's final state."""
-    kind, millikelvin = final_temperatures(excited_cold_population(p, prep), spec.f1)
-    kind = str(kind)
-    return ColdTemperature(kind, float(millikelvin) if kind == "finite" else None)
 
 
 def final_temperatures(q, f1: float) -> tuple[np.ndarray, np.ndarray]:
@@ -413,15 +328,6 @@ def projected_purity(pg: float) -> float:
     if not 0.0 <= pg <= 1.0:
         raise ValueError("population must be in [0, 1]")
     return 2 * pg ** 2 - 2 * pg + 1
-
-
-def is_purifier(p: TransitionMatrix, prep: ThermalPrep) -> bool:
-    """Did the cold qubit end purer than every qubit started?  Requires the
-    full thermal preparation; the rule is `purifies`."""
-    if prep.scheme != "full8":
-        raise ValueError("purification is assessed on the full thermal scheme")
-    final_ground = 1.0 - excited_cold_population(p, prep)
-    return bool(purifies(ground_populations(prep.probs), final_ground, prep.t_hot, prep.t_cold))
 
 
 def purifies(g, final_ground, t_hot, t_cold) -> np.ndarray:

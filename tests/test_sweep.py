@@ -28,6 +28,7 @@ from qfridge.sweep import (
     write_csv,
     write_heatmap,
     write_json,
+    write_outputs,
 )
 from qfridge.thermo import TransitionMatrix
 
@@ -332,6 +333,19 @@ def test_heatmap_rejects_bad_input():
     )
     with pytest.raises(ValueError, match="no finite"):
         heatmap_range(only_bad, "t_c_final")
+
+
+def test_write_outputs_keeps_csv_and_json_when_the_heatmap_cannot_be_drawn(tmp_path):
+    res = SweepResult([1.0], [1.0, 2.0], [0.0, 0.1], [0.0, 0.2], ["Boundary", "H"],
+                      [np.nan, np.nan], ["infinite", "inverted"], [0.5, 0.4], [False, False])
+    prefix = str(tmp_path / "run")
+    cfg = SweepConfig(outputs=("csv", "json", "heatmap"), heatmap_field="t_c_final",
+                      output_prefix=prefix)
+    with pytest.raises(ValueError, match="no finite"):
+        write_outputs(cfg, res)
+    assert Path(prefix + ".csv").read_bytes() == write_csv(res).encode()
+    assert Path(prefix + ".json").read_bytes() == write_json(res).encode()
+    assert not Path(prefix + ".ppm").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
-"""The columnar sweep kernel, thermo's scalar API and the sweep writers
+"""The columnar sweep kernel, thermo's array rules and the sweep writers
 against frozen references, and against golden outputs.
 
-The ``_reference_*`` helpers are thermo's scalar bodies as they stood before
-the scalar API and the kernel came to share one set of array rules; they keep
-both checks independent of the code under test.  ``_reference_write_csv``
-and ``_reference_write_json`` are the row-by-row writers that the column
-writers replaced.
+The ``_reference_*`` helpers are thermo's per-point scalar bodies as they
+stood before the kernel and thermo came to share one set of array rules (the
+scalar API was later deleted); they keep the checks independent of the code
+under test.  ``_reference_write_csv`` and ``_reference_write_json`` are the
+row-by-row writers that the column writers replaced.
 
 The golden files in tests/data were written from the configs next to them:
 ``python -m qfridge.cli sweep tests/data/<name>.conf``, then ``gzip -n -9``
@@ -52,17 +52,12 @@ from qfridge.thermo import (
     MODE_TAGS,
     SCHEMES,
     DeviceSpec,
-    EnergyLedger,
     TransitionMatrix,
-    classify_mode,
     cold_energies,
-    energy_changes,
-    excited_cold_population,
-    final_cold_temperature,
+    ground_populations,
     hot_energies,
-    is_purifier,
+    mode_tags,
     preparation_grid,
-    prepare,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -122,7 +117,7 @@ def _reference_excited(tm, probs):
 
 
 def _reference_mode(de_h, de_c, eps):
-    """classify_mode's precedence as an if-chain."""
+    """mode_tags' precedence as an if-chain."""
     w = de_h + de_c
     if min(abs(de_h), abs(de_c), abs(w)) < eps:
         return "Boundary"
@@ -235,21 +230,40 @@ def test_preparation_grid_equals_the_paired_columns_bit_for_bit(scheme, freqs, t
     assert np.array_equal(preparation_grid(scheme, spec, t_h_axis, t_c_axis), want)
 
 
-@settings(max_examples=150, deadline=None)
+#: hand-built matrices: no dynamics, and a flip of the cold bit
+MATRICES = {
+    "identity": TransitionMatrix(np.eye(8)),
+    "flip": TransitionMatrix(np.eye(8)[[m ^ 1 for m in range(8)]]),
+}
+
+
+@settings(max_examples=300, deadline=None)
 @given(
-    engine=st.sampled_from(sorted(ENGINES)),
+    engine=st.sampled_from(sorted(ENGINES) + sorted(MATRICES)),
     scheme=st.sampled_from(SCHEMES),
     hot_energy_mode=st.sampled_from(HOT_ENERGY_MODES),
+    freqs=st.one_of(st.none(), st.tuples(*[st.floats(1.0, 10.0)] * 3)),
     t_h_axis=temperatures,
-    t_c_axis=temperatures,
+    t_c_axis=st.lists(st.one_of(st.none(), st.floats(1.0, 5000.0), st.floats(1e10, 1e23)),
+                      min_size=1, max_size=4),
 )
-def test_kernel_matches_scalar_chain(engine, scheme, hot_energy_mode, t_h_axis, t_c_axis):
-    cfg = SweepConfig(scheme=scheme, hot_energy_mode=hot_energy_mode, **ENGINES[engine])
-    tm = _engine_tm(engine)
+def test_kernel_matches_the_reference_chain(
+    engine, scheme, hot_energy_mode, freqs, t_h_axis, t_c_axis
+):
+    # None on the T_C axis repeats a T_H value, so the grid holds T_C = T_H points
+    t_c_axis = [t_h_axis[i % len(t_h_axis)] if tc is None else tc for i, tc in enumerate(t_c_axis)]
+    device = {} if freqs is None else dict(zip(("f0", "f1", "f2"), freqs))
+    cfg = SweepConfig(scheme=scheme, hot_energy_mode=hot_energy_mode, **device,
+                      **ENGINES.get(engine, dict(shots=0)))
+    tm = MATRICES[engine] if engine in MATRICES else _engine_tm(engine)
     res = evaluate_grid(cfg, tm, t_h_axis, t_c_axis)
+    probs = preparation_grid(scheme, cfg.device(), t_h_axis, t_c_axis)
     assert (res.n_h, res.n_c) == (len(t_h_axis), len(t_c_axis))
     pairs = [(th, tc) for th in t_h_axis for tc in t_c_axis]
     for n, (th, tc) in enumerate(pairs):
+        ref_probs = _reference_prepare(scheme, cfg.device(), th, tc)
+        assert probs[n].tobytes() == ref_probs.tobytes()
+        assert tuple(ground_populations(probs[n]).tolist()) == _reference_marginals(ref_probs)
         ref = _reference_point(cfg, tm, th, tc)
         assert (res.t_hot[n], res.t_cold[n]) == (th, tc)
         for key in ("de_hot", "de_cold", "work", "p_g_final"):
@@ -262,48 +276,19 @@ def test_kernel_matches_scalar_chain(engine, scheme, hot_energy_mode, t_h_axis, 
             assert math.isnan(res.t_cold_final[n])
         assert res.purifier[n] == ref["purifier"], (th, tc)
     assert np.array_equal(res.work, res.de_hot + res.de_cold)
-    if cfg.shots == 0:
-        # no cooling together with work extraction
+    if engine in ENGINES and cfg.shots == 0 and freqs is None:
+        # no cooling together with work extraction on the default device
         assert not np.any((res.de_cold < 0) & (res.work < 0))
 
 
-_FLIP = TransitionMatrix(np.eye(8)[[m ^ 1 for m in range(8)]])
-
-
 @settings(max_examples=300, deadline=None)
-@given(
-    engine=st.sampled_from(sorted(ENGINES) + ["identity", "flip"]),
-    scheme=st.sampled_from(SCHEMES),
-    freqs=st.tuples(*[st.floats(1.0, 10.0)] * 3),
-    t_hot=st.floats(1.0, 5000.0),
-    t_cold=st.one_of(st.none(), st.floats(1.0, 5000.0), st.floats(1e10, 1e23)),
-    eps=st.floats(1e-8, 1e-1),
-)
-def test_scalar_api_matches_the_reference_bit_for_bit(engine, scheme, freqs, t_hot, t_cold, eps):
-    t_cold = t_hot if t_cold is None else t_cold
-    spec = DeviceSpec(*freqs)
-    tm = {"identity": TransitionMatrix(np.eye(8)), "flip": _FLIP}.get(engine) or _engine_tm(engine)
-    prep = prepare(scheme, spec, t_hot, t_cold)
-    ref_probs = _reference_prepare(scheme, spec, t_hot, t_cold)
-    assert prep.probs.tobytes() == ref_probs.tobytes()
-    assert prep.ground_marginals() == _reference_marginals(ref_probs)
-    q = excited_cold_population(tm, prep)
-    assert q == _reference_excited(tm, ref_probs)
-    ledger = energy_changes(tm, prep, spec)
-    for de_h, de_c in ((ledger.de_hot, ledger.de_cold), (0.0, ledger.de_cold),
-                       (ledger.de_hot, -ledger.de_hot)):
-        ordered = EnergyLedger(de_h, de_c).role_ordered(t_hot, t_cold)
-        want = (de_c, de_h) if t_hot < t_cold else (de_h, de_c)
-        assert (ordered.de_hot, ordered.de_cold) == want
-        for e in (BOUNDARY_EPS, eps):
-            assert classify_mode(ordered, e).tag == _reference_mode(*want, e)
-    out = final_cold_temperature(tm, prep, spec)
-    assert (out.kind, out.millikelvin) == _reference_final_temperature(q, spec.f1)
-    if scheme == "full8":
-        assert is_purifier(tm, prep) == _reference_purifier(ref_probs, q, t_hot, t_cold)
-    else:
-        with pytest.raises(ValueError, match="full thermal"):
-            is_purifier(tm, prep)
+@given(de_hot=st.floats(-10.0, 10.0), de_cold=st.floats(-10.0, 10.0), eps=st.floats(1e-8, 1e-1))
+def test_mode_tags_match_the_reference_precedence(de_hot, de_cold, eps):
+    # the drawn ledger, one with dE_H exactly zero and one with W exactly zero
+    de_h, de_c = [de_hot, 0.0, de_hot], [de_cold, de_cold, -de_hot]
+    for e in (BOUNDARY_EPS, eps):
+        want = [_reference_mode(h, c, e) for h, c in zip(de_h, de_c)]
+        assert mode_tags(np.array(de_h), np.array(de_c), e).tolist() == want
 
 
 def test_kernel_final_temperature_kinds_at_the_edges():

@@ -1,4 +1,5 @@
-"""Thermal preparations, energy ledgers, mode classification, analytics."""
+"""Thermal preparations, the per-point array rules, analytics, and the
+kernel that composes the rules on small grids."""
 import numpy as np
 import pytest
 
@@ -6,29 +7,27 @@ from qfridge import qcore
 from qfridge.circuits import W_SUBSPACE, build_target_unitary, build_vstar_circuit
 from qfridge.noise import NoiseModel
 from qfridge.oracles import random_density
+from qfridge.sweep import SweepConfig, evaluate_grid
 from qfridge.thermo import (
     H_OVER_KB,
-    ColdTemperature,
     DeviceSpec,
     EnergyLedger,
     OperationMode,
-    ThermalPrep,
     TransitionMatrix,
     analytic_energy_changes,
     analytic_regions,
-    classify_mode,
     cold_energies,
     dimensionless_beta_omega,
-    energy_changes,
-    excited_cold_population,
-    final_cold_temperature,
+    final_temperatures,
     ground_population_map,
+    ground_populations,
     hot_energies,
-    is_purifier,
-    prepare,
+    mode_tags,
     preparation_grid,
     projected_purity,
+    purifies,
     renyi2_purity_check,
+    roles_exchanged,
     swap_engine_cop,
     transition_matrix,
 )
@@ -36,6 +35,12 @@ from qfridge.thermo import (
 
 def _exact_tm(v_choice="identity"):
     return transition_matrix(build_target_unitary(v_choice), NoiseModel(), 0, 0)
+
+
+def _kernel(spec, tm, t_h_axis, t_c_axis, scheme="full8"):
+    """The exact-run sweep kernel on spec's device over the two axes."""
+    cfg = SweepConfig(f0=spec.f0, f1=spec.f1, f2=spec.f2, scheme=scheme, shots=0)
+    return evaluate_grid(cfg, tm, t_h_axis, t_c_axis)
 
 
 def _temp_for_ground_population(x: float, f_ghz: float) -> float:
@@ -85,18 +90,18 @@ def test_energy_spectra():
 
 def test_swap4_prep_support_and_ground_limit():
     spec = DeviceSpec.jakarta()
-    prep = prepare("swap4", spec, 150.0, 100.0)
+    probs = preparation_grid("swap4", spec, [150.0], [100.0])[0]
     outside = [m for m in range(8) if m not in W_SUBSPACE]
-    assert np.max(prep.probs[outside]) == 0.0
-    assert abs(prep.probs.sum() - 1.0) < 1e-12
-    cold = prepare("swap4", spec, 1.0, 1.0)
-    assert cold.probs[0] > 1.0 - 1e-12
+    assert np.max(probs[outside]) == 0.0
+    assert abs(probs.sum() - 1.0) < 1e-12
+    cold = preparation_grid("swap4", spec, [1.0], [1.0])[0]
+    assert cold[0] > 1.0 - 1e-12
 
 
 def test_full8_prep_is_a_product_of_gibbs_marginals():
     spec = DeviceSpec.casablanca()
     t_hot, t_cold = 320.0, 140.0
-    prep = prepare("full8", spec, t_hot, t_cold)
+    probs = preparation_grid("full8", spec, [t_hot], [t_cold])[0]
     singles = {}
     for name, f, t in (("i", spec.f0, t_hot), ("j", spec.f2, t_hot), ("k", spec.f1, t_cold)):
         u = H_OVER_KB * f / t
@@ -108,30 +113,28 @@ def test_full8_prep_is_a_product_of_gibbs_marginals():
             * (singles["j"] if j == 0 else 1 - singles["j"])
             * (singles["k"] if k == 0 else 1 - singles["k"])
         )
-        assert abs(prep.probs[m] - want) < 1e-14
+        assert abs(probs[m] - want) < 1e-14
 
 
 def test_full8_high_temperature_limit_is_uniform():
-    prep = prepare("full8", DeviceSpec.casablanca(), 1e9, 1e9)
-    assert np.max(np.abs(prep.probs - 0.125)) < 1e-7
+    probs = preparation_grid("full8", DeviceSpec.casablanca(), [1e9], [1e9])
+    assert np.max(np.abs(probs - 0.125)) < 1e-7
 
 
 def test_ground_marginals():
     spec = DeviceSpec(4.76, 4.76, 4.76)
     t = _temp_for_ground_population(0.8, 4.76)
-    prep = prepare("full8", spec, t, t)
-    g = prep.ground_marginals()
-    assert np.max(np.abs(np.array(g) - 0.8)) < 1e-12
+    g = ground_populations(preparation_grid("full8", spec, [t], [t]))
+    assert g.shape == (3, 1)
+    assert np.max(np.abs(g - 0.8)) < 1e-12
 
 
 def test_prepare_rejects_bad_input():
     spec = DeviceSpec.casablanca()
     with pytest.raises(ValueError):
-        prepare("swap4", spec, -1.0, 100.0)
+        preparation_grid("swap4", spec, [-1.0], [100.0])
     with pytest.raises(ValueError):
-        prepare("bogus", spec, 100.0, 100.0)
-    with pytest.raises(ValueError):
-        ThermalPrep("bogus", 1.0, 1.0, np.full(8, 0.125))
+        preparation_grid("bogus", spec, [100.0], [100.0])
 
 
 @pytest.mark.parametrize("scheme", ["swap4", "full8"])
@@ -203,17 +206,16 @@ def test_phase_choices_do_not_change_outcome_statistics():
 
 def test_identity_dynamics_moves_no_energy():
     spec = DeviceSpec.casablanca()
-    tm = TransitionMatrix(np.eye(8))
-    ledger = energy_changes(tm, prepare("full8", spec, 300.0, 100.0), spec)
-    assert ledger.de_hot == 0.0 and ledger.de_cold == 0.0 and ledger.work == 0.0
+    res = _kernel(spec, TransitionMatrix(np.eye(8)), [300.0], [100.0])
+    assert res.de_hot[0] == 0.0 and res.de_cold[0] == 0.0 and res.work[0] == 0.0
 
 
 def test_energy_ledger_work_and_role_ordering():
     ledger = EnergyLedger(de_hot=-2.0, de_cold=0.5)
     assert ledger.work == -1.5
-    swapped = ledger.role_ordered(100.0, 300.0)
-    assert (swapped.de_hot, swapped.de_cold) == (0.5, -2.0)
-    assert ledger.role_ordered(300.0, 100.0) is ledger
+    # the body labeled hot is the colder one only when t_hot < t_cold
+    assert roles_exchanged([100.0, 300.0, 200.0], [300.0, 100.0, 200.0]).tolist() == [
+        True, False, False]
 
 
 def test_analytic_sign_structure():
@@ -230,22 +232,19 @@ def test_analytic_sign_structure():
 
 def test_analytics_match_simulation_on_a_grid():
     spec = DeviceSpec.jakarta()
-    tm = _exact_tm()
-    for th in np.linspace(40, 900, 10):
-        for tc in np.linspace(40, 900, 10):
-            sim = energy_changes(tm, prepare("full8", spec, th, tc), spec, "detuned")
-            ana = analytic_energy_changes(spec, th, tc)
-            assert abs(sim.de_hot - ana.de_hot) < 1e-12
-            assert abs(sim.de_cold - ana.de_cold) < 1e-12
+    axis = np.linspace(40, 900, 10)
+    res = _kernel(spec, _exact_tm(), axis, axis)
+    for th, tc, de_hot, de_cold in zip(res.t_hot, res.t_cold, res.de_hot, res.de_cold):
+        ana = analytic_energy_changes(spec, th, tc)
+        assert abs(de_hot - ana.de_hot) < 1e-12
+        assert abs(de_cold - ana.de_cold) < 1e-12
 
 
 def test_classify_mode():
-    assert classify_mode(EnergyLedger(2.0, -1.0)).tag == "R"
-    assert classify_mode(EnergyLedger(-2.0, 1.0)).tag == "E"
-    assert classify_mode(EnergyLedger(-1.0, 2.0)).tag == "A"
-    assert classify_mode(EnergyLedger(1.0, 2.0)).tag == "H"
-    assert classify_mode(EnergyLedger(1e-5, 2.0)).tag == "Boundary"
-    assert classify_mode(EnergyLedger(1.0, -1e-5)).tag == "Boundary"
+    de_hot = [2.0, -2.0, -1.0, 1.0, 1e-5, 1.0]
+    de_cold = [-1.0, 1.0, 2.0, 2.0, 2.0, -1e-5]
+    assert mode_tags(np.array(de_hot), np.array(de_cold)).tolist() == [
+        "R", "E", "A", "H", "Boundary", "Boundary"]
 
 
 def test_analytic_regions():
@@ -269,16 +268,19 @@ def test_analytic_regions():
 
 
 def test_analytic_purifier_flag_matches_is_purifier():
+    # the purifier rule on the kernel's final populations, on the analytic R region
     tm = _exact_tm()
     for spec, n in ((DeviceSpec.casablanca(), 200), (DeviceSpec(1.0, 5.0, 9.0), 60)):
+        axis = np.linspace(20, 1000, n)
+        res = _kernel(spec, tm, axis, axis)
+        g = ground_populations(preparation_grid("full8", spec, axis, axis))
+        flags = purifies(g, res.p_g_final, res.t_hot, res.t_cold)
         checked = 0
-        for th in np.linspace(20, 1000, n):
-            for tc in np.linspace(20, 1000, n):
-                ana = analytic_regions(spec, th, tc)
-                if ana.tag == "R":
-                    prep = prepare("full8", spec, th, tc)
-                    assert ana.purifier == is_purifier(tm, prep), (th, tc)
-                    checked += 1
+        for th, tc, purifier in zip(res.t_hot, res.t_cold, flags):
+            ana = analytic_regions(spec, th, tc)
+            if ana.tag == "R":
+                assert ana.purifier == purifier, (th, tc)
+                checked += 1
         assert checked > n * n // 5
 
 
@@ -298,8 +300,7 @@ def test_analytic_regions_at_infinite_temperature():
     assert analytic_regions(spec, np.inf, 100.0) == OperationMode("E")
     assert analytic_regions(spec, 100.0, np.inf) == OperationMode("A")
     assert analytic_regions(spec, np.inf, np.inf) == OperationMode("Boundary")
-    prep = prepare("full8", spec, np.inf, 100.0)
-    assert classify_mode(energy_changes(_exact_tm(), prep, spec)).tag == "E"
+    assert _kernel(spec, _exact_tm(), [np.inf], [100.0]).mode.tolist() == ["E"]
 
 
 # ---------------------------------------------------------------------------
@@ -307,41 +308,38 @@ def test_analytic_regions_at_infinite_temperature():
 
 def test_final_temperature_roundtrip_identity_dynamics():
     tm = TransitionMatrix(np.eye(8))
+    t_c_axis = np.array([77.0, 300.0, 650.0])
     for f1 in (4.76, 5.01):
         spec = DeviceSpec(4.82, f1, 4.90)
-        for t in (77.0, 300.0, 650.0):
-            for scheme in ("swap4", "full8"):
-                prep = prepare(scheme, spec, 400.0, t)
-                out = final_cold_temperature(tm, prep, spec)
-                assert out.kind == "finite"
-                assert abs(out.millikelvin - t) / t < 1e-9
+        for scheme in ("swap4", "full8"):
+            res = _kernel(spec, tm, [400.0], t_c_axis, scheme)
+            assert (res.t_cold_final_kind == "finite").all()
+            assert np.max(np.abs(res.t_cold_final - t_c_axis) / t_c_axis) < 1e-9
 
 
 def test_final_temperature_special_kinds():
     spec = DeviceSpec.casablanca()
-    tm = TransitionMatrix(np.eye(8))
-    hot = prepare("full8", spec, 1e15, 1e15)
-    assert final_cold_temperature(tm, hot, spec).kind == "infinite"
+    hot = _kernel(spec, TransitionMatrix(np.eye(8)), [1e15], [1e15])
+    assert hot.t_cold_final_kind.tolist() == ["infinite"]
     # flipping the cold bit of a cold preparation inverts its population
     flip = np.zeros((8, 8))
     for m in range(8):
         flip[m ^ 1, m] = 1.0
-    cold = prepare("full8", spec, 100.0, 100.0)
-    assert final_cold_temperature(TransitionMatrix(flip), cold, spec).kind == "inverted"
+    cold = _kernel(spec, TransitionMatrix(flip), [100.0], [100.0])
+    assert cold.t_cold_final_kind.tolist() == ["inverted"]
     # everything funneled to the ground state reads as exactly zero
     sink = np.zeros((8, 8))
     sink[0] = 1.0
-    out = final_cold_temperature(TransitionMatrix(sink), cold, spec)
-    assert out.kind == "finite" and out.millikelvin == 0.0
+    out = _kernel(spec, TransitionMatrix(sink), [100.0], [100.0])
+    assert out.t_cold_final_kind.tolist() == ["finite"] and out.t_cold_final[0] == 0.0
 
 
-def test_cold_temperature_dataclass_validation():
-    with pytest.raises(ValueError):
-        ColdTemperature("warm")
-    with pytest.raises(ValueError):
-        ColdTemperature("infinite", 3.0)
-    with pytest.raises(ValueError):
-        ColdTemperature("finite")
+def test_final_temperatures_carry_a_value_only_when_finite():
+    q = np.array([0.0, 5e-324, 0.2, 0.5 - 1e-13, 0.5, 0.5 + 1e-13, 0.8, 1.0])
+    kind, mk = final_temperatures(q, 5.0)
+    assert kind.tolist() == ["finite"] * 3 + ["infinite"] * 3 + ["inverted"] * 2
+    assert np.array_equal(np.isnan(mk), kind != "finite")
+    assert mk[0] == 0.0 and mk[1] == 0.0
 
 
 def _brute_force_ground_map(x: float) -> float:
@@ -376,8 +374,7 @@ def test_ground_population_map_matches_the_engine():
     tm = _exact_tm()
     for x in (0.55, 0.7, 0.9):
         t = _temp_for_ground_population(x, 4.76)
-        prep = prepare("full8", spec, t, t)
-        got = 1.0 - excited_cold_population(tm, prep)
+        got = _kernel(spec, tm, [t], [t]).p_g_final[0]
         assert abs(got - ground_population_map(x)) < 1e-12
 
 
@@ -393,15 +390,16 @@ def test_projected_purity():
 def test_is_purifier():
     spec = DeviceSpec(4.76, 4.76, 4.76)
     t = _temp_for_ground_population(0.8, 4.76)
-    prep = prepare("full8", spec, t, t)
-    assert is_purifier(_exact_tm(), prep)
-    assert not is_purifier(TransitionMatrix(np.eye(8)), prep)
-    colder_target = prepare("full8", spec, 0.9 * t, t)
-    assert not is_purifier(_exact_tm(), colder_target)
-    inverted = ThermalPrep("full8", 300.0, 200.0, np.eye(8)[7])
-    assert not is_purifier(_exact_tm(), inverted)
-    with pytest.raises(ValueError):
-        is_purifier(_exact_tm(), prepare("swap4", spec, t, t))
+    assert _kernel(spec, _exact_tm(), [t], [t]).purifier.tolist() == [True]
+    assert _kernel(spec, TransitionMatrix(np.eye(8)), [t], [t]).purifier.tolist() == [False]
+    # a colder target than the hot pair: roles exchanged, never a purifier
+    assert _kernel(spec, _exact_tm(), [0.9 * t], [t]).purifier.tolist() == [False]
+    # the swap4 preparation is not the full thermal one: no purifier flag
+    assert _kernel(spec, _exact_tm(), [t], [t], "swap4").purifier.tolist() == [False]
+    # a non-Gibbs start with every qubit excited: the rule is not defined there
+    g = ground_populations(np.eye(8)[7])
+    assert not purifies(g, 1.0, 300.0, 200.0)
+    assert purifies(np.full(3, 0.8), 0.9, 300.0, 200.0)
 
 
 def test_swap_engine_cop():
