@@ -31,7 +31,6 @@ from .qcore import (
     basis_index,
     basis_label,
     born_probabilities,
-    kron,
     sample_counts,
 )
 from .sweep import (
@@ -53,7 +52,6 @@ from .thermo import (
     analytic_regions,
     dimensionless_beta_omega,
     ground_population_map,
-    projected_purity,
     renyi2_purity_check,
     swap_engine_cop,
     transition_matrix,

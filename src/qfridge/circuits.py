@@ -92,9 +92,6 @@ class CouplingMap:
     def allows(self, a: int, b: int) -> bool:
         return frozenset((a, b)) in self.pairs
 
-    def neighbors(self, w: int):
-        return sorted(next(iter(p - {w})) for p in self.pairs if w in p)
-
     def __eq__(self, other):
         return isinstance(other, CouplingMap) and self.pairs == other.pairs
 

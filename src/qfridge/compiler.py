@@ -13,15 +13,14 @@ quantum logic circuits", IEEE TCAD 25 (2006), arXiv:quant-ph/0406176):
    "Quantum circuits for general multiqubit gates", PRL 93, 130502 (2004)),
 4. merge adjacent single-qubit operations and rewrite each survivor into
    rz-sx-rz-sx-rz form,
-5. route cx gates that violate the coupling map via SWAP chains
-   (SWAP = 3 cx), then cancel adjacent equal cx pairs.
+5. route each cx the coupling map forbids as a 4-cx bridge through a wire
+   coupled to both of its wires, then cancel adjacent equal cx pairs.
 
 The compiled circuit reproduces the target up to a global phase.
 """
 from __future__ import annotations
 
 import cmath
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -273,24 +272,10 @@ def _merge_and_rewrite(ops: list, n: int) -> list[Gate]:
 # ---------------------------------------------------------------------------
 # routing
 
-def _shortest_path(coupling: CouplingMap, a: int, b: int) -> list[int]:
-    prev = {a: None}
-    queue = deque([a])
-    while queue:
-        w = queue.popleft()
-        if w == b:
-            path = [b]
-            while prev[path[-1]] is not None:
-                path.append(prev[path[-1]])
-            return path[::-1]
-        for nb in coupling.neighbors(w):
-            if nb not in prev:
-                prev[nb] = w
-                queue.append(nb)
-    raise ValueError(f"wires {a} and {b} are not connected in the coupling map")
-
-
-def _route(gates: list[Gate], coupling: CouplingMap | None) -> list[Gate]:
+def _route(gates: list[Gate], coupling: CouplingMap | None, n: int) -> list[Gate]:
+    """Bridge each cx(a, c) the coupling map forbids through a register wire
+    b coupled to both: cx(a, c) = cx(a, b) cx(b, c) cx(a, b) cx(b, c) in
+    application order, 4 cx in all."""
     if coupling is None:
         return gates
     routed: list[Gate] = []
@@ -298,13 +283,14 @@ def _route(gates: list[Gate], coupling: CouplingMap | None) -> list[Gate]:
         if g.name != "cx" or coupling.allows(*g.wires):
             routed.append(g)
             continue
-        path = _shortest_path(coupling, *g.wires)
-        swaps: list[Gate] = []
-        for a, b in zip(path[:-2], path[1:-1]):
-            swaps += [cx(a, b), cx(b, a), cx(a, b)]  # SWAP(a, b)
-        routed += swaps
-        routed.append(cx(path[-2], path[-1]))
-        routed += swaps[::-1]
+        a, c = g.wires
+        b = next(
+            (b for b in range(n) if coupling.allows(a, b) and coupling.allows(b, c)),
+            None,
+        )
+        if b is None:
+            raise ValueError(f"no wire is coupled to both wires {a} and {c}")
+        routed += [cx(a, b), cx(b, c), cx(a, b), cx(b, c)]
     return routed
 
 
@@ -346,7 +332,7 @@ def compile_generic(
         raise ValueError("dimension must be a power of two >= 2")
     u_phys = qcore.to_physical(u) if n == qcore.N_WIRES else u
     gates = _merge_and_rewrite(_qsd_ops(u_phys, tuple(range(n))), n)
-    gates = _cancel_cx_pairs(_route(gates, coupling), n)
+    gates = _cancel_cx_pairs(_route(gates, coupling, n), n)
     circuit = Circuit(n, gates, coupling).validate()
     return circuit, CompileReport.of(circuit)
 

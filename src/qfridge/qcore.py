@@ -64,15 +64,6 @@ def to_physical(a: np.ndarray) -> np.ndarray:
 to_logical = to_physical
 
 
-def check_state(psi: np.ndarray) -> np.ndarray:
-    psi = np.asarray(psi, dtype=complex)
-    if psi.ndim != 1:
-        raise ValueError("state vector must be one-dimensional")
-    if abs(np.vdot(psi, psi).real - 1.0) > STATE_ATOL:
-        raise ValueError("state vector is not normalized")
-    return psi
-
-
 def check_unitary(u: np.ndarray, atol: float = UNITARY_ATOL) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
@@ -106,26 +97,6 @@ def check_probabilities(p: np.ndarray) -> np.ndarray:
     if np.max(np.abs(p.sum(axis=-1) - 1.0)) > STATE_ATOL:
         raise ValueError("probability vector does not sum to 1")
     return p
-
-
-def basis_state(m: int, dim: int = DIM) -> np.ndarray:
-    psi = np.zeros(dim, dtype=complex)
-    psi[m] = 1.0
-    return psi
-
-
-def pure_density(psi: np.ndarray) -> np.ndarray:
-    psi = check_state(psi)
-    return np.outer(psi, psi.conj())
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor product, first factor most significant."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[0] != a.shape[1] or b.shape[0] != b.shape[1]:
-        raise ValueError("kron expects square matrices")
-    return np.kron(a, b)
 
 
 def apply_unitary(u: np.ndarray, rho: np.ndarray) -> np.ndarray:

@@ -45,8 +45,8 @@ class DeviceSpec:
     f2: float
 
     def __post_init__(self):
-        if min(self.f0, self.f1, self.f2) <= 0:
-            raise ValueError("all frequencies must be positive")
+        if not all(math.isfinite(f) and f > 0 for f in (self.f0, self.f1, self.f2)):
+            raise ValueError("all frequencies must be finite and positive")
 
     @property
     def omega_sum(self) -> float:
@@ -321,13 +321,6 @@ def ground_population_map(x: float) -> float:
     if not 0.0 <= x <= 1.0:
         raise ValueError("population must be in [0, 1]")
     return 3 * x ** 2 - 2 * x ** 3
-
-
-def projected_purity(pg: float) -> float:
-    """Purity of the diagonal qubit state with ground population pg."""
-    if not 0.0 <= pg <= 1.0:
-        raise ValueError("population must be in [0, 1]")
-    return 2 * pg ** 2 - 2 * pg + 1
 
 
 def purifies(g, final_ground, t_hot, t_cold) -> np.ndarray:

@@ -66,7 +66,6 @@ def test_cx_matrix_control_most_significant():
 def test_coupling_map():
     assert LINE3.allows(0, 1) and LINE3.allows(2, 1)
     assert not LINE3.allows(0, 2)
-    assert LINE3.neighbors(1) == [0, 2]
     assert CouplingMap.line(3) == LINE3
     with pytest.raises(ValueError):
         CouplingMap([(0, 0)])

@@ -93,7 +93,7 @@ def test_depolarizing_is_unital():
 
 def test_full_depolarization_of_one_wire():
     # x on the cold wire followed by p1 = 1 wipes the cold bit entirely
-    rho = qcore.pure_density(qcore.basis_state(0))
+    rho = np.diag(np.eye(8)[0]).astype(complex)
     out = evolve_noisy(Circuit(3, [x(1)]), rho, NoiseModel(p1=1.0))
     p = qcore.born_probabilities(out)
     assert np.allclose(p, [0.5, 0.5, 0, 0, 0, 0, 0, 0])

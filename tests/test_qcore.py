@@ -42,7 +42,7 @@ def test_permutation_matrix_is_a_permutation():
 def test_permutation_matrix_maps_basis_states():
     p = qcore.logical_to_physical_matrix()
     for m in range(8):
-        v = p @ qcore.basis_state(m).real
+        v = p @ np.eye(8)[m]
         assert v[qcore.phys_of_logical[m]] == 1.0
         assert v.sum() == 1.0
 
@@ -58,14 +58,6 @@ def test_permutation_helpers_match_the_permutation_matrix():
     assert np.array_equal(qcore.to_logical(qcore.to_physical(stack[0])), stack[0])
     # the cold bit sits on wire 1: logical |00,1> is physical index 2
     assert qcore.to_physical(np.diag(np.arange(8.0)))[2, 2] == 1.0
-
-
-def test_check_state():
-    qcore.check_state(qcore.basis_state(3))
-    with pytest.raises(ValueError):
-        qcore.check_state(np.ones(8))
-    with pytest.raises(ValueError):
-        qcore.check_state(np.eye(2))
 
 
 def test_check_unitary():
@@ -96,24 +88,6 @@ def test_check_probabilities():
         qcore.check_probabilities(np.array([0.3, 0.3]))
 
 
-def test_pure_density():
-    psi = np.array([1.0, 1.0j]) / np.sqrt(2)
-    rho = qcore.pure_density(psi)
-    assert abs(np.trace(rho) - 1.0) < 1e-14
-    assert np.linalg.matrix_rank(rho) == 1
-
-
-def test_kron():
-    x_mat = np.array([[0, 1], [1, 0]], dtype=complex)
-    z_mat = np.diag([1.0, -1.0]).astype(complex)
-    xz = qcore.kron(x_mat, z_mat)
-    assert xz.shape == (4, 4)
-    # first factor most significant: |00> -> |10>
-    assert xz[2, 0] == 1.0
-    with pytest.raises(ValueError):
-        qcore.kron(np.ones((2, 3)), z_mat)
-
-
 def test_apply_unitary():
     rng = np.random.default_rng(2)
     u = haar_unitary(8, rng)
@@ -126,10 +100,10 @@ def test_apply_unitary():
 
 
 def test_born_probabilities_basis_and_superposition():
-    p = qcore.born_probabilities(qcore.pure_density(qcore.basis_state(5)))
+    p = qcore.born_probabilities(np.diag(np.eye(8)[5]).astype(complex))
     assert np.allclose(p, np.eye(8)[5])
     psi = np.array([1.0, 1.0]) / np.sqrt(2)
-    p = qcore.born_probabilities(qcore.pure_density(psi))
+    p = qcore.born_probabilities(np.outer(psi, psi.conj()))
     assert np.allclose(p, [0.5, 0.5])
 
 

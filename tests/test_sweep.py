@@ -1,6 +1,7 @@
 """Config parsing, grid sweeps, file outputs, and the CLI."""
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from qfridge import cli, sweep
+from qfridge.circuits import LINE3
 from qfridge.cli import cli_main
 from qfridge.compiler import compile_generic
 from qfridge.oracles import CRITERIA
@@ -363,6 +365,15 @@ def test_cli_compile_emits_qasm(tmp_path, capsys):
     text = path.read_text()
     assert text.startswith("OPENQASM 2.0;")
     assert sum(1 for line in text.splitlines() if line.startswith("cx ")) == 4
+
+
+def test_cli_compile_identity_emits_routed_qasm(tmp_path, capsys):
+    path = tmp_path / "engine.qasm"
+    assert cli_main(["compile", "--v", "identity", "--qasm", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    pairs = re.findall(r"^cx q\[(\d)\],q\[(\d)\];$", path.read_text(), re.MULTILINE)
+    assert all(LINE3.allows(int(a), int(b)) for a, b in pairs)
+    assert len(pairs) == report["cnot_count"] <= 54
 
 
 def test_cli_point(capsys):

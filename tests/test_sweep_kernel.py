@@ -14,14 +14,16 @@ kernel replaced; it never compiles, so no compiler change moves it.
 ``noisy16`` applies gate noise per gate of the compiled V = identity
 circuit, so it was rewritten when the Quantum Shannon Decomposition
 replaced the two-level Givens compiler (the commit after 97d3e6c; 220
-gates, 72 cx, where the old circuit had 374 and 184).  ``sampled64`` was
-rewritten when the seed came to seed two independent streams
-(``SeedSequence(seed).spawn(2)``) instead of one generator per column
-seeded ``seed + i``; with REPO the checkout's root::
+gates, 72 cx, where the old circuit had 374 and 184), and again when
+4-cx bridges replaced 7-cx SWAP chains in the router (the commit after
+70e13bd; 202 gates, 54 cx).  ``sampled64`` was rewritten when the seed
+came to seed two independent streams (``SeedSequence(seed).spawn(2)``)
+instead of one generator per column seeded ``seed + i``.  To rewrite
+``<name>``, with REPO the checkout's root::
 
     cd "$(mktemp -d)"
-    PYTHONPATH=$REPO/src python -m qfridge.cli sweep $REPO/tests/data/sampled64.conf
-    gzip -n -9 sampled64.csv sampled64.json && cp sampled64.* $REPO/tests/data/
+    PYTHONPATH=$REPO/src python -m qfridge.cli sweep $REPO/tests/data/<name>.conf
+    gzip -n -9 <name>.csv <name>.json && cp <name>.* $REPO/tests/data/
 """
 import functools
 import gzip

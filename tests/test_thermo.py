@@ -24,7 +24,6 @@ from qfridge.thermo import (
     hot_energies,
     mode_tags,
     preparation_grid,
-    projected_purity,
     purifies,
     renyi2_purity_check,
     roles_exchanged,
@@ -69,6 +68,12 @@ def test_device_spec():
     assert DeviceSpec.casablanca() == DeviceSpec(4.82, 4.76, 4.90)
     with pytest.raises(ValueError):
         DeviceSpec(1.0, -1.0, 1.0)
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        for k in range(3):
+            freqs = [4.82, 4.76, 4.90]
+            freqs[k] = bad
+            with pytest.raises(ValueError, match="finite"):
+                DeviceSpec(*freqs)
 
 
 def test_energy_spectra():
@@ -376,15 +381,6 @@ def test_ground_population_map_matches_the_engine():
         t = _temp_for_ground_population(x, 4.76)
         got = _kernel(spec, tm, [t], [t]).p_g_final[0]
         assert abs(got - ground_population_map(x)) < 1e-12
-
-
-def test_projected_purity():
-    assert projected_purity(1.0) == 1.0
-    assert projected_purity(0.0) == 1.0
-    assert projected_purity(0.5) == 0.5
-    assert abs(projected_purity(0.8) - 0.68) < 1e-15
-    with pytest.raises(ValueError):
-        projected_purity(-0.1)
 
 
 def test_is_purifier():
