@@ -27,7 +27,6 @@ from .noise import (
     mitigate,
 )
 from .qcore import (
-    apply_unitary,
     basis_index,
     basis_label,
     born_probabilities,
@@ -45,12 +44,9 @@ from .sweep import (
 )
 from .thermo import (
     DeviceSpec,
-    EnergyLedger,
-    OperationMode,
     TransitionMatrix,
     analytic_energy_changes,
     analytic_regions,
-    dimensionless_beta_omega,
     ground_population_map,
     renyi2_purity_check,
     swap_engine_cop,

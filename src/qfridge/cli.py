@@ -4,8 +4,9 @@ Subcommands:
 
 * ``sweep <config>``: run a grid sweep and write the configured outputs.
 * ``point --th <mK> --tc <mK> [flags]``: evaluate one grid point, print JSON.
-* ``compile --v {identity,vstar} [--qasm <path>]``: compile the cooling gate,
-  print the gate-count report, optionally emit OpenQASM 2.0.
+* ``compile --v {identity,vstar} [--qasm <path>]``: print the gate-count
+  report of the circuit that sweeps run for V (``sweep.engine_circuit``),
+  optionally emit it as OpenQASM 2.0.
 * ``selftest``: run the eleven release criteria of ``qfridge.oracles``.
 
 Exit codes: 0 success, 1 usage error, 2 runtime error (selftest failures
@@ -20,11 +21,12 @@ import json
 import sys
 
 from . import thermo
-from .circuits import LINE3, build_target_unitary, build_vstar_circuit, emit_qasm
-from .compiler import CompileReport, compile_generic
+from .circuits import emit_qasm
+from .compiler import CompileReport
 from .sweep import (
     SweepConfig,
     as_records,
+    engine_circuit,
     evaluate_grid,
     parse_config,
     run_sweep,
@@ -93,10 +95,7 @@ def _cmd_point(args) -> int:
 
 
 def _cmd_compile(args) -> int:
-    if args.v == "vstar":
-        circuit = build_vstar_circuit()
-    else:
-        circuit, _ = compile_generic(build_target_unitary("identity"), LINE3)
+    circuit = engine_circuit(args.v)
     print(json.dumps(dataclasses.asdict(CompileReport.of(circuit)), indent=2))
     if args.qasm:
         with open(args.qasm, "w") as fh:

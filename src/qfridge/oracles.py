@@ -44,6 +44,15 @@ def _require(ok, detail: str) -> None:
         raise AssertionError(detail)
 
 
+def _require_everywhere(ok, t_hot, t_cold, detail) -> None:
+    """_require at every point of the columns: the message names the first
+    (T_H, T_C) where ok fails, then detail(n) of its index n."""
+    bad = np.flatnonzero(~np.asarray(ok))
+    if bad.size:
+        n = bad[0]
+        raise AssertionError(f"({t_hot[n]}, {t_cold[n]}) mK: {detail(n)}")
+
+
 def _exact_tm(v_choice="identity"):
     return transition_matrix(build_target_unitary(v_choice), NoiseModel(), 0, 0)
 
@@ -117,10 +126,10 @@ def _analytics_match_simulation() -> None:
     axis = np.linspace(25, 975, 10)
     for spec in (DeviceSpec.casablanca(), DeviceSpec.jakarta()):
         res = _grid(spec, tm, axis, axis)
-        for th, tc, de_hot, de_cold in zip(res.t_hot, res.t_cold, res.de_hot, res.de_cold):
-            ana = analytic_energy_changes(spec, th, tc)
-            _require(abs(de_hot - ana.de_hot) < 1e-12, f"dE_H at ({th}, {tc}) mK")
-            _require(abs(de_cold - ana.de_cold) < 1e-12, f"dE_C at ({th}, {tc}) mK")
+        ana = analytic_energy_changes(spec, res.t_hot, res.t_cold)
+        for name, sim, closed in zip(("dE_H", "dE_C"), (res.de_hot, res.de_cold), ana):
+            _require_everywhere(abs(sim - closed) < 1e-12, res.t_hot, res.t_cold,
+                                lambda n: f"{name} {sim[n]}, analytic {closed[n]}")
 
 
 def _mode_map_vs_analytic_regions() -> None:
@@ -130,31 +139,21 @@ def _mode_map_vs_analytic_regions() -> None:
     spec = cfg.device()
     ths, tcs = grid_axes(cfg)
     dth, dtc = ths[1] - ths[0], tcs[1] - tcs[0]
-    slopes = (
-        1.0,
-        spec.omega_sum / spec.f1,
-        max(spec.f0 / spec.f1, spec.f2 / spec.f1, 1.0),
-    )
-    checked = 0
-    for t_hot, t_cold, mode, purifier in zip(res.t_hot, res.t_cold, res.mode, res.purifier):
-        near_curve = any(
-            abs(t_hot - m * t_cold) <= 2.0 * (dth + m * dtc) for m in slopes
-        )
-        if near_curve:
-            continue
-        ana = analytic_regions(spec, t_hot, t_cold)
-        _require(mode == ana.tag, f"({t_hot}, {t_cold}) mK: mode {mode}, analytic {ana.tag}")
-        _require(purifier == ana.purifier, f"({t_hot}, {t_cold}) mK: purifier {purifier}")
-        checked += 1
+    slopes = (1.0, spec.omega_sum / spec.f1, max(spec.f0 / spec.f1, spec.f2 / spec.f1, 1.0))
+    off = np.ones(res.t_hot.size, dtype=bool)
+    for m in slopes:
+        off &= abs(res.t_hot - m * res.t_cold) > 2.0 * (dth + m * dtc)
+    t_hot, t_cold, mode, purifier = res.t_hot[off], res.t_cold[off], res.mode[off], res.purifier[off]
+    tags, flags = analytic_regions(spec, t_hot, t_cold)
+    _require_everywhere(mode == tags, t_hot, t_cold, lambda n: f"mode {mode[n]}, analytic {tags[n]}")
+    _require_everywhere(purifier == flags, t_hot, t_cold, lambda n: f"purifier {purifier[n]}")
+    checked = int(off.sum())
     _require(checked > 2500, f"only {checked} points off the boundary curves")
     # identical frequencies: the purifying set is exactly the R region
     cfg_eq = SweepConfig(f0=4.76, f1=4.76, f2=4.76, shots=0, n_h=32, n_c=32)
     res_eq = run_sweep(cfg_eq)
-    for t_hot, t_cold, mode, purifier in zip(
-        res_eq.t_hot, res_eq.t_cold, res_eq.mode, res_eq.purifier
-    ):
-        _require(purifier == (mode == "R"),
-                 f"({t_hot}, {t_cold}) mK: purifier {purifier} in {mode}")
+    _require_everywhere(res_eq.purifier == (res_eq.mode == "R"), res_eq.t_hot, res_eq.t_cold,
+                        lambda n: f"purifier {res_eq.purifier[n]} in {res_eq.mode[n]}")
     _require(time.monotonic() - start < 10.0, "mode maps took 10 s or more")
 
 

@@ -99,17 +99,6 @@ def check_probabilities(p: np.ndarray) -> np.ndarray:
     return p
 
 
-def apply_unitary(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """U rho U^dagger, for one density operator or a stack (..., d, d)."""
-    u = np.asarray(u, dtype=complex)
-    rho = np.asarray(rho, dtype=complex)
-    if u.shape != rho.shape[-2:]:
-        raise ValueError(
-            f"dimension mismatch: unitary {u.shape} vs state {rho.shape}"
-        )
-    return u @ rho @ u.conj().T
-
-
 def born_probabilities(rho: np.ndarray) -> np.ndarray:
     """Computational-basis outcome probabilities of a density operator, or
     of each operator in a stack (..., d, d), as (..., d).

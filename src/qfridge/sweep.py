@@ -152,20 +152,21 @@ def parse_config(text: str) -> SweepConfig:
 
 
 def build_engine(cfg: SweepConfig):
-    """The engine to run: a circuit when gate noise applies, else the exact
-    target unitary (the 4-CNOT circuit is exact either way)."""
-    if cfg.v == "vstar":
-        return build_vstar_circuit()
-    if cfg.noise().is_gate_noiseless():
+    """The engine to run: the exact target unitary for V = identity without
+    gate noise, else engine_circuit(cfg.v) (the 4-CNOT circuit is exact)."""
+    if cfg.v == "identity" and cfg.noise().is_gate_noiseless():
         return build_target_unitary("identity")
-    return _compiled_identity()
+    return engine_circuit(cfg.v)
 
 
 @functools.cache
-def _compiled_identity():
-    """V = identity compiled for LINE3, once per process; callers share the
-    circuit and must not modify it."""
-    return compile_generic(build_target_unitary("identity"), LINE3)[0]
+def engine_circuit(v: str):
+    """The circuit that runs V, once per process: the 4-CNOT circuit for
+    "vstar", else V's target compiled for LINE3.  Callers share the circuit
+    and must not modify it."""
+    if v == "vstar":
+        return build_vstar_circuit()
+    return compile_generic(build_target_unitary(v), LINE3)[0]
 
 
 def sweep_transition_matrix(cfg: SweepConfig):

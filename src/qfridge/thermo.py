@@ -2,7 +2,7 @@
 
 Each per-point rule is an array function that ``sweep.evaluate_grid``
 composes over a whole grid (one point is a 1x1 grid); the closed forms for
-the ideal engine return one point's ``EnergyLedger`` or ``OperationMode``.
+the ideal engine are array rules too, over columns of (T_H, T_C) points.
 
 Unit conventions, used consistently everywhere:
 
@@ -30,7 +30,6 @@ H_OVER_KB = 47.9924
 
 SCHEMES = ("swap4", "full8")
 HOT_ENERGY_MODES = ("ideal", "detuned")
-MODE_TAGS = ("E", "R", "A", "H", "Boundary")
 
 #: default boundary tolerance for exact (non-sampled) runs, in h*GHz
 BOUNDARY_EPS = 1e-4
@@ -67,11 +66,13 @@ class DeviceSpec:
         return cls(4.82, 4.76, 4.90)
 
 
-def dimensionless_beta_omega(f_ghz: float, t_mk: float) -> float:
-    """h f / (k_B T)."""
-    if not t_mk > 0:  # NaN fails too
-        raise ValueError("temperature must be positive")
-    return H_OVER_KB * f_ghz / t_mk
+def _positive_temperatures(*columns) -> list[np.ndarray]:
+    """The columns as float arrays; a temperature that is not > 0 (NaN
+    included) raises ValueError, infinity passes."""
+    columns = [np.asarray(t, float) for t in columns]
+    if not all((t > 0).all() for t in columns):  # NaN fails too
+        raise ValueError("temperatures must be positive")
+    return columns
 
 
 def ground_populations(p: np.ndarray) -> np.ndarray:
@@ -126,9 +127,7 @@ def preparation_grid(scheme: str, spec: DeviceSpec, t_h_axis, t_c_axis) -> np.nd
     full8: product of three single-qubit Gibbs states, q0 and q2 at T_H,
     q1 at T_C.  Each axis value's weights are computed once.
     """
-    t_h, t_c = np.asarray(t_h_axis, float), np.asarray(t_c_axis, float)
-    if not ((t_h > 0).all() and (t_c > 0).all()):  # NaN fails too
-        raise ValueError("temperatures must be positive")
+    t_h, t_c = _positive_temperatures(t_h_axis, t_c_axis)
     if scheme == "swap4":
         # joint exponent on the states (i, i, k), (i, k) = 00, 01, 10, 11: hot part + cold part
         hot = np.array([-0.5, -0.5, 0.5, 0.5]) * spec.omega_sum * (H_OVER_KB / t_h)[:, None]
@@ -208,7 +207,7 @@ def transition_matrix(
     if isinstance(engine, Circuit):
         rhos = evolve_noisy(engine, rhos, nm)
     else:
-        rhos = qcore.apply_unitary(engine, rhos)
+        rhos = engine @ rhos @ engine.conj().T
     # row i is the outcome distribution of basis input i: column i of p
     raw = apply_readout_error(qcore.born_probabilities(rhos), nm)
     if shots:
@@ -219,48 +218,18 @@ def transition_matrix(
     return TransitionMatrix(mitigate(raw, mitigation).T, raw.T, unmix)
 
 
-@dataclass(frozen=True)
-class EnergyLedger:
-    """Mean energy changes in h*GHz; work is their sum by construction."""
-
-    de_hot: float
-    de_cold: float
-
-    @property
-    def work(self) -> float:
-        return self.de_hot + self.de_cold
-
-
 def roles_exchanged(t_hot, t_cold) -> np.ndarray:
     """Per point: is the subsystem labeled hot the colder one (t_hot < t_cold)?"""
     return np.less(t_hot, t_cold)
 
 
-def analytic_energy_changes(spec: DeviceSpec, t_hot: float, t_cold: float) -> EnergyLedger:
-    """Closed-form energy changes for the ideal V = identity engine on the
-    full thermal (product Gibbs) preparation."""
-    if not (t_hot > 0 and t_cold > 0):  # NaN fails too
-        raise ValueError("temperatures must be positive")
-    x_h = dimensionless_beta_omega(spec.omega_sum, t_hot)
-    y_c = dimensionless_beta_omega(spec.f1, t_cold)
-    u0 = dimensionless_beta_omega(spec.f0, t_hot)
-    u2 = dimensionless_beta_omega(spec.f2, t_hot)
-    f = np.tanh(x_h / 2) - np.tanh(y_c / 2)
-    g = 1.0 + np.tanh(u0 / 2) * np.tanh(u2 / 2)
-    return EnergyLedger(
-        de_hot=spec.omega_sum / 4 * f * g,
-        de_cold=-spec.f1 / 4 * f * g,
-    )
-
-
-@dataclass(frozen=True)
-class OperationMode:
-    tag: str
-    purifier: bool = False
-
-    def __post_init__(self):
-        if self.tag not in MODE_TAGS:
-            raise ValueError(f"unknown mode tag {self.tag!r}")
+def analytic_energy_changes(spec: DeviceSpec, t_hot, t_cold) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form (dE_H, dE_C) per (t_hot, t_cold) point for the ideal
+    V = identity engine on the full thermal (product Gibbs) preparation."""
+    t_hot, t_cold = _positive_temperatures(t_hot, t_cold)
+    f = np.tanh(H_OVER_KB * spec.omega_sum / t_hot / 2) - np.tanh(H_OVER_KB * spec.f1 / t_cold / 2)
+    g = 1.0 + np.tanh(H_OVER_KB * spec.f0 / t_hot / 2) * np.tanh(H_OVER_KB * spec.f2 / t_hot / 2)
+    return spec.omega_sum / 4 * f * g, -spec.f1 / 4 * f * g
 
 
 def mode_tags(de_hot, de_cold, eps=BOUNDARY_EPS) -> np.ndarray:
@@ -275,27 +244,30 @@ def mode_tags(de_hot, de_cold, eps=BOUNDARY_EPS) -> np.ndarray:
     return np.select([near_zero, de_cold < 0, w < 0, de_hot < 0], ["Boundary", "R", "E", "A"], "H")
 
 
-def analytic_regions(
-    spec: DeviceSpec, t_hot: float, t_cold: float, rtol: float = 1e-12
-) -> OperationMode:
-    """Closed-form mode map for the ideal V = identity engine on the full
-    thermal preparation; equalities to rtol (math.isclose, so an infinite
-    temperature equals only itself) are reported as boundaries."""
-    if not (t_hot > 0 and t_cold > 0):  # NaN fails too
-        raise ValueError("temperatures must be positive")
-    ratio = spec.omega_sum / spec.f1
-    if math.isclose(t_hot, t_cold, rel_tol=rtol) or math.isclose(t_hot, ratio * t_cold, rel_tol=rtol):
-        return OperationMode("Boundary")
-    if t_hot < t_cold:
-        return OperationMode("A")
-    if t_hot > ratio * t_cold:
-        return OperationMode("E")
-    # the purifier test in closed form (t_hot > t_cold holds here): the cold
-    # qubit ends at ground population g1 - dE_C / f1
-    g = [0.5 + 0.5 * np.tanh(dimensionless_beta_omega(f, t) / 2)
+def _isclose(a, b, rtol: float) -> np.ndarray:
+    """math.isclose per point: the tolerance scales with the larger of the
+    two values, and an infinity is close only to itself."""
+    with np.errstate(invalid="ignore"):  # inf - inf
+        near = abs(a - b) <= rtol * np.maximum(abs(a), abs(b))
+    return (a == b) | (near & np.isfinite(a) & np.isfinite(b))
+
+
+def analytic_regions(spec: DeviceSpec, t_hot, t_cold,
+                     rtol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form (mode tags, purifier flags) per (t_hot, t_cold) point for
+    the ideal V = identity engine on the full thermal preparation; equalities
+    to rtol (see _isclose) are reported as boundaries."""
+    t_hot, t_cold = np.broadcast_arrays(*_positive_temperatures(t_hot, t_cold))
+    line = spec.omega_sum / spec.f1 * t_cold
+    tags = np.select(
+        [_isclose(t_hot, t_cold, rtol) | _isclose(t_hot, line, rtol), t_hot < t_cold, t_hot > line],
+        ["Boundary", "A", "E"], "R")
+    # the purifier test in closed form: the cold qubit ends at ground
+    # population g1 - dE_C / f1
+    g = [0.5 + 0.5 * np.tanh(H_OVER_KB * f / t / 2)
          for f, t in ((spec.f0, t_hot), (spec.f1, t_cold), (spec.f2, t_hot))]
-    final = g[1] - analytic_energy_changes(spec, t_hot, t_cold).de_cold / spec.f1
-    return OperationMode("R", purifier=bool(purifies(g, final, t_hot, t_cold)))
+    final = g[1] - analytic_energy_changes(spec, t_hot, t_cold)[1] / spec.f1
+    return tags, (tags == "R") & purifies(g, final, t_hot, t_cold)
 
 
 def cold_excitation(after: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Hypothesis pins of thermodynamic invariants: transition matrices are
-column-stochastic, identity dynamics return the cold qubit at T_C, and no
-sweep cell cools the colder body while it extracts work."""
+column-stochastic, identity dynamics return the cold qubit at T_C, no sweep
+cell cools the colder body while it extracts work, and the ideal swap
+engine refrigerates at the swap-engine COP."""
 import functools
 import math
 
@@ -11,7 +12,10 @@ from qfridge.circuits import LINE3, build_target_unitary, build_vstar_circuit
 from qfridge.compiler import compile_generic
 from qfridge.noise import NoiseModel, calibrate, exact_confusion
 from qfridge.sweep import SweepConfig, evaluate_grid, sweep_transition_matrix
-from qfridge.thermo import SCHEMES, TransitionMatrix, transition_matrix
+from qfridge.thermo import (
+    HOT_ENERGY_MODES, SCHEMES, TransitionMatrix, analytic_energy_changes, swap_engine_cop,
+    transition_matrix,
+)
 
 ENGINES = ("identity", "vstar", "four_cnot", "compiled_identity")
 
@@ -93,3 +97,32 @@ def test_no_cooling_together_with_work_extraction(freqs, v, p1, p2, flip, t_h_ax
     assert np.all(res.de_hot / t_hot + res.de_cold / t_cold >= -1e-12 * scale)
     colder = np.where(t_hot < t_cold, res.de_hot, res.de_cold)
     assert not np.any((colder < -1e-12) & (res.work < -1e-12))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    freqs=st.tuples(*[st.floats(1.0, 10.0)] * 3),
+    scheme=st.sampled_from(SCHEMES),
+    hot_energy_mode=st.sampled_from(HOT_ENERGY_MODES),
+    jitter=st.floats(0.0, 0.25),
+    spans=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
+)
+def test_refrigeration_runs_at_the_swap_engine_cop(freqs, scheme, hot_energy_mode, jitter, spans):
+    # the swap moves one quantum Omega out of the hot pair per quantum f1 it
+    # takes from the cold qubit, so every R cell has -dE_C / W = f1 / (Omega - f1)
+    f0, f1, f2 = freqs
+    assume(f0 + f2 > f1)
+    cfg = SweepConfig(f0=f0, f1=f1, f2=f2, scheme=scheme, shots=0,
+                      hot_energy_mode=hot_energy_mode)
+    spec = cfg.device()
+    # T_C four to a decade from 1e-3 to 1e9 mK, T_H at fractions `spans` of
+    # the way from T_C to (Omega / f1) T_C, where R lies
+    t_c_axis = 10.0 ** (np.linspace(-3.0, 9.0, 49) + jitter)
+    t_h_axis = np.outer(t_c_axis, 1.0 + np.array(spans) * (spec.omega_sum / spec.f1 - 1.0)).ravel()
+    tm = transition_matrix(build_target_unitary("identity"), NoiseModel(), 0, 0)
+    res = evaluate_grid(cfg, tm, t_h_axis, t_c_axis)
+    r = res.mode == "R"
+    cop, bound = swap_engine_cop(spec), 1e-12 * (spec.omega_sum + spec.f1)
+    assert np.all(abs(res.de_cold[r] + cop * res.work[r]) <= bound)
+    de_hot, de_cold = analytic_energy_changes(spec, res.t_hot[r], res.t_cold[r])
+    assert np.all(abs(de_cold + cop * (de_hot + de_cold)) <= bound)

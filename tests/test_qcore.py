@@ -88,17 +88,6 @@ def test_check_probabilities():
         qcore.check_probabilities(np.array([0.3, 0.3]))
 
 
-def test_apply_unitary():
-    rng = np.random.default_rng(2)
-    u = haar_unitary(8, rng)
-    rho = random_density(8, rng)
-    out = qcore.apply_unitary(u, rho)
-    assert abs(np.trace(out).real - 1.0) < 1e-12
-    assert np.max(np.abs(out - out.conj().T)) < 1e-12
-    with pytest.raises(ValueError, match="mismatch"):
-        qcore.apply_unitary(np.eye(4), rho)
-
-
 def test_born_probabilities_basis_and_superposition():
     p = qcore.born_probabilities(np.diag(np.eye(8)[5]).astype(complex))
     assert np.allclose(p, np.eye(8)[5])

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from qfridge import cli, sweep
-from qfridge.circuits import LINE3
+from qfridge.circuits import LINE3, emit_qasm
 from qfridge.cli import cli_main
 from qfridge.compiler import compile_generic
 from qfridge.oracles import CRITERIA
@@ -199,12 +199,12 @@ def test_noisy_sweeps_compile_the_engine_once(monkeypatch):
         return compile_generic(*args)
 
     monkeypatch.setattr(sweep, "compile_generic", counting_compile)
-    sweep._compiled_identity.cache_clear()
+    sweep.engine_circuit.cache_clear()
     cfg = SweepConfig(p1=0.001, p2=0.01, shots=0, n_h=3, n_c=3)
     try:
         first, second = write_json(run_sweep(cfg)), write_json(run_sweep(cfg))
     finally:
-        sweep._compiled_identity.cache_clear()
+        sweep.engine_circuit.cache_clear()
     assert len(calls) == 1
     assert first == second
 
@@ -374,6 +374,8 @@ def test_cli_compile_identity_emits_routed_qasm(tmp_path, capsys):
     pairs = re.findall(r"^cx q\[(\d)\],q\[(\d)\];$", path.read_text(), re.MULTILINE)
     assert all(LINE3.allows(int(a), int(b)) for a, b in pairs)
     assert len(pairs) == report["cnot_count"] <= 54
+    # the file is the circuit that noisy V = identity sweeps run
+    assert path.read_bytes() == emit_qasm(sweep.engine_circuit("identity")).encode()
 
 
 def test_cli_point(capsys):

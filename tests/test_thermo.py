@@ -1,7 +1,16 @@
 """Thermal preparations, the per-point array rules, analytics, and the
-kernel that composes the rules on small grids."""
+kernel that composes the rules on small grids.
+
+``_reference_analytic_energy_changes`` and ``_reference_analytic_regions``
+are the closed forms' scalar bodies as they stood before they became array
+rules (one point in, one ledger or mode out); the array forms must agree
+with them bit for bit.
+"""
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qfridge import qcore
 from qfridge.circuits import W_SUBSPACE, build_target_unitary, build_vstar_circuit
@@ -11,13 +20,10 @@ from qfridge.sweep import SweepConfig, evaluate_grid
 from qfridge.thermo import (
     H_OVER_KB,
     DeviceSpec,
-    EnergyLedger,
-    OperationMode,
     TransitionMatrix,
     analytic_energy_changes,
     analytic_regions,
     cold_energies,
-    dimensionless_beta_omega,
     final_temperatures,
     ground_population_map,
     ground_populations,
@@ -49,16 +55,6 @@ def _temp_for_ground_population(x: float, f_ghz: float) -> float:
 
 # ---------------------------------------------------------------------------
 # units and device
-
-def test_dimensionless_beta_omega():
-    # 5.01 GHz at 240.4 mK sits almost exactly at the thermal crossover
-    assert abs(dimensionless_beta_omega(5.01, 240.4) - 1.000175) < 1e-4
-    assert dimensionless_beta_omega(1.0, H_OVER_KB) == 1.0
-    for t in (0.0, np.nan):
-        with pytest.raises(ValueError):
-            dimensionless_beta_omega(5.0, t)
-    assert dimensionless_beta_omega(5.0, np.inf) == 0.0
-
 
 def test_device_spec():
     spec = DeviceSpec.jakarta()
@@ -163,6 +159,9 @@ def test_transition_matrix_validation():
         TransitionMatrix(-np.eye(8))
     with pytest.raises(ValueError):
         TransitionMatrix(np.eye(8) * 0.5)
+    # a unitary of the wrong dimension cannot act on the 8 basis states
+    with pytest.raises(ValueError):
+        transition_matrix(np.eye(4), NoiseModel(), 0, 0)
 
 
 def test_transition_matrix_rejects_non_finite_entries():
@@ -215,9 +214,7 @@ def test_identity_dynamics_moves_no_energy():
     assert res.de_hot[0] == 0.0 and res.de_cold[0] == 0.0 and res.work[0] == 0.0
 
 
-def test_energy_ledger_work_and_role_ordering():
-    ledger = EnergyLedger(de_hot=-2.0, de_cold=0.5)
-    assert ledger.work == -1.5
+def test_roles_exchanged():
     # the body labeled hot is the colder one only when t_hot < t_cold
     assert roles_exchanged([100.0, 300.0, 200.0], [300.0, 100.0, 200.0]).tolist() == [
         True, False, False]
@@ -226,23 +223,23 @@ def test_energy_ledger_work_and_role_ordering():
 def test_analytic_sign_structure():
     spec = DeviceSpec.casablanca()
     ratio = spec.omega_sum / spec.f1
-    inside_r = analytic_energy_changes(spec, 150.0, 100.0)
-    assert inside_r.de_cold < 0 and inside_r.de_hot > 0 and inside_r.work > 0
-    engine = analytic_energy_changes(spec, 300.0, 100.0)  # above the ratio line
+    # inside R, above the ratio line, on it
+    t_hot = np.array([150.0, 300.0, ratio * 100.0])
     assert 300.0 > ratio * 100.0
-    assert engine.de_cold > 0 and engine.de_hot < 0 and engine.work < 0
-    balanced = analytic_energy_changes(spec, ratio * 100.0, 100.0)
-    assert abs(balanced.de_cold) < 1e-12
+    de_hot, de_cold = analytic_energy_changes(spec, t_hot, np.full(3, 100.0))
+    work = de_hot + de_cold
+    assert de_cold[0] < 0 and de_hot[0] > 0 and work[0] > 0
+    assert de_cold[1] > 0 and de_hot[1] < 0 and work[1] < 0
+    assert abs(de_cold[2]) < 1e-12
 
 
 def test_analytics_match_simulation_on_a_grid():
     spec = DeviceSpec.jakarta()
     axis = np.linspace(40, 900, 10)
     res = _kernel(spec, _exact_tm(), axis, axis)
-    for th, tc, de_hot, de_cold in zip(res.t_hot, res.t_cold, res.de_hot, res.de_cold):
-        ana = analytic_energy_changes(spec, th, tc)
-        assert abs(de_hot - ana.de_hot) < 1e-12
-        assert abs(de_cold - ana.de_cold) < 1e-12
+    de_hot, de_cold = analytic_energy_changes(spec, res.t_hot, res.t_cold)
+    assert np.max(np.abs(res.de_hot - de_hot)) < 1e-12
+    assert np.max(np.abs(res.de_cold - de_cold)) < 1e-12
 
 
 def test_classify_mode():
@@ -255,21 +252,17 @@ def test_classify_mode():
 def test_analytic_regions():
     spec = DeviceSpec.casablanca()
     ratio = spec.omega_sum / spec.f1
-    assert analytic_regions(spec, 100.0, 300.0).tag == "A"
-    assert analytic_regions(spec, 150.0, 100.0).tag == "R"
-    assert analytic_regions(spec, 700.0, 100.0).tag == "E"
-    assert analytic_regions(spec, 200.0, 200.0).tag == "Boundary"
-    assert analytic_regions(spec, ratio * 100.0, 100.0).tag == "Boundary"
-    # every R point of this device purifies, also below T_H = (f2 / f1) T_C
-    low = analytic_regions(spec, 102.0, 100.0)
-    high = analytic_regions(spec, 103.0, 100.0)
-    assert low.tag == "R" and low.purifier
-    assert high.tag == "R" and high.purifier
+    # A, R, E, both boundaries, and R below T_H = (f2 / f1) T_C (102) and
+    # above it (103): every R point of this device purifies
+    t_hot = [100.0, 150.0, 700.0, 200.0, ratio * 100.0, 102.0, 103.0]
+    t_cold = [300.0, 100.0, 100.0, 200.0, 100.0, 100.0, 100.0]
+    tags, purifier = analytic_regions(spec, t_hot, t_cold)
+    assert tags.tolist() == ["A", "R", "E", "Boundary", "Boundary", "R", "R"]
+    assert purifier.tolist() == [False, True, False, False, False, True, True]
     # a strongly unequal hot pair leaves a non-purifying band inside R, whose
     # edge (near T_H = 1.7 T_C here) is below T_H = (f2 / f1) T_C = 1.8 T_C
-    skew = DeviceSpec(1.0, 5.0, 9.0)
-    assert analytic_regions(skew, 30.0, 20.0) == OperationMode("R", purifier=False)
-    assert analytic_regions(skew, 35.0, 20.0) == OperationMode("R", purifier=True)
+    tags, purifier = analytic_regions(DeviceSpec(1.0, 5.0, 9.0), [30.0, 35.0], 20.0)
+    assert tags.tolist() == ["R", "R"] and purifier.tolist() == [False, True]
 
 
 def test_analytic_purifier_flag_matches_is_purifier():
@@ -280,32 +273,104 @@ def test_analytic_purifier_flag_matches_is_purifier():
         res = _kernel(spec, tm, axis, axis)
         g = ground_populations(preparation_grid("full8", spec, axis, axis))
         flags = purifies(g, res.p_g_final, res.t_hot, res.t_cold)
-        checked = 0
-        for th, tc, purifier in zip(res.t_hot, res.t_cold, flags):
-            ana = analytic_regions(spec, th, tc)
-            if ana.tag == "R":
-                assert ana.purifier == purifier, (th, tc)
-                checked += 1
-        assert checked > n * n // 5
+        tags, purifier = analytic_regions(spec, res.t_hot, res.t_cold)
+        inside_r = tags == "R"
+        assert np.array_equal(purifier[inside_r], flags[inside_r])
+        assert inside_r.sum() > n * n // 5
 
 
 def test_analytic_regions_validates_temperatures():
     spec = DeviceSpec.casablanca()
     for closed_form in (analytic_regions, analytic_energy_changes):
-        for t_hot, t_cold in ((0.0, 100.0), (np.nan, 100.0), (100.0, np.nan)):
-            with pytest.raises(ValueError):
+        for t_hot, t_cold in (([100.0, 0.0], [100.0, 100.0]), ([np.nan], [100.0]),
+                              ([100.0], [np.nan]), ([200.0, 100.0], [100.0, -1.0])):
+            with pytest.raises(ValueError, match="temperatures must be positive"):
                 closed_form(spec, t_hot, t_cold)
-        closed_form(spec, np.inf, 100.0)  # infinite temperatures stay accepted
+        closed_form(spec, [np.inf, 100.0], [100.0, np.inf])  # infinite temperatures stay accepted
 
 
 def test_analytic_regions_at_infinite_temperature():
     # an infinite temperature is close only to itself, so T_H = inf lies
     # above every finite multiple of T_C, where the simulation finds E
     spec = DeviceSpec.casablanca()
-    assert analytic_regions(spec, np.inf, 100.0) == OperationMode("E")
-    assert analytic_regions(spec, 100.0, np.inf) == OperationMode("A")
-    assert analytic_regions(spec, np.inf, np.inf) == OperationMode("Boundary")
+    tags, purifier = analytic_regions(spec, [np.inf, 100.0, np.inf], [100.0, np.inf, np.inf])
+    assert tags.tolist() == ["E", "A", "Boundary"] and not purifier.any()
     assert _kernel(spec, _exact_tm(), [np.inf], [100.0]).mode.tolist() == ["E"]
+
+
+def _reference_beta_omega(f_ghz, t_mk):
+    return H_OVER_KB * f_ghz / t_mk
+
+
+def _reference_analytic_energy_changes(spec, t_hot, t_cold):
+    """(dE_H, dE_C) of one point."""
+    if not (t_hot > 0 and t_cold > 0):  # NaN fails too
+        raise ValueError("temperatures must be positive")
+    x_h = _reference_beta_omega(spec.omega_sum, t_hot)
+    y_c = _reference_beta_omega(spec.f1, t_cold)
+    u0 = _reference_beta_omega(spec.f0, t_hot)
+    u2 = _reference_beta_omega(spec.f2, t_hot)
+    f = np.tanh(x_h / 2) - np.tanh(y_c / 2)
+    g = 1.0 + np.tanh(u0 / 2) * np.tanh(u2 / 2)
+    return spec.omega_sum / 4 * f * g, -spec.f1 / 4 * f * g
+
+
+def _reference_analytic_regions(spec, t_hot, t_cold, rtol=1e-12):
+    """(tag, purifier) of one point."""
+    if not (t_hot > 0 and t_cold > 0):  # NaN fails too
+        raise ValueError("temperatures must be positive")
+    ratio = spec.omega_sum / spec.f1
+    if math.isclose(t_hot, t_cold, rel_tol=rtol) or math.isclose(t_hot, ratio * t_cold, rel_tol=rtol):
+        return "Boundary", False
+    if t_hot < t_cold:
+        return "A", False
+    if t_hot > ratio * t_cold:
+        return "E", False
+    g = [0.5 + 0.5 * np.tanh(_reference_beta_omega(f, t) / 2)
+         for f, t in ((spec.f0, t_hot), (spec.f1, t_cold), (spec.f2, t_hot))]
+    final = g[1] - _reference_analytic_energy_changes(spec, t_hot, t_cold)[1] / spec.f1
+    # t_hot > t_cold holds here, so the roles are not exchanged
+    return "R", bool(min(g) >= 0.5 and final > max(g))
+
+
+TEMPERATURES = st.one_of(st.floats(1e-3, 1e9), st.just(math.inf))
+#: relative offsets of a point from T_H = T_C or T_H = (Omega / f1) T_C: on
+#: the curve, inside the 1e-12 tolerance, just outside it (where a tolerance
+#: scaled by max(T_H, T_C) still reads a boundary when Omega / f1 < 1/2), and
+#: 1e-10 off, which np.isclose's absolute 1e-8 still reads equal below 100 mK
+OFFSETS = (0.0, 1e-13, -1e-13, 2e-12, -2e-12, 1e-10, -1e-10)
+
+
+@st.composite
+def closed_form_points(draw):
+    """A device and a column of points, some drawn freely and some placed on
+    either boundary curve at one of OFFSETS."""
+    spec = DeviceSpec(*draw(st.tuples(*[st.floats(1.0, 10.0)] * 3)))
+    t_hot, t_cold = [], []
+    for _ in range(draw(st.integers(1, 12))):
+        t_cold.append(draw(TEMPERATURES))
+        slope = draw(st.sampled_from([None, 1.0, spec.omega_sum / spec.f1]))
+        if slope is None:
+            t_hot.append(draw(TEMPERATURES))
+        else:
+            t_hot.append(slope * t_cold[-1] * (1.0 + draw(st.sampled_from(OFFSETS))))
+    return spec, t_hot, t_cold
+
+
+@settings(max_examples=300, deadline=None)
+@given(points=closed_form_points())
+@example(points=(DeviceSpec(1.0, 10.0, 1.0), [0.2 * (1 + 2e-12), 1.0 + 1e-10, math.inf],
+                 [1.0, 1.0, 7.0]))
+def test_closed_forms_match_the_scalar_references_exactly(points):
+    spec, t_hot, t_cold = points
+    de_hot, de_cold = analytic_energy_changes(spec, t_hot, t_cold)
+    tags, purifier = analytic_regions(spec, t_hot, t_cold)
+    want = [_reference_analytic_energy_changes(spec, th, tc) for th, tc in zip(t_hot, t_cold)]
+    assert np.array_equal(de_hot, [w[0] for w in want])
+    assert np.array_equal(de_cold, [w[1] for w in want])
+    want = [_reference_analytic_regions(spec, th, tc) for th, tc in zip(t_hot, t_cold)]
+    assert tags.tolist() == [w[0] for w in want]
+    assert purifier.tolist() == [w[1] for w in want]
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ def _reference_transition_matrix(engine, nm, shots, seed, mitigation=None):
     if isinstance(engine, Circuit):
         rhos = evolve_noisy(engine, rhos, nm)
     else:
-        rhos = qcore.apply_unitary(engine, rhos)
+        rhos = engine @ rhos @ engine.conj().T
     cols = []
     for i, rho in enumerate(rhos):
         p = qcore.born_probabilities(rho)
