@@ -9,7 +9,7 @@ returned in the logical |ij,k> order of :func:`build_target_unitary`.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,6 +37,7 @@ class Gate:
     angle: float | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "wires", tuple(self.wires))
         if self.name not in GATE_NAMES:
             raise ValueError(f"unknown gate {self.name!r}")
         if self.name == "cx":
@@ -76,14 +77,16 @@ def cx(control: int, target: int) -> Gate:
     return Gate("cx", (control, target))
 
 
+@dataclass(frozen=True)
 class CouplingMap:
     """Undirected set of wire pairs on which cx is allowed."""
 
-    def __init__(self, pairs):
-        self.pairs = frozenset(frozenset(p) for p in pairs)
-        for p in self.pairs:
-            if len(p) != 2:
-                raise ValueError("coupling pairs must join two distinct wires")
+    pairs: frozenset[frozenset[int]]
+
+    def __post_init__(self):
+        object.__setattr__(self, "pairs", frozenset(frozenset(p) for p in self.pairs))
+        if any(len(p) != 2 for p in self.pairs):
+            raise ValueError("coupling pairs must join two distinct wires")
 
     @classmethod
     def line(cls, n_wires: int) -> "CouplingMap":
@@ -91,13 +94,6 @@ class CouplingMap:
 
     def allows(self, a: int, b: int) -> bool:
         return frozenset((a, b)) in self.pairs
-
-    def __eq__(self, other):
-        return isinstance(other, CouplingMap) and self.pairs == other.pairs
-
-    def __repr__(self):
-        body = ", ".join(sorted(str(tuple(sorted(p))) for p in self.pairs))
-        return f"CouplingMap([{body}])"
 
 
 LINE3 = CouplingMap.line(3)
@@ -118,20 +114,23 @@ class PhaseChoice:
 ZERO_PHASES = PhaseChoice()
 
 
-@dataclass
+@dataclass(frozen=True)
 class Circuit:
+    """Gates in application order, on wires in physical order; checked when
+    built: each gate stays in the register, each cx on the coupling map."""
+
     n_wires: int
-    gates: list[Gate] = field(default_factory=list)
+    gates: tuple[Gate, ...] = ()
     coupling: CouplingMap | None = None
 
-    def validate(self) -> "Circuit":
+    def __post_init__(self):
+        object.__setattr__(self, "gates", tuple(self.gates))
         for g in self.gates:
             if max(g.wires) >= self.n_wires or min(g.wires) < 0:
                 raise ValueError(f"gate {g} uses a wire outside the register")
             if g.name == "cx" and self.coupling is not None:
                 if not self.coupling.allows(*g.wires):
                     raise ValueError(f"cx on {g.wires} violates the coupling map")
-        return self
 
     def cnot_count(self) -> int:
         return sum(1 for g in self.gates if g.name == "cx")
@@ -211,13 +210,10 @@ def unitary_of_circuit(c: Circuit) -> np.ndarray:
     three-wire register the result is permuted into logical |ij,k> order so
     it compares directly against build_target_unitary.
     """
-    c.validate()
     u = np.eye(2 ** c.n_wires, dtype=complex)
     for g in c.gates:
         u = embed_gate(g.matrix(), g.wires, c.n_wires) @ u
-    if c.n_wires == qcore.N_WIRES:
-        u = qcore.to_logical(u)
-    return u
+    return qcore.to_logical(u)
 
 
 def build_vstar_circuit() -> Circuit:
@@ -227,12 +223,11 @@ def build_vstar_circuit() -> Circuit:
     cx(0,1) cx(1,0) cx(1,2) cx(0,1) realizes the basis permutation
     (i, j, k) -> (k, i^j^k, i).
     """
-    return Circuit(3, [cx(0, 1), cx(1, 0), cx(1, 2), cx(0, 1)], LINE3).validate()
+    return Circuit(3, [cx(0, 1), cx(1, 0), cx(1, 2), cx(0, 1)], LINE3)
 
 
 def emit_qasm(c: Circuit) -> str:
     """OpenQASM 2.0 text for a circuit; angles carry 17 significant digits."""
-    c.validate()
     lines = ['OPENQASM 2.0;', 'include "qelib1.inc";', f"qreg q[{c.n_wires}];"]
     for g in c.gates:
         if g.name == "rz":

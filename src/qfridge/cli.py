@@ -25,6 +25,7 @@ from .circuits import emit_qasm
 from .compiler import CompileReport
 from .sweep import (
     SweepConfig,
+    V_CHOICES,
     as_records,
     engine_circuit,
     evaluate_grid,
@@ -58,14 +59,14 @@ def _build_parser() -> _Parser:
     for key in ("f0", "f1", "f2", "p1", "p2", "eps01", "eps10"):
         p_point.add_argument(f"--{key}", type=float)
     p_point.add_argument("--scheme", choices=thermo.SCHEMES)
-    p_point.add_argument("--v", choices=("identity", "vstar"))
+    p_point.add_argument("--v", choices=V_CHOICES)
     p_point.add_argument("--shots", type=int)
     p_point.add_argument("--seed", type=int)
     p_point.add_argument("--mitigation", choices=("on", "off"))
     p_point.add_argument("--hot-energy-mode", choices=thermo.HOT_ENERGY_MODES)
 
     p_compile = sub.add_parser("compile", help="compile the cooling gate")
-    p_compile.add_argument("--v", choices=("identity", "vstar"), required=True)
+    p_compile.add_argument("--v", choices=V_CHOICES, required=True)
     p_compile.add_argument("--qasm", help="write OpenQASM 2.0 to this path")
 
     sub.add_parser("selftest", help="run the eleven release criteria")

@@ -330,10 +330,9 @@ def compile_generic(
     n = int(round(np.log2(d)))
     if 2 ** n != d or n < 1:
         raise ValueError("dimension must be a power of two >= 2")
-    u_phys = qcore.to_physical(u) if n == qcore.N_WIRES else u
-    gates = _merge_and_rewrite(_qsd_ops(u_phys, tuple(range(n))), n)
+    gates = _merge_and_rewrite(_qsd_ops(qcore.to_physical(u), tuple(range(n))), n)
     gates = _cancel_cx_pairs(_route(gates, coupling, n), n)
-    circuit = Circuit(n, gates, coupling).validate()
+    circuit = Circuit(n, gates, coupling)
     return circuit, CompileReport.of(circuit)
 
 

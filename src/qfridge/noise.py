@@ -63,13 +63,11 @@ def evolve_noisy(c: Circuit, rho: np.ndarray, nm: NoiseModel) -> np.ndarray:
     rho is taken and returned in logical order; the per-gate evolution runs
     in physical wire order.
     """
-    c.validate()
     rho = np.asarray(rho, dtype=complex)
     n = c.n_wires
     if rho.shape[-2:] != (2 ** n, 2 ** n):
         raise ValueError("state dimension does not match the circuit")
-    if n == qcore.N_WIRES:
-        rho = qcore.to_physical(rho)
+    rho = qcore.to_physical(rho)
     batch = rho.shape[:-2]
     for g in c.gates:
         u = embed_gate(g.matrix(), g.wires, n)
@@ -80,9 +78,7 @@ def evolve_noisy(c: Circuit, rho: np.ndarray, nm: NoiseModel) -> np.ndarray:
             sigma = np.einsum(rho.reshape(batch + (2,) * (2 * n)), sub_in, sub_out)
             sigma = sigma.reshape(batch + (2 ** len(keep),) * 2)
             rho = (1 - p) * rho + p / 2 ** len(g.wires) * embed_gate(sigma, keep, n)
-    if n == qcore.N_WIRES:
-        rho = qcore.to_logical(rho)
-    return rho
+    return qcore.to_logical(rho)
 
 
 def readout_matrix(nm: NoiseModel) -> np.ndarray:

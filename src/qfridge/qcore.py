@@ -13,6 +13,8 @@ Mixing the two orderings is the most likely silent bug in this codebase, so
 the permutation between them is a first-class, tested object: every module
 that crosses between the orders calls :func:`to_physical`/:func:`to_logical`,
 which reorder the last two axes of an operator or of a stack of operators.
+Only the three-wire register has a logical order, so they return an operator
+of any other dimension unchanged and their callers never branch on the size.
 """
 from __future__ import annotations
 
@@ -56,8 +58,11 @@ def to_physical(a: np.ndarray) -> np.ndarray:
     """P @ a @ P.T on the last two axes: logical-order operators to physical.
 
     P swaps the j and k bits, so it is its own inverse: the same reindexing
-    maps physical order back to logical (:func:`to_logical`).
+    maps physical order back to logical (:func:`to_logical`).  An operator
+    whose last axis is not DIM is returned unchanged.
     """
+    if a.shape[-1] != DIM:
+        return a
     return a[..., phys_of_logical[:, None], phys_of_logical]
 
 

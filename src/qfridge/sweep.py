@@ -28,6 +28,10 @@ from . import thermo
 from .thermo import BOUNDARY_EPS, DeviceSpec, cold_energies, hot_energies, transition_matrix
 
 
+#: the V blocks a sweep can run (build_target_unitary's named choices)
+V_CHOICES = ("identity", "vstar")
+
+
 class ConfigError(ValueError):
     def __init__(self, message: str, line: int | None = None):
         self.line = line
@@ -70,7 +74,7 @@ class SweepConfig:
             raise ConfigError("frequencies must be positive")
         if key == "scheme" and val not in thermo.SCHEMES:
             raise ConfigError(f"unknown scheme {val!r}")
-        if key == "v" and val not in ("identity", "vstar"):
+        if key == "v" and val not in V_CHOICES:
             raise ConfigError(f"unknown v {val!r}")
         if key in ("p1", "p2", "eps01", "eps10") and not 0.0 <= val <= 1.0:
             raise ConfigError(f"{key} = {val} outside [0, 1]")
@@ -162,8 +166,7 @@ def build_engine(cfg: SweepConfig):
 @functools.cache
 def engine_circuit(v: str):
     """The circuit that runs V, once per process: the 4-CNOT circuit for
-    "vstar", else V's target compiled for LINE3.  Callers share the circuit
-    and must not modify it."""
+    "vstar", else V's target compiled for LINE3."""
     if v == "vstar":
         return build_vstar_circuit()
     return compile_generic(build_target_unitary(v), LINE3)[0]

@@ -92,11 +92,13 @@ def _gibbs_weights(energies: np.ndarray, u_per_unit: float) -> np.ndarray:
     return w / w.sum(axis=-1, keepdims=True)
 
 
+#: logical bits (i, j, k) of the 8 basis states, one row per bit
+_BITS_I, _BITS_J, _BITS_K = np.array([qcore.basis_label(m) for m in range(qcore.DIM)]).T
+
+
 def cold_energies(spec: DeviceSpec) -> np.ndarray:
     """E^C over the 8 logical states: -f1/2 for k=0, +f1/2 for k=1."""
-    return np.array(
-        [(0.5 if qcore.basis_label(m)[2] else -0.5) * spec.f1 for m in range(qcore.DIM)]
-    )
+    return (_BITS_K - 0.5) * spec.f1
 
 
 def hot_energies(spec: DeviceSpec, mode: str) -> np.ndarray:
@@ -108,14 +110,8 @@ def hot_energies(spec: DeviceSpec, mode: str) -> np.ndarray:
     """
     if mode not in HOT_ENERGY_MODES:
         raise ValueError(f"unknown hot energy mode {mode!r}")
-    e = np.zeros(qcore.DIM)
-    for m in range(qcore.DIM):
-        i, j, _ = qcore.basis_label(m)
-        if i == j:
-            e[m] = (0.5 if i else -0.5) * spec.omega_sum
-        elif mode == "detuned":
-            e[m] = (0.5 if i > j else -0.5) * spec.detuning
-    return e
+    off = (_BITS_I - _BITS_J) / 2 * spec.detuning if mode == "detuned" else 0.0
+    return np.where(_BITS_I == _BITS_J, (_BITS_I - 0.5) * spec.omega_sum, off)
 
 
 def preparation_grid(scheme: str, spec: DeviceSpec, t_h_axis, t_c_axis) -> np.ndarray:

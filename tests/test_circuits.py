@@ -1,8 +1,10 @@
 """Gate IR, cooling-gate constructors, circuit evaluation, QASM emission."""
+import dataclasses
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qfridge import qcore
 from qfridge.circuits import (
@@ -26,6 +28,7 @@ from qfridge.circuits import (
 )
 from qfridge.compiler import global_phase_distance
 from qfridge.oracles import haar_unitary
+from qfridge.sweep import engine_circuit
 
 
 # ---------------------------------------------------------------------------
@@ -72,13 +75,60 @@ def test_coupling_map():
 
 
 def test_circuit_validation_and_counters():
-    c = Circuit(3, [cx(0, 1), x(2), cx(1, 2)], LINE3).validate()
+    c = Circuit(3, [cx(0, 1), x(2), cx(1, 2)], LINE3)
     assert c.cnot_count() == 2
     assert c.depth() == 2
     with pytest.raises(ValueError, match="coupling"):
-        Circuit(3, [cx(0, 2)], LINE3).validate()
+        Circuit(3, [cx(0, 2)], LINE3)
     with pytest.raises(ValueError, match="wire"):
-        Circuit(2, [x(2)]).validate()
+        Circuit(2, [x(2)])
+
+
+def _frozen_validate(n_wires, gates, coupling):
+    """Circuit.validate() as it was before circuits were checked when built."""
+    for g in gates:
+        if max(g.wires) >= n_wires or min(g.wires) < 0:
+            raise ValueError(f"gate {g} uses a wire outside the register")
+        if g.name == "cx" and coupling is not None:
+            if not coupling.allows(*g.wires):
+                raise ValueError(f"cx on {g.wires} violates the coupling map")
+
+
+# wires -1 and 4 fall outside every register drawn; cx(0, 2) is off LINE3
+_WIRE = st.integers(-1, 4)
+_GATE = st.one_of(
+    st.builds(rz, _WIRE, st.floats(-7.0, 7.0)),
+    st.builds(x, _WIRE),
+    st.builds(sx, _WIRE),
+    st.tuples(_WIRE, _WIRE).filter(lambda w: w[0] != w[1]).map(lambda w: cx(*w)),
+)
+_COUPLING = st.sampled_from([None, LINE3, CouplingMap.line(4), CouplingMap([(0, 2)])])
+
+
+@settings(max_examples=400, deadline=None)
+@given(n_wires=st.integers(1, 4), gates=st.lists(_GATE, max_size=6), coupling=_COUPLING)
+def test_circuit_is_checked_when_built_as_validate_checked(n_wires, gates, coupling):
+    try:
+        _frozen_validate(n_wires, gates, coupling)
+    except ValueError as err:
+        with pytest.raises(ValueError) as got:
+            Circuit(n_wires, gates, coupling)
+        assert str(got.value) == str(err)
+        return
+    c = Circuit(n_wires, gates, coupling)
+    assert c.gates == tuple(gates)
+    again = Circuit(c.n_wires, list(c.gates), c.coupling and CouplingMap(c.coupling.pairs))
+    assert again == c and hash(again) == hash(c)
+
+
+def test_circuits_and_couplings_are_frozen():
+    c = build_vstar_circuit()
+    for obj, name in ((c, "gates"), (c, "n_wires"), (LINE3, "pairs"), (c.gates[0], "wires")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, None)
+    assert Gate("cx", [0, 1]).wires == (0, 1)
+    assert CouplingMap([(1, 0)]).pairs == frozenset({frozenset({0, 1})})
+    assert isinstance(engine_circuit("identity").gates, tuple)
 
 
 def test_phase_choice_length():

@@ -287,7 +287,7 @@ def test_cancel_cx_pairs():
     assert _cancel_cx_pairs(blocked, 3) == blocked
     reversed_pair = [cx(0, 1), cx(1, 0)]
     assert _cancel_cx_pairs(reversed_pair, 2) == reversed_pair
-    vstar = build_vstar_circuit().gates
+    vstar = list(build_vstar_circuit().gates)
     assert _cancel_cx_pairs(vstar, 3) == vstar
 
 

@@ -60,6 +60,12 @@ def test_permutation_helpers_match_the_permutation_matrix():
     assert qcore.to_physical(np.diag(np.arange(8.0)))[2, 2] == 1.0
 
 
+def test_only_the_three_wire_register_is_permuted():
+    for shape in ((2, 2), (4, 4), (5, 4, 4), (16, 16)):
+        a = np.arange(np.prod(shape), dtype=float).reshape(shape)
+        assert qcore.to_physical(a) is a and qcore.to_logical(a) is a
+
+
 def test_check_unitary():
     rng = np.random.default_rng(0)
     qcore.check_unitary(haar_unitary(8, rng))

@@ -378,6 +378,15 @@ def test_cli_compile_identity_emits_routed_qasm(tmp_path, capsys):
     assert path.read_bytes() == emit_qasm(sweep.engine_circuit("identity")).encode()
 
 
+def test_v_choices_are_shared_by_config_and_cli(capsys):
+    assert sweep.V_CHOICES == ("identity", "vstar")
+    with pytest.raises(ConfigError, match="unknown v 'hadamard'"):
+        parse_config("v = hadamard")
+    assert cli_main(["compile", "--v", "hadamard"]) == 1
+    assert cli_main(["point", "--th", "150", "--tc", "100", "--v", "hadamard"]) == 1
+    assert "invalid choice: 'hadamard' (choose from" in capsys.readouterr().err
+
+
 def test_cli_point(capsys):
     code = cli_main(
         ["point", "--th", "150", "--tc", "100", "--shots", "0"]

@@ -19,6 +19,7 @@ from qfridge.oracles import random_density
 from qfridge.sweep import SweepConfig, evaluate_grid
 from qfridge.thermo import (
     H_OVER_KB,
+    HOT_ENERGY_MODES,
     DeviceSpec,
     TransitionMatrix,
     analytic_energy_changes,
@@ -84,6 +85,40 @@ def test_energy_spectra():
     assert e_det[4] == spec.detuning / 2 and e_det[2] == -spec.detuning / 2
     with pytest.raises(ValueError):
         hot_energies(spec, "bogus")
+
+
+def _frozen_cold_energies(spec):
+    """The state-by-state loop that cold_energies replaced, kept verbatim."""
+    return np.array(
+        [(0.5 if qcore.basis_label(m)[2] else -0.5) * spec.f1 for m in range(qcore.DIM)]
+    )
+
+
+def _frozen_hot_energies(spec, mode):
+    """The state-by-state loop that hot_energies replaced, kept verbatim."""
+    e = np.zeros(qcore.DIM)
+    for m in range(qcore.DIM):
+        i, j, _ = qcore.basis_label(m)
+        if i == j:
+            e[m] = (0.5 if i else -0.5) * spec.omega_sum
+        elif mode == "detuned":
+            e[m] = (0.5 if i > j else -0.5) * spec.detuning
+    return e
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    freqs=st.tuples(*[st.floats(1e-3, 1e3, allow_subnormal=False)] * 3),
+    resonant=st.booleans(),
+)
+def test_energy_spectra_match_the_state_loops_bit_for_bit(freqs, resonant):
+    # f0 = f2 makes the detuning 0, where the loop writes -0.0 on (01)
+    f0, f1, f2 = freqs
+    spec = DeviceSpec(f0, f1, f0 if resonant else f2)
+    assert cold_energies(spec).tobytes() == _frozen_cold_energies(spec).tobytes()
+    for mode in HOT_ENERGY_MODES:
+        got, want = hot_energies(spec, mode), _frozen_hot_energies(spec, mode)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
