@@ -3,7 +3,7 @@
 The hardware gate set is {rz(theta), x, sx, cx}.  Circuits live in physical
 wire order.  :func:`embed_gate`, the one gate kernel, lifts a gate matrix to
 the full register through cached index tables; :func:`unitary_of_circuit` and
-``noise.evolve_noisy`` both apply gates with it.  Three-wire unitaries are
+the step unitaries of ``noise.evolve_noisy`` are built with it.  Three-wire unitaries are
 returned in the logical |ij,k> order of :func:`build_target_unitary`.
 """
 from __future__ import annotations

@@ -5,8 +5,9 @@ gate's wires are depolarized with probability p1 (single-qubit gates) or p2
 (two-qubit gates).  Readout error is a per-qubit classical bit flip applied
 to the outcome distribution.  Both are unital, so they cannot cool anything
 for free.  :func:`evolve_noisy` evolves a whole stack of densities (say the
-8 basis inputs of a transition matrix) in one pass: per gate, one embedded
-matrix, one conjugation, and a partial trace with I/d put back.
+8 basis inputs of a transition matrix) in one pass over its Pauli components:
+the noise stays per gate, but a plan cached per circuit fuses it into one step
+per cx, a diagonal scale followed by a real Pauli transfer matrix.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qcore
-from .circuits import Circuit, embed_gate
+from .circuits import X_MATRIX, Circuit, embed_gate
 
 
 @dataclass(frozen=True)
@@ -49,35 +50,71 @@ class NoiseModel:
 
 
 @functools.lru_cache(maxsize=None)
-def _trace_plan(wires: tuple[int, ...], n: int):
-    """Wires kept by a partial trace over `wires`, and its einsum sublists."""
-    keep = tuple(w for w in range(n) if w not in wires)
-    col = [w if w in wires else n + w for w in range(n)]
-    return keep, [Ellipsis, *range(n), *col], [Ellipsis, *keep, *(n + w for w in keep)]
+def _pauli_basis(n: int):
+    """Pauli strings P_s on n wires (the base-4 digits of s, wire 0 first, pick I, X, Y, Z):
+    the matrices taking vec(rho) to c_s = Tr(P_s rho) and c back to vec(rho), and
+    mask[w, s] = 1 where P_s acts on wire w."""
+    sigma = np.array([np.eye(2), X_MATRIX, [[0, -1j], [1j, 0]], np.diag([1, -1])], dtype=complex)
+    p = np.ones((1, 1, 1), dtype=complex)
+    for _ in range(n):
+        p = np.einsum("sij,tkl->stikjl", p, sigma).reshape(4 * len(p), 2 * p.shape[1], -1)
+    mask = (np.arange(4 ** n) // 4 ** np.arange(n - 1, -1, -1)[:, None] % 4 != 0).astype(int)
+    return p.transpose(0, 2, 1).reshape(4 ** n, -1), p.reshape(4 ** n, -1).T / 2 ** n, mask
+
+
+@functools.lru_cache(maxsize=8)
+def _plan(c: Circuit):
+    """The circuit as steps in the Pauli basis: per step, a real transfer
+    matrix R and the exponents E1, E2 of (1 - p1), (1 - p2) that scale each
+    Pauli component before R.
+
+    Each cx closes a step, the product of the one-wire gates since the
+    previous cx and the cx; the last step holds the gates after the last cx.
+    Depolarizing wires commutes with unitaries elsewhere and is covariant
+    under unitaries on those wires, so every gate's noise can act at its
+    step's start, where it scales each Pauli string that is not the
+    identity on the gate's wires by 1 - p.
+    """
+    n = c.n_wires
+    to_pauli, from_pauli, mask = _pauli_basis(n)
+    ptm = np.empty((c.cnot_count() + 1, 4 ** n, 4 ** n))
+    e1, e2 = np.zeros((2,) + ptm.shape[:2], dtype=int)
+    counts = np.zeros(n, dtype=int)  # one-wire gates per wire in the current step
+
+    def transfer(u):
+        return (to_pauli @ np.kron(u, u.conj()) @ from_pauli).real
+
+    i, u = 0, np.eye(2 ** n, dtype=complex)
+    for g in c.gates:
+        u = embed_gate(g.matrix(), g.wires, n) @ u
+        if g.name != "cx":
+            counts[g.wires[0]] += 1
+            continue
+        ptm[i], e1[i], e2[i] = transfer(u), counts @ mask, mask[list(g.wires)].max(axis=0)
+        counts[:], i, u = 0, i + 1, np.eye(2 ** n, dtype=complex)
+    ptm[i], e1[i] = transfer(u), counts @ mask
+    return ptm, e1, e2
 
 
 def evolve_noisy(c: Circuit, rho: np.ndarray, nm: NoiseModel) -> np.ndarray:
     """Run a circuit on a density operator, or a stack (..., d, d) of them,
     with per-gate depolarizing noise.
 
-    rho is taken and returned in logical order; the per-gate evolution runs
-    in physical wire order.
+    rho is taken and returned in logical order; the evolution runs in
+    physical wire order, on the Pauli components of rho.
     """
     rho = np.asarray(rho, dtype=complex)
     n = c.n_wires
     if rho.shape[-2:] != (2 ** n, 2 ** n):
         raise ValueError("state dimension does not match the circuit")
+    ptm, e1, e2 = _plan(c)
+    to_pauli, from_pauli, _ = _pauli_basis(n)
     rho = qcore.to_physical(rho)
-    batch = rho.shape[:-2]
-    for g in c.gates:
-        u = embed_gate(g.matrix(), g.wires, n)
-        rho = u @ rho @ u.conj().T
-        p = nm.p2 if g.name == "cx" else nm.p1
-        if p:
-            keep, sub_in, sub_out = _trace_plan(g.wires, n)
-            sigma = np.einsum(rho.reshape(batch + (2,) * (2 * n)), sub_in, sub_out)
-            sigma = sigma.reshape(batch + (2 ** len(keep),) * 2)
-            rho = (1 - p) * rho + p / 2 ** len(g.wires) * embed_gate(sigma, keep, n)
+    # a column of Pauli components per density, viewed as real and imaginary parts side by side
+    x = (to_pauli @ rho.reshape(-1, 4 ** n).T).view(float)
+    for r, s in zip(ptm, (1 - nm.p1) ** e1 * (1 - nm.p2) ** e2):
+        x = r @ (s[:, None] * x)
+    rho = (from_pauli @ x.view(complex)).T.reshape(rho.shape)
     return qcore.to_logical(rho)
 
 

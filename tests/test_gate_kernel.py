@@ -1,5 +1,8 @@
 """The gate kernel (``circuits.embed_gate``, stacked ``noise.evolve_noisy``)
-against the dense per-gate path that it replaced.
+against the dense per-gate path that it replaced.  ``evolve_noisy`` fuses
+the noise of each cx and the one-wire gates before it into one Pauli-basis
+step, so the long-circuit pins below draw runs of one-wire gates between cx
+gates, where a step carries several noises on one wire.
 
 The reference below builds every gate's full-register matrix with Kronecker
 products or a loop over basis states, depolarizes through an einsum over
@@ -17,6 +20,7 @@ from qfridge import qcore
 from qfridge.circuits import Circuit, Gate, cx, embed_gate, rz, sx, unitary_of_circuit, x
 from qfridge.noise import NoiseModel, evolve_noisy
 from qfridge.oracles import random_density
+from qfridge.sweep import engine_circuit
 
 
 def _reference_embed(g: Gate, n_wires: int) -> np.ndarray:
@@ -100,6 +104,22 @@ def circuits(draw, max_gates=12):
     return Circuit(n, gates)
 
 
+@st.composite
+def long_circuits(draw):
+    """Up to 8 cx gates, each after a run of up to 6 one-wire gates, and a
+    last run: up to 62 gates on 1-4 wires."""
+    n = draw(st.integers(1, 4))
+    wire = st.integers(0, n - 1)
+    angle = st.floats(-2 * np.pi, 2 * np.pi)
+    one_wire = st.one_of(st.builds(rz, wire, angle), st.builds(x, wire), st.builds(sx, wire))
+    pair = st.lists(wire, min_size=2, max_size=2, unique=True)
+    gates = []
+    for _ in range(draw(st.integers(0, 8 if n > 1 else 0))):
+        gates += draw(st.lists(one_wire, max_size=6))
+        gates.append(cx(*draw(pair)))
+    return Circuit(n, gates + draw(st.lists(one_wire, max_size=6)))
+
+
 probabilities = st.floats(0.0, 1.0)
 
 
@@ -140,6 +160,32 @@ def test_a_stack_evolves_like_single_calls(c, p1, p2, seed, shape):
     assert got.shape == stack.shape
     for idx in np.ndindex(shape):
         assert np.max(np.abs(got[idx] - evolve_noisy(c, stack[idx], nm))) < 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    c=long_circuits(),
+    p1=st.one_of(st.sampled_from([0.0, 1.0]), probabilities),
+    p2=st.one_of(st.sampled_from([0.0, 1.0]), probabilities),
+    seed=st.integers(0, 2 ** 32 - 1),
+    k=st.integers(1, 3),
+)
+def test_long_circuits_evolve_like_the_dense_reference(c, p1, p2, seed, k):
+    nm = NoiseModel.uniform(p1=p1, p2=p2)
+    stack = _densities(c.n_wires, seed, k)
+    got = evolve_noisy(c, stack, nm)
+    for rho, out in zip(stack, got, strict=True):
+        assert np.max(np.abs(out - _reference_evolve(c, rho, nm))) < 1e-12
+
+
+@pytest.mark.parametrize("p1,p2", [(0.0, 0.0), (2e-4, 2e-3), (0.2, 0.3), (1.0, 1.0)])
+def test_compiled_identity_engine_evolves_like_the_dense_reference(p1, p2):
+    engine = engine_circuit("identity")
+    nm = NoiseModel.uniform(p1=p1, p2=p2)
+    stack = _densities(engine.n_wires, 7, 3)
+    got = evolve_noisy(engine, stack, nm)
+    for rho, out in zip(stack, got, strict=True):
+        assert np.max(np.abs(out - _reference_evolve(engine, rho, nm))) < 1e-12
 
 
 @pytest.mark.parametrize(

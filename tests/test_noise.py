@@ -16,6 +16,7 @@ from qfridge.circuits import (
 from qfridge.noise import (
     ConfusionMatrix,
     NoiseModel,
+    _plan,
     apply_readout_error,
     calibrate,
     evolve_noisy,
@@ -24,6 +25,7 @@ from qfridge.noise import (
     readout_matrix,
 )
 from qfridge.oracles import random_density
+from qfridge.sweep import engine_circuit
 
 
 def _random_circuit(rng, n_wires=3, depth=8):
@@ -98,6 +100,36 @@ def test_full_depolarization_of_one_wire():
     out = evolve_noisy(Circuit(3, [x(1)]), rho, NoiseModel(p1=1.0))
     p = qcore.born_probabilities(out)
     assert np.allclose(p, [0.5, 0.5, 0, 0, 0, 0, 0, 0])
+
+
+def test_equal_circuits_share_one_plan_and_other_angles_get_their_own():
+    gates = [sx(0), rz(1, 0.3), cx(0, 1), x(2), cx(1, 2), rz(2, 0.5)]
+    c = Circuit(3, gates, LINE3)
+    assert _plan(Circuit(3, list(gates), LINE3)) is _plan(c)
+    other = Circuit(3, gates[:-1] + [rz(2, 0.6)], LINE3)
+    assert _plan(other) is not _plan(c)
+    rho = random_density(8, np.random.default_rng(24))
+    nm = NoiseModel.uniform(p1=0.1, p2=0.2)
+    assert np.max(np.abs(evolve_noisy(other, rho, nm) - evolve_noisy(c, rho, nm))) > 1e-3
+
+
+def test_plan_has_one_step_per_cx_and_one_after_the_last():
+    engine = engine_circuit("identity")
+    assert len(_plan(engine)[0]) == engine.cnot_count() + 1 == 55
+    assert len(_plan(build_vstar_circuit())[0]) == 5
+
+
+def test_a_circuit_without_cx_is_one_step():
+    c = Circuit(1, [x(0)])
+    assert len(_plan(c)[0]) == 1
+    out = evolve_noisy(c, np.diag([1.0, 0.0]), NoiseModel(p1=1.0))
+    assert np.max(np.abs(out - np.eye(2) / 2)) < 1e-15
+
+
+def test_a_circuit_without_gates_returns_rho():
+    rho = random_density(8, np.random.default_rng(25))
+    out = evolve_noisy(Circuit(3), rho, NoiseModel.uniform(p1=0.5, p2=0.5))
+    assert np.max(np.abs(out - rho)) < 1e-15
 
 
 def test_evolve_noisy_dimension_check():
