@@ -10,7 +10,6 @@ from .circuits import (
     CouplingMap,
     Gate,
     LINE3,
-    PhaseChoice,
     build_target_unitary,
     build_vstar_circuit,
     emit_qasm,

@@ -100,21 +100,6 @@ LINE3 = CouplingMap.line(3)
 
 
 @dataclass(frozen=True)
-class PhaseChoice:
-    """Free phases of the swap block and, optionally, of the V* block."""
-
-    w: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
-    v: tuple[float, float, float, float] | None = None
-
-    def __post_init__(self):
-        if len(self.w) != 4 or (self.v is not None and len(self.v) != 4):
-            raise ValueError("phase choice needs 4 angles per block")
-
-
-ZERO_PHASES = PhaseChoice()
-
-
-@dataclass(frozen=True)
 class Circuit:
     """Gates in application order, on wires in physical order; checked when
     built: each gate stays in the register, each cx on the coupling map."""
@@ -144,39 +129,27 @@ class Circuit:
         return max(level, default=0)
 
 
-def _swap_block(phases: tuple[float, float, float, float]) -> np.ndarray:
-    """4x4 block that phases the outer states and swaps the inner pair:
-    entries (0, 0), (1, 2), (2, 1), (3, 3) are e^{i phases}."""
-    return np.diag(np.exp(1j * np.asarray(phases, dtype=float)))[:, [0, 2, 1, 3]]
-
-
+#: the V blocks a run can choose
+V_CHOICES = ("identity", "vstar")
+#: 4x4 block that swaps the inner pair of its states and keeps the outer two
+SWAP_BLOCK = np.eye(4, dtype=complex)[:, [0, 2, 1, 3]]
 # logical indices of the two invariant subspaces of the cooling gate
 W_SUBSPACE = [qcore.basis_index(i, i, k) for i in (0, 1) for k in (0, 1)]
 V_SUBSPACE = [qcore.basis_index(i, 1 - i, k) for i in (0, 1) for k in (0, 1)]
 
 
-def build_target_unitary(v_choice, phases: PhaseChoice = ZERO_PHASES) -> np.ndarray:
+def build_target_unitary(v: str) -> np.ndarray:
     """8x8 cooling unitary in logical order.
 
-    The gate is block diagonal: a swap block on span{|00,.>, |11,.>} that
-    exchanges |00,1> and |11,0>, and a block V on span{|01,.>, |10,.>}.
-    v_choice selects V: "identity", "vstar" (same shape as the swap block),
-    or an explicit 4x4 unitary.
+    The gate is block diagonal: the swap block on span{|00,.>, |11,.>}, which
+    exchanges |00,1> and |11,0>, and a block V on span{|01,.>, |10,.>}: the
+    identity for v = "identity", the swap block again for v = "vstar".
     """
+    if not isinstance(v, str) or v not in V_CHOICES:
+        raise ValueError(f"unknown v {v!r}")
     u = np.zeros((qcore.DIM, qcore.DIM), dtype=complex)
-    u[np.ix_(W_SUBSPACE, W_SUBSPACE)] = _swap_block(phases.w)
-    if isinstance(v_choice, str):
-        if v_choice == "identity":
-            v = np.eye(4, dtype=complex)
-        elif v_choice == "vstar":
-            v = _swap_block(phases.v if phases.v is not None else (0.0,) * 4)
-        else:
-            raise ValueError(f"unknown v_choice {v_choice!r}")
-    else:
-        v = qcore.check_unitary(np.asarray(v_choice, dtype=complex))
-        if v.shape != (4, 4):
-            raise ValueError("custom V must be 4x4")
-    u[np.ix_(V_SUBSPACE, V_SUBSPACE)] = v
+    u[np.ix_(W_SUBSPACE, W_SUBSPACE)] = SWAP_BLOCK
+    u[np.ix_(V_SUBSPACE, V_SUBSPACE)] = SWAP_BLOCK if v == "vstar" else np.eye(4)
     return u
 
 

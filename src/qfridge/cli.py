@@ -21,11 +21,10 @@ import json
 import sys
 
 from . import thermo
-from .circuits import emit_qasm
+from .circuits import V_CHOICES, emit_qasm
 from .compiler import CompileReport
 from .sweep import (
     SweepConfig,
-    V_CHOICES,
     as_records,
     engine_circuit,
     evaluate_grid,

@@ -2,12 +2,13 @@
 
 The gate-noise model is deliberately minimal: after each gate's unitary, the
 gate's wires are depolarized with probability p1 (single-qubit gates) or p2
-(two-qubit gates).  Readout error is a per-qubit classical bit flip applied
-to the outcome distribution.  Both are unital, so they cannot cool anything
-for free.  :func:`evolve_noisy` evolves a whole stack of densities (say the
-8 basis inputs of a transition matrix) in one pass over its Pauli components:
-the noise stays per gate, but a plan cached per circuit fuses it into one step
-per cx, a diagonal scale followed by a real Pauli transfer matrix.
+(two-qubit gates); depolarizing is unital, so it cannot cool anything for
+free.  Readout error flips each qubit's outcome bit with the same two
+probabilities, eps01 and eps10, on every qubit.  :func:`evolve_noisy`
+evolves a whole stack of densities (say the 8 basis inputs of a transition
+matrix) in one pass over its Pauli components: the noise stays per gate, but
+a plan cached per circuit fuses it into one step per cx, a diagonal scale
+followed by a real Pauli transfer matrix.
 """
 from __future__ import annotations
 
@@ -22,28 +23,18 @@ from .circuits import X_MATRIX, Circuit, embed_gate
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """p1/p2: depolarizing probability per 1q/2q gate; readout: per-qubit flips."""
+    """p1/p2: depolarizing probability per 1q/2q gate; eps01 = P(read 1 | state 0)
+    and eps10 = P(read 0 | state 1), the same on every qubit."""
 
     p1: float = 0.0
     p2: float = 0.0
-    #: eps01[q] = P(read 1 | state 0), eps10[q] = P(read 0 | state 1)
-    eps01: tuple[float, ...] = (0.0, 0.0, 0.0)
-    eps10: tuple[float, ...] = (0.0, 0.0, 0.0)
+    eps01: float = 0.0
+    eps10: float = 0.0
 
     def __post_init__(self):
-        for v in (self.p1, self.p2, *self.eps01, *self.eps10):
+        for v in (self.p1, self.p2, self.eps01, self.eps10):
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"probability {v} outside [0, 1]")
-        if len(self.eps01) != len(self.eps10):
-            raise ValueError("eps01 and eps10 must cover the same qubits")
-
-    @classmethod
-    def uniform(cls, p1=0.0, p2=0.0, eps01=0.0, eps10=0.0):
-        return cls(p1, p2, (eps01,) * qcore.N_WIRES, (eps10,) * qcore.N_WIRES)
-
-    def flip_matrix(self, qubit: int) -> np.ndarray:
-        e01, e10 = self.eps01[qubit], self.eps10[qubit]
-        return np.array([[1 - e01, e10], [e01, 1 - e10]])
 
     def is_gate_noiseless(self) -> bool:
         return self.p1 == 0.0 and self.p2 == 0.0
@@ -119,12 +110,10 @@ def evolve_noisy(c: Circuit, rho: np.ndarray, nm: NoiseModel) -> np.ndarray:
 
 
 def readout_matrix(nm: NoiseModel) -> np.ndarray:
-    """Tensor product of the register's per-qubit flip matrices, in logical
-    index order: the logical bits (i, j, k) belong to qubits (q0, q2, q1)."""
-    if len(nm.eps01) < qcore.N_WIRES:
-        raise ValueError("noise model does not cover enough qubits")
-    f0, f1, f2 = (nm.flip_matrix(q) for q in range(qcore.N_WIRES))
-    return np.einsum("ab,cd,ef->acebdf", f0, f2, f1).reshape(qcore.DIM, qcore.DIM)
+    """Tensor product of one flip matrix per qubit; the factors are equal, so
+    their order, and with it the register's wire order, does not matter."""
+    f = np.array([[1 - nm.eps01, nm.eps10], [nm.eps01, 1 - nm.eps10]])
+    return np.einsum("ab,cd,ef->acebdf", f, f, f).reshape(qcore.DIM, qcore.DIM)
 
 
 def apply_readout_error(p: np.ndarray, nm: NoiseModel) -> np.ndarray:

@@ -188,7 +188,7 @@ def _final_temperature() -> None:
 
 
 def _readout_mitigation() -> None:
-    nm = NoiseModel.uniform(eps01=0.05, eps10=0.05)
+    nm = NoiseModel(eps01=0.05, eps10=0.05)
     rng = np.random.default_rng(88)
     p = rng.dirichlet(np.ones(8))
     raw = apply_readout_error(p, nm)

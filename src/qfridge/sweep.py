@@ -21,15 +21,11 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .circuits import LINE3, build_target_unitary, build_vstar_circuit
+from .circuits import LINE3, V_CHOICES, build_target_unitary, build_vstar_circuit
 from .compiler import compile_generic
 from .noise import NoiseModel, calibrate, exact_confusion
 from . import thermo
 from .thermo import BOUNDARY_EPS, DeviceSpec, cold_energies, hot_energies, transition_matrix
-
-
-#: the V blocks a sweep can run (build_target_unitary's named choices)
-V_CHOICES = ("identity", "vstar")
 
 
 class ConfigError(ValueError):
@@ -112,7 +108,7 @@ class SweepConfig:
         return DeviceSpec(self.f0, self.f1, self.f2)
 
     def noise(self) -> NoiseModel:
-        return NoiseModel.uniform(self.p1, self.p2, self.eps01, self.eps10)
+        return NoiseModel(self.p1, self.p2, self.eps01, self.eps10)
 
 
 #: config key -> the type of its default value
@@ -156,10 +152,10 @@ def parse_config(text: str) -> SweepConfig:
 
 
 def build_engine(cfg: SweepConfig):
-    """The engine to run: the exact target unitary for V = identity without
-    gate noise, else engine_circuit(cfg.v) (the 4-CNOT circuit is exact)."""
-    if cfg.v == "identity" and cfg.noise().is_gate_noiseless():
-        return build_target_unitary("identity")
+    """The engine to run: the exact target unitary without gate noise, else
+    engine_circuit(cfg.v)."""
+    if cfg.noise().is_gate_noiseless():
+        return build_target_unitary(cfg.v)
     return engine_circuit(cfg.v)
 
 

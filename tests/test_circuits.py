@@ -12,8 +12,9 @@ from qfridge.circuits import (
     CouplingMap,
     Gate,
     LINE3,
-    PhaseChoice,
+    SWAP_BLOCK,
     SX_MATRIX,
+    V_CHOICES,
     V_SUBSPACE,
     W_SUBSPACE,
     build_target_unitary,
@@ -27,7 +28,6 @@ from qfridge.circuits import (
     x,
 )
 from qfridge.compiler import global_phase_distance
-from qfridge.oracles import haar_unitary
 from qfridge.sweep import engine_circuit
 
 
@@ -131,11 +131,6 @@ def test_circuits_and_couplings_are_frozen():
     assert isinstance(engine_circuit("identity").gates, tuple)
 
 
-def test_phase_choice_length():
-    with pytest.raises(ValueError):
-        PhaseChoice(w=(0.0, 0.0))
-
-
 # ---------------------------------------------------------------------------
 # target unitary
 
@@ -172,24 +167,16 @@ def test_vstar_target_matches_index_formula():
         assert u[qcore.basis_index(k, i ^ j ^ k, i), m] == 1.0
 
 
-def test_phase_placement_on_swap_block():
-    phases = PhaseChoice(w=(0.3, 0.5, 0.7, 0.9))
-    u = build_target_unitary("identity", phases)
-    assert abs(u[0, 0] - np.exp(0.3j)) < 1e-15
-    assert abs(u[W_SUBSPACE[1], W_SUBSPACE[2]] - np.exp(0.5j)) < 1e-15
-    assert abs(u[W_SUBSPACE[2], W_SUBSPACE[1]] - np.exp(0.7j)) < 1e-15
-    assert abs(u[7, 7] - np.exp(0.9j)) < 1e-15
-
-
-def test_custom_v_block_structure():
-    rng = np.random.default_rng(5)
-    v = haar_unitary(4, rng)
-    u = build_target_unitary(v)
+@pytest.mark.parametrize("v_choice", V_CHOICES)
+def test_target_block_structure(v_choice):
+    u = build_target_unitary(v_choice)
     qcore.check_unitary(u)
     # no coupling between the two invariant subspaces
     assert np.max(np.abs(u[np.ix_(W_SUBSPACE, V_SUBSPACE)])) == 0.0
     assert np.max(np.abs(u[np.ix_(V_SUBSPACE, W_SUBSPACE)])) == 0.0
-    assert np.allclose(u[np.ix_(V_SUBSPACE, V_SUBSPACE)], v)
+    assert np.array_equal(u[np.ix_(W_SUBSPACE, W_SUBSPACE)], SWAP_BLOCK)
+    v_block = SWAP_BLOCK if v_choice == "vstar" else np.eye(4)
+    assert np.array_equal(u[np.ix_(V_SUBSPACE, V_SUBSPACE)], v_block)
 
 
 def test_target_unitary_rejects_bad_v():

@@ -137,7 +137,7 @@ def test_unitary_of_circuit_matches_dense_reference(c):
 @settings(max_examples=200, deadline=None)
 @given(c=circuits(), p1=probabilities, p2=probabilities, seed=st.integers(0, 2 ** 32 - 1))
 def test_evolve_noisy_matches_dense_reference(c, p1, p2, seed):
-    nm = NoiseModel.uniform(p1=p1, p2=p2)
+    nm = NoiseModel(p1=p1, p2=p2)
     (rho,) = _densities(c.n_wires, seed, 1)
     got = evolve_noisy(c, rho, nm)
     assert got.shape == rho.shape
@@ -153,7 +153,7 @@ def test_evolve_noisy_matches_dense_reference(c, p1, p2, seed):
     shape=st.sampled_from([(1,), (3,), (2, 2)]),
 )
 def test_a_stack_evolves_like_single_calls(c, p1, p2, seed, shape):
-    nm = NoiseModel.uniform(p1=p1, p2=p2)
+    nm = NoiseModel(p1=p1, p2=p2)
     dim = 2 ** c.n_wires
     stack = _densities(c.n_wires, seed, int(np.prod(shape))).reshape(shape + (dim, dim))
     got = evolve_noisy(c, stack, nm)
@@ -171,7 +171,7 @@ def test_a_stack_evolves_like_single_calls(c, p1, p2, seed, shape):
     k=st.integers(1, 3),
 )
 def test_long_circuits_evolve_like_the_dense_reference(c, p1, p2, seed, k):
-    nm = NoiseModel.uniform(p1=p1, p2=p2)
+    nm = NoiseModel(p1=p1, p2=p2)
     stack = _densities(c.n_wires, seed, k)
     got = evolve_noisy(c, stack, nm)
     for rho, out in zip(stack, got, strict=True):
@@ -181,7 +181,7 @@ def test_long_circuits_evolve_like_the_dense_reference(c, p1, p2, seed, k):
 @pytest.mark.parametrize("p1,p2", [(0.0, 0.0), (2e-4, 2e-3), (0.2, 0.3), (1.0, 1.0)])
 def test_compiled_identity_engine_evolves_like_the_dense_reference(p1, p2):
     engine = engine_circuit("identity")
-    nm = NoiseModel.uniform(p1=p1, p2=p2)
+    nm = NoiseModel(p1=p1, p2=p2)
     stack = _densities(engine.n_wires, 7, 3)
     got = evolve_noisy(engine, stack, nm)
     for rho, out in zip(stack, got, strict=True):
@@ -198,7 +198,7 @@ def test_cx_on_every_ordered_wire_pair(n_wires, wires):
     assert np.array_equal(embed_gate(g.matrix(), g.wires, n_wires), _reference_embed(g, n_wires))
     c = Circuit(n_wires, [sx(wires[0]), g, rz(wires[1], 0.7)])
     assert np.max(np.abs(unitary_of_circuit(c) - _reference_unitary(c))) < 1e-12
-    nm = NoiseModel.uniform(p1=0.1, p2=0.3)
+    nm = NoiseModel(p1=0.1, p2=0.3)
     (rho,) = _densities(n_wires, sum(wires), 1)
     assert np.max(np.abs(evolve_noisy(c, rho, nm) - _reference_evolve(c, rho, nm))) < 1e-12
 

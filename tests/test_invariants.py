@@ -46,7 +46,7 @@ small = st.floats(0.0, 0.2)
 def test_transition_matrices_are_column_stochastic(
     engine, p1, p2, eps01, eps10, shots, seed, mitigation
 ):
-    nm = NoiseModel.uniform(p1, p2, eps01, eps10)
+    nm = NoiseModel(p1, p2, eps01, eps10)
     conf = None
     if mitigation:
         conf = calibrate(nm, shots, seed + 1000) if shots else exact_confusion(nm)

@@ -50,18 +50,11 @@ def test_noise_model_validation():
     with pytest.raises(ValueError):
         NoiseModel(p1=1.5)
     with pytest.raises(ValueError):
-        NoiseModel(eps01=(0.1,), eps10=(0.1, 0.1))
-    nm = NoiseModel.uniform(0.01, 0.02, 0.03, 0.04)
-    assert nm.eps01 == (0.03, 0.03, 0.03)
+        NoiseModel(eps10=-0.1)
+    nm = NoiseModel(0.01, 0.02, 0.03, 0.04)
+    assert (nm.eps01, nm.eps10) == (0.03, 0.04)
     assert not nm.is_gate_noiseless()
     assert NoiseModel().is_gate_noiseless()
-
-
-def test_flip_matrix():
-    nm = NoiseModel(eps01=(0.1, 0.0, 0.0), eps10=(0.2, 0.0, 0.0))
-    f = nm.flip_matrix(0)
-    assert np.allclose(f, [[0.9, 0.2], [0.1, 0.8]])
-    assert np.allclose(f.sum(axis=0), 1.0)
 
 
 def test_noiseless_evolution_matches_unitary():
@@ -76,7 +69,7 @@ def test_noiseless_evolution_matches_unitary():
 
 def test_noisy_evolution_preserves_density_structure():
     rng = np.random.default_rng(22)
-    nm = NoiseModel.uniform(p1=0.02, p2=0.05)
+    nm = NoiseModel(p1=0.02, p2=0.05)
     for _ in range(100):
         c = _random_circuit(rng, depth=6)
         rho = random_density(8, rng)
@@ -88,7 +81,7 @@ def test_noisy_evolution_preserves_density_structure():
 
 def test_depolarizing_is_unital():
     rng = np.random.default_rng(23)
-    nm = NoiseModel.uniform(p1=0.1, p2=0.3)
+    nm = NoiseModel(p1=0.1, p2=0.3)
     mixed = np.eye(8, dtype=complex) / 8
     out = evolve_noisy(_random_circuit(rng), mixed, nm)
     assert np.max(np.abs(out - mixed)) < 1e-12
@@ -109,7 +102,7 @@ def test_equal_circuits_share_one_plan_and_other_angles_get_their_own():
     other = Circuit(3, gates[:-1] + [rz(2, 0.6)], LINE3)
     assert _plan(other) is not _plan(c)
     rho = random_density(8, np.random.default_rng(24))
-    nm = NoiseModel.uniform(p1=0.1, p2=0.2)
+    nm = NoiseModel(p1=0.1, p2=0.2)
     assert np.max(np.abs(evolve_noisy(other, rho, nm) - evolve_noisy(c, rho, nm))) > 1e-3
 
 
@@ -128,7 +121,7 @@ def test_a_circuit_without_cx_is_one_step():
 
 def test_a_circuit_without_gates_returns_rho():
     rho = random_density(8, np.random.default_rng(25))
-    out = evolve_noisy(Circuit(3), rho, NoiseModel.uniform(p1=0.5, p2=0.5))
+    out = evolve_noisy(Circuit(3), rho, NoiseModel(p1=0.5, p2=0.5))
     assert np.max(np.abs(out - rho)) < 1e-15
 
 
@@ -145,29 +138,27 @@ def test_readout_zero_noise_is_identity():
     assert np.array_equal(apply_readout_error(p, NoiseModel()), p)
 
 
-@pytest.mark.parametrize(
-    "qubit,flipped_index",
-    [(0, 4), (1, 1), (2, 2)],  # q0 flips bit i, q1 flips bit k, q2 flips bit j
-)
-def test_readout_qubit_to_logical_bit_mapping(qubit, flipped_index):
-    eps = [0.0, 0.0, 0.0]
-    eps[qubit] = 0.25
-    nm = NoiseModel(eps01=tuple(eps), eps10=(0.0, 0.0, 0.0))
-    out = apply_readout_error(np.eye(8)[0], nm)
-    assert abs(out[0] - 0.75) < 1e-15
-    assert abs(out[flipped_index] - 0.25) < 1e-15
+def test_readout_matrix_is_one_flip_matrix_per_qubit():
+    # dyadic flips keep every product exact, so the check is bit for bit
+    f = np.array([[0.75, 0.125], [0.25, 0.875]])
+    got = readout_matrix(NoiseModel(eps01=0.25, eps10=0.125))
+    assert np.array_equal(got, np.kron(np.kron(f, f), f))
+
+
+def test_one_readout_flip_from_000_lands_on_one_logical_bit():
+    out = apply_readout_error(np.eye(8)[0], NoiseModel(eps01=0.25))
+    assert out[0] == 0.75 ** 3
+    assert np.flatnonzero(out == 0.25 * 0.75 ** 2).tolist() == [1, 2, 4]
     assert abs(out.sum() - 1.0) < 1e-12
 
 
 def test_readout_error_rejects_other_registers():
     with pytest.raises(ValueError, match="8 outcomes"):
         apply_readout_error(np.full(4, 0.25), NoiseModel())
-    with pytest.raises(ValueError, match="cover"):
-        readout_matrix(NoiseModel(eps01=(0.0, 0.0), eps10=(0.0, 0.0)))
 
 
 def test_readout_matrix_is_stochastic():
-    nm = NoiseModel.uniform(eps01=0.03, eps10=0.07)
+    nm = NoiseModel(eps01=0.03, eps10=0.07)
     m = readout_matrix(nm)
     assert m.shape == (8, 8)
     assert np.allclose(m.sum(axis=0), 1.0)
@@ -191,7 +182,7 @@ def test_calibrate_zero_noise_is_identity():
 
 
 def test_calibrate_is_deterministic_and_close_to_exact():
-    nm = NoiseModel.uniform(eps01=0.1, eps10=0.1)
+    nm = NoiseModel(eps01=0.1, eps10=0.1)
     a = calibrate(nm, 8192, 5)
     b = calibrate(nm, 8192, 5)
     assert np.array_equal(a.entries, b.entries)
@@ -206,7 +197,7 @@ def test_calibrate_rejects_zero_shots():
 
 
 def test_mitigate_exact_roundtrip():
-    nm = NoiseModel.uniform(eps01=0.05, eps10=0.02)
+    nm = NoiseModel(eps01=0.05, eps10=0.02)
     rng = np.random.default_rng(30)
     p = rng.dirichlet(np.ones(8))
     raw = apply_readout_error(p, nm)
@@ -222,14 +213,14 @@ def test_mitigate_identity_is_noop():
 
 def test_mitigate_clips_to_simplex():
     # a raw distribution outside the image of the confusion matrix
-    conf = exact_confusion(NoiseModel.uniform(eps01=0.2, eps10=0.2))
+    conf = exact_confusion(NoiseModel(eps01=0.2, eps10=0.2))
     out = mitigate(np.eye(8)[0], conf)
     assert np.min(out) >= 0.0
     assert abs(out.sum() - 1.0) < 1e-12
 
 
 def test_mitigate_rejects_singular_matrix():
-    conf = exact_confusion(NoiseModel.uniform(eps01=0.5, eps10=0.5))
+    conf = exact_confusion(NoiseModel(eps01=0.5, eps10=0.5))
     with pytest.raises(ValueError, match="singular"):
         mitigate(np.full(8, 0.125), conf)
 

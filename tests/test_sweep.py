@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qfridge import cli, sweep
+from qfridge import circuits, cli, sweep
 from qfridge.circuits import LINE3, emit_qasm
 from qfridge.cli import cli_main
 from qfridge.compiler import compile_generic
@@ -379,7 +379,7 @@ def test_cli_compile_identity_emits_routed_qasm(tmp_path, capsys):
 
 
 def test_v_choices_are_shared_by_config_and_cli(capsys):
-    assert sweep.V_CHOICES == ("identity", "vstar")
+    assert circuits.V_CHOICES == ("identity", "vstar")
     with pytest.raises(ConfigError, match="unknown v 'hadamard'"):
         parse_config("v = hadamard")
     assert cli_main(["compile", "--v", "hadamard"]) == 1

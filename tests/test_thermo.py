@@ -217,27 +217,11 @@ def test_exact_transition_matrices_are_the_basis_permutations():
 
 
 def test_sampled_transition_matrix_is_deterministic_and_stochastic():
-    nm = NoiseModel.uniform(eps01=0.02, eps10=0.02)
+    nm = NoiseModel(eps01=0.02, eps10=0.02)
     a = transition_matrix(build_target_unitary("identity"), nm, 4096, 3)
     b = transition_matrix(build_target_unitary("identity"), nm, 4096, 3)
     assert np.array_equal(a.p, b.p)
     assert np.allclose(a.p.sum(axis=0), 1.0)
-
-
-def test_phase_choices_do_not_change_outcome_statistics():
-    from qfridge.circuits import PhaseChoice
-
-    rng = np.random.default_rng(41)
-    for v_choice in ("identity", "vstar"):
-        base = transition_matrix(build_target_unitary(v_choice), NoiseModel(), 0, 0)
-        phases = PhaseChoice(
-            w=tuple(rng.uniform(-np.pi, np.pi, 4)),
-            v=tuple(rng.uniform(-np.pi, np.pi, 4)),
-        )
-        other = transition_matrix(
-            build_target_unitary(v_choice, phases), NoiseModel(), 0, 0
-        )
-        assert np.max(np.abs(base.p - other.p)) < 1e-12
 
 
 # ---------------------------------------------------------------------------

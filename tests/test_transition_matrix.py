@@ -1,5 +1,6 @@
 """The transition matrix as whole-stack operations, against the per-column
-loop it replaced; its sampling streams; and the boundary tolerance of
+loop it replaced; its sampling streams; the noiseless V* engine, whose exact
+unitary and 4-cx circuit agree bit for bit; and the boundary tolerance of
 mitigated runs.
 
 ``_reference_transition_matrix`` is ``thermo.transition_matrix`` as it stood
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qfridge import qcore, sweep
-from qfridge.circuits import Circuit, build_vstar_circuit, cx, rz, sx, x
+from qfridge.circuits import Circuit, build_target_unitary, build_vstar_circuit, cx, rz, sx, x
 from qfridge.noise import (
     NoiseModel,
     apply_readout_error,
@@ -22,7 +23,7 @@ from qfridge.noise import (
     mitigate,
 )
 from qfridge.oracles import haar_unitary, random_density
-from qfridge.sweep import SweepConfig, evaluate_grid, sweep_transition_matrix
+from qfridge.sweep import SweepConfig, evaluate_grid, run_sweep, sweep_transition_matrix, write_csv, write_json
 from qfridge.thermo import TransitionMatrix, hot_energies, preparation_grid, transition_matrix
 
 
@@ -106,7 +107,7 @@ small = st.floats(0.0, 0.2)
 @given(engine=engines(), p1=small, p2=small,
        eps=st.one_of(st.just((0.0, 0.0)), st.tuples(small, small)), mitigated=st.booleans())
 def test_exact_matrix_matches_the_per_column_reference(engine, p1, p2, eps, mitigated):
-    nm = NoiseModel.uniform(p1, p2, *eps)
+    nm = NoiseModel(p1, p2, *eps)
     conf = exact_confusion(nm) if mitigated else None
     got = transition_matrix(engine, nm, 0, 0, mitigation=conf).p
     want = _reference_transition_matrix(engine, nm, 0, 0, mitigation=conf).p
@@ -120,7 +121,7 @@ def test_exact_matrix_matches_the_per_column_reference(engine, p1, p2, eps, miti
 def test_stacked_primitives_act_row_by_row():
     rng = np.random.default_rng(5)
     rhos = np.array([random_density(qcore.DIM, rng) for _ in range(5)])
-    nm = NoiseModel.uniform(eps01=0.03, eps10=0.07)
+    nm = NoiseModel(eps01=0.03, eps10=0.07)
     born = qcore.born_probabilities(rhos)
     assert born.tobytes() == np.array([qcore.born_probabilities(r) for r in rhos]).tobytes()
     read = apply_readout_error(born, nm)
@@ -130,6 +131,35 @@ def test_stacked_primitives_act_row_by_row():
     assert np.max(np.abs(rows - born)) < 1e-12
     counts = qcore.sample_counts(read, 100, np.random.SeedSequence(3))
     assert counts.shape == read.shape and (counts.sum(axis=-1) == 100).all()
+
+
+# ---------------------------------------------------------------------------
+# noiseless V*: sweeps run the exact unitary, which the 4-cx circuit matches bit for bit
+
+@pytest.mark.parametrize("shots,seed", [(0, 0), (64, 1), (64, 2), (8192, 3), (8192, 4)])
+@pytest.mark.parametrize("eps", [(0.0, 0.0), (0.03, 0.07)])
+@pytest.mark.parametrize("mitigation", [None, "exact", "calibrated"])
+def test_noiseless_vstar_circuit_and_unitary_agree_bit_for_bit(shots, seed, eps, mitigation):
+    nm = NoiseModel(0.0, 0.0, *eps)
+    conf = {None: None, "exact": exact_confusion(nm), "calibrated": calibrate(nm, 4096, seed)}[mitigation]
+    circuit = transition_matrix(build_vstar_circuit(), nm, shots, seed, mitigation=conf)
+    unitary = transition_matrix(build_target_unitary("vstar"), nm, shots, seed, mitigation=conf)
+    assert np.array_equal(circuit.p, unitary.p)
+    assert np.array_equal(circuit.raw, unitary.raw)
+
+
+@pytest.mark.parametrize("scheme", ["swap4", "full8"])
+@pytest.mark.parametrize("run", [dict(shots=0), dict(shots=256, seed=5, eps01=0.02, eps10=0.03, mitigation=True)])
+def test_noiseless_vstar_sweep_writes_the_same_bytes_with_either_engine(monkeypatch, scheme, run):
+    # swap4 prepares no state that V acts on; full8 reaches the V block too
+    cfg = SweepConfig(scheme=scheme, v="vstar", n_h=8, n_c=8, **run)
+    assert isinstance(sweep.build_engine(cfg), np.ndarray)
+    assert isinstance(sweep.build_engine(SweepConfig(v="vstar", p2=0.01)), Circuit)
+    res = run_sweep(cfg)
+    monkeypatch.setattr(sweep, "build_engine", lambda cfg: build_vstar_circuit())
+    via_circuit = run_sweep(cfg)
+    assert write_csv(res) == write_csv(via_circuit)
+    assert write_json(res) == write_json(via_circuit)
 
 
 # ---------------------------------------------------------------------------
