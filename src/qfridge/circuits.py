@@ -117,6 +117,11 @@ class Circuit:
                 if not self.coupling.allows(*g.wires):
                     raise ValueError(f"cx on {g.wires} violates the coupling map")
 
+    def __hash__(self) -> int:  # kept on first use: every noise._plan lookup hashes the circuit
+        if "_hash" not in self.__dict__:
+            self.__dict__["_hash"] = hash((self.n_wires, self.gates, self.coupling))
+        return self.__dict__["_hash"]
+
     def cnot_count(self) -> int:
         return sum(1 for g in self.gates if g.name == "cx")
 

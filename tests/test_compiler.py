@@ -4,23 +4,31 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qfridge import qcore
+from qfridge import compiler, qcore
 from qfridge.circuits import (
     Circuit,
     CouplingMap,
     GATE_NAMES,
     LINE3,
+    SX_MATRIX,
+    X_MATRIX,
     build_target_unitary,
     build_vstar_circuit,
     cx,
+    emit_qasm,
     rz,
+    sx,
     unitary_of_circuit,
+    x,
 )
 from qfridge.compiler import (
+    _ATOL,
     _cancel_cx_pairs,
     _cossin,
     _demultiplex,
+    _rewrite_single,
     _route,
+    _walsh_gray,
     compile_generic,
     global_phase_distance,
 )
@@ -297,3 +305,161 @@ def test_global_phase_distance_properties():
     assert global_phase_distance(np.exp(0.7j) * u, u) < 1e-12
     v = haar_unitary(8, rng)
     assert global_phase_distance(u, v) > 1e-3
+
+
+# ---------------------------------------------------------------------------
+# frozen reference: the one-wire rewrite, the Gray-code ladder and the merge
+# as they were before the rewrite read |m00|, |m10| once, the Walsh table was
+# cached and the merge stopped seeding each run with the identity; the code
+# is verbatim, only the names carry a _frozen prefix
+
+def _frozen_ucr_ops(rot, angles, target, controls):
+    m = len(controls)
+    walsh = np.ones((1, 1))
+    for _ in range(m):
+        walsh = np.kron(walsh, [[1.0, 1.0], [1.0, -1.0]])
+    gray = [k ^ (k >> 1) for k in range(2 ** m)]
+    thetas = walsh[gray] @ angles / 2 ** m
+
+    def flip(mask: int) -> list:
+        bits = (mask >> (m - 1 - i) & 1 for i in range(m))
+        return [("cx", c, target) for c, bit in zip(controls, bits) if bit]
+
+    ops: list = []
+    parity = 0
+    for p, theta in zip(gray, thetas):
+        if abs(theta) > _ATOL:
+            ops += flip(parity ^ p)
+            ops.append(("u", target, rot(theta)))
+            parity = p
+    return ops + flip(parity)
+
+
+def _frozen_is_phase_of(m, ref):
+    k = np.unravel_index(np.argmax(np.abs(ref)), ref.shape)
+    if abs(m[k]) < _ATOL:
+        return False
+    return np.max(np.abs(m - (m[k] / ref[k]) * ref)) < 1e-11
+
+
+def _frozen_norm_angle(a):
+    return (a + np.pi) % (2 * np.pi) - np.pi
+
+
+def _frozen_rewrite_single(wire, m):
+    if _frozen_is_phase_of(m, np.eye(2)):
+        return []
+    if _frozen_is_phase_of(m, X_MATRIX):
+        return [x(wire)]
+    if _frozen_is_phase_of(m, SX_MATRIX):
+        return [sx(wire)]
+    if abs(m[1, 0]) < _ATOL:  # diagonal -> one rz
+        ang = _frozen_norm_angle(np.angle(m[1, 1]) - np.angle(m[0, 0]))
+        return [rz(wire, ang)] if abs(ang) > _ATOL else []
+    if abs(m[0, 0]) < _ATOL:  # antidiagonal
+        theta, lam = np.pi, 0.0
+        phi = np.angle(m[1, 0]) - np.angle(-m[0, 1])
+    else:
+        gamma = np.angle(m[0, 0])
+        theta = 2 * np.arctan2(abs(m[1, 0]), abs(m[0, 0]))
+        phi = np.angle(m[1, 0]) - gamma
+        if abs(m[1, 0]) < abs(m[0, 0]):
+            lam = np.angle(m[1, 1]) - gamma - phi
+        else:
+            lam = np.angle(-m[0, 1]) - gamma
+    gates = []
+    for ang in (lam, None, theta + np.pi, None, phi + np.pi):
+        if ang is None:
+            gates.append(sx(wire))
+        else:
+            ang = _frozen_norm_angle(ang)
+            if abs(ang) > _ATOL:
+                gates.append(rz(wire, ang))
+    return gates
+
+
+def _frozen_merge_and_rewrite(ops, n):
+    pending = {}
+    gates = []
+
+    def flush(w: int) -> None:
+        m = pending.pop(w, None)
+        if m is not None:
+            gates.extend(_frozen_rewrite_single(w, m))
+
+    for op in ops:
+        if op[0] == "u":
+            _, w, m = op
+            pending[w] = m @ pending.get(w, np.eye(2, dtype=complex))
+        else:
+            _, c, t = op
+            flush(c)
+            flush(t)
+            gates.append(cx(c, t))
+    for w in range(n):
+        flush(w)
+    return gates
+
+
+def _gate_bits(gates):
+    """Gates with each angle as its exact bits, so -0.0 and 1-ulp moves count."""
+    return [(g.name, g.wires, None if g.angle is None else float(g.angle).hex()) for g in gates]
+
+
+def _one_wire_matrix(kind, rng):
+    if kind == "haar":
+        return haar_unitary(2, rng)
+    base = {"identity": np.eye(2), "x": X_MATRIX, "sx": SX_MATRIX}.get(kind)
+    if base is None:
+        base = np.diag(np.exp(2j * np.pi * rng.random(2)))
+        base = base if kind == "diagonal" else X_MATRIX @ base
+    return np.exp(2j * np.pi * rng.random()) * base
+
+
+# perturbation sizes from 0 to 3e-11 that straddle, each within 0.1%, the 1e-12
+# branch bound, the 1e-11 probe bound and the 2e-11 guard
+_EPS = np.r_[
+    np.linspace(0.0, 3e-11, 31),
+    np.outer([1e-12, 1e-11, 2e-11], [0.9, 0.999, 1.001, 1.1]).ravel(),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(["haar", "identity", "x", "sx", "diagonal", "antidiagonal"]),
+    entry=st.sampled_from([(0, 0), (0, 1), (1, 0), (1, 1)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rewrite_single_matches_frozen_reference(kind, entry, seed):
+    rng = np.random.default_rng(seed)
+    base, turn, wire = _one_wire_matrix(kind, rng), np.exp(2j * np.pi * rng.random()), seed % 3
+    for eps in _EPS:
+        m = base.copy()
+        m[entry] += eps * turn
+        assert _gate_bits(_rewrite_single(wire, m)) == _gate_bits(_frozen_rewrite_single(wire, m))
+
+
+def test_walsh_gray_is_the_kron_walsh_matrix_in_gray_row_order():
+    walsh = np.ones((1, 1))
+    for m in range(4):
+        table = _walsh_gray(m)
+        assert np.array_equal(table, walsh[[k ^ (k >> 1) for k in range(2 ** m)]])
+        assert not table.flags.writeable and _walsh_gray(m) is table
+        walsh = np.kron(walsh, [[1.0, 1.0], [1.0, -1.0]])
+
+
+def test_compiled_qasm_is_byte_identical_to_the_frozen_compiler(monkeypatch):
+    rng = np.random.default_rng(2024)  # criterion 3's Haar targets
+    targets = [build_target_unitary(v) for v in ("identity", "vstar")]
+    targets += [haar_unitary(8, rng) for _ in range(50)]
+    targets += [haar_unitary(8, np.random.default_rng(seed)) for seed in range(200)]
+
+    def qasm():
+        return [emit_qasm(compile_generic(u, c)[0]) for u in targets for c in (None, LINE3)]
+
+    now = qasm()
+    monkeypatch.setattr(compiler, "_ucr_ops", _frozen_ucr_ops)
+    monkeypatch.setattr(compiler, "_rewrite_single", _frozen_rewrite_single)
+    monkeypatch.setattr(compiler, "_merge_and_rewrite", _frozen_merge_and_rewrite)
+    frozen = qasm()
+    assert [i for i, (a, b) in enumerate(zip(now, frozen)) if a != b] == []

@@ -106,6 +106,19 @@ def test_equal_circuits_share_one_plan_and_other_angles_get_their_own():
     assert np.max(np.abs(evolve_noisy(other, rho, nm) - evolve_noisy(c, rho, nm))) > 1e-3
 
 
+def test_circuit_hash_is_kept_and_a_second_evolution_hits_the_plan_cache():
+    gates = [sx(0), rz(1, 0.7), cx(0, 1), x(2), cx(1, 2)]
+    c, again = Circuit(3, gates, LINE3), Circuit(3, list(gates), LINE3)
+    assert "_hash" not in c.__dict__  # building a circuit does not hash it
+    assert c == again and hash(c) == hash(again) == hash(c)
+    rho = random_density(8, np.random.default_rng(25))
+    nm = NoiseModel(p1=0.01, p2=0.02)
+    first = evolve_noisy(c, rho, nm)
+    hits = _plan.cache_info().hits
+    assert np.array_equal(evolve_noisy(again, rho, nm), first)
+    assert _plan.cache_info().hits == hits + 1
+
+
 def test_plan_has_one_step_per_cx_and_one_after_the_last():
     engine = engine_circuit("identity")
     assert len(_plan(engine)[0]) == engine.cnot_count() + 1 == 55
