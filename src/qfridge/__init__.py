@@ -17,13 +17,13 @@ from .circuits import (
 )
 from .compiler import CompileReport, compile_generic, global_phase_distance
 from .noise import (
-    ConfusionMatrix,
     NoiseModel,
     apply_readout_error,
     calibrate,
     evolve_noisy,
-    exact_confusion,
     mitigate,
+    readout_inverse,
+    readout_matrix,
 )
 from .qcore import (
     basis_index,

@@ -110,7 +110,8 @@ def evolve_noisy(c: Circuit, rho: np.ndarray, nm: NoiseModel) -> np.ndarray:
 
 
 def readout_matrix(nm: NoiseModel) -> np.ndarray:
-    """Tensor product of one flip matrix per qubit; the factors are equal, so
+    """The confusion matrix, entries[m, t] = P(measure m | true state t): a
+    tensor product of one flip matrix per qubit; the factors are equal, so
     their order, and with it the register's wire order, does not matter."""
     f = np.array([[1 - nm.eps01, nm.eps10], [nm.eps01, 1 - nm.eps10]])
     return np.einsum("ab,cd,ef->acebdf", f, f, f).reshape(qcore.DIM, qcore.DIM)
@@ -124,54 +125,38 @@ def apply_readout_error(p: np.ndarray, nm: NoiseModel) -> np.ndarray:
     return (readout_matrix(nm) @ p[..., None])[..., 0]
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    """entries[m, t] = P(measure m | true state t); columns sum to 1."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        e = np.asarray(self.entries, dtype=float)
-        if e.ndim != 2 or e.shape[0] != e.shape[1]:
-            raise ValueError("confusion matrix must be square")
-        if np.min(e) < 0:
-            raise ValueError("confusion matrix has a negative entry")
-        if np.max(np.abs(e.sum(axis=0) - 1.0)) > qcore.STATE_ATOL:
-            raise ValueError("confusion matrix columns must sum to 1")
-        object.__setattr__(self, "entries", e)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-
-def calibrate(nm: NoiseModel, shots: int, seed: int | np.random.SeedSequence) -> ConfusionMatrix:
-    """Empirical confusion matrix: prepare each basis state, read out, count.
-
-    All columns are one multinomial draw from the generator seeded by seed.
-    """
+def calibrate(nm: NoiseModel, shots: int, seed: int | np.random.SeedSequence) -> np.ndarray:
+    """Empirical readout_matrix: prepare each basis state, read out, count.
+    All columns are one multinomial draw from the generator seeded by seed."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
     counts = qcore.sample_counts(readout_matrix(nm).T, shots, seed)
-    return ConfusionMatrix(counts.T / shots)
+    return counts.T / shots
 
 
-def exact_confusion(nm: NoiseModel) -> ConfusionMatrix:
-    """Infinite-shot limit of calibrate."""
-    return ConfusionMatrix(readout_matrix(nm))
+def readout_inverse(confusion: np.ndarray) -> np.ndarray:
+    """The inverse of a confusion matrix (square, non-negative, columns
+    summing to 1), from the one SVD that also gives its condition number;
+    a matrix with cond > 1e12 counts as singular and raises ValueError."""
+    m = np.asarray(confusion, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError("confusion matrix must be square")
+    if np.min(m) < 0:
+        raise ValueError("confusion matrix has a negative entry")
+    if np.max(np.abs(m.sum(axis=0) - 1.0)) > qcore.STATE_ATOL:
+        raise ValueError("confusion matrix columns must sum to 1")
+    u, s, vt = np.linalg.svd(m)
+    if not s[0] <= 1e12 * s[-1]:  # cond = s[0] / s[-1]; NaN fails too
+        raise ValueError(f"confusion matrix is singular (cond={s[0] / s[-1] if s[-1] else np.inf:.3g})")
+    return (vt.T / s) @ u.T
 
 
-def mitigate(raw: np.ndarray, m: ConfusionMatrix) -> np.ndarray:
-    """Least-squares inversion of the confusion matrix, clipped to the simplex;
-    a stack (..., d) is one solve with a right-hand side per vector."""
+def mitigate(raw: np.ndarray, unmix: np.ndarray) -> np.ndarray:
+    """raw, or each vector of a stack (..., d), mapped through a readout
+    inverse (readout_inverse) and clipped to the simplex; matmul rejects a
+    dimension mismatch."""
     raw = qcore.check_probabilities(raw)
-    if raw.shape[-1] != m.dim:
-        raise ValueError("dimension mismatch between distribution and matrix")
-    cond = np.linalg.cond(m.entries)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise ValueError(f"confusion matrix is singular (cond={cond:.3g})")
-    q, *_ = np.linalg.lstsq(m.entries, raw.reshape(-1, m.dim).T, rcond=None)
-    q = np.clip(q.T.reshape(raw.shape), 0.0, None, order="C")  # rows sum as lone vectors do
+    q = np.clip(raw @ unmix.T, 0.0, None)
     total = q.sum(axis=-1, keepdims=True)
     if np.min(total) <= 0:
         raise ValueError("mitigated distribution vanished")

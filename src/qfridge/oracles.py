@@ -17,7 +17,7 @@ import numpy as np
 from . import qcore, thermo
 from .circuits import LINE3, build_target_unitary, build_vstar_circuit, unitary_of_circuit
 from .compiler import compile_generic, global_phase_distance
-from .noise import NoiseModel, apply_readout_error, calibrate, exact_confusion, mitigate
+from .noise import NoiseModel, apply_readout_error, calibrate, mitigate, readout_inverse, readout_matrix
 from .sweep import SweepConfig, evaluate_grid, grid_axes, run_sweep
 from .thermo import (
     H_OVER_KB, DeviceSpec, TransitionMatrix, analytic_energy_changes, analytic_regions,
@@ -192,14 +192,13 @@ def _readout_mitigation() -> None:
     rng = np.random.default_rng(88)
     p = rng.dirichlet(np.ones(8))
     raw = apply_readout_error(p, nm)
-    exact_rec = mitigate(raw, exact_confusion(nm))
+    unmix = readout_inverse(readout_matrix(nm))
+    exact_rec = mitigate(raw, unmix)
     _require(np.max(np.abs(exact_rec - p)) < 1e-10, "exact mitigation misses p by 1e-10 or more")
     shots = 8192
-    sampled_conf = calibrate(nm, shots, 17)
-    sampled_rec = mitigate(raw, sampled_conf)
+    sampled_rec = mitigate(raw, readout_inverse(calibrate(nm, shots, 17)))
     # propagate 3 standard errors of the calibration through the inverse
-    inv_norm = np.linalg.norm(np.linalg.inv(exact_confusion(nm).entries), np.inf)
-    bound = 3.0 * inv_norm * 0.5 / np.sqrt(shots)
+    bound = 3.0 * np.linalg.norm(unmix, np.inf) * 0.5 / np.sqrt(shots)
     _require(np.max(np.abs(sampled_rec - p)) < bound, f"sampled mitigation misses p by {bound:.3g}")
 
 

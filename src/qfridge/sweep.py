@@ -23,7 +23,7 @@ import numpy as np
 
 from .circuits import LINE3, V_CHOICES, build_target_unitary, build_vstar_circuit
 from .compiler import compile_generic
-from .noise import NoiseModel, calibrate, exact_confusion
+from .noise import NoiseModel, calibrate, readout_matrix
 from . import thermo
 from .thermo import BOUNDARY_EPS, DeviceSpec, cold_energies, hot_energies, transition_matrix
 
@@ -176,7 +176,7 @@ def sweep_transition_matrix(cfg: SweepConfig):
     tm_seed, calibration_seed = np.random.SeedSequence(cfg.seed).spawn(2)
     conf = None
     if cfg.mitigation:
-        conf = calibrate(nm, cfg.shots, calibration_seed) if cfg.shots else exact_confusion(nm)
+        conf = calibrate(nm, cfg.shots, calibration_seed) if cfg.shots else readout_matrix(nm)
     return transition_matrix(build_engine(cfg), nm, cfg.shots, tm_seed, mitigation=conf)
 
 
@@ -279,8 +279,6 @@ _NON_FINITE_TEXT = {"infinite": "inf", "inverted": "inverted"}
 _CSV_ROW = "%s,%s,%.9g,%.9g,%.9g,%s,%s,%.9g,%s\n"
 _JSON_RECORD = "  {\n" + ",\n".join(f'    "{key}": %s' for key in RECORD_KEYS) + "\n  }"
 _JSON_TAGS = {kind: encode_basestring_ascii(text) for kind, text in _NON_FINITE_TEXT.items()}
-#: json's spelling of the float reprs that are not JSON numbers
-_JSON_CONSTANTS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _g9_texts(col: np.ndarray) -> list[str]:
@@ -321,24 +319,30 @@ def write_csv(res: SweepResult) -> str:
     return CSV_HEADER + "\n" + _fill(_CSV_ROW, "", columns)
 
 
+def _record_numbers(col: np.ndarray) -> list:
+    """The column's floats, a non-finite one as its CSV text ("nan", "inf",
+    "-inf"): strict JSON holds those only as strings."""
+    return [v if math.isfinite(v) else "%.9g" % v for v in col.tolist()]
+
+
 def as_records(res: SweepResult) -> list[dict]:
     """One dict per grid point, keyed by RECORD_KEYS, with Python values;
-    T_C_final may be "inf"/"inverted"."""
+    T_C_final may be "inf"/"inverted", and a non-finite float is its CSV text."""
     columns = [
-        res.t_hot.tolist(), res.t_cold.tolist(), res.de_hot.tolist(),
-        res.de_cold.tolist(), res.work.tolist(), res.mode.tolist(),
-        _t_final_column(res, res.t_cold_final.tolist(), _NON_FINITE_TEXT),
-        res.p_g_final.tolist(), res.purifier.tolist(),
+        *map(_record_numbers, (res.t_hot, res.t_cold, res.de_hot, res.de_cold, res.work)),
+        res.mode.tolist(),
+        _t_final_column(res, _record_numbers(res.t_cold_final), _NON_FINITE_TEXT),
+        _record_numbers(res.p_g_final), res.purifier.tolist(),
     ]
     return [dict(zip(RECORD_KEYS, row)) for row in zip(*columns)]
 
 
 def _json_numbers(col: np.ndarray) -> list[str]:
     """json's text of each number: float.__repr__ (as json calls it), with
-    NaN and the infinities spelled as json spells them."""
+    NaN and the infinities as strings of their CSV text (their repr)."""
     texts = repr(col.tolist())[1:-1].split(", ")
-    if not np.isfinite(col).all():
-        texts = [_JSON_CONSTANTS.get(t, t) for t in texts]
+    if not np.isfinite(col).all():  # the repr of a finite float ends in a digit
+        texts = [t if t[-1].isdigit() else f'"{t}"' for t in texts]
     return texts
 
 

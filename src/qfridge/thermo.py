@@ -23,7 +23,7 @@ import numpy as np
 
 from . import qcore
 from .circuits import Circuit
-from .noise import ConfusionMatrix, NoiseModel, apply_readout_error, evolve_noisy, mitigate
+from .noise import NoiseModel, apply_readout_error, evolve_noisy, mitigate, readout_inverse
 
 #: h / k_B in mK per GHz
 H_OVER_KB = 47.9924
@@ -151,7 +151,7 @@ class TransitionMatrix:
     """Column-stochastic p[i'|i] over the 8 logical basis states.
 
     raw holds the read-out columns that p was estimated from, and unmix the
-    linear map from them to p before clipping: the pseudo-inverse of the
+    linear map from them to p before clipping: the readout_inverse of the
     confusion matrix when mitigated, else the identity (the defaults).
     """
 
@@ -187,7 +187,7 @@ def transition_matrix(
     nm: NoiseModel,
     shots: int,
     seed: int | np.random.SeedSequence,
-    mitigation: ConfusionMatrix | None = None,
+    mitigation: np.ndarray | None = None,
 ) -> TransitionMatrix:
     """Measure the engine's outcome statistics per prepared basis state.
 
@@ -196,7 +196,8 @@ def transition_matrix(
     apply since there are no gates).  The 8 basis densities are evolved,
     read out and mitigated together as one stack.  shots = 0 means exact
     probabilities; otherwise the 8 columns are one multinomial draw from the
-    generator seeded by seed (an int or a SeedSequence).
+    generator seeded by seed (an int or a SeedSequence).  One readout_inverse
+    of the confusion matrix `mitigation` both mitigates and becomes unmix.
     """
     basis = np.eye(qcore.DIM, dtype=complex)
     rhos = basis[:, :, None] * basis[:, None, :]
@@ -210,8 +211,8 @@ def transition_matrix(
         raw = qcore.sample_counts(raw, shots, seed) / shots
     if mitigation is None:
         return TransitionMatrix(raw.T)
-    unmix = np.linalg.pinv(mitigation.entries)
-    return TransitionMatrix(mitigate(raw, mitigation).T, raw.T, unmix)
+    unmix = readout_inverse(mitigation)
+    return TransitionMatrix(mitigate(raw, unmix).T, raw.T, unmix)
 
 
 def roles_exchanged(t_hot, t_cold) -> np.ndarray:

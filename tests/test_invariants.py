@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from qfridge.circuits import LINE3, build_target_unitary, build_vstar_circuit
 from qfridge.compiler import compile_generic
-from qfridge.noise import NoiseModel, calibrate, exact_confusion
+from qfridge.noise import NoiseModel, calibrate, readout_matrix
 from qfridge.sweep import SweepConfig, evaluate_grid, sweep_transition_matrix
 from qfridge.thermo import (
     HOT_ENERGY_MODES, SCHEMES, TransitionMatrix, analytic_energy_changes, swap_engine_cop,
@@ -49,9 +49,9 @@ def test_transition_matrices_are_column_stochastic(
     nm = NoiseModel(p1, p2, eps01, eps10)
     conf = None
     if mitigation:
-        conf = calibrate(nm, shots, seed + 1000) if shots else exact_confusion(nm)
-        # a few-shot calibration can be singular, which mitigate rejects
-        assume(np.linalg.cond(conf.entries) <= 1e12)
+        conf = calibrate(nm, shots, seed + 1000) if shots else readout_matrix(nm)
+        # a few-shot calibration can be singular, which readout_inverse rejects
+        assume(np.linalg.cond(conf) <= 1e12)
     tm = transition_matrix(_engine(engine), nm, shots, seed, mitigation=conf)
     assert np.min(tm.p) >= 0.0
     assert np.max(np.abs(tm.p.sum(axis=0) - 1.0)) <= 1e-12

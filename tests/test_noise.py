@@ -1,6 +1,13 @@
-"""Depolarizing evolution, readout error, calibration, mitigation."""
+"""Depolarizing evolution, readout error, calibration, mitigation.
+
+``_flip_channel`` is noisy cx-only evolution as a classical channel, built
+from bit operations alone (no gate kernel, no Pauli tables).
+``_lstsq_mitigate`` is ``mitigate`` as it stood before ``readout_inverse``:
+a condition-number check and a least-squares solve per call.
+"""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qfridge import qcore
 from qfridge.circuits import (
@@ -14,14 +21,13 @@ from qfridge.circuits import (
     x,
 )
 from qfridge.noise import (
-    ConfusionMatrix,
     NoiseModel,
     _plan,
     apply_readout_error,
     calibrate,
     evolve_noisy,
-    exact_confusion,
     mitigate,
+    readout_inverse,
     readout_matrix,
 )
 from qfridge.oracles import random_density
@@ -138,6 +144,42 @@ def test_a_circuit_without_gates_returns_rho():
     assert np.max(np.abs(out - rho)) < 1e-15
 
 
+def _flip_channel(c: Circuit, p2: float) -> np.ndarray:
+    """Transition matrix (column per input) of a cx-only circuit in physical
+    order, wire 0 the most significant bit: each cx permutes the basis
+    states, then adds one of the X patterns none, control, target or both on
+    its wires, each with probability p2/4.  p1 does not enter: there is no
+    one-wire gate."""
+    n = c.n_wires
+    states = np.arange(2 ** n)
+    t = np.eye(2 ** n)
+    for g in c.gates:
+        ctl, tgt = (1 << (n - 1 - w) for w in g.wires)
+        t = t[states ^ np.where(states & ctl, tgt, 0)]  # a cx is its own inverse
+        t = (1 - p2) * t + p2 / 4 * sum(t[states ^ m] for m in (0, ctl, tgt, ctl | tgt))
+    return t
+
+
+@st.composite
+def cx_circuits(draw):
+    """1-8 cx on 2-4 wires."""
+    n = draw(st.integers(2, 4))
+    pair = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+    return Circuit(n, [cx(*draw(pair)) for _ in range(draw(st.integers(1, 8)))])
+
+
+unit = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(c=cx_circuits(), p1=unit, p2=unit)
+def test_noisy_cx_circuits_are_classical_flip_channels(c, p1, p2):
+    basis = np.eye(2 ** c.n_wires)
+    out = evolve_noisy(c, basis[:, :, None] * basis[:, None, :], NoiseModel(p1, p2))
+    got = np.diagonal(out, axis1=-2, axis2=-1).real.T  # logical order; to_physical keeps 2 and 4 wires
+    assert np.max(np.abs(qcore.to_physical(got) - _flip_channel(c, p2))) <= 1e-12
+
+
 def test_evolve_noisy_dimension_check():
     with pytest.raises(ValueError):
         evolve_noisy(build_vstar_circuit(), np.eye(4, dtype=complex) / 4, NoiseModel())
@@ -181,27 +223,30 @@ def test_readout_matrix_is_stochastic():
 # ---------------------------------------------------------------------------
 # calibration and mitigation
 
-def test_confusion_matrix_validation():
-    ConfusionMatrix(np.eye(8))
-    with pytest.raises(ValueError):
-        ConfusionMatrix(np.ones((8, 8)))
-    with pytest.raises(ValueError):
-        ConfusionMatrix(-np.eye(4))
+def test_readout_inverse_validation_and_inverse():
+    with pytest.raises(ValueError, match="columns must sum to 1"):
+        readout_inverse(np.ones((8, 8)))
+    with pytest.raises(ValueError, match="negative entry"):
+        readout_inverse(-np.eye(4))
+    with pytest.raises(ValueError, match="square"):
+        readout_inverse(np.full((2, 4), 0.5))
+    assert np.array_equal(readout_inverse(np.eye(8)), np.eye(8))
+    for m in (readout_matrix(NoiseModel(eps01=0.03, eps10=0.05)),
+              calibrate(NoiseModel(eps01=0.2, eps10=0.1), 512, 3)):
+        assert np.max(np.abs(readout_inverse(m) @ m - np.eye(8))) < 1e-14
 
 
 def test_calibrate_zero_noise_is_identity():
-    conf = calibrate(NoiseModel(), 2048, 0)
-    assert np.array_equal(conf.entries, np.eye(8))
+    assert np.array_equal(calibrate(NoiseModel(), 2048, 0), np.eye(8))
 
 
 def test_calibrate_is_deterministic_and_close_to_exact():
     nm = NoiseModel(eps01=0.1, eps10=0.1)
     a = calibrate(nm, 8192, 5)
     b = calibrate(nm, 8192, 5)
-    assert np.array_equal(a.entries, b.entries)
-    exact = exact_confusion(nm).entries
+    assert np.array_equal(a, b)
     # 5 sigma per-entry bound at 8192 shots
-    assert np.max(np.abs(a.entries - exact)) < 5 * 0.5 / np.sqrt(8192)
+    assert np.max(np.abs(a - readout_matrix(nm))) < 5 * 0.5 / np.sqrt(8192)
 
 
 def test_calibrate_rejects_zero_shots():
@@ -214,30 +259,77 @@ def test_mitigate_exact_roundtrip():
     rng = np.random.default_rng(30)
     p = rng.dirichlet(np.ones(8))
     raw = apply_readout_error(p, nm)
-    rec = mitigate(raw, exact_confusion(nm))
+    rec = mitigate(raw, readout_inverse(readout_matrix(nm)))
     assert np.max(np.abs(rec - p)) < 1e-10
 
 
 def test_mitigate_identity_is_noop():
     p = np.array([0.5, 0.25, 0.25, 0.0])
-    out = mitigate(p, ConfusionMatrix(np.eye(4)))
+    out = mitigate(p, readout_inverse(np.eye(4)))
     assert np.max(np.abs(out - p)) < 1e-12
 
 
 def test_mitigate_clips_to_simplex():
     # a raw distribution outside the image of the confusion matrix
-    conf = exact_confusion(NoiseModel(eps01=0.2, eps10=0.2))
-    out = mitigate(np.eye(8)[0], conf)
+    unmix = readout_inverse(readout_matrix(NoiseModel(eps01=0.2, eps10=0.2)))
+    out = mitigate(np.eye(8)[0], unmix)
     assert np.min(out) >= 0.0
     assert abs(out.sum() - 1.0) < 1e-12
 
 
-def test_mitigate_rejects_singular_matrix():
-    conf = exact_confusion(NoiseModel(eps01=0.5, eps10=0.5))
+@pytest.mark.parametrize("eps01,eps10", [(0.5, 0.5), (0.3, 0.7), (1.0, 0.0)])
+def test_readout_inverse_rejects_a_singular_matrix_as_the_lstsq_path_did(eps01, eps10):
+    m = readout_matrix(NoiseModel(eps01=eps01, eps10=eps10))
     with pytest.raises(ValueError, match="singular"):
-        mitigate(np.full(8, 0.125), conf)
+        _lstsq_mitigate(np.full(8, 0.125), m)
+    with pytest.raises(ValueError, match="singular"):
+        readout_inverse(m)
 
 
 def test_mitigate_dimension_mismatch():
     with pytest.raises(ValueError, match="mismatch"):
-        mitigate(np.array([0.5, 0.5]), ConfusionMatrix(np.eye(8)))
+        mitigate(np.array([0.5, 0.5]), readout_inverse(np.eye(8)))
+
+
+def _lstsq_mitigate(raw, confusion):
+    raw = qcore.check_probabilities(raw)
+    cond = np.linalg.cond(confusion)
+    if not np.isfinite(cond) or cond > 1e12:
+        raise ValueError(f"confusion matrix is singular (cond={cond:.3g})")
+    q, *_ = np.linalg.lstsq(confusion, raw.reshape(-1, len(confusion)).T, rcond=None)
+    q = np.clip(q.T.reshape(raw.shape), 0.0, None, order="C")
+    total = q.sum(axis=-1, keepdims=True)
+    if np.min(total) <= 0:
+        raise ValueError("mitigated distribution vanished")
+    return q / total
+
+
+@st.composite
+def confusion_matrices(draw):
+    """An exact confusion matrix with eps01, eps10 in [0, 0.45], or one
+    calibrated from it at 64-8192 shots."""
+    nm = NoiseModel(eps01=draw(st.floats(0.0, 0.45)), eps10=draw(st.floats(0.0, 0.45)))
+    if draw(st.booleans()):
+        return readout_matrix(nm)
+    return calibrate(nm, draw(st.integers(64, 8192)), draw(st.integers(0, 2 ** 32 - 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=confusion_matrices(), shape=st.sampled_from([(), (1,), (3,), (8,)]),
+       seed=st.integers(0, 2 ** 32 - 1), read_out=st.booleans())
+def test_mitigate_through_readout_inverse_matches_the_lstsq_path(m, shape, seed, read_out):
+    # raw is any point of the simplex, or one read out through m
+    raw = np.random.default_rng(seed).dirichlet(np.ones(8), size=shape)
+    if read_out:
+        raw = raw @ m.T
+    try:
+        want = _lstsq_mitigate(raw, m)
+    except ValueError as err:
+        assert "singular" in str(err)
+        with pytest.raises(ValueError, match="singular"):
+            readout_inverse(m)
+        return
+    got = mitigate(raw, readout_inverse(m))
+    assert got.shape == raw.shape
+    # both solves are backward stable, so they differ by up to a few cond(m) ulps
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.linalg.cond(m)

@@ -150,8 +150,13 @@ def test_point_rejects_a_nan_temperature_but_not_an_infinite_one(capsys):
     assert "temperatures must be positive" in capsys.readouterr().err
     # an infinite T_H is the maximally mixed hot qubits: finite energies
     assert cli_main(["point", "--th", "inf", "--tc", "50", "--shots", "0"]) == 0
-    out = json.loads(capsys.readouterr().out)
+    out = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert out["T_H"] == "inf" and out["T_C"] == 50.0
     assert np.isfinite([out["dE_H"], out["dE_C"], out["W"]]).all()
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not a JSON number")
 
 
 # ---------------------------------------------------------------------------

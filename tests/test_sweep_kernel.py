@@ -340,16 +340,20 @@ def test_outputs_match_golden_files(name, tmp_path, monkeypatch, capsys):
 
 
 def _reference_write_csv(res):
+    def g9(v):  # a record holds a non-finite float, or a T_C_final tag, as its text
+        return v if isinstance(v, str) else f"{v:.9g}"
+
     lines = [
-        f"{th:.9g},{tc:.9g},{dh:.9g},{dc:.9g},{w:.9g},{mode},"
-        f"{t if isinstance(t, str) else f'{t:.9g}'},{pg:.9g},{'true' if pur else 'false'}"
+        f"{g9(th)},{g9(tc)},{g9(dh)},{g9(dc)},{g9(w)},{mode},"
+        f"{g9(t)},{g9(pg)},{'true' if pur else 'false'}"
         for th, tc, dh, dc, w, mode, t, pg, pur in (r.values() for r in as_records(res))
     ]
     return "\n".join([CSV_HEADER, *lines]) + "\n"
 
 
 def _reference_write_json(res):
-    return json.dumps(as_records(res), indent=2) + "\n"
+    # allow_nan=False: strict JSON, no NaN or Infinity constants
+    return json.dumps(as_records(res), indent=2, allow_nan=False) + "\n"
 
 
 @st.composite

@@ -1,7 +1,7 @@
 """The transition matrix as whole-stack operations, against the per-column
 loop it replaced; its sampling streams; the noiseless V* engine, whose exact
-unitary and 4-cx circuit agree bit for bit; and the boundary tolerance of
-mitigated runs.
+unitary and 4-cx circuit agree bit for bit; and mitigated runs, which
+factor the confusion matrix once, and their boundary tolerance.
 
 ``_reference_transition_matrix`` is ``thermo.transition_matrix`` as it stood
 when each of the 8 columns was read out, sampled and mitigated on its own
@@ -19,8 +19,9 @@ from qfridge.noise import (
     apply_readout_error,
     calibrate,
     evolve_noisy,
-    exact_confusion,
     mitigate,
+    readout_inverse,
+    readout_matrix,
 )
 from qfridge.oracles import haar_unitary, random_density
 from qfridge.sweep import SweepConfig, evaluate_grid, run_sweep, sweep_transition_matrix, write_csv, write_json
@@ -41,7 +42,7 @@ def _reference_transition_matrix(engine, nm, shots, seed, mitigation=None):
         if shots:
             p = qcore.sample_counts(p, shots, seed + i) / shots
         if mitigation is not None:
-            p = mitigate(p, mitigation)
+            p = mitigate(p, readout_inverse(mitigation))
         cols.append(p)
     return TransitionMatrix(np.column_stack(cols))
 
@@ -65,7 +66,7 @@ def _calibration_of_run(monkeypatch, seed):
     with pytest.raises(_Calibrated) as got:
         sweep_transition_matrix(SweepConfig(seed=seed, mitigation=True, **UNIFORM_READOUT))
     monkeypatch.undo()
-    return got.value.args[0].entries
+    return got.value.args[0]
 
 
 @pytest.mark.parametrize("seed", [0, 7, 41])
@@ -108,7 +109,7 @@ small = st.floats(0.0, 0.2)
        eps=st.one_of(st.just((0.0, 0.0)), st.tuples(small, small)), mitigated=st.booleans())
 def test_exact_matrix_matches_the_per_column_reference(engine, p1, p2, eps, mitigated):
     nm = NoiseModel(p1, p2, *eps)
-    conf = exact_confusion(nm) if mitigated else None
+    conf = readout_matrix(nm) if mitigated else None
     got = transition_matrix(engine, nm, 0, 0, mitigation=conf).p
     want = _reference_transition_matrix(engine, nm, 0, 0, mitigation=conf).p
     assert np.min(got) >= 0.0
@@ -126,8 +127,9 @@ def test_stacked_primitives_act_row_by_row():
     assert born.tobytes() == np.array([qcore.born_probabilities(r) for r in rhos]).tobytes()
     read = apply_readout_error(born, nm)
     assert read.tobytes() == np.array([apply_readout_error(p, nm) for p in born]).tobytes()
-    rows = np.array([mitigate(p, exact_confusion(nm)) for p in read])
-    assert np.max(np.abs(mitigate(read, exact_confusion(nm)) - rows)) < 1e-15
+    unmix = readout_inverse(readout_matrix(nm))
+    rows = np.array([mitigate(p, unmix) for p in read])
+    assert np.max(np.abs(mitigate(read, unmix) - rows)) < 1e-15
     assert np.max(np.abs(rows - born)) < 1e-12
     counts = qcore.sample_counts(read, 100, np.random.SeedSequence(3))
     assert counts.shape == read.shape and (counts.sum(axis=-1) == 100).all()
@@ -141,7 +143,7 @@ def test_stacked_primitives_act_row_by_row():
 @pytest.mark.parametrize("mitigation", [None, "exact", "calibrated"])
 def test_noiseless_vstar_circuit_and_unitary_agree_bit_for_bit(shots, seed, eps, mitigation):
     nm = NoiseModel(0.0, 0.0, *eps)
-    conf = {None: None, "exact": exact_confusion(nm), "calibrated": calibrate(nm, 4096, seed)}[mitigation]
+    conf = {None: None, "exact": readout_matrix(nm), "calibrated": calibrate(nm, 4096, seed)}[mitigation]
     circuit = transition_matrix(build_vstar_circuit(), nm, shots, seed, mitigation=conf)
     unitary = transition_matrix(build_target_unitary("vstar"), nm, shots, seed, mitigation=conf)
     assert np.array_equal(circuit.p, unitary.p)
@@ -163,13 +165,33 @@ def test_noiseless_vstar_sweep_writes_the_same_bytes_with_either_engine(monkeypa
 
 
 # ---------------------------------------------------------------------------
-# the boundary tolerance of mitigated runs
+# mitigated runs: one factorisation of the confusion matrix, and the boundary tolerance
+
+def test_a_mitigated_matrix_factors_the_confusion_matrix_once(monkeypatch):
+    nm = NoiseModel(eps01=0.03, eps10=0.05)
+    conf, svd, factored = calibrate(nm, 8192, 2), np.linalg.svd, []
+
+    def counted_svd(a, *args, **kwargs):
+        factored.append(a)
+        return svd(a, *args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a second factorisation")
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    for name in ("cond", "lstsq", "pinv", "inv", "solve"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    tm = transition_matrix(build_vstar_circuit(), nm, 8192, 1, mitigation=conf)
+    assert len(factored) == 1 and np.array_equal(factored[0], conf)
+    # shot_variances propagates through the very map that produced p
+    assert np.array_equal(tm.p, mitigate(tm.raw.T, tm.unmix).T)
+
 
 def test_mitigated_spread_matches_the_propagated_sigma():
     # V* under depolarizing noise keeps every outcome off zero, where clipping
     # (which the delta method leaves out) would narrow the spread
     cfg = SweepConfig(v="vstar", p2=0.3, eps01=0.15, eps10=0.15, mitigation=True)
-    nm, engine, conf = cfg.noise(), build_vstar_circuit(), exact_confusion(cfg.noise())
+    nm, engine, conf = cfg.noise(), build_vstar_circuit(), readout_matrix(cfg.noise())
     th, tc = 600.0, 150.0
     spec = cfg.device()
     probs = preparation_grid(cfg.scheme, spec, [th], [tc])[0]
@@ -183,5 +205,5 @@ def test_mitigated_spread_matches_the_propagated_sigma():
         unpropagated.append(np.sqrt(probs ** 2 @ naive / cfg.shots))
     spread = np.std(de_hot, ddof=1)
     assert abs(np.mean(sigma) / spread - 1.0) < 0.2
-    # the variance of the mitigated columns alone misses what M+ amplifies
+    # the variance of the mitigated columns alone misses what the inverse amplifies
     assert abs(np.mean(unpropagated) / spread - 1.0) > 0.2
