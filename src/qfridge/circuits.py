@@ -1,14 +1,18 @@
 """Elementary-gate IR, the cooling-gate constructors, and the QASM emitter.
 
 The hardware gate set is {rz(theta), x, sx, cx}.  Circuits live in physical
-wire order.  :func:`embed_gate`, the one gate kernel, lifts a gate matrix to
-the full register through cached index tables; :func:`unitary_of_circuit` and
-the step unitaries of ``noise.evolve_noisy`` are built with it.  Three-wire unitaries are
-returned in the logical |ij,k> order of :func:`build_target_unitary`.
+wire order.  :func:`embed_gate`, the one gate kernel, lifts a gate matrix, or
+a stack of them, to the full register through cached index tables; its one
+caller is :func:`gate_stack`, which lifts every gate of a circuit with one
+call per (name, wires) group.  :func:`unitary_of_circuit` multiplies that
+stack pairwise, and the step unitaries of ``noise.evolve_noisy`` are read
+from it.  Three-wire unitaries are returned in the logical |ij,k> order of
+:func:`build_target_unitary`.
 """
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,10 +28,26 @@ SX_MATRIX = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])
 CX_MATRIX = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
 
 
-def rz_matrix(theta: float) -> np.ndarray:
-    return np.array(
-        [[np.exp(-0.5j * theta), 0], [0, np.exp(0.5j * theta)]], dtype=complex
-    )
+FIXED_MATRICES = {"x": X_MATRIX, "sx": SX_MATRIX, "cx": CX_MATRIX}
+_EYE2 = np.eye(2, dtype=bool)
+# theta's factors in the two exponents, and the zeros that the products
+# -0.5j * theta and 0.5j * theta add to them (the second turns -0.0 into +0.0)
+_HALF = np.array([-0.5, 0.5])
+_ADDED_ZERO = np.array([-0.0, 0.0])
+
+
+def rz_matrix(theta: float | np.ndarray) -> np.ndarray:
+    """diag(exp(-i theta/2), exp(i theta/2)), or a stack (..., 2, 2) of them
+    for an array of angles; the off-diagonal zeros are +0.
+
+    The exponents are built in real arithmetic with the signs of zero of the
+    IEEE products -0.5j * theta and 0.5j * theta: numpy's complex multiply
+    loops may round a tiny angle's product to either zero, so a float and a
+    stack would not always give the same bits.
+    """
+    z = np.zeros(np.shape(theta) + (2,), dtype=complex)
+    z.imag = np.multiply.outer(theta, _HALF) + _ADDED_ZERO
+    return np.where(_EYE2, np.exp(z)[..., None], 0j)
 
 
 @dataclass(frozen=True)
@@ -47,18 +67,12 @@ class Gate:
             raise ValueError(f"{self.name} is a single-wire gate")
         if (self.angle is not None) != (self.name == "rz"):
             raise ValueError("angle is required for rz and only for rz")
-        if self.angle is not None and not np.isfinite(self.angle):
+        if self.angle is not None and not math.isfinite(self.angle):
             raise ValueError("rz angle must be finite")
 
     def matrix(self) -> np.ndarray:
         """2x2 (or 4x4 for cx, control most significant) gate matrix."""
-        if self.name == "rz":
-            return rz_matrix(self.angle)
-        if self.name == "x":
-            return X_MATRIX
-        if self.name == "sx":
-            return SX_MATRIX
-        return CX_MATRIX
+        return rz_matrix(self.angle) if self.name == "rz" else FIXED_MATRICES[self.name]
 
 
 def rz(wire: int, angle: float) -> Gate:
@@ -128,9 +142,11 @@ class Circuit:
     def depth(self) -> int:
         level = [0] * self.n_wires
         for g in self.gates:
-            d = 1 + max(level[w] for w in g.wires)
-            for w in g.wires:
-                level[w] = d
+            if g.name == "cx":
+                a, b = g.wires
+                level[a] = level[b] = max(level[a], level[b]) + 1
+            else:
+                level[g.wires[0]] += 1
         return max(level, default=0)
 
 
@@ -181,17 +197,43 @@ def embed_gate(matrix: np.ndarray, wires, n_wires: int) -> np.ndarray:
     return matrix.reshape(matrix.shape[:-2] + (-1,)).take(flat, axis=-1) * same
 
 
+def gate_stack(c: Circuit) -> np.ndarray:
+    """(len(c.gates), 2^n, 2^n) stack of every gate's full-register matrix,
+    physical order, in application order.
+
+    The gates are grouped by (name, wires), with one embed_gate call per
+    group; an rz group's 2x2s come from one rz_matrix call over its angles.
+    Each row equals embed_gate(g.matrix(), g.wires, n) bit for bit.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for k, g in enumerate(c.gates):
+        groups.setdefault((g.name, g.wires), []).append(k)
+    stack = np.empty((len(c.gates),) + (2 ** c.n_wires,) * 2, dtype=complex)
+    for (name, wires), rows in groups.items():
+        if name == "rz":
+            m = rz_matrix(np.array([c.gates[k].angle for k in rows]))
+        else:
+            m = FIXED_MATRICES[name]
+        stack[rows] = embed_gate(m, wires, c.n_wires)
+    return stack
+
+
 def unitary_of_circuit(c: Circuit) -> np.ndarray:
     """Evaluate the circuit to a matrix.
 
-    Gates are multiplied in application order in physical wire order; for the
-    three-wire register the result is permuted into logical |ij,k> order so
-    it compares directly against build_target_unitary.
+    The gate stack is multiplied pairwise, later gate on the left, level by
+    level; an odd level is padded with the identity.  For the three-wire
+    register the result is permuted into logical |ij,k> order so it compares
+    directly against build_target_unitary.
     """
-    u = np.eye(2 ** c.n_wires, dtype=complex)
-    for g in c.gates:
-        u = embed_gate(g.matrix(), g.wires, c.n_wires) @ u
-    return qcore.to_logical(u)
+    s = gate_stack(c)
+    eye = np.eye(2 ** c.n_wires, dtype=complex)[None]
+    while len(s) != 1:
+        if len(s) % 2 or not len(s):
+            s = np.concatenate([s, eye])
+        else:
+            s = s[1::2] @ s[::2]
+    return qcore.to_logical(s[0])
 
 
 def build_vstar_circuit() -> Circuit:

@@ -8,7 +8,9 @@ probabilities, eps01 and eps10, on every qubit.  :func:`evolve_noisy`
 evolves a whole stack of densities (say the 8 basis inputs of a transition
 matrix) in one pass over its Pauli components: the noise stays per gate, but
 a plan cached per circuit fuses it into one step per cx, a diagonal scale
-followed by a real Pauli transfer matrix.
+followed by a real Pauli transfer matrix.  The plan reads its gates from
+``circuits.gate_stack``, so ``circuits.embed_gate`` stays the one gate
+kernel.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qcore
-from .circuits import X_MATRIX, Circuit, embed_gate
+from .circuits import X_MATRIX, Circuit, gate_stack
 
 
 @dataclass(frozen=True)
@@ -76,8 +78,8 @@ def _plan(c: Circuit):
         return (to_pauli @ np.kron(u, u.conj()) @ from_pauli).real
 
     i, u = 0, np.eye(2 ** n, dtype=complex)
-    for g in c.gates:
-        u = embed_gate(g.matrix(), g.wires, n) @ u
+    for g, m in zip(c.gates, gate_stack(c)):
+        u = m @ u
         if g.name != "cx":
             counts[g.wires[0]] += 1
             continue

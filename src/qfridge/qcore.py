@@ -49,11 +49,6 @@ phys_of_logical = np.array(
 )
 
 
-def logical_to_physical_matrix() -> np.ndarray:
-    """Permutation matrix P with v_phys = P @ v_logical."""
-    return np.eye(DIM)[:, phys_of_logical]
-
-
 def to_physical(a: np.ndarray) -> np.ndarray:
     """P @ a @ P.T on the last two axes: logical-order operators to physical.
 

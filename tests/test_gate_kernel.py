@@ -1,5 +1,6 @@
-"""The gate kernel (``circuits.embed_gate``, stacked ``noise.evolve_noisy``)
-against the dense per-gate path that it replaced.  ``evolve_noisy`` fuses
+"""The gate kernel (``circuits.embed_gate``, its one caller
+``circuits.gate_stack``, stacked ``noise.evolve_noisy``) against the dense
+per-gate path that it replaced.  ``evolve_noisy`` fuses
 the noise of each cx and the one-wire gates before it into one Pauli-basis
 step, so the long-circuit pins below draw runs of one-wire gates between cx
 gates, where a step carries several noises on one wire.
@@ -17,10 +18,30 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qfridge import qcore
-from qfridge.circuits import Circuit, Gate, cx, embed_gate, rz, sx, unitary_of_circuit, x
-from qfridge.noise import NoiseModel, evolve_noisy
+from qfridge.circuits import (
+    CX_MATRIX,
+    SX_MATRIX,
+    X_MATRIX,
+    Circuit,
+    Gate,
+    build_vstar_circuit,
+    cx,
+    embed_gate,
+    gate_stack,
+    rz,
+    rz_matrix,
+    sx,
+    unitary_of_circuit,
+    x,
+)
+from qfridge.noise import NoiseModel, _pauli_basis, _plan, evolve_noisy
 from qfridge.oracles import random_density
 from qfridge.sweep import engine_circuit
+
+
+def _logical_to_physical_matrix() -> np.ndarray:
+    """Permutation matrix P with v_phys = P @ v_logical."""
+    return np.eye(qcore.DIM)[:, qcore.phys_of_logical]
 
 
 def _reference_embed(g: Gate, n_wires: int) -> np.ndarray:
@@ -67,13 +88,13 @@ def _reference_unitary(c: Circuit) -> np.ndarray:
     for g in c.gates:
         u = _reference_embed(g, c.n_wires) @ u
     if c.n_wires == qcore.N_WIRES:
-        p = qcore.logical_to_physical_matrix()
+        p = _logical_to_physical_matrix()
         u = p.T @ u @ p
     return u
 
 
 def _reference_evolve(c: Circuit, rho: np.ndarray, nm: NoiseModel) -> np.ndarray:
-    p_mat = qcore.logical_to_physical_matrix()
+    p_mat = _logical_to_physical_matrix()
     if c.n_wires == qcore.N_WIRES:
         rho = p_mat @ rho @ p_mat.T
     for g in c.gates:
@@ -214,3 +235,123 @@ def test_full_depolarization_of_the_whole_register_is_maximally_mixed():
     rho = np.diag(np.eye(4)[1]).astype(complex)
     out = evolve_noisy(Circuit(2, [cx(0, 1)]), rho, NoiseModel(p2=1.0))
     assert np.max(np.abs(out - np.eye(4) / 4)) < 1e-15
+
+
+# frozen copies of the per-gate paths that gate_stack and the new depth loop replaced
+
+def _frozen_rz_matrix(theta: float) -> np.ndarray:
+    return np.array(
+        [[np.exp(-0.5j * theta), 0], [0, np.exp(0.5j * theta)]], dtype=complex
+    )
+
+
+def _frozen_gate_matrix(g: Gate) -> np.ndarray:
+    if g.name == "rz":
+        return _frozen_rz_matrix(g.angle)
+    return {"x": X_MATRIX, "sx": SX_MATRIX, "cx": CX_MATRIX}[g.name]
+
+
+def _frozen_depth(c: Circuit) -> int:
+    level = [0] * c.n_wires
+    for g in c.gates:
+        d = 1 + max(level[w] for w in g.wires)
+        for w in g.wires:
+            level[w] = d
+    return max(level, default=0)
+
+
+def _frozen_plan(c: Circuit):
+    n = c.n_wires
+    to_pauli, from_pauli, mask = _pauli_basis(n)
+    ptm = np.empty((c.cnot_count() + 1, 4 ** n, 4 ** n))
+    e1, e2 = np.zeros((2,) + ptm.shape[:2], dtype=int)
+    counts = np.zeros(n, dtype=int)
+
+    def transfer(u):
+        return (to_pauli @ np.kron(u, u.conj()) @ from_pauli).real
+
+    i, u = 0, np.eye(2 ** n, dtype=complex)
+    for g in c.gates:
+        u = embed_gate(_frozen_gate_matrix(g), g.wires, n) @ u
+        if g.name != "cx":
+            counts[g.wires[0]] += 1
+            continue
+        ptm[i], e1[i], e2[i] = transfer(u), counts @ mask, mask[list(g.wires)].max(axis=0)
+        counts[:], i, u = 0, i + 1, np.eye(2 ** n, dtype=complex)
+    ptm[i], e1[i] = transfer(u), counts @ mask
+    return ptm, e1, e2
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal values and equal signs of zero, for float or complex arrays."""
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(
+        a.view(np.uint8), b.view(np.uint8)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(c=st.one_of(circuits(), long_circuits()))
+def test_each_stack_row_is_the_per_gate_embed(c):
+    stack = gate_stack(c)
+    assert stack.shape == (len(c.gates),) + (2 ** c.n_wires,) * 2
+    for g, row in zip(c.gates, stack, strict=True):
+        assert _same_bits(g.matrix(), _frozen_gate_matrix(g))
+        assert _same_bits(row, embed_gate(g.matrix(), g.wires, c.n_wires))
+        assert _same_bits(row, embed_gate(_frozen_gate_matrix(g), g.wires, c.n_wires))
+
+
+@settings(max_examples=100, deadline=None)
+@given(angles=st.lists(st.floats(-1e6, 1e6), max_size=16))
+def test_rz_matrix_of_an_array_stacks_the_scalar_matrices(angles):
+    angles = [0.0, -0.0, 5e-324, -5e-324, np.pi] + angles  # signs of zero in the exponents
+    stack = rz_matrix(np.array(angles))
+    assert stack.shape == (len(angles), 2, 2)
+    for a, m in zip(angles, stack, strict=True):
+        assert _same_bits(m, _frozen_rz_matrix(a))
+        assert _same_bits(rz_matrix(a), _frozen_rz_matrix(a))
+
+
+@pytest.mark.parametrize("n_gates", [0, 1, 2, 3, 7, 8, 9, 16, 17])
+@pytest.mark.parametrize("n_wires", [1, 2, 3])
+def test_pairwise_product_at_odd_and_even_levels(n_gates, n_wires):
+    rng = np.random.default_rng(100 * n_gates + n_wires)
+    gates = []
+    for _ in range(n_gates):
+        w = int(rng.integers(n_wires))
+        kind = rng.integers(4 if n_wires > 1 else 3)
+        if kind == 3:
+            gates.append(cx(w, (w + 1) % n_wires))
+        else:
+            gates.append([rz(w, float(rng.uniform(-np.pi, np.pi))), x(w), sx(w)][kind])
+    c = Circuit(n_wires, gates)
+    u = unitary_of_circuit(c)
+    assert u.shape == (2 ** n_wires,) * 2
+    assert np.max(np.abs(u - _reference_unitary(c))) < 1e-12
+
+
+def test_the_empty_circuit_evaluates_to_the_identity():
+    for n in (1, 2, 3, 4):
+        assert np.array_equal(unitary_of_circuit(Circuit(n)), np.eye(2 ** n))
+        assert gate_stack(Circuit(n)).shape == (0, 2 ** n, 2 ** n)
+
+
+def _assert_plan_is_frozen(c: Circuit):
+    for got, want in zip(_plan(c), _frozen_plan(c), strict=True):
+        assert _same_bits(got, want)
+
+
+@pytest.mark.parametrize("c", [engine_circuit("identity"), build_vstar_circuit()], ids=["identity", "vstar"])
+def test_plan_of_the_engines_is_the_per_gate_plan(c):
+    _assert_plan_is_frozen(c)
+
+
+@settings(max_examples=50, deadline=None)
+@given(c=long_circuits())
+def test_plan_of_long_circuits_is_the_per_gate_plan(c):
+    _assert_plan_is_frozen(c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(c=st.one_of(circuits(), long_circuits()))
+def test_depth_is_the_per_gate_loop(c):
+    assert c.depth() == _frozen_depth(c)

@@ -6,6 +6,11 @@ from qfridge import qcore
 from qfridge.oracles import haar_unitary, random_density
 
 
+def _logical_to_physical_matrix() -> np.ndarray:
+    """Permutation matrix P with v_phys = P @ v_logical."""
+    return np.eye(qcore.DIM)[:, qcore.phys_of_logical]
+
+
 def test_basis_index_roundtrip():
     seen = set()
     for i in (0, 1):
@@ -33,14 +38,14 @@ def test_physical_index_moves_cold_bit():
 
 
 def test_permutation_matrix_is_a_permutation():
-    p = qcore.logical_to_physical_matrix()
+    p = _logical_to_physical_matrix()
     assert np.array_equal(p @ p.T, np.eye(8))
     assert np.array_equal(p.sum(axis=0), np.ones(8))
     assert np.array_equal(p.sum(axis=1), np.ones(8))
 
 
 def test_permutation_matrix_maps_basis_states():
-    p = qcore.logical_to_physical_matrix()
+    p = _logical_to_physical_matrix()
     for m in range(8):
         v = p @ np.eye(8)[m]
         assert v[qcore.phys_of_logical[m]] == 1.0
@@ -49,7 +54,7 @@ def test_permutation_matrix_maps_basis_states():
 
 def test_permutation_helpers_match_the_permutation_matrix():
     rng = np.random.default_rng(3)
-    p = qcore.logical_to_physical_matrix()
+    p = _logical_to_physical_matrix()
     stack = np.array([haar_unitary(8, rng) for _ in range(3)])
     phys = qcore.to_physical(stack)
     for a, b in zip(stack, phys):
