@@ -79,14 +79,19 @@ def rz(wire: int, angle: float) -> Gate:
     return Gate("rz", (wire,), angle)
 
 
+# x, sx and cx are built and checked once per distinct wires; errors are not
+# cached, so bad wires raise on every call
+@functools.cache
 def x(wire: int) -> Gate:
     return Gate("x", (wire,))
 
 
+@functools.cache
 def sx(wire: int) -> Gate:
     return Gate("sx", (wire,))
 
 
+@functools.cache
 def cx(control: int, target: int) -> Gate:
     return Gate("cx", (control, target))
 

@@ -11,8 +11,8 @@ quantum logic circuits", IEEE TCAD 25 (2006), arXiv:quant-ph/0406176):
 3. recurse on every V and W down to one-wire leaves, and realize each
    uniformly controlled rotation by a Gray-code cx ladder (Mottonen et al.,
    "Quantum circuits for general multiqubit gates", PRL 93, 130502 (2004)),
-4. merge adjacent single-qubit operations and rewrite each survivor into
-   rz-sx-rz-sx-rz form,
+4. merge adjacent single-qubit operations, then rewrite every merged
+   product at once, as one (k, 2, 2) stack, into rz-sx-rz-sx-rz form,
 5. route each cx the coupling map forbids as a 4-cx bridge through a wire
    coupled to both of its wires, then cancel adjacent equal cx pairs.
 
@@ -57,9 +57,10 @@ class CompileReport:
 # ---------------------------------------------------------------------------
 # Quantum Shannon Decomposition (raw ops: ("u", wire, 2x2) | ("cx", ctrl, tgt))
 
-def _ry2(a: float) -> np.ndarray:
+def _ry2(a: float | np.ndarray) -> np.ndarray:
+    """Ry(a), or a stack (..., 2, 2) of them for an array of angles."""
     c, s = np.cos(a / 2), np.sin(a / 2)
-    return np.array([[c, -s], [s, c]], dtype=complex)
+    return np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2).astype(complex)
 
 
 def _cossin(u: np.ndarray):
@@ -154,7 +155,8 @@ def _ucr_ops(
     rot, angles: np.ndarray, target: int, controls: tuple[int, ...]
 ) -> list:
     """rot(angles[j]) on target under control state j (controls[0] most
-    significant), as a Gray-code cx ladder (Mottonen et al., PRL 93, 130502).
+    significant), as a Gray-code cx ladder (Mottonen et al., PRL 93, 130502);
+    rot maps an array of angles to a stack of 2x2s, one call per ladder.
 
     X rot(a) X = rot(-a) for rot in {Rz, Ry}, so a rotation made while the
     target carries the parity p of the controls turns by
@@ -170,12 +172,14 @@ def _ucr_ops(
         bits = (mask >> (m - 1 - i) & 1 for i in range(m))
         return [("cx", c, target) for c, bit in zip(controls, bits) if bit]
 
+    kept = np.abs(thetas) > _ATOL
+    rotations = iter(rot(thetas[kept]))
     ops: list = []
     parity = 0
-    for p, theta in zip(gray, thetas):
-        if abs(theta) > _ATOL:
+    for p, keep in zip(gray, kept.tolist()):
+        if keep:
             ops += flip(parity ^ p)
-            ops.append(("u", target, rot(theta)))
+            ops.append(("u", target, next(rotations)))
             parity = p
     return ops + flip(parity)
 
@@ -206,64 +210,64 @@ def _qsd_ops(u: np.ndarray, wires: tuple[int, ...]) -> list:
 # ---------------------------------------------------------------------------
 # single-qubit rewriting
 
-def _is_phase_of(m: np.ndarray, ref: np.ndarray) -> bool:
-    k = np.unravel_index(np.argmax(np.abs(ref)), ref.shape)
-    if abs(m[k]) < _ATOL:
-        return False
-    return np.max(np.abs(m - (m[k] / ref[k]) * ref)) < 1e-11
+# the gates of a product that is I, X, SX, diagonal or none of these: a gate
+# constructor, or the column of an rz angle, left out when within _ATOL of zero
+_GATES_OF_KIND = ((), (x,), (sx,), (0,), (0, sx, 1, sx, 2))
 
 
-def _norm_angle(a: float) -> float:
-    return (a + np.pi) % (2 * np.pi) - np.pi
+def _rewrite_stack(wires: list[int], ms: np.ndarray) -> list[list[Gate]]:
+    """Rewrite each 2x2 unitary ms[j] on wires[j] into the {rz, x, sx} basis,
+    up to global phase, with array operations over the whole (k, 2, 2) stack.
 
+    A product is I, X or SX when it matches that matrix to 1e-11 after the
+    phase of the reference's largest entry; else one rz if diagonal, else
+    rz(lam) sx rz(theta + pi) sx rz(phi + pi) in application order.
+    """
+    m00, m01, m10, m11 = ms[:, 0, 0], ms[:, 0, 1], ms[:, 1, 0], ms[:, 1, 1]
+    # hypot, not np.abs: numpy's SIMD complex abs may differ from the scalar abs by an ulp
+    a00, a10 = np.hypot(m00.real, m00.imag), np.hypot(m10.real, m10.imag)
 
-def _rewrite_single(wire: int, m: np.ndarray) -> list[Gate]:
-    """Rewrite a 2x2 unitary into the {rz, x, sx} basis, up to global phase.
-    A probe match to 1e-11 implies |m10| < 2e-11 for I, |m00| < 2e-11 for X, and for SX,
-    whose entries share one modulus, ||m10| - |m00|| < 2e-11; a probe runs only then."""
-    a00, a10 = abs(m[0, 0]), abs(m[1, 0])
-    if a10 < 2e-11 and _is_phase_of(m, np.eye(2)):
-        return []
-    if a00 < 2e-11 and _is_phase_of(m, X_MATRIX):
-        return [x(wire)]
-    if abs(a10 - a00) < 2e-11 and _is_phase_of(m, SX_MATRIX):
-        return [sx(wire)]
-    if a10 < _ATOL:  # diagonal -> one rz
-        ang = _norm_angle(np.angle(m[1, 1]) - np.angle(m[0, 0]))
-        return [rz(wire, ang)] if abs(ang) > _ATOL else []
-    if a00 < _ATOL:  # antidiagonal
-        theta, lam = np.pi, 0.0
-        phi = np.angle(m[1, 0]) - np.angle(-m[0, 1])
-    else:
-        gamma = np.angle(m[0, 0])
-        theta = 2 * np.arctan2(a10, a00)
-        phi = np.angle(m[1, 0]) - gamma
-        # read phi + lam from m[1, 1] when the off-diagonal entries are the
-        # small ones: their phases carry an error of about eps / |m[1, 0]|
-        if a10 < a00:
-            lam = np.angle(m[1, 1]) - gamma - phi
-        else:
-            lam = np.angle(-m[0, 1]) - gamma
-    gates = []
-    for ang in (lam, None, theta + np.pi, None, phi + np.pi):
-        if ang is None:
-            gates.append(sx(wire))
-        else:
-            ang = _norm_angle(ang)
-            if abs(ang) > _ATOL:
-                gates.append(rz(wire, ang))
-    return gates
+    def phase_of(ref, i, j):  # ref's largest entry (i, j) fixes the phase
+        z = ms[:, i, j]
+        diff = ms - (z / ref[i, j])[:, None, None] * ref
+        return (np.hypot(z.real, z.imag) >= _ATOL) & (np.abs(diff).max(axis=(1, 2)) < 1e-11)
+
+    diagonal, anti = a10 < _ATOL, a00 < _ATOL
+    gamma, gamma01 = np.angle(m00), np.angle(-m01)
+    turn = np.angle(m11) - gamma  # a diagonal product's one rz
+    # an antidiagonal one has theta = pi, lam = 0 and phi from m10 against -m01
+    phi = np.angle(m10) - np.where(anti, gamma01, gamma)
+    theta = np.where(anti, np.pi, 2 * np.arctan2(a10, a00))
+    # read phi + lam from m11 when the off-diagonal entries are the small
+    # ones: their phases carry an error of about eps / |m10|
+    lam = np.where(anti, 0.0, np.where(a10 < a00, turn - phi, gamma01 - gamma))
+    angles = np.stack([np.where(diagonal, turn, lam), theta + np.pi, phi + np.pi], 1)
+    angles = (angles + np.pi) % (2 * np.pi) - np.pi
+    kinds = np.select(
+        [phase_of(np.eye(2), 0, 0), phase_of(X_MATRIX, 0, 1), phase_of(SX_MATRIX, 0, 0), diagonal],
+        [0, 1, 2, 3], 4,
+    )
+    return [
+        [t(w) if callable(t) else rz(w, a[t]) for t in _GATES_OF_KIND[k]
+         if callable(t) or abs(a[t]) > _ATOL]
+        for w, k, a in zip(wires, kinds.tolist(), angles.tolist())
+    ]
 
 
 def _merge_and_rewrite(ops: list, n: int) -> list[Gate]:
-    """Fuse runs of single-qubit ops per wire, then rewrite each product."""
+    """Fuse runs of single-qubit ops per wire; each flushed product holds a
+    slot in the gate list, filled by one _rewrite_stack call over them all."""
     pending: dict[int, np.ndarray] = {}
-    gates: list[Gate] = []
+    slots: list[Gate | None] = []  # None: the next product's gates
+    wires: list[int] = []
+    products: list[np.ndarray] = []
 
     def flush(w: int) -> None:
         m = pending.pop(w, None)
         if m is not None:
-            gates.extend(_rewrite_single(w, m))
+            slots.append(None)
+            wires.append(w)
+            products.append(m)
 
     for op in ops:
         if op[0] == "u":
@@ -273,10 +277,11 @@ def _merge_and_rewrite(ops: list, n: int) -> list[Gate]:
             _, c, t = op
             flush(c)
             flush(t)
-            gates.append(cx(c, t))
+            slots.append(cx(c, t))
     for w in range(n):
         flush(w)
-    return gates
+    rewritten = iter(_rewrite_stack(wires, np.array(products)))
+    return [g for s in slots for g in (next(rewritten) if s is None else (s,))]
 
 
 # ---------------------------------------------------------------------------

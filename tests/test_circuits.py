@@ -49,6 +49,14 @@ def test_gate_validation():
         Gate("rz", (0,), angle=float("nan"))
 
 
+def test_fixed_gates_are_built_once_and_bad_wires_always_raise():
+    assert x(1) is x(1) and sx(2) is sx(2) and cx(0, 1) is cx(0, 1)
+    assert cx(0, 1) is not cx(1, 0) and cx(1, 0) == Gate("cx", (1, 0))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="distinct"):
+            cx(1, 1)
+
+
 def test_sx_squares_to_x_up_to_phase():
     x_mat = Gate("x", (0,)).matrix()
     assert global_phase_distance(SX_MATRIX @ SX_MATRIX, x_mat) < 1e-15

@@ -26,8 +26,9 @@ from qfridge.compiler import (
     _cancel_cx_pairs,
     _cossin,
     _demultiplex,
-    _rewrite_single,
+    _rewrite_stack,
     _route,
+    _ry2,
     _walsh_gray,
     compile_generic,
     global_phase_distance,
@@ -308,10 +309,16 @@ def test_global_phase_distance_properties():
 
 
 # ---------------------------------------------------------------------------
-# frozen reference: the one-wire rewrite, the Gray-code ladder and the merge
-# as they were before the rewrite read |m00|, |m10| once, the Walsh table was
-# cached and the merge stopped seeding each run with the identity; the code
-# is verbatim, only the names carry a _frozen prefix
+# frozen reference: the one-wire rewrite, the Gray-code ladder, the merge and
+# the scalar Ry as they were before the rewrite read |m00|, |m10| once, the
+# Walsh table was cached, the merge stopped seeding each run with the
+# identity, and the rewrite and the ladder's rotations went to stacks; the
+# code is verbatim, only the names carry a _frozen prefix
+
+def _frozen_ry2(a):
+    c, s = np.cos(a / 2), np.sin(a / 2)
+    return np.array([[c, -s], [s, c]], dtype=complex)
+
 
 def _frozen_ucr_ops(rot, angles, target, controls):
     m = len(controls)
@@ -430,13 +437,31 @@ _EPS = np.r_[
     entry=st.sampled_from([(0, 0), (0, 1), (1, 0), (1, 1)]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_rewrite_single_matches_frozen_reference(kind, entry, seed):
+def test_rewrite_stack_matches_frozen_reference(kind, entry, seed):
+    # the perturbations of one example cross branch bounds, so one stack
+    # mixes branches; each matrix alone must rewrite the same as in the stack
     rng = np.random.default_rng(seed)
     base, turn, wire = _one_wire_matrix(kind, rng), np.exp(2j * np.pi * rng.random()), seed % 3
-    for eps in _EPS:
-        m = base.copy()
-        m[entry] += eps * turn
-        assert _gate_bits(_rewrite_single(wire, m)) == _gate_bits(_frozen_rewrite_single(wire, m))
+    ms = np.repeat(base[None], len(_EPS), axis=0)
+    ms[(slice(None),) + entry] += _EPS * turn
+    want = [_gate_bits(_frozen_rewrite_single(wire, m)) for m in ms]
+    assert [_gate_bits(g) for g in _rewrite_stack([wire] * len(ms), ms)] == want
+    assert [_gate_bits(_rewrite_stack([wire], m[None])[0]) for m in ms] == want
+
+
+def _same_bits(a, b):
+    """Equal values, dtypes and signs of zero."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(angles=st.lists(st.floats(-1e6, 1e6), max_size=16))
+def test_ry2_of_an_array_stacks_the_frozen_scalar_matrices(angles):
+    angles = [0.0, -0.0, 1e-13, -1e-13, np.pi, -np.pi] + angles
+    stack = _ry2(np.array(angles))
+    assert stack.shape == (len(angles), 2, 2)
+    for a, m in zip(angles, stack, strict=True):
+        assert _same_bits(m, _frozen_ry2(a)) and _same_bits(_ry2(a), _frozen_ry2(a))
 
 
 def test_walsh_gray_is_the_kron_walsh_matrix_in_gray_row_order():
@@ -453,13 +478,15 @@ def test_compiled_qasm_is_byte_identical_to_the_frozen_compiler(monkeypatch):
     targets = [build_target_unitary(v) for v in ("identity", "vstar")]
     targets += [haar_unitary(8, rng) for _ in range(50)]
     targets += [haar_unitary(8, np.random.default_rng(seed)) for seed in range(200)]
+    # their one-wire products reach the I, X, SX, diagonal and antidiagonal rewrites
+    targets += [_target(("diagonal", "permutation")[seed % 2], 3, seed) for seed in range(100)]
 
     def qasm():
         return [emit_qasm(compile_generic(u, c)[0]) for u in targets for c in (None, LINE3)]
 
     now = qasm()
+    monkeypatch.setattr(compiler, "_ry2", _frozen_ry2)
     monkeypatch.setattr(compiler, "_ucr_ops", _frozen_ucr_ops)
-    monkeypatch.setattr(compiler, "_rewrite_single", _frozen_rewrite_single)
     monkeypatch.setattr(compiler, "_merge_and_rewrite", _frozen_merge_and_rewrite)
     frozen = qasm()
     assert [i for i, (a, b) in enumerate(zip(now, frozen)) if a != b] == []

@@ -303,7 +303,8 @@ def test_each_stack_row_is_the_per_gate_embed(c):
 @settings(max_examples=100, deadline=None)
 @given(angles=st.lists(st.floats(-1e6, 1e6), max_size=16))
 def test_rz_matrix_of_an_array_stacks_the_scalar_matrices(angles):
-    angles = [0.0, -0.0, 5e-324, -5e-324, np.pi] + angles  # signs of zero in the exponents
+    # signs of zero in the exponents, tiny angles and both ends of (-pi, pi]
+    angles = [0.0, -0.0, 5e-324, -5e-324, 1e-13, -1e-13, np.pi, -np.pi] + angles
     stack = rz_matrix(np.array(angles))
     assert stack.shape == (len(angles), 2, 2)
     for a, m in zip(angles, stack, strict=True):
