@@ -15,7 +15,7 @@ from .circuits import (
     emit_qasm,
     unitary_of_circuit,
 )
-from .compiler import CompileReport, compile_generic, global_phase_distance
+from .compiler import CompileReport, compile_generic
 from .noise import (
     NoiseModel,
     apply_readout_error,

@@ -129,12 +129,15 @@ class Circuit:
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
-        for g in self.gates:
-            if max(g.wires) >= self.n_wires or min(g.wires) < 0:
+        # only cx has two wires, so the checks depend on the wires alone; each
+        # distinct tuple is checked once, in the order of its first gate
+        for wires in dict.fromkeys(g.wires for g in self.gates):
+            if max(wires) >= self.n_wires or min(wires) < 0:
+                g = next(g for g in self.gates if g.wires == wires)
                 raise ValueError(f"gate {g} uses a wire outside the register")
-            if g.name == "cx" and self.coupling is not None:
-                if not self.coupling.allows(*g.wires):
-                    raise ValueError(f"cx on {g.wires} violates the coupling map")
+            if len(wires) == 2 and self.coupling is not None:
+                if not self.coupling.allows(*wires):
+                    raise ValueError(f"cx on {wires} violates the coupling map")
 
     def __hash__(self) -> int:  # kept on first use: every noise._plan lookup hashes the circuit
         if "_hash" not in self.__dict__:

@@ -10,7 +10,8 @@ quantum logic circuits", IEEE TCAD 25 (2006), arXiv:quant-ph/0406176):
    where D + D^dagger is a uniformly controlled Rz,
 3. recurse on every V and W down to one-wire leaves, and realize each
    uniformly controlled rotation by a Gray-code cx ladder (Mottonen et al.,
-   "Quantum circuits for general multiqubit gates", PRL 93, 130502 (2004)),
+   "Quantum circuits for general multiqubit gates", PRL 93, 130502 (2004));
+   steps 1-3 run level by level, each level as one stack of its blocks,
 4. merge adjacent single-qubit operations, then rewrite every merged
    product at once, as one (k, 2, 2) stack, into rz-sx-rz-sx-rz form,
 5. route each cx the coupling map forbids as a 4-cx bridge through a wire
@@ -63,43 +64,59 @@ def _ry2(a: float | np.ndarray) -> np.ndarray:
     return np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2).astype(complex)
 
 
-def _cossin(u: np.ndarray):
-    """Cosine-sine decomposition of u about its first (most significant) wire.
+def _dagger(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix of a stack."""
+    return a.conj().swapaxes(-1, -2)
 
-    Returns (l0, l1, theta, r0, r1) with u = (l0 + l1) CS (r0 + r1), where +
-    is the direct sum and CS = [[C, -S], [S, C]], C = diag(cos theta),
-    S = diag(sin theta), 0 <= theta <= pi/2; a block-diagonal u has
-    theta = 0 and r0 = r1 = I.
+
+def _cossin(u: np.ndarray):
+    """Cosine-sine decomposition of each block of u about its first wire.
+
+    Returns stacks (l0, l1, theta, r0, r1) with u = (l0 + l1) CS (r0 + r1)
+    per block, where + is the direct sum and CS = [[C, -S], [S, C]],
+    C = diag(cos theta), S = diag(sin theta), 0 <= theta <= pi/2; a
+    block-diagonal block has theta = 0 and r0 = r1 = I.
     """
-    h = u.shape[0] // 2
-    u00, u01, u10, u11 = u[:h, :h], u[:h, h:], u[h:, :h], u[h:, h:]
-    if max(np.max(np.abs(u01)), np.max(np.abs(u10))) <= _ATOL:
-        eye = np.eye(h, dtype=complex)
-        return u00, u11, np.zeros(h), eye, eye
-    l0, c, r0 = np.linalg.svd(u00)
+    h = u.shape[-1] // 2
+    quadrants = u[:, :h, :h], u[:, :h, h:], u[:, h:, :h], u[:, h:, h:]
+    l0, l1, theta = quadrants[0].copy(), quadrants[3].copy(), np.zeros((len(u), h))
+    r0, r1 = np.tile(np.eye(h, dtype=complex), (2, len(u), 1, 1))
+    split = np.flatnonzero(np.abs(np.stack(quadrants[1:3], 1)).max(axis=(1, 2, 3)) > _ATOL)
+    svd = np.linalg.svd(quadrants[0][split])
     # Cosines near 1 fix their rows of r0 only up to a rotation among
     # themselves, and their sines are too small to read off 1 - c^2; an SVD
     # of u10 on those rows picks the rotation and gives the sines.  Below
     # 1/sqrt(2) the SVD of u00 resolves the rows, and the sines come from
-    # column norms of u10 r0^dagger.
-    k = int(np.count_nonzero(c >= np.sqrt(0.5)))
-    p, s_near, qh = np.linalg.svd(u10 @ r0[:k].conj().T)
-    r0[:k] = qh @ r0[:k]
-    x_near = u00 @ r0[:k].conj().T
-    c[:k] = np.linalg.norm(x_near, axis=0)
-    l0[:, :k] = x_near / c[:k]
-    y_far = u10 @ r0[k:].conj().T
-    s = np.concatenate([s_near, np.linalg.norm(y_far, axis=0)])
+    # column norms of u10 r0^dagger.  Blocks of equal k go together.
+    ks = np.count_nonzero(svd[1] >= np.sqrt(0.5), axis=1)
+    for k in sorted(set(ks.tolist())):
+        g = split[ks == k]
+        l0[g], l1[g], theta[g], r0[g], r1[g] = _cossin_split(
+            k, *(a[ks == k] for a in svd), *(q[g] for q in quadrants))
+    return l0, l1, theta, r0, r1
+
+
+def _cossin_split(k, l0, c, r0, u00, u01, u10, u11):
+    """_cossin of the blocks with k cosines >= 1/sqrt(2), from the SVD
+    u00 = l0 c r0 of each."""
+    p, s_near, qh = np.linalg.svd(u10 @ _dagger(r0[:, :k]))
+    r0[:, :k] = qh @ r0[:, :k]
+    x_near = u00 @ _dagger(r0[:, :k])
+    c[:, :k] = np.linalg.norm(x_near, axis=-2)
+    l0[:, :, :k] = x_near / c[:, None, :k]
+    y_far = u10 @ _dagger(r0[:, k:])
+    s = np.concatenate([s_near, np.linalg.norm(y_far, axis=-2)], axis=-1)
     tiny = s <= _ATOL
     s[tiny] = 0.0
     # l1 = (u10 r0^dagger) / s where s is not tiny, completed from l0's
     # columns elsewhere; one QR, largest sines first, makes it unitary
-    l1 = np.concatenate([p[:, :k], y_far / s[k:]], axis=1)
-    l1[:, tiny] = l0[:, tiny]
-    order = np.argsort(-s, kind="stable")
-    q, r = np.linalg.qr(l1[:, order])
-    l1[:, order] = q * np.exp(1j * np.angle(np.diagonal(r)))
-    r1 = c[:, None] * (l1.conj().T @ u11) - s[:, None] * (l0.conj().T @ u01)
+    l1 = np.concatenate([p[:, :, :k], y_far / s[:, None, k:]], axis=-1)
+    l1 = np.where(tiny[:, None, :], l0, l1)
+    order = np.argsort(-s, axis=-1, kind="stable")[:, None, :]
+    q, r = np.linalg.qr(np.take_along_axis(l1, order, axis=-1))
+    phases = np.exp(1j * np.angle(np.diagonal(r, axis1=-2, axis2=-1)))
+    np.put_along_axis(l1, order, q * phases[:, None, :], axis=-1)
+    r1 = c[:, :, None] * (_dagger(l1) @ u11) - s[:, :, None] * (_dagger(l0) @ u01)
     return l0, l1, np.arctan2(s, c), r0, r1
 
 
@@ -123,23 +140,27 @@ def _separating_angle(lam: list[complex]) -> float:
 
 
 def _demultiplex(a1: np.ndarray, a2: np.ndarray):
-    """Split a1 + a2 (direct sum) into (I x V)(D + D^dagger)(I x W).
+    """Split each a1 + a2 (direct sum) of two stacks into (I x V)(D + D^dagger)(I x W).
 
-    Returns (v, d, w) with d the diagonal of D: a1 = v D w and
+    Returns stacks (v, d, w) with d the diagonal of D: a1 = v D w and
     a2 = v D^dagger w.  V diagonalizes the normal matrix a1 a2^dagger =
     v D^2 v^dagger as the eigenbasis of its Hermitian part turned by the
     psi of _separating_angle, which resolves every spectrum; V = I when
     a1 a2^dagger is diagonal, where its eigenbasis would be rounding noise.
     """
-    nrm = a1 @ a2.conj().T
-    diag = np.diagonal(nrm)
-    if np.max(np.abs(nrm - np.diag(diag))) <= _ATOL:
-        d = np.exp(0.5j * np.angle(diag))
-        return np.eye(len(nrm), dtype=complex), d, d[:, None] * a2
-    nrm_psi = np.exp(-1j * _separating_angle(np.linalg.eigvals(nrm).tolist())) * nrm
-    _, v = np.linalg.eigh((nrm_psi + nrm_psi.conj().T) / 2)
-    d = np.exp(0.5j * np.angle(np.diagonal(v.conj().T @ nrm @ v)))
-    return v, d, d[:, None] * (v.conj().T @ a2)
+    nrm = a1 @ _dagger(a2)
+    eye = np.eye(nrm.shape[-1], dtype=complex)
+    v = np.tile(eye, (len(nrm), 1, 1))
+    d = np.exp(0.5j * np.angle(np.diagonal(nrm, axis1=-2, axis2=-1)))
+    w = d[:, :, None] * a2
+    mixed = np.abs(np.where(eye == 1, 0, nrm)).max(axis=(1, 2)) > _ATOL
+    nrm, a2 = nrm[mixed], a2[mixed]
+    turns = [np.exp(-1j * _separating_angle(lam)) for lam in np.linalg.eigvals(nrm).tolist()]
+    nrm_psi = np.array(turns)[:, None, None] * nrm
+    _, vm = np.linalg.eigh((nrm_psi + _dagger(nrm_psi)) / 2)
+    dm = np.exp(0.5j * np.angle(np.diagonal(_dagger(vm) @ nrm @ vm, axis1=-2, axis2=-1)))
+    v[mixed], d[mixed], w[mixed] = vm, dm, dm[:, :, None] * (_dagger(vm) @ a2)
+    return v, d, w
 
 
 @functools.lru_cache(maxsize=None)
@@ -153,10 +174,10 @@ def _walsh_gray(m: int) -> np.ndarray:
 
 def _ucr_ops(
     rot, angles: np.ndarray, target: int, controls: tuple[int, ...]
-) -> list:
-    """rot(angles[j]) on target under control state j (controls[0] most
-    significant), as a Gray-code cx ladder (Mottonen et al., PRL 93, 130502);
-    rot maps an array of angles to a stack of 2x2s, one call per ladder.
+) -> list[list]:
+    """Per row of angles, rot(angles[j]) on target under control state j
+    (controls[0] most significant) as a Gray-code cx ladder (Mottonen et al.,
+    PRL 93, 130502); rot maps an array of angles to a stack of 2x2s.
 
     X rot(a) X = rot(-a) for rot in {Rz, Ry}, so a rotation made while the
     target carries the parity p of the controls turns by
@@ -166,45 +187,37 @@ def _ucr_ops(
     """
     m = len(controls)
     gray = [k ^ (k >> 1) for k in range(2 ** m)]
-    thetas = _walsh_gray(m) @ angles / 2 ** m
-
-    def flip(mask: int) -> list:
-        bits = (mask >> (m - 1 - i) & 1 for i in range(m))
-        return [("cx", c, target) for c, bit in zip(controls, bits) if bit]
-
+    # a matrix-vector product per row: one gemm over all rows rounds differently
+    thetas = (_walsh_gray(m) @ angles[..., None])[..., 0] / 2 ** m
+    flips = [[("cx", c, target) for i, c in enumerate(controls) if mask >> (m - 1 - i) & 1]
+             for mask in range(2 ** m)]  # the cx by which each parity mask flips the target
     kept = np.abs(thetas) > _ATOL
     rotations = iter(rot(thetas[kept]))
-    ops: list = []
-    parity = 0
-    for p, keep in zip(gray, kept.tolist()):
-        if keep:
-            ops += flip(parity ^ p)
-            ops.append(("u", target, next(rotations)))
-            parity = p
-    return ops + flip(parity)
+    rows = []
+    for row in kept.tolist():
+        ops, parity = [], 0
+        for p, keep in zip(gray, row):
+            if keep:
+                ops += flips[parity ^ p] + [("u", target, next(rotations))]
+                parity = p
+        rows.append(ops + flips[parity])
+    return rows
 
 
-def _qsd_ops(u: np.ndarray, wires: tuple[int, ...]) -> list:
-    """Raw ops, in application order, realizing u on wires (first most
-    significant) by recursive cosine-sine splits down to one-wire leaves."""
+def _qsd_ops(u: np.ndarray, wires: tuple[int, ...]) -> list[list]:
+    """Raw ops, in application order, realizing each block of the (B, d, d)
+    stack u on wires (first most significant), one list per block, by
+    cosine-sine splits down to one-wire leaves, one stack per level."""
     if len(wires) == 1:
-        return [("u", wires[0], u)]
-    top, rest = wires[0], wires[1:]
+        return [[("u", wires[0], m)] for m in u]
+    top, rest, b = wires[0], wires[1:], len(u)
     l0, l1, theta, r0, r1 = _cossin(u)
-
-    def demultiplexed(a1, a2) -> list:
-        v, d, w = _demultiplex(a1, a2)
-        return (
-            _qsd_ops(w, rest)
-            + _ucr_ops(rz_matrix, -2 * np.angle(d), top, rest)
-            + _qsd_ops(v, rest)
-        )
-
-    return (
-        demultiplexed(r0, r1)
-        + _ucr_ops(_ry2, 2 * theta, top, rest)
-        + demultiplexed(l0, l1)
-    )
+    v, d, w = _demultiplex(np.concatenate([r0, l0]), np.concatenate([r1, l1]))
+    halves = _qsd_ops(np.concatenate([w, v]), rest)
+    w_r, w_l, v_r, v_l = (halves[i * b:(i + 1) * b] for i in range(4))
+    rz = _ucr_ops(rz_matrix, -2 * np.angle(d), top, rest)
+    ry = _ucr_ops(_ry2, 2 * theta, top, rest)
+    return [sum(ops, []) for ops in zip(w_r, rz[:b], v_r, ry, w_l, rz[b:], v_l)]
 
 
 # ---------------------------------------------------------------------------
@@ -345,20 +358,7 @@ def compile_generic(
     n = int(round(np.log2(d)))
     if 2 ** n != d or n < 1:
         raise ValueError("dimension must be a power of two >= 2")
-    gates = _merge_and_rewrite(_qsd_ops(qcore.to_physical(u), tuple(range(n))), n)
+    gates = _merge_and_rewrite(_qsd_ops(qcore.to_physical(u)[None], tuple(range(n)))[0], n)
     gates = _cancel_cx_pairs(_route(gates, coupling, n), n)
     circuit = Circuit(n, gates, coupling)
     return circuit, CompileReport.of(circuit)
-
-
-def global_phase_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """max |a - e^{i phi} b| over the optimal global phase phi."""
-    k = np.unravel_index(np.argmax(np.abs(b)), b.shape)
-    if abs(b[k]) < _ATOL:
-        return float(np.max(np.abs(a - b)))
-    phase = a[k] / b[k]
-    if abs(phase) > _ATOL:
-        phase /= abs(phase)
-    else:
-        phase = 1.0
-    return float(np.max(np.abs(a - phase * b)))

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import qcore, thermo
 from .circuits import LINE3, build_target_unitary, build_vstar_circuit, unitary_of_circuit
-from .compiler import compile_generic, global_phase_distance
+from .compiler import compile_generic
 from .noise import NoiseModel, apply_readout_error, calibrate, mitigate, readout_inverse, readout_matrix
 from .sweep import SweepConfig, evaluate_grid, grid_axes, run_sweep
 from .thermo import (
@@ -37,6 +37,19 @@ def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = a @ a.conj().T
     return rho / np.trace(rho).real
+
+
+def global_phase_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """max |a - e^{i phi} b| over the optimal global phase phi."""
+    k = np.unravel_index(np.argmax(np.abs(b)), b.shape)
+    if abs(b[k]) < 1e-12:
+        return float(np.max(np.abs(a - b)))
+    phase = a[k] / b[k]
+    if abs(phase) > 1e-12:
+        phase /= abs(phase)
+    else:
+        phase = 1.0
+    return float(np.max(np.abs(a - phase * b)))
 
 
 def _require(ok, detail: str) -> None:

@@ -27,7 +27,7 @@ from qfridge.circuits import (
     unitary_of_circuit,
     x,
 )
-from qfridge.compiler import global_phase_distance
+from qfridge.oracles import global_phase_distance
 from qfridge.sweep import engine_circuit
 
 

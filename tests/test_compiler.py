@@ -1,8 +1,10 @@
 """Generic unitary compiler: round-trips, gate set, routing, and the pieces
 of the Quantum Shannon Decomposition."""
+import functools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qfridge import compiler, qcore
 from qfridge.circuits import (
@@ -17,6 +19,7 @@ from qfridge.circuits import (
     cx,
     emit_qasm,
     rz,
+    rz_matrix,
     sx,
     unitary_of_circuit,
     x,
@@ -26,14 +29,15 @@ from qfridge.compiler import (
     _cancel_cx_pairs,
     _cossin,
     _demultiplex,
+    _qsd_ops,
     _rewrite_stack,
     _route,
     _ry2,
+    _separating_angle,
     _walsh_gray,
     compile_generic,
-    global_phase_distance,
 )
-from qfridge.oracles import haar_unitary
+from qfridge.oracles import global_phase_distance, haar_unitary
 
 
 def _assert_compiles_to(u, coupling, tol=1e-8):
@@ -154,7 +158,7 @@ def test_cossin_matches_scipy():
     ]
     for u in targets:
         h = len(u) // 2
-        l0, l1, theta, r0, r1 = _cossin(u)
+        l0, l1, theta, r0, r1 = (a[0] for a in _cossin(u[None]))
         cs = np.block([
             [np.diag(np.cos(theta)), -np.diag(np.sin(theta))],
             [np.diag(np.sin(theta)), np.diag(np.cos(theta))],
@@ -169,7 +173,7 @@ def test_cossin_of_equal_blocks_keeps_them_equal():
     # u = I x a has no sines; completing l1 from l0 leaves both
     # demultiplexers trivial
     a = haar_unitary(4, np.random.default_rng(17))
-    l0, l1, theta, r0, r1 = _cossin(np.kron(np.eye(2), a))
+    l0, l1, theta, r0, r1 = (b[0] for b in _cossin(np.kron(np.eye(2), a)[None]))
     assert np.all(theta == 0.0)
     assert np.max(np.abs(l1 - l0)) < 1e-12
     assert np.max(np.abs(r1 - r0)) < 1e-12
@@ -177,7 +181,7 @@ def test_cossin_of_equal_blocks_keeps_them_equal():
 
 def _assert_demultiplexes(a1, a2):
     dim = len(a1)
-    v, d, w = _demultiplex(a1, a2)
+    v, d, w = (a[0] for a in _demultiplex(a1[None], a2[None]))
     assert np.max(np.abs(v.conj().T @ v - np.eye(dim))) < 1e-12
     assert np.allclose(np.abs(d), 1.0, rtol=0, atol=1e-12)
     rebuilt = (
@@ -196,7 +200,8 @@ _MERGED_BY_GOLDEN_MIX = (1 + 2j) / np.sqrt(5)
 
 def test_demultiplex_degenerate_blocks():
     rng = np.random.default_rng(16)
-    l0, l1, _, r0, r1 = _cossin(qcore.to_physical(build_target_unitary("identity")))
+    target = qcore.to_physical(build_target_unitary("identity"))
+    l0, l1, _, r0, r1 = (a[0] for a in _cossin(target[None]))
     pairs = [(l0, l1), (r0, r1)]
     pairs += [
         (np.diag(rng.choice([-1.0, 1.0], 4)), np.diag(rng.choice([-1.0, 1.0], 4)))
@@ -272,6 +277,12 @@ def _target(family, n, seed):
         return _direct_sum(a, a if rng.random() < 0.3 else haar_unitary(dim // 2, rng))
     if family == "diagonal":
         return np.diag(np.exp(2j * np.pi * rng.random(dim)))
+    if family == "kron":  # one- and two-wire factors side by side, some the identity
+        sizes = []
+        while sum(sizes) < n:
+            sizes.append(int(rng.integers(1, min(2, n - sum(sizes)) + 1)))
+        factors = [haar_unitary(2 ** k, rng) if rng.random() < 0.6 else np.eye(2 ** k) for k in sizes]
+        return functools.reduce(np.kron, factors)
     # near-degenerate CS angles: sines (or cosines) of about 1e-10 to 1e-5
     delta = 10.0 ** rng.uniform(-10, -5)
     return _phased_permutation(dim, rng) @ _near_identity(dim, delta, rng)
@@ -309,37 +320,14 @@ def test_global_phase_distance_properties():
 
 
 # ---------------------------------------------------------------------------
-# frozen reference: the one-wire rewrite, the Gray-code ladder, the merge and
-# the scalar Ry as they were before the rewrite read |m00|, |m10| once, the
-# Walsh table was cached, the merge stopped seeding each run with the
-# identity, and the rewrite and the ladder's rotations went to stacks; the
-# code is verbatim, only the names carry a _frozen prefix
+# frozen reference: the one-wire rewrite, the merge and the scalar Ry as they
+# were before the rewrite read |m00|, |m10| once, the merge stopped seeding
+# each run with the identity, and the rewrite and the ladder's rotations went
+# to stacks; the code is verbatim, only the names carry a _frozen prefix
 
 def _frozen_ry2(a):
     c, s = np.cos(a / 2), np.sin(a / 2)
     return np.array([[c, -s], [s, c]], dtype=complex)
-
-
-def _frozen_ucr_ops(rot, angles, target, controls):
-    m = len(controls)
-    walsh = np.ones((1, 1))
-    for _ in range(m):
-        walsh = np.kron(walsh, [[1.0, 1.0], [1.0, -1.0]])
-    gray = [k ^ (k >> 1) for k in range(2 ** m)]
-    thetas = walsh[gray] @ angles / 2 ** m
-
-    def flip(mask: int) -> list:
-        bits = (mask >> (m - 1 - i) & 1 for i in range(m))
-        return [("cx", c, target) for c, bit in zip(controls, bits) if bit]
-
-    ops: list = []
-    parity = 0
-    for p, theta in zip(gray, thetas):
-        if abs(theta) > _ATOL:
-            ops += flip(parity ^ p)
-            ops.append(("u", target, rot(theta)))
-            parity = p
-    return ops + flip(parity)
 
 
 def _frozen_is_phase_of(m, ref):
@@ -485,8 +473,170 @@ def test_compiled_qasm_is_byte_identical_to_the_frozen_compiler(monkeypatch):
         return [emit_qasm(compile_generic(u, c)[0]) for u in targets for c in (None, LINE3)]
 
     now = qasm()
-    monkeypatch.setattr(compiler, "_ry2", _frozen_ry2)
-    monkeypatch.setattr(compiler, "_ucr_ops", _frozen_ucr_ops)
+    monkeypatch.setattr(compiler, "_qsd_ops", _frozen_qsd_ops_of_stack)
     monkeypatch.setattr(compiler, "_merge_and_rewrite", _frozen_merge_and_rewrite)
     frozen = qasm()
     assert [i for i, (a, b) in enumerate(zip(now, frozen)) if a != b] == []
+
+
+# ---------------------------------------------------------------------------
+# frozen reference: the recursion, the cosine-sine split, the demultiplexer
+# and the Gray-code ladder as they were before each level of the recursion
+# ran as one stack; the code is verbatim, only the names carry a _frozen prefix
+
+def _frozen_cossin(u: np.ndarray):
+    h = u.shape[0] // 2
+    u00, u01, u10, u11 = u[:h, :h], u[:h, h:], u[h:, :h], u[h:, h:]
+    if max(np.max(np.abs(u01)), np.max(np.abs(u10))) <= _ATOL:
+        eye = np.eye(h, dtype=complex)
+        return u00, u11, np.zeros(h), eye, eye
+    l0, c, r0 = np.linalg.svd(u00)
+    # Cosines near 1 fix their rows of r0 only up to a rotation among
+    # themselves, and their sines are too small to read off 1 - c^2; an SVD
+    # of u10 on those rows picks the rotation and gives the sines.  Below
+    # 1/sqrt(2) the SVD of u00 resolves the rows, and the sines come from
+    # column norms of u10 r0^dagger.
+    k = int(np.count_nonzero(c >= np.sqrt(0.5)))
+    p, s_near, qh = np.linalg.svd(u10 @ r0[:k].conj().T)
+    r0[:k] = qh @ r0[:k]
+    x_near = u00 @ r0[:k].conj().T
+    c[:k] = np.linalg.norm(x_near, axis=0)
+    l0[:, :k] = x_near / c[:k]
+    y_far = u10 @ r0[k:].conj().T
+    s = np.concatenate([s_near, np.linalg.norm(y_far, axis=0)])
+    tiny = s <= _ATOL
+    s[tiny] = 0.0
+    # l1 = (u10 r0^dagger) / s where s is not tiny, completed from l0's
+    # columns elsewhere; one QR, largest sines first, makes it unitary
+    l1 = np.concatenate([p[:, :k], y_far / s[k:]], axis=1)
+    l1[:, tiny] = l0[:, tiny]
+    order = np.argsort(-s, kind="stable")
+    q, r = np.linalg.qr(l1[:, order])
+    l1[:, order] = q * np.exp(1j * np.angle(np.diagonal(r)))
+    r1 = c[:, None] * (l1.conj().T @ u11) - s[:, None] * (l0.conj().T @ u01)
+    return l0, l1, np.arctan2(s, c), r0, r1
+
+
+def _frozen_demultiplex(a1: np.ndarray, a2: np.ndarray):
+    nrm = a1 @ a2.conj().T
+    diag = np.diagonal(nrm)
+    if np.max(np.abs(nrm - np.diag(diag))) <= _ATOL:
+        d = np.exp(0.5j * np.angle(diag))
+        return np.eye(len(nrm), dtype=complex), d, d[:, None] * a2
+    nrm_psi = np.exp(-1j * _separating_angle(np.linalg.eigvals(nrm).tolist())) * nrm
+    _, v = np.linalg.eigh((nrm_psi + nrm_psi.conj().T) / 2)
+    d = np.exp(0.5j * np.angle(np.diagonal(v.conj().T @ nrm @ v)))
+    return v, d, d[:, None] * (v.conj().T @ a2)
+
+
+def _frozen_ucr_ops(
+    rot, angles: np.ndarray, target: int, controls: tuple[int, ...]
+) -> list:
+    m = len(controls)
+    gray = [k ^ (k >> 1) for k in range(2 ** m)]
+    thetas = _walsh_gray(m) @ angles / 2 ** m
+
+    def flip(mask: int) -> list:
+        bits = (mask >> (m - 1 - i) & 1 for i in range(m))
+        return [("cx", c, target) for c, bit in zip(controls, bits) if bit]
+
+    kept = np.abs(thetas) > _ATOL
+    rotations = iter(rot(thetas[kept]))
+    ops: list = []
+    parity = 0
+    for p, keep in zip(gray, kept.tolist()):
+        if keep:
+            ops += flip(parity ^ p)
+            ops.append(("u", target, next(rotations)))
+            parity = p
+    return ops + flip(parity)
+
+
+def _frozen_qsd_ops(u: np.ndarray, wires: tuple[int, ...]) -> list:
+    if len(wires) == 1:
+        return [("u", wires[0], u)]
+    top, rest = wires[0], wires[1:]
+    l0, l1, theta, r0, r1 = _frozen_cossin(u)
+
+    def demultiplexed(a1, a2) -> list:
+        v, d, w = _frozen_demultiplex(a1, a2)
+        return (
+            _frozen_qsd_ops(w, rest)
+            + _frozen_ucr_ops(rz_matrix, -2 * np.angle(d), top, rest)
+            + _frozen_qsd_ops(v, rest)
+        )
+
+    return (
+        demultiplexed(r0, r1)
+        + _frozen_ucr_ops(_ry2, 2 * theta, top, rest)
+        + demultiplexed(l0, l1)
+    )
+
+
+def _frozen_qsd_ops_of_stack(u, wires):
+    """_qsd_ops's signature: one frozen recursion per block of the stack."""
+    return [_frozen_qsd_ops(block, wires) for block in u]
+
+
+def _op_bits(ops):
+    """Raw ops with each 2x2 as its dtype, shape and bytes."""
+    return [op if op[0] == "cx" else (*op[:2], op[2].dtype.str, op[2].shape, op[2].tobytes())
+            for op in ops]
+
+
+def _raw_op_targets():
+    """Physical-order targets whose recursions reach every branch: criterion
+    3's, the cooling gates' and Haar splits with every k; the trivial split
+    and the diagonal demultiplex of diagonal, controlled and kron targets;
+    phased permutations; 4x4 and 2x2 targets."""
+    rng = np.random.default_rng(2024)
+    targets = [qcore.to_physical(build_target_unitary(v)) for v in ("identity", "vstar")]
+    targets += [qcore.to_physical(haar_unitary(8, rng)) for _ in range(50)]
+    targets += [qcore.to_physical(haar_unitary(8, np.random.default_rng(seed))) for seed in range(200)]
+    families = ("diagonal", "permutation", "kron", "controlled", "near", "haar")
+    targets += [_target(f, n, seed) for f in families for n in (1, 2, 3) for seed in range(20)]
+    return targets
+
+
+def test_stacked_qsd_ops_equal_the_frozen_recursion():
+    def bits(qsd_ops, u):
+        return _op_bits(qsd_ops(u[None], tuple(range(len(u).bit_length() - 1)))[0])
+
+    moved = [i for i, u in enumerate(_raw_op_targets())
+             if bits(_qsd_ops, u) != bits(_frozen_qsd_ops_of_stack, u)]
+    assert moved == []
+
+
+# every k from 0 to h among the "near" blocks, the trivial split of the
+# controlled, diagonal and kron ones, and the mixed a1 a2^dagger of Haar ones
+_ALL_K_TWO_WIRES = [("near", 0), ("controlled", 1), ("near", 1), ("diagonal", 2), ("near", 11),
+                    ("haar", 7), ("kron", 5), ("permutation", 4)]
+_ALL_K_THREE_WIRES = [("near", 230), ("controlled", 1), ("near", 14), ("diagonal", 2), ("near", 0),
+                      ("near", 3), ("kron", 5), ("near", 41), ("haar", 7)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(2, 3),
+    blocks=st.lists(
+        st.tuples(st.sampled_from(["haar", "permutation", "controlled", "diagonal", "near", "kron"]),
+                  st.integers(0, 2**32 - 1)),
+        min_size=2, max_size=8,
+    ),
+)
+@example(n=2, blocks=_ALL_K_TWO_WIRES)
+@example(n=3, blocks=_ALL_K_THREE_WIRES)
+def test_a_mixed_stack_gives_each_block_the_bits_of_a_stack_of_one(n, blocks):
+    # blocks of one stack differ in k, in whether the split is trivial and in
+    # whether a1 a2^dagger is diagonal, so the stack runs through every mask
+    us = np.array([_target(family, n, seed) for family, seed in blocks])
+    wires = tuple(range(n))
+    alone = [_op_bits(_qsd_ops(u[None], wires)[0]) for u in us]
+    assert [_op_bits(ops) for ops in _qsd_ops(us, wires)] == alone
+
+
+def test_the_fixed_mixed_stacks_hold_every_k_and_trivial_splits():
+    for n, blocks in ((2, _ALL_K_TWO_WIRES), (3, _ALL_K_THREE_WIRES)):
+        thetas = _cossin(np.array([_target(family, n, seed) for family, seed in blocks]))[2]
+        kinds = {int(np.count_nonzero(t <= np.pi / 4)) if t.any() else "trivial" for t in thetas}
+        assert kinds == set(range(2 ** (n - 1) + 1)) | {"trivial"}
