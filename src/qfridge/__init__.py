@@ -10,6 +10,7 @@ from .circuits import (
     CouplingMap,
     Gate,
     LINE3,
+    build_identity_circuit,
     build_target_unitary,
     build_vstar_circuit,
     emit_qasm,
@@ -46,8 +47,6 @@ from .thermo import (
     TransitionMatrix,
     analytic_energy_changes,
     analytic_regions,
-    ground_population_map,
-    renyi2_purity_check,
     swap_engine_cop,
     transition_matrix,
 )

@@ -254,6 +254,30 @@ def build_vstar_circuit() -> Circuit:
     return Circuit(3, [cx(0, 1), cx(1, 0), cx(1, 2), cx(0, 1)], LINE3)
 
 
+def build_identity_circuit() -> Circuit:
+    """Seven-CNOT realization of the V = identity cooling gate, up to a final
+    diagonal phase: 23 gates, depth 23, every cx on LINE3.
+
+    The gate swaps the physical states 010 and 101 (q0 carries i, q1 carries
+    k, q2 carries j).  Conjugating by C = cx(1,0) cx(1,2) maps that pair to
+    111 <-> 101, an X on q1 controlled by q0 and q2: a Toffoli whose target
+    is the middle wire.  Its relative-phase form (Barenco et al., PRA 52,
+    3457 (1995); Maslov, PRA 93, 022311 (2016)) takes 3 cx, each from a
+    control to q1, between Ry(+pi/4) (P below) and Ry(-pi/4) (M) on q1.
+
+    unitary_of_circuit gives D T, with T = build_target_unitary("identity")
+    and D = diag(1, 1, 1, -1, 1, 1, 1, 1) in logical order (the -1 on
+    |01,1>).  D acts after the last gate and commutes with computational-
+    basis readout, so every transition matrix of this circuit, noisy or
+    not, is that of T run through the same noise.
+    """
+    c = [cx(1, 0), cx(1, 2)]
+    p = [sx(1), rz(1, -3 * math.pi / 4), sx(1), rz(1, math.pi)]  # Ry(+pi/4) up to phase
+    m = [sx(1), rz(1, 3 * math.pi / 4), sx(1), rz(1, math.pi)]  # Ry(-pi/4) up to phase
+    gates = c + p + [cx(2, 1)] + p + [cx(0, 1)] + m + [cx(2, 1)] + m + c
+    return Circuit(3, gates, LINE3)
+
+
 def emit_qasm(c: Circuit) -> str:
     """OpenQASM 2.0 text for a circuit; angles carry 17 significant digits."""
     lines = ['OPENQASM 2.0;', 'include "qelib1.inc";', f"qreg q[{c.n_wires}];"]

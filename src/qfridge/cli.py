@@ -6,7 +6,10 @@ Subcommands:
 * ``point --th <mK> --tc <mK> [flags]``: evaluate one grid point, print JSON.
 * ``compile --v {identity,vstar} [--qasm <path>]``: print the gate-count
   report of the circuit that sweeps run for V (``sweep.engine_circuit``),
-  optionally emit it as OpenQASM 2.0.
+  optionally emit it as OpenQASM 2.0: the fixed 4-cx circuit for vstar, the
+  fixed 7-cx one for identity, which realises the cooling gate up to a final
+  diagonal phase.  Nothing is compiled; criterion 3 compiles the target
+  itself.
 * ``selftest``: run the eleven release criteria of ``qfridge.oracles``.
 
 Exit codes: 0 success, 1 usage error, 2 runtime error (selftest failures
@@ -64,7 +67,11 @@ def _build_parser() -> _Parser:
     p_point.add_argument("--mitigation", choices=("on", "off"))
     p_point.add_argument("--hot-energy-mode", choices=thermo.HOT_ENERGY_MODES)
 
-    p_compile = sub.add_parser("compile", help="compile the cooling gate")
+    p_compile = sub.add_parser(
+        "compile",
+        help="report and emit the cooling-gate circuit that noisy runs use (V = identity: "
+        "7 cx, exact up to a final diagonal phase)",
+    )
     p_compile.add_argument("--v", choices=V_CHOICES, required=True)
     p_compile.add_argument("--qasm", help="write OpenQASM 2.0 to this path")
 

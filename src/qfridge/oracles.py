@@ -5,8 +5,10 @@
 returns None, or a detail line worth printing (criteria 3 and 10), and
 raises AssertionError with a message when its criterion fails.  Every test
 goes through ``_require``, an explicit raise, so the checks still run under
-``python -O``.  The random-input generators the test suite shares live here
-too.
+``python -O``.  What only the criteria and the test suite use lives here
+too: the two devices, the reference maps the criteria check the package
+against (the cubic purification map, the Renyi-2 purity pair) and the
+random-input generators.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ import time
 
 import numpy as np
 
-from . import qcore, thermo
+from . import qcore
 from .circuits import LINE3, build_target_unitary, build_vstar_circuit, unitary_of_circuit
 from .compiler import compile_generic
 from .noise import NoiseModel, apply_readout_error, calibrate, mitigate, readout_inverse, readout_matrix
@@ -23,6 +25,11 @@ from .thermo import (
     H_OVER_KB, DeviceSpec, TransitionMatrix, analytic_energy_changes, analytic_regions,
     transition_matrix,
 )
+
+
+#: the two devices the criteria run on, frequencies in GHz
+JAKARTA = DeviceSpec(5.24, 5.01, 5.11)
+CASABLANCA = DeviceSpec(4.82, 4.76, 4.90)
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -37,6 +44,38 @@ def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = a @ a.conj().T
     return rho / np.trace(rho).real
+
+
+def check_density(rho: np.ndarray) -> np.ndarray:
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise ValueError("density operator must be a square matrix")
+    if np.max(np.abs(rho - rho.conj().T)) > qcore.STATE_ATOL:
+        raise ValueError("density operator is not Hermitian")
+    if abs(np.trace(rho).real - 1.0) > qcore.STATE_ATOL:
+        raise ValueError("density operator trace is not 1")
+    if np.min(np.linalg.eigvalsh(rho)) < -qcore.NEG_CLIP:
+        raise ValueError("density operator has a negative eigenvalue")
+    return rho
+
+
+def renyi2_purity_check(rho: np.ndarray) -> tuple[float, float]:
+    """(full purity Tr rho^2, purity of the diagonal projection).
+
+    The first is never smaller than the second: diagonal projection is a
+    unital channel and order-2 Renyi entropy is monotone under those.
+    """
+    rho = check_density(rho)
+    full = float(np.trace(rho @ rho).real)
+    diag = np.diag(rho).real
+    return full, float(np.sum(diag ** 2))
+
+
+def ground_population_map(x: float) -> float:
+    """Cold-qubit ground population after one stroke at equal preparations."""
+    if not 0.0 <= x <= 1.0:
+        raise ValueError("population must be in [0, 1]")
+    return 3 * x ** 2 - 2 * x ** 3
 
 
 def global_phase_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -137,7 +176,7 @@ def _compiler_roundtrip() -> str:
 def _analytics_match_simulation() -> None:
     tm = _exact_tm()
     axis = np.linspace(25, 975, 10)
-    for spec in (DeviceSpec.casablanca(), DeviceSpec.jakarta()):
+    for spec in (CASABLANCA, JAKARTA):
         res = _grid(spec, tm, axis, axis)
         ana = analytic_energy_changes(spec, res.t_hot, res.t_cold)
         for name, sim, closed in zip(("dE_H", "dE_C"), (res.de_hot, res.de_cold), ana):
@@ -174,7 +213,7 @@ def _purification_cubic() -> None:
     spec = DeviceSpec(4.76, 4.76, 4.76)
     t = _temp_for_ground_population(0.8, 4.76)
     exact = _grid(spec, _exact_tm(), [t], [t]).p_g_final[0]
-    cubic = thermo.ground_population_map(0.8)
+    cubic = ground_population_map(0.8)
     _require(abs(exact - cubic) < 1e-12, f"engine gives {exact}, the cubic map {cubic}")
     _require(abs(exact - 0.896) < 1e-12, f"engine gives {exact}, want 0.896")
     tm_mc = transition_matrix(
@@ -217,7 +256,7 @@ def _readout_mitigation() -> None:
 
 def _second_law() -> None:
     axis = np.linspace(20, 1000, 50)
-    res = _grid(DeviceSpec.casablanca(), _exact_tm(), axis, axis)
+    res = _grid(CASABLANCA, _exact_tm(), axis, axis)
     bad = (res.de_cold < 0) & (res.work < 0)
     _require(not bad.any(), "cools while extracting work at (T_H, T_C) = "
              f"{list(zip(res.t_hot[bad].tolist(), res.t_cold[bad].tolist()))} mK")
@@ -247,7 +286,7 @@ def _noise_threshold() -> str:
 def _renyi_data_processing() -> None:
     rng = np.random.default_rng(911)
     for i in range(500):
-        full, projected = thermo.renyi2_purity_check(random_density(2, rng))
+        full, projected = renyi2_purity_check(random_density(2, rng))
         _require(full - projected >= -1e-12,
                  f"draw {i}: projection raises purity {full} -> {projected}")
 

@@ -74,19 +74,6 @@ def check_unitary(u: np.ndarray, atol: float = UNITARY_ATOL) -> np.ndarray:
     return u
 
 
-def check_density(rho: np.ndarray) -> np.ndarray:
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError("density operator must be a square matrix")
-    if np.max(np.abs(rho - rho.conj().T)) > STATE_ATOL:
-        raise ValueError("density operator is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > STATE_ATOL:
-        raise ValueError("density operator trace is not 1")
-    if np.min(np.linalg.eigvalsh(rho)) < -NEG_CLIP:
-        raise ValueError("density operator has a negative eigenvalue")
-    return rho
-
-
 def check_probabilities(p: np.ndarray) -> np.ndarray:
     """A probability vector, or a stack (..., d) of them."""
     p = np.asarray(p, dtype=float)

@@ -21,8 +21,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .circuits import LINE3, V_CHOICES, build_target_unitary, build_vstar_circuit
-from .compiler import compile_generic
+from .circuits import V_CHOICES, build_identity_circuit, build_target_unitary, build_vstar_circuit
 from .noise import NoiseModel, calibrate, readout_matrix
 from . import thermo
 from .thermo import BOUNDARY_EPS, DeviceSpec, cold_energies, hot_energies, transition_matrix
@@ -161,11 +160,13 @@ def build_engine(cfg: SweepConfig):
 
 @functools.cache
 def engine_circuit(v: str):
-    """The circuit that runs V, once per process: the 4-CNOT circuit for
-    "vstar", else V's target compiled for LINE3."""
+    """The circuit that runs V, built once per process: the 4-CNOT circuit
+    for "vstar", the 7-CNOT one for "identity"."""
     if v == "vstar":
         return build_vstar_circuit()
-    return compile_generic(build_target_unitary(v), LINE3)[0]
+    if v == "identity":
+        return build_identity_circuit()
+    raise ValueError(f"unknown v {v!r}")
 
 
 def sweep_transition_matrix(cfg: SweepConfig):

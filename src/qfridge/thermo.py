@@ -57,14 +57,6 @@ class DeviceSpec:
         """f0 - f2 (GHz)."""
         return self.f0 - self.f2
 
-    @classmethod
-    def jakarta(cls) -> "DeviceSpec":
-        return cls(5.24, 5.01, 5.11)
-
-    @classmethod
-    def casablanca(cls) -> "DeviceSpec":
-        return cls(4.82, 4.76, 4.90)
-
 
 def _positive_temperatures(*columns) -> list[np.ndarray]:
     """The columns as float arrays; a temperature that is not > 0 (NaN
@@ -285,13 +277,6 @@ def final_temperatures(q, f1: float) -> tuple[np.ndarray, np.ndarray]:
     return kind, np.where(kind == "finite", t, np.nan)
 
 
-def ground_population_map(x: float) -> float:
-    """Cold-qubit ground population after one stroke at equal preparations."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError("population must be in [0, 1]")
-    return 3 * x ** 2 - 2 * x ** 3
-
-
 def purifies(g, final_ground, t_hot, t_cold) -> np.ndarray:
     """Per point: does the cold qubit end at a ground population final_ground
     above every initial one, g = (g0, g1, g2) of a full thermal preparation?
@@ -309,15 +294,3 @@ def swap_engine_cop(spec: DeviceSpec) -> float:
     if spec.omega_sum <= spec.f1:
         raise ValueError("cooling requires the hot resonance to exceed the cold one")
     return 1.0 / (spec.omega_sum / spec.f1 - 1.0)
-
-
-def renyi2_purity_check(rho: np.ndarray) -> tuple[float, float]:
-    """(full purity Tr rho^2, purity of the diagonal projection).
-
-    The first is never smaller than the second: diagonal projection is a
-    unital channel and order-2 Renyi entropy is monotone under those.
-    """
-    rho = qcore.check_density(rho)
-    full = float(np.trace(rho @ rho).real)
-    diag = np.diag(rho).real
-    return full, float(np.sum(diag ** 2))

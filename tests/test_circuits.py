@@ -17,6 +17,7 @@ from qfridge.circuits import (
     V_CHOICES,
     V_SUBSPACE,
     W_SUBSPACE,
+    build_identity_circuit,
     build_target_unitary,
     build_vstar_circuit,
     cx,
@@ -27,8 +28,10 @@ from qfridge.circuits import (
     unitary_of_circuit,
     x,
 )
+from qfridge.noise import NoiseModel
 from qfridge.oracles import global_phase_distance
 from qfridge.sweep import engine_circuit
+from qfridge.thermo import transition_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +226,27 @@ def test_vstar_circuit_is_exact():
     assert c.coupling == LINE3
     d = global_phase_distance(unitary_of_circuit(c), build_target_unitary("vstar"))
     assert d < 1e-12
+
+
+def test_identity_circuit_is_seven_cx_on_the_line():
+    c = build_identity_circuit()
+    assert c.coupling == LINE3
+    assert (c.cnot_count(), len(c.gates), c.depth()) == (7, 23, 23)
+
+
+def test_identity_circuit_is_the_target_after_a_diagonal_phase():
+    # D = diag(1, 1, 1, -1, 1, 1, 1, 1): the -1 on |01,1>
+    d = np.ones(8)
+    d[qcore.basis_index(0, 1, 1)] = -1.0
+    u = unitary_of_circuit(build_identity_circuit())
+    assert np.max(np.abs(u - d[:, None] * build_target_unitary("identity"))) < 1e-15
+
+
+def test_identity_circuit_reads_out_as_the_exact_target():
+    nm = NoiseModel()
+    got = transition_matrix(build_identity_circuit(), nm, 0, 0).p
+    want = transition_matrix(build_target_unitary("identity"), nm, 0, 0).p
+    assert np.max(np.abs(got - want)) < 1e-15
 
 
 # ---------------------------------------------------------------------------

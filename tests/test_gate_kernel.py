@@ -200,7 +200,7 @@ def test_long_circuits_evolve_like_the_dense_reference(c, p1, p2, seed, k):
 
 
 @pytest.mark.parametrize("p1,p2", [(0.0, 0.0), (2e-4, 2e-3), (0.2, 0.3), (1.0, 1.0)])
-def test_compiled_identity_engine_evolves_like_the_dense_reference(p1, p2):
+def test_identity_engine_evolves_like_the_dense_reference(p1, p2):
     engine = engine_circuit("identity")
     nm = NoiseModel(p1=p1, p2=p2)
     stack = _densities(engine.n_wires, 7, 3)

@@ -8,7 +8,7 @@ import math
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
-from qfridge.circuits import LINE3, build_target_unitary, build_vstar_circuit
+from qfridge.circuits import LINE3, build_identity_circuit, build_target_unitary, build_vstar_circuit
 from qfridge.compiler import compile_generic
 from qfridge.noise import NoiseModel, calibrate, readout_matrix
 from qfridge.sweep import SweepConfig, evaluate_grid, sweep_transition_matrix
@@ -17,13 +17,15 @@ from qfridge.thermo import (
     transition_matrix,
 )
 
-ENGINES = ("identity", "vstar", "four_cnot", "compiled_identity")
+ENGINES = ("identity", "vstar", "four_cnot", "seven_cnot", "compiled_identity")
 
 
 @functools.cache
 def _engine(name):
     if name == "four_cnot":
         return build_vstar_circuit()
+    if name == "seven_cnot":
+        return build_identity_circuit()
     if name == "compiled_identity":
         return compile_generic(build_target_unitary("identity"), LINE3)[0]
     return build_target_unitary(name)

@@ -127,7 +127,7 @@ def test_circuit_hash_is_kept_and_a_second_evolution_hits_the_plan_cache():
 
 def test_plan_has_one_step_per_cx_and_one_after_the_last():
     engine = engine_circuit("identity")
-    assert len(_plan(engine)[0]) == engine.cnot_count() + 1 == 55
+    assert len(_plan(engine)[0]) == engine.cnot_count() + 1 == 8
     assert len(_plan(build_vstar_circuit())[0]) == 5
 
 

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from qfridge import qcore
-from qfridge.oracles import haar_unitary, random_density
+from qfridge.oracles import check_density, haar_unitary, random_density
 
 
 def _logical_to_physical_matrix() -> np.ndarray:
@@ -82,13 +82,13 @@ def test_check_unitary():
 
 def test_check_density():
     rng = np.random.default_rng(1)
-    qcore.check_density(random_density(8, rng))
+    check_density(random_density(8, rng))
     with pytest.raises(ValueError, match="Hermitian"):
-        qcore.check_density(np.array([[0.5, 1.0], [0.0, 0.5]]))
+        check_density(np.array([[0.5, 1.0], [0.0, 0.5]]))
     with pytest.raises(ValueError, match="trace"):
-        qcore.check_density(np.eye(2))
+        check_density(np.eye(2))
     with pytest.raises(ValueError, match="negative"):
-        qcore.check_density(np.diag([1.5, -0.5]))
+        check_density(np.diag([1.5, -0.5]))
 
 
 def test_check_probabilities():

@@ -13,7 +13,6 @@ import pytest
 from qfridge import circuits, cli, sweep
 from qfridge.circuits import LINE3, emit_qasm
 from qfridge.cli import cli_main
-from qfridge.compiler import compile_generic
 from qfridge.oracles import CRITERIA
 from qfridge.sweep import (
     CSV_HEADER,
@@ -196,22 +195,15 @@ def test_exact_mitigated_runs_do_not_depend_on_the_seed():
     assert np.array_equal(a, b)
 
 
-def test_noisy_sweeps_compile_the_engine_once(monkeypatch):
-    calls = []
-
-    def counting_compile(*args):
-        calls.append(args)
-        return compile_generic(*args)
-
-    monkeypatch.setattr(sweep, "compile_generic", counting_compile)
-    sweep.engine_circuit.cache_clear()
-    cfg = SweepConfig(p1=0.001, p2=0.01, shots=0, n_h=3, n_c=3)
-    try:
-        first, second = write_json(run_sweep(cfg)), write_json(run_sweep(cfg))
-    finally:
-        sweep.engine_circuit.cache_clear()
-    assert len(calls) == 1
-    assert first == second
+def test_engine_circuits_are_fixed_and_built_once():
+    for v, build in (("identity", circuits.build_identity_circuit),
+                     ("vstar", circuits.build_vstar_circuit)):
+        assert sweep.engine_circuit(v) is sweep.engine_circuit(v)
+        assert sweep.engine_circuit(v) == build()
+    with pytest.raises(ValueError, match="unknown v 'hadamard'"):
+        sweep.engine_circuit("hadamard")
+    # no sweep or point run compiles
+    assert not hasattr(sweep, "compile_generic")
 
 
 def test_sweep_is_deterministic():
@@ -478,7 +470,7 @@ def test_cli_selftest_fails_loudly_under_python_O():
     script = textwrap.dedent("""
         import json, sys
         from qfridge import thermo
-        thermo.ground_population_map = lambda x: 0.0
+        thermo.cold_excitation = lambda after: 0.0 * after[..., 1]
         from qfridge.cli import cli_main
         lazy = "qfridge.oracles" not in sys.modules
         code = cli_main(["selftest"])

@@ -11,12 +11,15 @@ The golden files in tests/data were written from the configs next to them:
 ``python -m qfridge.cli sweep tests/data/<name>.conf``, then ``gzip -n -9``
 on the CSV and JSON.  ``exact64`` comes from the per-point sweep that the
 kernel replaced; it never compiles, so no compiler change moves it.
-``noisy16`` applies gate noise per gate of the compiled V = identity
-circuit, so it was rewritten when the Quantum Shannon Decomposition
-replaced the two-level Givens compiler (the commit after 97d3e6c; 220
-gates, 72 cx, where the old circuit had 374 and 184), and again when
-4-cx bridges replaced 7-cx SWAP chains in the router (the commit after
-70e13bd; 202 gates, 54 cx).  ``sampled64`` was rewritten when the seed
+``noisy16`` applies gate noise per gate of the V = identity engine
+circuit.  While that circuit was compiled, the file was rewritten when the
+Quantum Shannon Decomposition replaced the two-level Givens compiler (the
+commit after 97d3e6c; 220 gates, 72 cx, where the old circuit had 374 and
+184), and again when 4-cx bridges replaced 7-cx SWAP chains in the router
+(the commit after 70e13bd; 202 gates, 54 cx).  It was rewritten once more
+when the fixed 23-gate, 7-cx circuit of ``build_identity_circuit``
+replaced the compile (the commit after 96b4bf4); it no longer moves with
+the basis LAPACK's ``eigh`` picks.  ``sampled64`` was rewritten when the seed
 came to seed two independent streams (``SeedSequence(seed).spawn(2)``)
 instead of one generator per column seeded ``seed + i``.  To rewrite
 ``<name>``, with REPO the checkout's root::

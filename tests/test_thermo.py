@@ -15,7 +15,9 @@ from hypothesis import example, given, settings, strategies as st
 from qfridge import qcore
 from qfridge.circuits import W_SUBSPACE, build_target_unitary, build_vstar_circuit
 from qfridge.noise import NoiseModel
-from qfridge.oracles import random_density
+from qfridge.oracles import (
+    CASABLANCA, JAKARTA, ground_population_map, random_density, renyi2_purity_check,
+)
 from qfridge.sweep import SweepConfig, evaluate_grid
 from qfridge.thermo import (
     H_OVER_KB,
@@ -26,13 +28,11 @@ from qfridge.thermo import (
     analytic_regions,
     cold_energies,
     final_temperatures,
-    ground_population_map,
     ground_populations,
     hot_energies,
     mode_tags,
     preparation_grid,
     purifies,
-    renyi2_purity_check,
     roles_exchanged,
     swap_engine_cop,
     transition_matrix,
@@ -58,11 +58,11 @@ def _temp_for_ground_population(x: float, f_ghz: float) -> float:
 # units and device
 
 def test_device_spec():
-    spec = DeviceSpec.jakarta()
+    spec = JAKARTA
     assert (spec.f0, spec.f1, spec.f2) == (5.24, 5.01, 5.11)
     assert abs(spec.omega_sum - 10.35) < 1e-12
     assert abs(spec.detuning - 0.13) < 1e-12
-    assert DeviceSpec.casablanca() == DeviceSpec(4.82, 4.76, 4.90)
+    assert CASABLANCA == DeviceSpec(4.82, 4.76, 4.90)
     with pytest.raises(ValueError):
         DeviceSpec(1.0, -1.0, 1.0)
     for bad in (float("nan"), float("inf"), -float("inf")):
@@ -74,7 +74,7 @@ def test_device_spec():
 
 
 def test_energy_spectra():
-    spec = DeviceSpec.casablanca()
+    spec = CASABLANCA
     e_c = cold_energies(spec)
     for m in range(8):
         assert e_c[m] == (0.5 if qcore.basis_label(m)[2] else -0.5) * spec.f1
@@ -125,7 +125,7 @@ def test_energy_spectra_match_the_state_loops_bit_for_bit(freqs, resonant):
 # preparations
 
 def test_swap4_prep_support_and_ground_limit():
-    spec = DeviceSpec.jakarta()
+    spec = JAKARTA
     probs = preparation_grid("swap4", spec, [150.0], [100.0])[0]
     outside = [m for m in range(8) if m not in W_SUBSPACE]
     assert np.max(probs[outside]) == 0.0
@@ -135,7 +135,7 @@ def test_swap4_prep_support_and_ground_limit():
 
 
 def test_full8_prep_is_a_product_of_gibbs_marginals():
-    spec = DeviceSpec.casablanca()
+    spec = CASABLANCA
     t_hot, t_cold = 320.0, 140.0
     probs = preparation_grid("full8", spec, [t_hot], [t_cold])[0]
     singles = {}
@@ -153,7 +153,7 @@ def test_full8_prep_is_a_product_of_gibbs_marginals():
 
 
 def test_full8_high_temperature_limit_is_uniform():
-    probs = preparation_grid("full8", DeviceSpec.casablanca(), [1e9], [1e9])
+    probs = preparation_grid("full8", CASABLANCA, [1e9], [1e9])
     assert np.max(np.abs(probs - 0.125)) < 1e-7
 
 
@@ -166,7 +166,7 @@ def test_ground_marginals():
 
 
 def test_prepare_rejects_bad_input():
-    spec = DeviceSpec.casablanca()
+    spec = CASABLANCA
     with pytest.raises(ValueError):
         preparation_grid("swap4", spec, [-1.0], [100.0])
     with pytest.raises(ValueError):
@@ -175,7 +175,7 @@ def test_prepare_rejects_bad_input():
 
 @pytest.mark.parametrize("scheme", ["swap4", "full8"])
 def test_preparation_grid_rejects_nan_and_accepts_infinite_temperatures(scheme):
-    spec = DeviceSpec.casablanca()
+    spec = CASABLANCA
     for t_h_axis, t_c_axis in (([np.nan], [50.0]), ([100.0, 200.0], [50.0, np.nan])):
         with pytest.raises(ValueError, match="temperatures must be positive"):
             preparation_grid(scheme, spec, t_h_axis, t_c_axis)
@@ -228,7 +228,7 @@ def test_sampled_transition_matrix_is_deterministic_and_stochastic():
 # energy accounting and classification
 
 def test_identity_dynamics_moves_no_energy():
-    spec = DeviceSpec.casablanca()
+    spec = CASABLANCA
     res = _kernel(spec, TransitionMatrix(np.eye(8)), [300.0], [100.0])
     assert res.de_hot[0] == 0.0 and res.de_cold[0] == 0.0 and res.work[0] == 0.0
 
@@ -240,7 +240,7 @@ def test_roles_exchanged():
 
 
 def test_analytic_sign_structure():
-    spec = DeviceSpec.casablanca()
+    spec = CASABLANCA
     ratio = spec.omega_sum / spec.f1
     # inside R, above the ratio line, on it
     t_hot = np.array([150.0, 300.0, ratio * 100.0])
@@ -253,7 +253,7 @@ def test_analytic_sign_structure():
 
 
 def test_analytics_match_simulation_on_a_grid():
-    spec = DeviceSpec.jakarta()
+    spec = JAKARTA
     axis = np.linspace(40, 900, 10)
     res = _kernel(spec, _exact_tm(), axis, axis)
     de_hot, de_cold = analytic_energy_changes(spec, res.t_hot, res.t_cold)
@@ -269,7 +269,7 @@ def test_classify_mode():
 
 
 def test_analytic_regions():
-    spec = DeviceSpec.casablanca()
+    spec = CASABLANCA
     ratio = spec.omega_sum / spec.f1
     # A, R, E, both boundaries, and R below T_H = (f2 / f1) T_C (102) and
     # above it (103): every R point of this device purifies
@@ -287,7 +287,7 @@ def test_analytic_regions():
 def test_analytic_purifier_flag_matches_is_purifier():
     # the purifier rule on the kernel's final populations, on the analytic R region
     tm = _exact_tm()
-    for spec, n in ((DeviceSpec.casablanca(), 200), (DeviceSpec(1.0, 5.0, 9.0), 60)):
+    for spec, n in ((CASABLANCA, 200), (DeviceSpec(1.0, 5.0, 9.0), 60)):
         axis = np.linspace(20, 1000, n)
         res = _kernel(spec, tm, axis, axis)
         g = ground_populations(preparation_grid("full8", spec, axis, axis))
@@ -299,7 +299,7 @@ def test_analytic_purifier_flag_matches_is_purifier():
 
 
 def test_analytic_regions_validates_temperatures():
-    spec = DeviceSpec.casablanca()
+    spec = CASABLANCA
     for closed_form in (analytic_regions, analytic_energy_changes):
         for t_hot, t_cold in (([100.0, 0.0], [100.0, 100.0]), ([np.nan], [100.0]),
                               ([100.0], [np.nan]), ([200.0, 100.0], [100.0, -1.0])):
@@ -311,7 +311,7 @@ def test_analytic_regions_validates_temperatures():
 def test_analytic_regions_at_infinite_temperature():
     # an infinite temperature is close only to itself, so T_H = inf lies
     # above every finite multiple of T_C, where the simulation finds E
-    spec = DeviceSpec.casablanca()
+    spec = CASABLANCA
     tags, purifier = analytic_regions(spec, [np.inf, 100.0, np.inf], [100.0, np.inf, np.inf])
     assert tags.tolist() == ["E", "A", "Boundary"] and not purifier.any()
     assert _kernel(spec, _exact_tm(), [np.inf], [100.0]).mode.tolist() == ["E"]
@@ -407,7 +407,7 @@ def test_final_temperature_roundtrip_identity_dynamics():
 
 
 def test_final_temperature_special_kinds():
-    spec = DeviceSpec.casablanca()
+    spec = CASABLANCA
     hot = _kernel(spec, TransitionMatrix(np.eye(8)), [1e15], [1e15])
     assert hot.t_cold_final_kind.tolist() == ["infinite"]
     # flipping the cold bit of a cold preparation inverts its population
@@ -483,7 +483,7 @@ def test_is_purifier():
 
 
 def test_swap_engine_cop():
-    spec = DeviceSpec.jakarta()
+    spec = JAKARTA
     assert abs(swap_engine_cop(spec) - 5.01 / 5.34) < 1e-12
     assert abs(swap_engine_cop(spec) - 0.938) < 1e-3
     with pytest.raises(ValueError):
