@@ -7,9 +7,11 @@ sampling boundary tolerance are computed here.  ``evaluate_grid`` is the one
 way to evaluate points: ``qfridge point`` and the oracles run it on a 1x1 or
 small grid.  The SweepResult holds the two axes and one array per other
 column.  Outputs are plain CSV / JSON / binary PPM so any external plotter
-can reproduce the phase diagrams.  The writers turn each column into texts
-(T_H and T_C once per axis value), and one ``%`` fill of a repeated row
-template writes the whole file.
+can reproduce the phase diagrams.  The CSV and JSON writers yield their
+text in blocks of a fixed number of grid points: T_H and T_C are formatted
+once per axis value, and each block fills a repeated row template in one
+``%`` from its slice of every column, so ``write_outputs`` streams a file
+in memory that does not grow with the grid.
 """
 from __future__ import annotations
 
@@ -282,42 +284,57 @@ _JSON_RECORD = "  {\n" + ",\n".join(f'    "{key}": %s' for key in RECORD_KEYS) +
 _JSON_TAGS = {kind: encode_basestring_ascii(text) for kind, text in _NON_FINITE_TEXT.items()}
 
 
+#: grid points per block of text that the CSV and JSON writers yield
+_BLOCK_POINTS = 512
+
+
 def _g9_texts(col: np.ndarray) -> list[str]:
     """`%.9g` of each value, in one C-level fill."""
     return ("%.9g\n" * col.size % tuple(col.tolist())).split("\n")[:-1]
 
 
-def _grid_texts(res: SweepResult, texts) -> list[list[str]]:
-    """The T_H and T_C columns from `texts` of each axis value."""
-    h_texts, c_texts = texts(res.t_h_axis), texts(res.t_c_axis)
-    return [np.repeat(np.array(h_texts, dtype=object), res.n_c).tolist(), c_texts * res.n_h]
+def _blocks(res: SweepResult, row: str, sep: str, axis_texts, block_columns):
+    """`row` once per grid point, joined by `sep`, in texts of _BLOCK_POINTS
+    consecutive points; each block after the first starts with `sep`.  The
+    axis columns come from `axis_texts` of each axis value, the others from
+    `block_columns(res, s)` for the points of slice `s`, one value per `%`
+    field of `row` after the two axes."""
+    h_texts, c_texts = axis_texts(res.t_h_axis), axis_texts(res.t_c_axis)
+    t_h, t_c = np.repeat(np.array(h_texts, dtype=object), res.n_c).tolist(), c_texts * res.n_h
+    for start in range(0, len(t_h), _BLOCK_POINTS):
+        s = slice(start, start + _BLOCK_POINTS)
+        columns = [t_h[s], t_c[s], *block_columns(res, s)]
+        template = sep.join([row] * len(columns[0]))
+        yield (template if start == 0 else sep + template) % tuple(
+            itertools.chain.from_iterable(zip(*columns)))
 
 
-def _fill(row: str, sep: str, columns: list) -> str:
-    """`row` once per grid point, joined by `sep`, filled in one `%` from
-    the columns (one value per `%` field of `row`)."""
-    return sep.join([row] * len(columns[0])) % tuple(itertools.chain.from_iterable(zip(*columns)))
-
-
-def _t_final_column(res: SweepResult, values: list, tags: dict) -> list:
+def _t_final_column(kinds: np.ndarray, values: list, tags: dict) -> list:
     """The T_C_final column: `values` where the kind is finite, else its tag (in place)."""
-    kinds = res.t_cold_final_kind
     for n in np.flatnonzero(kinds != "finite").tolist():
         values[n] = tags[kinds[n]]
     return values
 
 
+def _csv_columns(res: SweepResult, s: slice) -> list[list]:
+    de_hot, de_cold = res.de_hot[s], res.de_cold[s]
+    return [
+        de_hot.tolist(), de_cold.tolist(), (de_hot + de_cold).tolist(),
+        res.mode[s].tolist(),
+        _t_final_column(res.t_cold_final_kind[s], _g9_texts(res.t_cold_final[s]), _NON_FINITE_TEXT),
+        res.p_g_final[s].tolist(),
+        np.where(res.purifier[s], "true", "false").tolist(),
+    ]
+
+
+def _csv_blocks(res: SweepResult):
+    yield CSV_HEADER + "\n"
+    yield from _blocks(res, _CSV_ROW, "", _g9_texts, _csv_columns)
+
+
 def write_csv(res: SweepResult) -> str:
     """One row per grid point, numbers as `%.9g`."""
-    columns = _grid_texts(res, _g9_texts)
-    columns += [col.tolist() for col in (res.de_hot, res.de_cold, res.work)]
-    columns += [
-        res.mode.tolist(),
-        _t_final_column(res, _g9_texts(res.t_cold_final), _NON_FINITE_TEXT),
-        res.p_g_final.tolist(),
-        np.where(res.purifier, "true", "false").tolist(),
-    ]
-    return CSV_HEADER + "\n" + _fill(_CSV_ROW, "", columns)
+    return "".join(_csv_blocks(res))
 
 
 def _record_numbers(col: np.ndarray) -> list:
@@ -332,7 +349,7 @@ def as_records(res: SweepResult) -> list[dict]:
     columns = [
         *map(_record_numbers, (res.t_hot, res.t_cold, res.de_hot, res.de_cold, res.work)),
         res.mode.tolist(),
-        _t_final_column(res, _record_numbers(res.t_cold_final), _NON_FINITE_TEXT),
+        _t_final_column(res.t_cold_final_kind, _record_numbers(res.t_cold_final), _NON_FINITE_TEXT),
         _record_numbers(res.p_g_final), res.purifier.tolist(),
     ]
     return [dict(zip(RECORD_KEYS, row)) for row in zip(*columns)]
@@ -347,19 +364,29 @@ def _json_numbers(col: np.ndarray) -> list[str]:
     return texts
 
 
+def _json_columns(res: SweepResult, s: slice) -> list[list[str]]:
+    de_hot, de_cold = res.de_hot[s], res.de_cold[s]
+    return [
+        *map(_json_numbers, (de_hot, de_cold, de_hot + de_cold)),
+        list(map(encode_basestring_ascii, res.mode[s].tolist())),
+        _t_final_column(res.t_cold_final_kind[s], _json_numbers(res.t_cold_final[s]), _JSON_TAGS),
+        _json_numbers(res.p_g_final[s]),
+        np.where(res.purifier[s], "true", "false").tolist(),
+    ]
+
+
+def _json_blocks(res: SweepResult):
+    if not res.de_hot.size:
+        yield "[]\n"
+        return
+    yield "[\n"
+    yield from _blocks(res, _JSON_RECORD, ",\n", _json_numbers, _json_columns)
+    yield "\n]\n"
+
+
 def write_json(res: SweepResult) -> str:
     """The records as ``json.dumps(as_records(res), indent=2)`` writes them."""
-    if not res.de_hot.size:
-        return "[]\n"
-    columns = _grid_texts(res, _json_numbers)
-    columns += [_json_numbers(col) for col in (res.de_hot, res.de_cold, res.work)]
-    columns += [
-        list(map(encode_basestring_ascii, res.mode.tolist())),
-        _t_final_column(res, _json_numbers(res.t_cold_final), _JSON_TAGS),
-        _json_numbers(res.p_g_final),
-        np.where(res.purifier, "true", "false").tolist(),
-    ]
-    return "[\n" + _fill(_JSON_RECORD, ",\n", columns) + "\n]\n"
+    return "".join(_json_blocks(res))
 
 
 MODE_COLORS = {
@@ -415,23 +442,24 @@ def write_heatmap(res: SweepResult, fname: str = "mode") -> bytes:
 
 
 def write_outputs(cfg: SweepConfig, res: SweepResult) -> list[str]:
-    """Write the configured output files; returns the paths written.  Each
-    file is written as soon as it is made, CSV and JSON first, so a heatmap
-    that cannot be drawn (ValueError) still leaves them on disk."""
+    """Write the configured output files, in binary, as the bytes of the
+    writers' texts; returns the paths written.  CSV and JSON are streamed
+    block by block and written first, so a heatmap that cannot be drawn
+    (ValueError) still leaves them on disk."""
     paths = []
 
-    def save(suffix, data):
+    def save(suffix, chunks):
         paths.append(cfg.output_prefix + suffix)
-        with open(paths[-1], "wb" if suffix == ".ppm" else "w") as fh:
-            fh.write(data)
+        with open(paths[-1], "wb") as fh:
+            fh.writelines(chunks)
 
     if "csv" in cfg.outputs:
-        save(".csv", write_csv(res))
+        save(".csv", map(str.encode, _csv_blocks(res)))
     if "json" in cfg.outputs:
-        save(".json", write_json(res))
+        save(".json", map(str.encode, _json_blocks(res)))
     if "heatmap" in cfg.outputs:
-        save(".ppm", write_heatmap(res, cfg.heatmap_field))
+        save(".ppm", [write_heatmap(res, cfg.heatmap_field)])
         if cfg.heatmap_field != "mode":
             lo, hi = heatmap_range(res, cfg.heatmap_field)
-            save(".ppm.range.txt", f"min {lo:.9g}\nmax {hi:.9g}\n")
+            save(".ppm.range.txt", [f"min {lo:.9g}\nmax {hi:.9g}\n".encode()])
     return paths

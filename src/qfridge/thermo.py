@@ -221,6 +221,12 @@ def analytic_energy_changes(spec: DeviceSpec, t_hot, t_cold) -> tuple[np.ndarray
     return spec.omega_sum / 4 * f * g, -spec.f1 / 4 * f * g
 
 
+#: mode tag per 4-bit code (near zero, dE_C < 0, W < 0, dE_H < 0), highest
+#: bit first: the first of them that holds decides the tag.  Indexing a
+#: table with `[code, ...]` keeps a 0-d code a 0-d array.
+_MODE_TAGS = np.array(["H", "A", "E", "E", "R", "R", "R", "R"] + ["Boundary"] * 8)
+
+
 def mode_tags(de_hot, de_cold, eps=BOUNDARY_EPS) -> np.ndarray:
     """Operation mode tag per point from the signs of the energy changes.
 
@@ -230,7 +236,7 @@ def mode_tags(de_hot, de_cold, eps=BOUNDARY_EPS) -> np.ndarray:
     """
     w = de_hot + de_cold
     near_zero = np.minimum(np.minimum(abs(de_hot), abs(de_cold)), abs(w)) < eps
-    return np.select([near_zero, de_cold < 0, w < 0, de_hot < 0], ["Boundary", "R", "E", "A"], "H")
+    return _MODE_TAGS[near_zero * 8 + (de_cold < 0) * 4 + (w < 0) * 2 + (de_hot < 0), ...]
 
 
 def _isclose(a, b, rtol: float) -> np.ndarray:
@@ -264,6 +270,10 @@ def cold_excitation(after: np.ndarray) -> np.ndarray:
     return after[..., 1] + after[..., 3] + after[..., 5] + after[..., 7]
 
 
+#: final-temperature kind per 2-bit code (within 1e-12 of 1/2, above 1/2)
+_FINAL_KINDS = np.array(["finite", "inverted", "infinite", "infinite"])
+
+
 def final_temperatures(q, f1: float) -> tuple[np.ndarray, np.ndarray]:
     """(kind, mK) per cold excited population q at frequency f1 (GHz).
 
@@ -271,7 +281,7 @@ def final_temperatures(q, f1: float) -> tuple[np.ndarray, np.ndarray]:
     "finite"; q <= 0 reads 0 mK.  mK is NaN where the kind is not finite.
     """
     q = np.asarray(q, float)
-    kind = np.select([abs(q - 0.5) < 1e-12, q > 0.5], ["infinite", "inverted"], "finite")
+    kind = _FINAL_KINDS[(abs(q - 0.5) < 1e-12) * 2 + (q > 0.5), ...]
     with np.errstate(all="ignore"):  # q = 0 and subnormal q read 0 mK
         t = np.where(q <= 0.0, 0.0, H_OVER_KB * f1 / np.log((1 - q) / q))
     return kind, np.where(kind == "finite", t, np.nan)

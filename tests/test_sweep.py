@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -345,6 +346,31 @@ def test_write_outputs_keeps_csv_and_json_when_the_heatmap_cannot_be_drawn(tmp_p
     assert Path(prefix + ".csv").read_bytes() == write_csv(res).encode()
     assert Path(prefix + ".json").read_bytes() == write_json(res).encode()
     assert not Path(prefix + ".ppm").exists()
+
+
+def _write_files(tmp_path, res):
+    cfg = SweepConfig(outputs=("csv", "json"), output_prefix=str(tmp_path / "run"))
+    return [Path(path) for path in write_outputs(cfg, res)]
+
+
+def test_streamed_files_are_the_bytes_of_the_writers_over_several_blocks(tmp_path):
+    # 40 x 40 points: three full blocks and a ragged last one
+    res = run_sweep(SweepConfig(shots=0, n_h=40, n_c=40))
+    assert res.de_hot.size > 3 * sweep._BLOCK_POINTS
+    csv_path, json_path = _write_files(tmp_path, res)
+    assert csv_path.read_bytes() == write_csv(res).encode()
+    assert json_path.read_bytes() == write_json(res).encode()
+
+
+def test_streamed_write_memory_stays_below_a_quarter_of_the_json_file(tmp_path):
+    res = run_sweep(SweepConfig(shots=0, n_h=128, n_c=128))
+    tracemalloc.start()
+    try:
+        json_path = _write_files(tmp_path, res)[1]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < json_path.stat().st_size / 4
 
 
 # ---------------------------------------------------------------------------

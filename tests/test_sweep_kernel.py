@@ -5,7 +5,9 @@ The ``_reference_*`` helpers are thermo's per-point scalar bodies as they
 stood before the kernel and thermo came to share one set of array rules (the
 scalar API was later deleted); they keep the checks independent of the code
 under test.  ``_reference_write_csv`` and ``_reference_write_json`` are the
-row-by-row writers that the column writers replaced.
+row-by-row writers that the column writers replaced, and
+``_frozen_select_*`` the ``np.select`` bodies of the tag rules that table
+lookups replaced.
 
 The golden files in tests/data were written from the configs next to them:
 ``python -m qfridge.cli sweep tests/data/<name>.conf``, then ``gzip -n -9``
@@ -33,11 +35,13 @@ import gzip
 import json
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qfridge import sweep
 from qfridge.cli import cli_main
 from qfridge.qcore import DIM, basis_index, basis_label
 from qfridge.sweep import (
@@ -58,6 +62,7 @@ from qfridge.thermo import (
     DeviceSpec,
     TransitionMatrix,
     cold_energies,
+    final_temperatures,
     ground_populations,
     hot_energies,
     mode_tags,
@@ -295,6 +300,45 @@ def test_mode_tags_match_the_reference_precedence(de_hot, de_cold, eps):
         assert mode_tags(np.array(de_h), np.array(de_c), e).tolist() == want
 
 
+def _frozen_select_mode_tags(de_hot, de_cold, eps=BOUNDARY_EPS):
+    """mode_tags as it stood with np.select."""
+    w = de_hot + de_cold
+    near_zero = np.minimum(np.minimum(abs(de_hot), abs(de_cold)), abs(w)) < eps
+    return np.select([near_zero, de_cold < 0, w < 0, de_hot < 0], ["Boundary", "R", "E", "A"], "H")
+
+
+def _frozen_select_kinds(q):
+    """final_temperatures' kind as it stood with np.select."""
+    q = np.asarray(q, float)
+    return np.select([abs(q - 0.5) < 1e-12, q > 0.5], ["infinite", "inverted"], "finite")
+
+
+#: any float, with zeros, tolerances and the edges of q = 1/2 drawn often
+_edge_floats = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 1e-4, -1e-4, 0.5, 0.5 - 1e-12, 0.5 + 1e-12, 0.5 - 1e-13, 0.5 + 1e-13]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), size=st.one_of(st.none(), st.integers(0, 8)),
+       eps=st.one_of(st.just(BOUNDARY_EPS), st.floats(0.0, 1.0)))
+def test_tag_tables_match_the_frozen_select_bodies(data, size, eps):
+    # size None draws 0-d arrays
+    def column():
+        if size is None:
+            return np.array(data.draw(_edge_floats))
+        return np.array(data.draw(st.lists(_edge_floats, min_size=size, max_size=size)), dtype=float)
+
+    de_hot, de_cold, q = column(), column(), column()
+    with np.errstate(over="ignore", invalid="ignore"):  # W of huge or infinite energies
+        pairs = [(mode_tags(de_hot, de_cold, eps), _frozen_select_mode_tags(de_hot, de_cold, eps)),
+                 (final_temperatures(q, 5.0)[0], _frozen_select_kinds(q))]
+    for got, want in pairs:
+        assert (type(got), got.dtype, got.shape) == (type(want), want.dtype, want.shape)
+        assert got.tolist() == want.tolist()
+
+
 def test_kernel_final_temperature_kinds_at_the_edges():
     # identity dynamics keeps q just below 1/2 at huge T_C (infinite within
     # 1e-12, finite beyond it); flipping the cold bit inverts the population
@@ -381,8 +425,14 @@ def sweep_results(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(res=sweep_results())
-def test_writers_match_the_row_by_row_references_byte_for_byte(res):
+@given(res=sweep_results(), block_points=st.integers(1, 7))
+def test_writers_match_the_row_by_row_references_byte_for_byte(res, block_points):
+    # at the real block size every drawn grid is one block; at 1-7 points
+    # blocks split T_H rows and the last one is ragged
     with np.errstate(over="ignore", invalid="ignore"):  # W of huge or infinite energies
-        assert write_csv(res) == _reference_write_csv(res)
-        assert write_json(res) == _reference_write_json(res)
+        want_csv, want_json = _reference_write_csv(res), _reference_write_json(res)
+        assert write_csv(res) == want_csv
+        assert write_json(res) == want_json
+        with mock.patch.object(sweep, "_BLOCK_POINTS", block_points):
+            assert write_csv(res) == want_csv
+            assert write_json(res) == want_json
