@@ -3,7 +3,8 @@
 Subcommands:
 
 * ``sweep <config>``: run a grid sweep and write the configured outputs.
-* ``point --th <mK> --tc <mK> [flags]``: evaluate one grid point, print JSON.
+* ``point --th <mK> --tc <mK> [flags]``: evaluate one grid point, print JSON
+  (``sweep.write_record``); each flag is a ``SweepConfig`` key.
 * ``compile --v {identity,vstar} [--qasm <path>]``: print the gate-count
   report of the circuit that sweeps run for V (``sweep.engine_circuit``),
   optionally emit it as OpenQASM 2.0: the fixed 4-cx circuit for vstar, the
@@ -23,19 +24,24 @@ import functools
 import json
 import sys
 
-from . import thermo
-from .circuits import V_CHOICES, emit_qasm
+from .circuits import emit_qasm
 from .compiler import CompileReport
 from .sweep import (
+    CHOICES,
     SweepConfig,
-    as_records,
     engine_circuit,
     evaluate_grid,
     parse_config,
     run_sweep,
     sweep_transition_matrix,
     write_outputs,
+    write_record,
 )
+
+
+#: the config keys that `point` takes as flags, in the order of its help
+_POINT_KEYS = ("f0", "f1", "f2", "p1", "p2", "eps01", "eps10", "scheme", "v", "shots", "seed",
+               "mitigation", "hot_energy_mode")
 
 
 class _UsageError(Exception):
@@ -58,21 +64,21 @@ def _build_parser() -> _Parser:
     p_point = sub.add_parser("point", help="evaluate a single (T_H, T_C) point")
     p_point.add_argument("--th", type=float, required=True, help="hot temperature, mK")
     p_point.add_argument("--tc", type=float, required=True, help="cold temperature, mK")
-    for key in ("f0", "f1", "f2", "p1", "p2", "eps01", "eps10"):
-        p_point.add_argument(f"--{key}", type=float)
-    p_point.add_argument("--scheme", choices=thermo.SCHEMES)
-    p_point.add_argument("--v", choices=V_CHOICES)
-    p_point.add_argument("--shots", type=int)
-    p_point.add_argument("--seed", type=int)
-    p_point.add_argument("--mitigation", choices=("on", "off"))
-    p_point.add_argument("--hot-energy-mode", choices=thermo.HOT_ENERGY_MODES)
+    for key in _POINT_KEYS:
+        # each flag has its key's type; the bool key reads on/off
+        kind = type(getattr(SweepConfig, key))
+        flag = "--" + key.replace("_", "-")
+        if kind is bool:
+            p_point.add_argument(flag, choices=("on", "off"))
+        else:
+            p_point.add_argument(flag, type=kind, choices=CHOICES.get(key))
 
     p_compile = sub.add_parser(
         "compile",
         help="report and emit the cooling-gate circuit that noisy runs use (V = identity: "
         "7 cx, exact up to a final diagonal phase)",
     )
-    p_compile.add_argument("--v", choices=V_CHOICES, required=True)
+    p_compile.add_argument("--v", choices=CHOICES["v"], required=True)
     p_compile.add_argument("--qasm", help="write OpenQASM 2.0 to this path")
 
     sub.add_parser("selftest", help="run the eleven release criteria")
@@ -88,16 +94,13 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_point(args) -> int:
-    cfg = SweepConfig()
-    # every given flag that names a config field; --mitigation reads on/off
-    keys = {f.name for f in dataclasses.fields(cfg)}
-    for key, value in vars(args).items():
-        if key in keys and value is not None:
-            setattr(cfg, key, value == "on" if key == "mitigation" else value)
-    cfg.validate()
+    flags = {key: getattr(args, key) for key in _POINT_KEYS if getattr(args, key) is not None}
+    if "mitigation" in flags:
+        flags["mitigation"] = flags["mitigation"] == "on"
+    cfg = SweepConfig(**flags)
     # a 1x1 grid holding the temperatures as given (grid_axes needs n >= 2)
     res = evaluate_grid(cfg, sweep_transition_matrix(cfg), [args.th], [args.tc])
-    print(json.dumps(as_records(res)[0], indent=2))
+    print(write_record(res))
     return 0
 
 
@@ -105,8 +108,8 @@ def _cmd_compile(args) -> int:
     circuit = engine_circuit(args.v)
     print(json.dumps(dataclasses.asdict(CompileReport.of(circuit)), indent=2))
     if args.qasm:
-        with open(args.qasm, "w") as fh:
-            fh.write(emit_qasm(circuit))
+        with open(args.qasm, "wb") as fh:  # binary: the same bytes on every platform
+            fh.write(emit_qasm(circuit).encode())
         print(args.qasm, file=sys.stderr)
     return 0
 

@@ -11,7 +11,8 @@ can reproduce the phase diagrams.  The CSV and JSON writers yield their
 text in blocks of a fixed number of grid points: T_H and T_C are formatted
 once per axis value, and each block fills a repeated row template in one
 ``%`` from its slice of every column, so ``write_outputs`` streams a file
-in memory that does not grow with the grid.
+in memory that does not grow with the grid; ``write_record`` fills the
+JSON object template for the one point of ``qfridge point``.
 """
 from __future__ import annotations
 
@@ -37,8 +38,19 @@ class ConfigError(ValueError):
         super().__init__(message)
 
 
-@dataclass
+#: the allowed values of each config key that names one of a fixed set
+CHOICES = {
+    "scheme": thermo.SCHEMES,
+    "v": V_CHOICES,
+    "hot_energy_mode": thermo.HOT_ENERGY_MODES,
+    "heatmap_field": ("mode", "t_c_final", "p_g_final"),
+}
+
+
+@dataclass(frozen=True)
 class SweepConfig:
+    """A run's settings, checked when built; each key's type is its default's."""
+
     f0: float = 4.82
     f1: float = 4.76
     f2: float = 4.90
@@ -62,48 +74,10 @@ class SweepConfig:
     heatmap_field: str = "mode"
     output_prefix: str = "sweep"
 
-    def check_key(self, key: str) -> None:
-        """Raise ConfigError if `key` breaks a rule on its own value."""
-        val = getattr(self, key)
-        if _KEY_TYPES[key] is float and not math.isfinite(val):
-            raise ConfigError(f"{key} = {val} must be finite")
-        if key in ("f0", "f1", "f2") and val <= 0:
-            raise ConfigError("frequencies must be positive")
-        if key == "scheme" and val not in thermo.SCHEMES:
-            raise ConfigError(f"unknown scheme {val!r}")
-        if key == "v" and val not in V_CHOICES:
-            raise ConfigError(f"unknown v {val!r}")
-        if key in ("p1", "p2", "eps01", "eps10") and not 0.0 <= val <= 1.0:
-            raise ConfigError(f"{key} = {val} outside [0, 1]")
-        if key == "shots" and val < 0:
-            raise ConfigError("shots must be >= 0 (0 = exact)")
-        if key == "seed" and val < 0:
-            raise ConfigError(f"seed = {val} must be >= 0")
-        if key in ("t_h_min", "t_c_min") and val <= 0:
-            raise ConfigError("grid temperatures must be positive")
-        if key in ("n_h", "n_c") and val < 2:
-            raise ConfigError("grid needs at least 2 points per axis")
-        if key == "hot_energy_mode" and val not in thermo.HOT_ENERGY_MODES:
-            raise ConfigError(f"unknown hot_energy_mode {val!r}")
-        if key == "outputs":
-            for out in val:
-                if out not in ("csv", "json", "heatmap"):
-                    raise ConfigError(f"unknown output {out!r}")
-        if key == "heatmap_field" and val not in HEATMAP_FIELDS:
-            raise ConfigError(f"unknown heatmap_field {val!r}")
-
-    def check_grid_bounds(self, lines: dict[str, int] | None = None) -> None:
-        """max > min on both axes; an error cites the later line of its pair."""
-        for lo, hi in (("t_h_min", "t_h_max"), ("t_c_min", "t_c_max")):
-            if getattr(self, hi) <= getattr(self, lo):
-                line = max((lines or {}).get(k, 0) for k in (lo, hi)) or None
-                raise ConfigError("grid bounds need max > min", line)
-
-    def validate(self) -> "SweepConfig":
-        for f in fields(self):
-            self.check_key(f.name)
-        self.check_grid_bounds()
-        return self
+    def __post_init__(self):
+        for key, value in vars(self).items():  # in field order, as __init__ set them
+            check_key(key, value)
+        check_grid_bounds(vars(self))
 
     def device(self) -> DeviceSpec:
         return DeviceSpec(self.f0, self.f1, self.f2)
@@ -112,17 +86,46 @@ class SweepConfig:
         return NoiseModel(self.p1, self.p2, self.eps01, self.eps10)
 
 
-#: config key -> the type of its default value
-_KEY_TYPES = {f.name: type(f.default) for f in fields(SweepConfig)}
+def check_key(key: str, value) -> None:
+    """Raise ConfigError if `value` breaks the rule of config key `key` on its own."""
+    if isinstance(getattr(SweepConfig, key), float) and not math.isfinite(value):
+        raise ConfigError(f"{key} = {value} must be finite")
+    if key in ("f0", "f1", "f2") and value <= 0:
+        raise ConfigError("frequencies must be positive")
+    if key in CHOICES and value not in CHOICES[key]:
+        raise ConfigError(f"unknown {key} {value!r}")
+    if key in ("p1", "p2", "eps01", "eps10") and not 0.0 <= value <= 1.0:
+        raise ConfigError(f"{key} = {value} outside [0, 1]")
+    if key == "shots" and value < 0:
+        raise ConfigError("shots must be >= 0 (0 = exact)")
+    if key == "seed" and value < 0:
+        raise ConfigError(f"seed = {value} must be >= 0")
+    if key in ("t_h_min", "t_c_min") and value <= 0:
+        raise ConfigError("grid temperatures must be positive")
+    if key in ("n_h", "n_c") and value < 2:
+        raise ConfigError("grid needs at least 2 points per axis")
+    if key == "outputs":
+        for out in value:
+            if out not in ("csv", "json", "heatmap"):
+                raise ConfigError(f"unknown output {out!r}")
+
+
+def check_grid_bounds(values, lines: dict[str, int] | None = None) -> None:
+    """max > min on both axes of config `values`; an error cites the later line of its pair."""
+    for lo, hi in (("t_h_min", "t_h_max"), ("t_c_min", "t_c_max")):
+        if values[hi] <= values[lo]:
+            line = max((lines or {}).get(k, 0) for k in (lo, hi)) or None
+            raise ConfigError("grid bounds need max > min", line)
 
 
 def parse_config(text: str) -> SweepConfig:
     """Parse a flat `key = value` document with # comments into a config.
 
-    Each key's own rule is checked on its line, the grid bounds at the end.
+    Each key's own rule is checked on its line, the grid bounds at the end;
+    a key given twice is an error on its second line.
     """
-    cfg = SweepConfig()
-    lines: dict[str, int] = {}
+    defaults = {f.name: f.default for f in fields(SweepConfig)}
+    values, lines = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line or (line.startswith("[") and line.endswith("]")):
@@ -130,26 +133,28 @@ def parse_config(text: str) -> SweepConfig:
         if "=" not in line:
             raise ConfigError(f"malformed line {raw.strip()!r}", lineno)
         key, value = (part.strip() for part in line.split("=", 1))
-        kind = _KEY_TYPES.get(key)
+        kind = type(defaults.get(key))  # NoneType for an unknown key
         try:
+            if key in lines:
+                raise ConfigError(f"{key} given twice, first on line {lines[key]}")
             if kind in (float, int, str):
-                setattr(cfg, key, kind(value))
+                values[key] = kind(value)
             elif kind is bool:
                 if value not in ("on", "off"):
                     raise ConfigError(f"{key} must be on or off")
-                setattr(cfg, key, value == "on")
+                values[key] = value == "on"
             elif kind is tuple:
-                setattr(cfg, key, tuple(v.strip() for v in value.split(",") if v.strip()))
+                values[key] = tuple(v.strip() for v in value.split(",") if v.strip())
             else:
                 raise ConfigError(f"unknown key {key!r}")
-            cfg.check_key(key)
+            check_key(key, values[key])
         except ConfigError as err:
             raise ConfigError(str(err), lineno) from None
         except ValueError:
             raise ConfigError(f"bad value {value!r} for {key}", lineno) from None
         lines[key] = lineno
-    cfg.check_grid_bounds(lines)
-    return cfg
+    check_grid_bounds({**defaults, **values}, lines)
+    return SweepConfig(**values)
 
 
 def build_engine(cfg: SweepConfig):
@@ -269,7 +274,6 @@ def evaluate_grid(cfg: SweepConfig, tm, t_h_axis, t_c_axis) -> SweepResult:
 
 def run_sweep(cfg: SweepConfig) -> SweepResult:
     """The whole configured grid, T_H as the outer axis."""
-    cfg.validate()
     return evaluate_grid(cfg, sweep_transition_matrix(cfg), *grid_axes(cfg))
 
 
@@ -280,7 +284,8 @@ CSV_HEADER = "T_H_mK,T_C_mK,dE_H,dE_C,W,mode,T_C_final_mK,p_g_final,purifier"
 RECORD_KEYS = ("T_H", "T_C", "dE_H", "dE_C", "W", "mode", "T_C_final", "p_g_final", "purifier")
 _NON_FINITE_TEXT = {"infinite": "inf", "inverted": "inverted"}
 _CSV_ROW = "%s,%s,%.9g,%.9g,%.9g,%s,%s,%.9g,%s\n"
-_JSON_RECORD = "  {\n" + ",\n".join(f'    "{key}": %s' for key in RECORD_KEYS) + "\n  }"
+#: one point's object as json.dumps(record, indent=2) writes it
+_RECORD = "{\n" + ",\n".join(f'  "{key}": %s' for key in RECORD_KEYS) + "\n}"
 _JSON_TAGS = {kind: encode_basestring_ascii(text) for kind, text in _NON_FINITE_TEXT.items()}
 
 
@@ -337,24 +342,6 @@ def write_csv(res: SweepResult) -> str:
     return "".join(_csv_blocks(res))
 
 
-def _record_numbers(col: np.ndarray) -> list:
-    """The column's floats, a non-finite one as its CSV text ("nan", "inf",
-    "-inf"): strict JSON holds those only as strings."""
-    return [v if math.isfinite(v) else "%.9g" % v for v in col.tolist()]
-
-
-def as_records(res: SweepResult) -> list[dict]:
-    """One dict per grid point, keyed by RECORD_KEYS, with Python values;
-    T_C_final may be "inf"/"inverted", and a non-finite float is its CSV text."""
-    columns = [
-        *map(_record_numbers, (res.t_hot, res.t_cold, res.de_hot, res.de_cold, res.work)),
-        res.mode.tolist(),
-        _t_final_column(res.t_cold_final_kind, _record_numbers(res.t_cold_final), _NON_FINITE_TEXT),
-        _record_numbers(res.p_g_final), res.purifier.tolist(),
-    ]
-    return [dict(zip(RECORD_KEYS, row)) for row in zip(*columns)]
-
-
 def _json_numbers(col: np.ndarray) -> list[str]:
     """json's text of each number: float.__repr__ (as json calls it), with
     NaN and the infinities as strings of their CSV text (their repr)."""
@@ -380,13 +367,23 @@ def _json_blocks(res: SweepResult):
         yield "[]\n"
         return
     yield "[\n"
-    yield from _blocks(res, _JSON_RECORD, ",\n", _json_numbers, _json_columns)
+    record = "  " + _RECORD.replace("\n", "\n  ")  # one level deeper, inside the list
+    yield from _blocks(res, record, ",\n", _json_numbers, _json_columns)
     yield "\n]\n"
 
 
 def write_json(res: SweepResult) -> str:
-    """The records as ``json.dumps(as_records(res), indent=2)`` writes them."""
+    """One object per grid point, keyed by RECORD_KEYS, in a list as ``json.dumps(records,
+    indent=2)`` writes it; a non-finite float is its CSV text, as strict JSON needs."""
     return "".join(_json_blocks(res))
+
+
+def write_record(res: SweepResult) -> str:
+    """The one point of a 1x1 result as one object of write_json, written as
+    ``json.dumps(record, indent=2)`` writes it."""
+    if res.de_hot.size != 1:
+        raise ValueError(f"a record holds one point, not {res.n_h}x{res.n_c}")
+    return "".join(_blocks(res, _RECORD, "", _json_numbers, _json_columns))
 
 
 MODE_COLORS = {
@@ -400,9 +397,6 @@ MODE_COLORS = {
 RAMP_LOW = (0, 0, 255)
 RAMP_HIGH = (255, 0, 0)
 NON_FINITE_COLOR = (128, 128, 128)
-
-HEATMAP_FIELDS = ("mode", "t_c_final", "p_g_final")
-
 
 def _scalar_field(res: SweepResult, fname: str) -> np.ndarray:
     """The field's values, NaN where they are not finite."""
@@ -425,7 +419,7 @@ def write_heatmap(res: SweepResult, fname: str = "mode") -> bytes:
     rendered as P); scalar fields use a linear blue-to-red ramp between the
     values returned by heatmap_range, gray for non-finite entries.
     """
-    if fname not in HEATMAP_FIELDS:
+    if fname not in CHOICES["heatmap_field"]:
         raise ValueError(f"unknown heatmap field {fname!r}")
     if fname == "mode":
         tags = np.where(res.purifier & (res.mode == "R"), "P", res.mode)

@@ -1,4 +1,5 @@
 """Config parsing, grid sweeps, file outputs, and the CLI."""
+import dataclasses
 import json
 import os
 import re
@@ -16,11 +17,11 @@ from qfridge.circuits import LINE3, emit_qasm
 from qfridge.cli import cli_main
 from qfridge.oracles import CRITERIA
 from qfridge.sweep import (
+    CHOICES,
     CSV_HEADER,
     ConfigError,
     SweepConfig,
     SweepResult,
-    as_records,
     evaluate_grid,
     grid_axes,
     heatmap_range,
@@ -31,6 +32,7 @@ from qfridge.sweep import (
     write_heatmap,
     write_json,
     write_outputs,
+    write_record,
 )
 from qfridge.thermo import TransitionMatrix
 
@@ -93,11 +95,50 @@ def test_parse_mitigation_on():
         ("n_h = 1", "at least 2"),
         ("outputs = csv, png", "unknown output"),
         ("heatmap_field = work", "heatmap_field"),
+        ("shots = 0\nn_h = 4\nshots = 5\n", "line 3: shots given twice, first on line 1"),
     ],
 )
 def test_parse_errors(text, fragment):
     with pytest.raises(ConfigError, match=fragment):
         parse_config(text)
+
+
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        (dict(f1=-1.0), "frequencies must be positive"),
+        (dict(f0=float("nan")), "f0 = nan must be finite"),
+        (dict(t_h_max=float("inf")), "t_h_max = inf must be finite"),
+        (dict(scheme="gibbs"), "unknown scheme 'gibbs'"),
+        (dict(v="hadamard"), "unknown v 'hadamard'"),
+        (dict(hot_energy_mode="flat"), "unknown hot_energy_mode 'flat'"),
+        (dict(heatmap_field="work"), "unknown heatmap_field 'work'"),
+        (dict(p2=1.5), "p2 = 1.5 outside [0, 1]"),
+        (dict(eps10=-0.1), "eps10 = -0.1 outside [0, 1]"),
+        (dict(shots=-5), "shots must be >= 0 (0 = exact)"),
+        (dict(seed=-1), "seed = -1 must be >= 0"),
+        (dict(t_c_min=0.0), "grid temperatures must be positive"),
+        (dict(n_h=1), "grid needs at least 2 points per axis"),
+        (dict(outputs=("csv", "png")), "unknown output 'png'"),
+        (dict(t_c_max=20.0), "grid bounds need max > min"),
+        (dict(t_h_min=2000.0), "grid bounds need max > min"),
+    ],
+)
+def test_config_is_checked_when_built(bad, message):
+    with pytest.raises(ConfigError) as err:
+        SweepConfig(**bad)
+    assert str(err.value) == message and err.value.line is None
+
+
+def test_config_is_frozen_and_replace_checks_again():
+    cfg = SweepConfig(shots=0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.shots = -1
+    assert dataclasses.replace(cfg, seed=4).seed == 4
+    with pytest.raises(ConfigError, match="shots must be >= 0"):
+        dataclasses.replace(cfg, shots=-1)
+    with pytest.raises(ConfigError, match="max > min"):
+        dataclasses.replace(cfg, t_h_max=cfg.t_h_min)
 
 
 def test_config_error_carries_line_number():
@@ -284,11 +325,17 @@ def test_write_json_roundtrip():
     }
 
 
-def test_as_records_match_columns():
+def test_write_record_matches_columns():
     res = _tiny_rows()
-    d = as_records(res)[0]
+    with pytest.raises(ValueError, match="not 2x2"):
+        write_record(res)
+    one = SweepResult(**{f.name: getattr(res, f.name)[:1] for f in dataclasses.fields(res)})
+    text = write_record(one)
+    d = json.loads(text)
     assert d["T_H"] == res.t_hot[0] and d["dE_C"] == res.de_cold[0]
     assert d["W"] == res.de_hot[0] + res.de_cold[0]
+    # the record is the first object of the JSON file, one level shallower
+    assert write_json(one) == "[\n  " + text.replace("\n", "\n  ") + "\n]\n"
 
 
 def test_mode_heatmap_pixels():
@@ -402,12 +449,20 @@ def test_cli_compile_identity_emits_routed_qasm(tmp_path, capsys):
 
 
 def test_v_choices_are_shared_by_config_and_cli(capsys):
-    assert circuits.V_CHOICES == ("identity", "vstar")
-    with pytest.raises(ConfigError, match="unknown v 'hadamard'"):
-        parse_config("v = hadamard")
+    assert circuits.V_CHOICES == CHOICES["v"] == ("identity", "vstar")
     assert cli_main(["compile", "--v", "hadamard"]) == 1
-    assert cli_main(["point", "--th", "150", "--tc", "100", "--v", "hadamard"]) == 1
     assert "invalid choice: 'hadamard' (choose from" in capsys.readouterr().err
+    for key, allowed in CHOICES.items():
+        for value in allowed:
+            assert getattr(parse_config(f"{key} = {value}"), key) == value
+        with pytest.raises(ConfigError, match=f"line 1: unknown {key} 'hadamard'"):
+            parse_config(f"{key} = hadamard")
+        if key == "heatmap_field":  # a sweep-file key only
+            continue
+        argv = ["point", "--th", "150", "--tc", "100", "--" + key.replace("_", "-"), "hadamard"]
+        assert cli_main(argv) == 1
+        listed = capsys.readouterr().err.split("invalid choice: 'hadamard' (choose from ", 1)[1]
+        assert all(value in listed for value in allowed)
 
 
 def test_cli_point(capsys):

@@ -5,8 +5,10 @@ The ``_reference_*`` helpers are thermo's per-point scalar bodies as they
 stood before the kernel and thermo came to share one set of array rules (the
 scalar API was later deleted); they keep the checks independent of the code
 under test.  ``_reference_write_csv`` and ``_reference_write_json`` are the
-row-by-row writers that the column writers replaced, and
-``_frozen_select_*`` the ``np.select`` bodies of the tag rules that table
+row-by-row writers that the column writers replaced, over
+``_frozen_as_records``, the dict-per-point renderer that ``qfridge point``
+printed through before ``sweep.write_record`` replaced it; and
+``_frozen_select_*`` are the ``np.select`` bodies of the tag rules that table
 lookups replaced.
 
 The golden files in tests/data were written from the configs next to them:
@@ -30,8 +32,10 @@ instead of one generator per column seeded ``seed + i``.  To rewrite
     PYTHONPATH=$REPO/src python -m qfridge.cli sweep $REPO/tests/data/<name>.conf
     gzip -n -9 <name>.csv <name>.json && cp <name>.* $REPO/tests/data/
 """
+import contextlib
 import functools
 import gzip
+import io
 import json
 import math
 from pathlib import Path
@@ -45,10 +49,10 @@ from qfridge import sweep
 from qfridge.cli import cli_main
 from qfridge.qcore import DIM, basis_index, basis_label
 from qfridge.sweep import (
+    CHOICES,
     CSV_HEADER,
     SweepConfig,
     SweepResult,
-    as_records,
     evaluate_grid,
     sweep_transition_matrix,
     write_csv,
@@ -386,6 +390,24 @@ def test_outputs_match_golden_files(name, tmp_path, monkeypatch, capsys):
             assert got == want, path
 
 
+def _frozen_as_records(res):
+    """One dict per grid point with Python values, as sweep.as_records built
+    them: T_C_final may be "inf"/"inverted", and a non-finite float is its
+    CSV text ("nan", "inf", "-inf")."""
+    def numbers(col):
+        return [v if math.isfinite(v) else "%.9g" % v for v in col.tolist()]
+
+    t_final = numbers(res.t_cold_final)
+    for n in np.flatnonzero(res.t_cold_final_kind != "finite").tolist():
+        t_final[n] = {"infinite": "inf", "inverted": "inverted"}[res.t_cold_final_kind[n]]
+    columns = [
+        *map(numbers, (res.t_hot, res.t_cold, res.de_hot, res.de_cold, res.work)),
+        res.mode.tolist(), t_final, numbers(res.p_g_final), res.purifier.tolist(),
+    ]
+    keys = ("T_H", "T_C", "dE_H", "dE_C", "W", "mode", "T_C_final", "p_g_final", "purifier")
+    return [dict(zip(keys, row)) for row in zip(*columns)]
+
+
 def _reference_write_csv(res):
     def g9(v):  # a record holds a non-finite float, or a T_C_final tag, as its text
         return v if isinstance(v, str) else f"{v:.9g}"
@@ -393,14 +415,14 @@ def _reference_write_csv(res):
     lines = [
         f"{g9(th)},{g9(tc)},{g9(dh)},{g9(dc)},{g9(w)},{mode},"
         f"{g9(t)},{g9(pg)},{'true' if pur else 'false'}"
-        for th, tc, dh, dc, w, mode, t, pg, pur in (r.values() for r in as_records(res))
+        for th, tc, dh, dc, w, mode, t, pg, pur in (r.values() for r in _frozen_as_records(res))
     ]
     return "\n".join([CSV_HEADER, *lines]) + "\n"
 
 
 def _reference_write_json(res):
     # allow_nan=False: strict JSON, no NaN or Infinity constants
-    return json.dumps(as_records(res), indent=2, allow_nan=False) + "\n"
+    return json.dumps(_frozen_as_records(res), indent=2, allow_nan=False) + "\n"
 
 
 @st.composite
@@ -436,3 +458,34 @@ def test_writers_match_the_row_by_row_references_byte_for_byte(res, block_points
         with mock.patch.object(sweep, "_BLOCK_POINTS", block_points):
             assert write_csv(res) == want_csv
             assert write_json(res) == want_json
+
+
+#: drawn `qfridge point` flags: each one given or left at its default
+_point_flags = st.fixed_dictionaries({}, optional={
+    "f1": st.floats(4.5, 5.0),
+    "p2": st.sampled_from([0.0, 0.01]),
+    "eps01": st.floats(0.0, 0.05),
+    "eps10": st.floats(0.0, 0.05),
+    "scheme": st.sampled_from(CHOICES["scheme"]),
+    "v": st.sampled_from(CHOICES["v"]),
+    "shots": st.sampled_from([0, 0, 256]),
+    "seed": st.integers(0, 2**31),
+    "mitigation": st.booleans(),
+    "hot_energy_mode": st.sampled_from(CHOICES["hot_energy_mode"]),
+})
+
+
+@settings(max_examples=100, deadline=None)
+@given(th=st.one_of(st.just(math.inf), st.floats(1.0, 2000.0)), tc=st.floats(1.0, 2000.0),
+       flags=_point_flags)
+def test_point_prints_the_frozen_record_byte_for_byte(th, tc, flags):
+    argv = ["point", "--th", repr(th), "--tc", repr(tc)]
+    for key, value in flags.items():
+        text = ("on" if value else "off") if isinstance(value, bool) else str(value)
+        argv += ["--" + key.replace("_", "-"), text]  # str of a float is its repr
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli_main(argv) == 0
+    cfg = SweepConfig(**flags)
+    res = evaluate_grid(cfg, sweep_transition_matrix(cfg), [th], [tc])
+    assert out.getvalue() == json.dumps(_frozen_as_records(res)[0], indent=2) + "\n"
