@@ -64,12 +64,12 @@ def to_physical(a: np.ndarray) -> np.ndarray:
 to_logical = to_physical
 
 
-def check_unitary(u: np.ndarray, atol: float = UNITARY_ATOL) -> np.ndarray:
+def check_unitary(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError("unitary must be a square matrix")
     d = u.shape[0]
-    if np.max(np.abs(u.conj().T @ u - np.eye(d))) > atol:
+    if np.max(np.abs(u.conj().T @ u - np.eye(d))) > UNITARY_ATOL:
         raise ValueError("matrix is not unitary")
     return u
 
@@ -79,9 +79,9 @@ def check_probabilities(p: np.ndarray) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.ndim < 1:
         raise ValueError("probability vector must be at least one-dimensional")
-    if np.min(p) < 0:
-        raise ValueError("probability vector has a negative entry")
-    if np.max(np.abs(p.sum(axis=-1) - 1.0)) > STATE_ATOL:
+    if not np.min(p) >= 0:  # NaN fails too
+        raise ValueError("probability vector has a negative or NaN entry")
+    if not np.max(np.abs(p.sum(axis=-1) - 1.0)) <= STATE_ATOL:
         raise ValueError("probability vector does not sum to 1")
     return p
 

@@ -7,12 +7,14 @@ sampling boundary tolerance are computed here.  ``evaluate_grid`` is the one
 way to evaluate points: ``qfridge point`` and the oracles run it on a 1x1 or
 small grid.  The SweepResult holds the two axes and one array per other
 column.  Outputs are plain CSV / JSON / binary PPM so any external plotter
-can reproduce the phase diagrams.  The CSV and JSON writers yield their
-text in blocks of a fixed number of grid points: T_H and T_C are formatted
-once per axis value, and each block fills a repeated row template in one
-``%`` from its slice of every column, so ``write_outputs`` streams a file
-in memory that does not grow with the grid; ``write_record`` fills the
-JSON object template for the one point of ``qfridge point``.
+can reproduce the phase diagrams.  The CSV file, the JSON file and the
+record of ``qfridge point`` come from one column pass that yields text in
+blocks of a fixed number of grid points: T_H and T_C are formatted once
+per axis value, and each block fills a repeated row or object template in
+one ``%`` from its slice of every column, so ``write_outputs`` streams a
+file in memory that does not grow with the grid.  CSV numbers are ``%.9g``;
+JSON's ``%s`` fields take the floats themselves (the str of a float is the
+repr json writes), with NaN and the infinities as quoted CSV text.
 """
 from __future__ import annotations
 
@@ -86,9 +88,17 @@ class SweepConfig:
         return NoiseModel(self.p1, self.p2, self.eps01, self.eps10)
 
 
+#: what a key of each default type takes, numpy scalars too; a bool is no number
+_TYPES = {float: (int, float, np.integer, np.floating), int: (int, np.integer),
+          bool: (bool, np.bool_), str: str, tuple: tuple}
+
+
 def check_key(key: str, value) -> None:
     """Raise ConfigError if `value` breaks the rule of config key `key` on its own."""
-    if isinstance(getattr(SweepConfig, key), float) and not math.isfinite(value):
+    kind = type(getattr(SweepConfig, key))
+    if not isinstance(value, _TYPES[kind]) or (kind is not bool and isinstance(value, bool)):
+        raise ConfigError(f"{key} = {value!r} must be of type {kind.__name__}")
+    if kind is float and not math.isfinite(value):
         raise ConfigError(f"{key} = {value} must be finite")
     if key in ("f0", "f1", "f2") and value <= 0:
         raise ConfigError("frequencies must be positive")
@@ -286,7 +296,6 @@ _NON_FINITE_TEXT = {"infinite": "inf", "inverted": "inverted"}
 _CSV_ROW = "%s,%s,%.9g,%.9g,%.9g,%s,%s,%.9g,%s\n"
 #: one point's object as json.dumps(record, indent=2) writes it
 _RECORD = "{\n" + ",\n".join(f'  "{key}": %s' for key in RECORD_KEYS) + "\n}"
-_JSON_TAGS = {kind: encode_basestring_ascii(text) for kind, text in _NON_FINITE_TEXT.items()}
 
 
 #: grid points per block of text that the CSV and JSON writers yield
@@ -298,68 +307,56 @@ def _g9_texts(col: np.ndarray) -> list[str]:
     return ("%.9g\n" * col.size % tuple(col.tolist())).split("\n")[:-1]
 
 
-def _blocks(res: SweepResult, row: str, sep: str, axis_texts, block_columns):
+def _json_values(col: np.ndarray) -> list:
+    """json's `%s` value of each number: the float, whose str is the repr json
+    writes, or for NaN and the infinities the JSON string of their CSV text."""
+    values = col.tolist()
+    for n in np.flatnonzero(~np.isfinite(col)).tolist():
+        values[n] = encode_basestring_ascii("%.9g" % values[n])
+    return values
+
+
+#: what a text format supplies to the column pass: the `%` values of an axis
+#: or T_C_final column, the values of the other float columns, the text of a string
+_FORMATS = {
+    "csv": (_g9_texts, np.ndarray.tolist, str),
+    "json": (_json_values, _json_values, encode_basestring_ascii),
+}
+
+
+def _blocks(res: SweepResult, row: str, sep: str, fmt: str):
     """`row` once per grid point, joined by `sep`, in texts of _BLOCK_POINTS
     consecutive points; each block after the first starts with `sep`.  The
-    axis columns come from `axis_texts` of each axis value, the others from
-    `block_columns(res, s)` for the points of slice `s`, one value per `%`
-    field of `row` after the two axes."""
-    h_texts, c_texts = axis_texts(res.t_h_axis), axis_texts(res.t_c_axis)
+    values of the nine `%` fields of `row` come from the columns as format
+    `fmt` of _FORMATS gives them; the axes are formatted once per axis value."""
+    texts, values, text = _FORMATS[fmt]
+    # the str of each axis value, made once: `%s` of a float would format it per point
+    h_texts, c_texts = (list(map(str, texts(axis))) for axis in (res.t_h_axis, res.t_c_axis))
     t_h, t_c = np.repeat(np.array(h_texts, dtype=object), res.n_c).tolist(), c_texts * res.n_h
     for start in range(0, len(t_h), _BLOCK_POINTS):
         s = slice(start, start + _BLOCK_POINTS)
-        columns = [t_h[s], t_c[s], *block_columns(res, s)]
-        template = sep.join([row] * len(columns[0]))
+        de_hot, de_cold, kinds = res.de_hot[s], res.de_cold[s], res.t_cold_final_kind[s]
+        t_final = texts(res.t_cold_final[s])
+        for n in np.flatnonzero(kinds != "finite").tolist():
+            t_final[n] = text(_NON_FINITE_TEXT[kinds[n]])
+        columns = [
+            t_h[s], t_c[s], *map(values, (de_hot, de_cold, de_hot + de_cold)),
+            list(map(text, res.mode[s].tolist())), t_final, values(res.p_g_final[s]),
+            np.where(res.purifier[s], "true", "false").tolist(),
+        ]
+        template = sep.join([row] * len(t_final))
         yield (template if start == 0 else sep + template) % tuple(
             itertools.chain.from_iterable(zip(*columns)))
 
 
-def _t_final_column(kinds: np.ndarray, values: list, tags: dict) -> list:
-    """The T_C_final column: `values` where the kind is finite, else its tag (in place)."""
-    for n in np.flatnonzero(kinds != "finite").tolist():
-        values[n] = tags[kinds[n]]
-    return values
-
-
-def _csv_columns(res: SweepResult, s: slice) -> list[list]:
-    de_hot, de_cold = res.de_hot[s], res.de_cold[s]
-    return [
-        de_hot.tolist(), de_cold.tolist(), (de_hot + de_cold).tolist(),
-        res.mode[s].tolist(),
-        _t_final_column(res.t_cold_final_kind[s], _g9_texts(res.t_cold_final[s]), _NON_FINITE_TEXT),
-        res.p_g_final[s].tolist(),
-        np.where(res.purifier[s], "true", "false").tolist(),
-    ]
-
-
 def _csv_blocks(res: SweepResult):
     yield CSV_HEADER + "\n"
-    yield from _blocks(res, _CSV_ROW, "", _g9_texts, _csv_columns)
+    yield from _blocks(res, _CSV_ROW, "", "csv")
 
 
 def write_csv(res: SweepResult) -> str:
     """One row per grid point, numbers as `%.9g`."""
     return "".join(_csv_blocks(res))
-
-
-def _json_numbers(col: np.ndarray) -> list[str]:
-    """json's text of each number: float.__repr__ (as json calls it), with
-    NaN and the infinities as strings of their CSV text (their repr)."""
-    texts = repr(col.tolist())[1:-1].split(", ")
-    if not np.isfinite(col).all():  # the repr of a finite float ends in a digit
-        texts = [t if t[-1].isdigit() else f'"{t}"' for t in texts]
-    return texts
-
-
-def _json_columns(res: SweepResult, s: slice) -> list[list[str]]:
-    de_hot, de_cold = res.de_hot[s], res.de_cold[s]
-    return [
-        *map(_json_numbers, (de_hot, de_cold, de_hot + de_cold)),
-        list(map(encode_basestring_ascii, res.mode[s].tolist())),
-        _t_final_column(res.t_cold_final_kind[s], _json_numbers(res.t_cold_final[s]), _JSON_TAGS),
-        _json_numbers(res.p_g_final[s]),
-        np.where(res.purifier[s], "true", "false").tolist(),
-    ]
 
 
 def _json_blocks(res: SweepResult):
@@ -368,7 +365,7 @@ def _json_blocks(res: SweepResult):
         return
     yield "[\n"
     record = "  " + _RECORD.replace("\n", "\n  ")  # one level deeper, inside the list
-    yield from _blocks(res, record, ",\n", _json_numbers, _json_columns)
+    yield from _blocks(res, record, ",\n", "json")
     yield "\n]\n"
 
 
@@ -383,7 +380,7 @@ def write_record(res: SweepResult) -> str:
     ``json.dumps(record, indent=2)`` writes it."""
     if res.de_hot.size != 1:
         raise ValueError(f"a record holds one point, not {res.n_h}x{res.n_c}")
-    return "".join(_blocks(res, _RECORD, "", _json_numbers, _json_columns))
+    return "".join(_blocks(res, _RECORD, "", "json"))
 
 
 MODE_COLORS = {
@@ -398,14 +395,15 @@ RAMP_LOW = (0, 0, 255)
 RAMP_HIGH = (255, 0, 0)
 NON_FINITE_COLOR = (128, 128, 128)
 
-def _scalar_field(res: SweepResult, fname: str) -> np.ndarray:
-    """The field's values, NaN where they are not finite."""
-    return res.p_g_final if fname == "p_g_final" else res.t_cold_final
+#: the column of each scalar heatmap field, NaN where it is not finite
+_SCALAR_FIELDS = {"t_c_final": "t_cold_final", "p_g_final": "p_g_final"}
 
 
 def heatmap_range(res: SweepResult, fname: str) -> tuple[float, float]:
     """(min, max) of the finite values of a scalar heatmap field."""
-    values = _scalar_field(res, fname)
+    if fname not in _SCALAR_FIELDS:
+        raise ValueError(f"{fname!r} is not a scalar heatmap field")
+    values = getattr(res, _SCALAR_FIELDS[fname])
     values = values[np.isfinite(values)]
     if not values.size:
         raise ValueError(f"no finite values for field {fname!r}")
@@ -417,17 +415,16 @@ def write_heatmap(res: SweepResult, fname: str = "mode") -> bytes:
 
     Mode maps use the fixed color table MODE_COLORS (purifying R points are
     rendered as P); scalar fields use a linear blue-to-red ramp between the
-    values returned by heatmap_range, gray for non-finite entries.
+    values returned by heatmap_range, gray for non-finite entries; heatmap_range
+    raises ValueError for any other field.
     """
-    if fname not in CHOICES["heatmap_field"]:
-        raise ValueError(f"unknown heatmap field {fname!r}")
     if fname == "mode":
         tags = np.where(res.purifier & (res.mode == "R"), "P", res.mode)
         tags, index = np.unique(tags, return_inverse=True)
         pixels = np.array([MODE_COLORS[t] for t in tags.tolist()])[index]
     else:
         lo, hi = heatmap_range(res, fname)
-        values = _scalar_field(res, fname)
+        values = getattr(res, _SCALAR_FIELDS[fname])
         t = (values - lo) / (hi - lo if hi > lo else 1.0)
         pixels = np.rint(np.add(RAMP_LOW, t[:, None] * np.subtract(RAMP_HIGH, RAMP_LOW)))
         pixels[~np.isfinite(values)] = NON_FINITE_COLOR

@@ -253,6 +253,13 @@ def test_calibrate_rejects_zero_shots():
         calibrate(NoiseModel(), 0, 0)
 
 
+def test_readout_and_mitigation_reject_nan_probabilities():
+    with pytest.raises(ValueError, match="NaN"):
+        apply_readout_error(np.full(8, np.nan), NoiseModel(eps01=0.1))
+    with pytest.raises(ValueError, match="NaN"):
+        mitigate(np.full(8, np.nan), np.eye(8))
+
+
 def test_mitigate_exact_roundtrip():
     nm = NoiseModel(eps01=0.05, eps10=0.02)
     rng = np.random.default_rng(30)

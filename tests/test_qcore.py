@@ -97,6 +97,9 @@ def test_check_probabilities():
         qcore.check_probabilities(np.array([1.1, -0.1]))
     with pytest.raises(ValueError, match="sum"):
         qcore.check_probabilities(np.array([0.3, 0.3]))
+    for p in ([np.nan, 1.0], [0.5, 0.5, np.nan], [[0.5, 0.5], [np.nan, np.nan]]):
+        with pytest.raises(ValueError, match="NaN"):
+            qcore.check_probabilities(np.array(p))
 
 
 def test_born_probabilities_basis_and_superposition():

@@ -122,12 +122,28 @@ def test_parse_errors(text, fragment):
         (dict(outputs=("csv", "png")), "unknown output 'png'"),
         (dict(t_c_max=20.0), "grid bounds need max > min"),
         (dict(t_h_min=2000.0), "grid bounds need max > min"),
+        (dict(n_h=2.5, n_c=2, shots=0), "n_h = 2.5 must be of type int"),
+        (dict(shots=True), "shots = True must be of type int"),
+        (dict(seed=1.0), "seed = 1.0 must be of type int"),
+        (dict(f0=True), "f0 = True must be of type float"),
+        (dict(p2="0.1"), "p2 = '0.1' must be of type float"),
+        (dict(mitigation=1), "mitigation = 1 must be of type bool"),
+        (dict(scheme=None), "scheme = None must be of type str"),
+        (dict(outputs="csv"), "outputs = 'csv' must be of type tuple"),
+        (dict(outputs=["csv"]), "outputs = ['csv'] must be of type tuple"),
     ],
 )
 def test_config_is_checked_when_built(bad, message):
     with pytest.raises(ConfigError) as err:
         SweepConfig(**bad)
     assert str(err.value) == message and err.value.line is None
+
+
+def test_config_takes_ints_and_numpy_scalars_where_they_fit():
+    cfg = SweepConfig(t_h_min=20, f1=np.float32(4.75), p2=np.float64(0.01), shots=np.int64(0),
+                      n_h=np.uint8(3), n_c=2, mitigation=np.bool_(True))
+    assert (cfg.t_h_min, cfg.shots, cfg.n_h, cfg.mitigation) == (20, 0, 3, True)
+    assert run_sweep(cfg).mode.shape == (6,)
 
 
 def test_config_is_frozen_and_replace_checks_again():
@@ -380,6 +396,9 @@ def test_heatmap_rejects_bad_input():
     )
     with pytest.raises(ValueError, match="no finite"):
         heatmap_range(only_bad, "t_c_final")
+    for field in ("mode", "bogus", "T_C_final"):
+        with pytest.raises(ValueError, match=f"'{field}' is not a scalar heatmap field"):
+            heatmap_range(_tiny_rows(), field)
 
 
 def test_write_outputs_keeps_csv_and_json_when_the_heatmap_cannot_be_drawn(tmp_path):
