@@ -143,8 +143,8 @@ def readout_inverse(confusion: np.ndarray) -> np.ndarray:
     m = np.asarray(confusion, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("confusion matrix must be square")
-    if np.min(m) < 0:
-        raise ValueError("confusion matrix has a negative entry")
+    if not np.min(m) >= 0:  # NaN fails too
+        raise ValueError("confusion matrix has a negative or NaN entry")
     if np.max(np.abs(m.sum(axis=0) - 1.0)) > qcore.STATE_ATOL:
         raise ValueError("confusion matrix columns must sum to 1")
     u, s, vt = np.linalg.svd(m)

@@ -8,21 +8,24 @@ way to evaluate points: ``qfridge point`` and the oracles run it on a 1x1 or
 small grid.  The SweepResult holds the two axes and one array per other
 column.  Outputs are plain CSV / JSON / binary PPM so any external plotter
 can reproduce the phase diagrams.  The CSV file, the JSON file and the
-record of ``qfridge point`` come from one column pass that yields text in
-blocks of a fixed number of grid points: T_H and T_C are formatted once
-per axis value, and each block fills a repeated row or object template in
-one ``%`` from its slice of every column, so ``write_outputs`` streams a
-file in memory that does not grow with the grid.  CSV numbers are ``%.9g``;
-JSON's ``%s`` fields take the floats themselves (the str of a float is the
-repr json writes), with NaN and the infinities as quoted CSV text.
+record of ``qfridge point`` come from one pass over the columns in blocks
+of a fixed number of grid points: each block's columns are read once for
+every text being written, and T_H and T_C are formatted once per axis
+value, so ``write_outputs`` streams the CSV and JSON files together in
+memory that does not grow with the grid.  A CSV block is one ``%`` of a
+repeated row, numbers as ``%.9g``; a JSON block is one join of the record's
+literal pieces with the values' texts, the repr json writes for a float,
+with NaN and the infinities as quoted CSV text.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
 from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 import numpy as np
 
@@ -296,83 +299,138 @@ _NON_FINITE_TEXT = {"infinite": "inf", "inverted": "inverted"}
 _CSV_ROW = "%s,%s,%.9g,%.9g,%.9g,%s,%s,%.9g,%s\n"
 #: one point's object as json.dumps(record, indent=2) writes it
 _RECORD = "{\n" + ",\n".join(f'  "{key}": %s' for key in RECORD_KEYS) + "\n}"
+#: the text of False and True, as an index table
+_BOOL_TEXTS = np.array(["false", "true"], dtype=object)
+
+
+class _JsonStrings(dict):
+    """The JSON string of a text: looked up for the mode tags and the
+    T_C_final kinds' texts, encoded for any other text."""
+
+    __missing__ = staticmethod(encode_basestring_ascii)
+
+
+_JSON_STRINGS = _JsonStrings((text, encode_basestring_ascii(text)) for text in (
+    "E", "R", "A", "H", "Boundary", *_NON_FINITE_TEXT.values()))
+
+
+def _json_number(value: float) -> str:
+    """json's text of a float; NaN and the infinities are the JSON string of their CSV text."""
+    return repr(value) if math.isfinite(value) else encode_basestring_ascii("%.9g" % value)
 
 
 #: grid points per block of text that the CSV and JSON writers yield
 _BLOCK_POINTS = 512
 
 
-def _g9_texts(col: np.ndarray) -> list[str]:
-    """`%.9g` of each value, in one C-level fill."""
-    return ("%.9g\n" * col.size % tuple(col.tolist())).split("\n")[:-1]
+class _Block(NamedTuple):
+    """The columns of one block that every format reads: the float columns
+    dE_H, dE_C, W, T_C_final and p_g_final as arrays and as lists, the modes,
+    the text of each T_C_final whose kind is not finite (by position) and the
+    purifier texts."""
+
+    floats: tuple
+    values: list
+    modes: list
+    tags: dict
+    purifier: list
 
 
-def _json_values(col: np.ndarray) -> list:
-    """json's `%s` value of each number: the float, whose str is the repr json
-    writes, or for NaN and the infinities the JSON string of their CSV text."""
-    values = col.tolist()
-    for n in np.flatnonzero(~np.isfinite(col)).tolist():
-        values[n] = encode_basestring_ascii("%.9g" % values[n])
-    return values
+class _CsvFormat:
+    """One `%` of a block of rows; T_C_final comes as text, a kind's where it is not finite."""
+
+    head, tail, empty = CSV_HEADER + "\n", "", CSV_HEADER + "\n"
+    number = "%.9g".__mod__
+
+    def text(self, b: _Block, t_h: list, t_c: list, first: bool) -> str:
+        de_hot, de_cold, work, t_final, p_g = b.values
+        t_final = ("%.9g\n" * len(t_final) % tuple(t_final)).split("\n")[:-1]  # one C-level fill
+        for n, tag in b.tags.items():
+            t_final[n] = tag
+        return "".join([_CSV_ROW] * len(t_h)) % tuple(itertools.chain.from_iterable(
+            zip(t_h, t_c, de_hot, de_cold, work, b.modes, t_final, p_g, b.purifier)))
 
 
-#: what a text format supplies to the column pass: the `%` values of an axis
-#: or T_C_final column, the values of the other float columns, the text of a string
-_FORMATS = {
-    "csv": (_g9_texts, np.ndarray.tolist, str),
-    "json": (_json_values, _json_values, encode_basestring_ascii),
-}
+class _JsonFormat:
+    """`record` once per point, joined by `sep`, as one join of the record's
+    literal pieces (the text around its nine `%s` fields) and the values' texts;
+    a float's text is its repr, or _json_number's where it is not finite."""
+
+    number = staticmethod(_json_number)
+    #: the part of each float value (dE_H, dE_C, W, T_C_final, p_g_final) among a point's 18
+    float_slots = (5, 7, 9, 13, 15)
+
+    def __init__(self, record: str, sep: str, head: str = "", tail: str = "", empty: str = ""):
+        pieces = record.split("%s")
+        self.head, self.tail, self.empty = head, tail, empty
+        self.first, self.lead, self.last = pieces[0], sep + pieces[0], pieces[-1]
+        # a point's 18 parts: the text before each of its nine values (for
+        # the first value, the end of the previous record and this one's lead)
+        # and a slot (None) for the value
+        self.unit = [x for piece in (self.last + self.lead, *pieces[1:-1]) for x in (piece, None)]
+
+    def text(self, b: _Block, t_h: list, t_c: list, first: bool) -> str:
+        parts = self.unit * len(t_h)
+        parts[0] = self.first if first else self.lead
+        parts.append(self.last)
+        parts[1::18], parts[3::18], parts[11::18], parts[17::18] = (
+            t_h, t_c, map(_JSON_STRINGS.__getitem__, b.modes), b.purifier)
+        for slot, values in zip(self.float_slots, b.values):
+            parts[slot::18] = map(repr, values)
+        for k, n in np.argwhere(~np.isfinite(b.floats)).tolist():
+            parts[self.float_slots[k] + 18 * n] = _json_number(b.values[k][n])
+        for n, tag in b.tags.items():
+            parts[13 + 18 * n] = _JSON_STRINGS[tag]
+        return "".join(parts)
 
 
-def _blocks(res: SweepResult, row: str, sep: str, fmt: str):
-    """`row` once per grid point, joined by `sep`, in texts of _BLOCK_POINTS
-    consecutive points; each block after the first starts with `sep`.  The
-    values of the nine `%` fields of `row` come from the columns as format
-    `fmt` of _FORMATS gives them; the axes are formatted once per axis value."""
-    texts, values, text = _FORMATS[fmt]
-    # the str of each axis value, made once: `%s` of a float would format it per point
-    h_texts, c_texts = (list(map(str, texts(axis))) for axis in (res.t_h_axis, res.t_c_axis))
-    t_h, t_c = np.repeat(np.array(h_texts, dtype=object), res.n_c).tolist(), c_texts * res.n_h
-    for start in range(0, len(t_h), _BLOCK_POINTS):
+_CSV = _CsvFormat()
+#: the JSON file's records are one level deeper, inside the list
+_JSON = _JsonFormat("  " + _RECORD.replace("\n", "\n  "), ",\n", "[\n", "\n]\n", "[]\n")
+_POINT = _JsonFormat(_RECORD, "")
+
+
+def _texts(res: SweepResult, formats):
+    """The text of each of `formats` over `res`, in parts: per part, an
+    iterable of one text per format.  After the head, each part is a block of
+    _BLOCK_POINTS consecutive grid points, whose columns are read once for all
+    formats; each format formats an axis value once.  A block's texts are made
+    one at a time as they are read, so that one text is held at a time: read
+    them before the next part."""
+    size = res.de_hot.size
+    if not size:
+        yield tuple(f.empty for f in formats)
+        return
+    yield tuple(f.head for f in formats)
+    axes = [[np.array(list(map(f.number, axis.tolist())), dtype=object)
+             for axis in (res.t_h_axis, res.t_c_axis)] for f in formats]
+    for start in range(0, size, _BLOCK_POINTS):
         s = slice(start, start + _BLOCK_POINTS)
+        h, c = np.divmod(np.arange(start, min(start + _BLOCK_POINTS, size)), res.n_c)
         de_hot, de_cold, kinds = res.de_hot[s], res.de_cold[s], res.t_cold_final_kind[s]
-        t_final = texts(res.t_cold_final[s])
-        for n in np.flatnonzero(kinds != "finite").tolist():
-            t_final[n] = text(_NON_FINITE_TEXT[kinds[n]])
-        columns = [
-            t_h[s], t_c[s], *map(values, (de_hot, de_cold, de_hot + de_cold)),
-            list(map(text, res.mode[s].tolist())), t_final, values(res.p_g_final[s]),
-            np.where(res.purifier[s], "true", "false").tolist(),
-        ]
-        template = sep.join([row] * len(t_final))
-        yield (template if start == 0 else sep + template) % tuple(
-            itertools.chain.from_iterable(zip(*columns)))
+        floats = (de_hot, de_cold, de_hot + de_cold, res.t_cold_final[s], res.p_g_final[s])
+        block = _Block(
+            floats, [col.tolist() for col in floats], res.mode[s].tolist(),
+            {n: _NON_FINITE_TEXT[kinds[n]] for n in np.flatnonzero(kinds != "finite").tolist()},
+            _BOOL_TEXTS.take(res.purifier[s].astype(bool)).tolist())
+        yield (f.text(block, h_texts[h].tolist(), c_texts[c].tolist(), start == 0)
+               for f, (h_texts, c_texts) in zip(formats, axes))
+    yield tuple(f.tail for f in formats)
 
 
-def _csv_blocks(res: SweepResult):
-    yield CSV_HEADER + "\n"
-    yield from _blocks(res, _CSV_ROW, "", "csv")
+def _text(res: SweepResult, fmt) -> str:
+    return "".join(text for text, in _texts(res, [fmt]))
 
 
 def write_csv(res: SweepResult) -> str:
     """One row per grid point, numbers as `%.9g`."""
-    return "".join(_csv_blocks(res))
-
-
-def _json_blocks(res: SweepResult):
-    if not res.de_hot.size:
-        yield "[]\n"
-        return
-    yield "[\n"
-    record = "  " + _RECORD.replace("\n", "\n  ")  # one level deeper, inside the list
-    yield from _blocks(res, record, ",\n", "json")
-    yield "\n]\n"
+    return _text(res, _CSV)
 
 
 def write_json(res: SweepResult) -> str:
     """One object per grid point, keyed by RECORD_KEYS, in a list as ``json.dumps(records,
     indent=2)`` writes it; a non-finite float is its CSV text, as strict JSON needs."""
-    return "".join(_json_blocks(res))
+    return _text(res, _JSON)
 
 
 def write_record(res: SweepResult) -> str:
@@ -380,7 +438,7 @@ def write_record(res: SweepResult) -> str:
     ``json.dumps(record, indent=2)`` writes it."""
     if res.de_hot.size != 1:
         raise ValueError(f"a record holds one point, not {res.n_h}x{res.n_c}")
-    return "".join(_blocks(res, _RECORD, "", "json"))
+    return _text(res, _POINT)
 
 
 MODE_COLORS = {
@@ -418,39 +476,47 @@ def write_heatmap(res: SweepResult, fname: str = "mode") -> bytes:
     values returned by heatmap_range, gray for non-finite entries; heatmap_range
     raises ValueError for any other field.
     """
+    return _heatmap(res, fname)[0]
+
+
+def _heatmap(res: SweepResult, fname: str):
+    """write_heatmap's pixmap, and the heatmap_range it spans (None for the mode map)."""
+    span = None
     if fname == "mode":
         tags = np.where(res.purifier & (res.mode == "R"), "P", res.mode)
         tags, index = np.unique(tags, return_inverse=True)
         pixels = np.array([MODE_COLORS[t] for t in tags.tolist()])[index]
     else:
-        lo, hi = heatmap_range(res, fname)
+        lo, hi = span = heatmap_range(res, fname)
         values = getattr(res, _SCALAR_FIELDS[fname])
         t = (values - lo) / (hi - lo if hi > lo else 1.0)
         pixels = np.rint(np.add(RAMP_LOW, t[:, None] * np.subtract(RAMP_HIGH, RAMP_LOW)))
         pixels[~np.isfinite(values)] = NON_FINITE_COLOR
     header = f"P6\n{res.n_c} {res.n_h}\n255\n".encode()
-    return header + pixels.astype(np.uint8).tobytes()
+    return header + pixels.astype(np.uint8).tobytes(), span
 
 
 def write_outputs(cfg: SweepConfig, res: SweepResult) -> list[str]:
     """Write the configured output files, in binary, as the bytes of the
     writers' texts; returns the paths written.  CSV and JSON are streamed
-    block by block and written first, so a heatmap that cannot be drawn
-    (ValueError) still leaves them on disk."""
-    paths = []
+    together, block by block, and written first, so a heatmap that cannot
+    be drawn (ValueError) still leaves them on disk."""
+    formats = {name: fmt for name, fmt in (("csv", _CSV), ("json", _JSON)) if name in cfg.outputs}
+    paths = [f"{cfg.output_prefix}.{name}" for name in formats]
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(open(path, "wb")) for path in paths]
+        for texts in _texts(res, list(formats.values())) if formats else ():
+            for fh, text in zip(files, texts):
+                fh.write(text.encode())
 
-    def save(suffix, chunks):
+    def save(suffix, data):
         paths.append(cfg.output_prefix + suffix)
         with open(paths[-1], "wb") as fh:
-            fh.writelines(chunks)
+            fh.write(data)
 
-    if "csv" in cfg.outputs:
-        save(".csv", map(str.encode, _csv_blocks(res)))
-    if "json" in cfg.outputs:
-        save(".json", map(str.encode, _json_blocks(res)))
     if "heatmap" in cfg.outputs:
-        save(".ppm", [write_heatmap(res, cfg.heatmap_field)])
-        if cfg.heatmap_field != "mode":
-            lo, hi = heatmap_range(res, cfg.heatmap_field)
-            save(".ppm.range.txt", [f"min {lo:.9g}\nmax {hi:.9g}\n".encode()])
+        ppm, span = _heatmap(res, cfg.heatmap_field)
+        save(".ppm", ppm)
+        if span:
+            save(".ppm.range.txt", "min {:.9g}\nmax {:.9g}\n".format(*span).encode())
     return paths

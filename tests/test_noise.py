@@ -225,8 +225,12 @@ def test_readout_matrix_is_stochastic():
 def test_readout_inverse_validation_and_inverse():
     with pytest.raises(ValueError, match="columns must sum to 1"):
         readout_inverse(np.ones((8, 8)))
-    with pytest.raises(ValueError, match="negative entry"):
+    with pytest.raises(ValueError, match="negative or NaN entry"):
         readout_inverse(-np.eye(4))
+    with_nan = np.eye(8)
+    with_nan[3, 5] = np.nan
+    with pytest.raises(ValueError, match="negative or NaN entry"):
+        readout_inverse(with_nan)
     with pytest.raises(ValueError, match="square"):
         readout_inverse(np.full((2, 4), 0.5))
     assert np.array_equal(readout_inverse(np.eye(8)), np.eye(8))

@@ -414,6 +414,17 @@ def test_write_outputs_keeps_csv_and_json_when_the_heatmap_cannot_be_drawn(tmp_p
     assert not Path(prefix + ".ppm").exists()
 
 
+def test_write_outputs_takes_the_heatmap_range_once(tmp_path, monkeypatch):
+    res = _tiny_rows()
+    calls = []
+    monkeypatch.setattr(sweep, "heatmap_range", lambda *args: calls.append(args) or heatmap_range(*args))
+    cfg = SweepConfig(outputs=("heatmap",), heatmap_field="p_g_final", output_prefix=str(tmp_path / "run"))
+    ppm_path, range_path = map(Path, write_outputs(cfg, res))
+    assert calls == [(res, "p_g_final")]
+    assert ppm_path.read_bytes() == write_heatmap(res, "p_g_final")
+    assert range_path.read_text() == "min 0.3\nmax 0.9\n"
+
+
 def _write_files(tmp_path, res):
     cfg = SweepConfig(outputs=("csv", "json"), output_prefix=str(tmp_path / "run"))
     return [Path(path) for path in write_outputs(cfg, res)]

@@ -57,6 +57,7 @@ from qfridge.sweep import (
     sweep_transition_matrix,
     write_csv,
     write_json,
+    write_record,
 )
 from qfridge.thermo import (
     BOUNDARY_EPS,
@@ -426,11 +427,11 @@ def _reference_write_json(res):
 
 
 @st.composite
-def sweep_results(draw):
-    """Hand-built results: any float (NaN, +-inf, -0.0, subnormal, huge) on
-    both axes and in every float column, every mode tag (and any other text,
-    which json must escape) and every final-temperature kind."""
-    n_h, n_c = draw(st.integers(0, 6)), draw(st.integers(1, 6))
+def sweep_results(draw, n_h=st.integers(0, 6), n_c=st.integers(1, 6)):
+    """Hand-built results of n_h x n_c points: any float (NaN, +-inf, -0.0,
+    subnormal, huge) on both axes and in every float column, every mode tag
+    (and any other text, which json must escape) and every final-temperature kind."""
+    n_h, n_c = draw(n_h), draw(n_c)
 
     def column(elements, size=n_h * n_c):
         return draw(st.lists(elements, min_size=size, max_size=size))
@@ -458,6 +459,13 @@ def test_writers_match_the_row_by_row_references_byte_for_byte(res, block_points
         with mock.patch.object(sweep, "_BLOCK_POINTS", block_points):
             assert write_csv(res) == want_csv
             assert write_json(res) == want_json
+
+
+@settings(max_examples=300, deadline=None)
+@given(res=sweep_results(n_h=st.just(1), n_c=st.just(1)))
+def test_write_record_matches_the_frozen_record_byte_for_byte(res):
+    with np.errstate(over="ignore", invalid="ignore"):  # W of huge or infinite energies
+        assert write_record(res) == json.dumps(_frozen_as_records(res)[0], indent=2)
 
 
 #: drawn `qfridge point` flags: each one given or left at its default
