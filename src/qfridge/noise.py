@@ -114,9 +114,19 @@ def evolve_noisy(c: Circuit, rho: np.ndarray, nm: NoiseModel) -> np.ndarray:
 def readout_matrix(nm: NoiseModel) -> np.ndarray:
     """The confusion matrix, entries[m, t] = P(measure m | true state t): a
     tensor product of one flip matrix per qubit; the factors are equal, so
-    their order, and with it the register's wire order, does not matter."""
-    f = np.array([[1 - nm.eps01, nm.eps10], [nm.eps01, 1 - nm.eps10]])
-    return np.einsum("ab,cd,ef->acebdf", f, f, f).reshape(qcore.DIM, qcore.DIM)
+    their order, and with it the register's wire order, does not matter.
+
+    The matrix depends on nm's readout probabilities alone; it is cached
+    for the last few (eps01, eps10) pairs and shared, so it is read-only."""
+    return _confusion(nm.eps01, nm.eps10)
+
+
+@functools.lru_cache(maxsize=8)
+def _confusion(eps01: float, eps10: float) -> np.ndarray:
+    f = np.array([[1 - eps01, eps10], [eps01, 1 - eps10]])
+    m = np.einsum("ab,cd,ef->acebdf", f, f, f).reshape(qcore.DIM, qcore.DIM)
+    m.flags.writeable = False
+    return m
 
 
 def apply_readout_error(p: np.ndarray, nm: NoiseModel) -> np.ndarray:

@@ -192,9 +192,12 @@ def engine_circuit(v: str):
 def sweep_transition_matrix(cfg: SweepConfig):
     """The engine's transition matrix; exact runs mitigate with the exact
     confusion matrix, sampled runs with one calibrated at cfg.shots.  The two
-    streams of SeedSequence(cfg.seed).spawn(2) sample the matrix and the calibration."""
+    streams of SeedSequence(cfg.seed).spawn(2) sample the matrix and the
+    calibration; they are spawned for sampled runs only, as exact runs draw nothing."""
     nm = cfg.noise()
-    tm_seed, calibration_seed = np.random.SeedSequence(cfg.seed).spawn(2)
+    tm_seed = calibration_seed = None
+    if cfg.shots:
+        tm_seed, calibration_seed = np.random.SeedSequence(cfg.seed).spawn(2)
     conf = None
     if cfg.mitigation:
         conf = calibrate(nm, cfg.shots, calibration_seed) if cfg.shots else readout_matrix(nm)

@@ -16,6 +16,7 @@ the cold subsystem is qubit q1 at frequency f1.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -88,11 +89,19 @@ def _gibbs_weights(energies: np.ndarray, u_per_unit: float) -> np.ndarray:
 _BITS_I, _BITS_J, _BITS_K = np.array([qcore.basis_label(m) for m in range(qcore.DIM)]).T
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+# the energy vectors are cached for the last few devices and shared, so read-only
+@functools.lru_cache(maxsize=8)
 def cold_energies(spec: DeviceSpec) -> np.ndarray:
     """E^C over the 8 logical states: -f1/2 for k=0, +f1/2 for k=1."""
-    return (_BITS_K - 0.5) * spec.f1
+    return _read_only((_BITS_K - 0.5) * spec.f1)
 
 
+@functools.lru_cache(maxsize=8)
 def hot_energies(spec: DeviceSpec, mode: str) -> np.ndarray:
     """Hot-compound energies over the 8 logical states.
 
@@ -103,9 +112,12 @@ def hot_energies(spec: DeviceSpec, mode: str) -> np.ndarray:
     if mode not in HOT_ENERGY_MODES:
         raise ValueError(f"unknown hot energy mode {mode!r}")
     off = (_BITS_I - _BITS_J) / 2 * spec.detuning if mode == "detuned" else 0.0
-    return np.where(_BITS_I == _BITS_J, (_BITS_I - 0.5) * spec.omega_sum, off)
+    return _read_only(np.where(_BITS_I == _BITS_J, (_BITS_I - 0.5) * spec.omega_sum, off))
 
 
+# below about 1e-306 mK, h f / (k_B T) overflows and the rows it reaches come
+# out NaN; the check at the end rejects them, so numpy need not warn
+@np.errstate(over="ignore", invalid="ignore")
 def preparation_grid(scheme: str, spec: DeviceSpec, t_h_axis, t_c_axis) -> np.ndarray:
     """Bi-thermal preparations over the 8 logical basis states, one row per
     grid point (t_h_axis[h], t_c_axis[c]): (n_h * n_c, 8), row-major, T_H outer.
@@ -133,9 +145,18 @@ def preparation_grid(scheme: str, spec: DeviceSpec, t_h_axis, t_c_axis) -> np.nd
         probs = (hot * s1[:, None, :]).reshape(-1, 8)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
-    if probs.min() < 0 or np.max(np.abs(probs.sum(axis=1) - 1.0)) > qcore.STATE_ATOL:
-        raise ValueError("preparation is not a probability vector")
+    # per row, as qcore.check_probabilities; NaN fails too
+    bad = ~((probs.min(axis=1) >= 0) & (np.abs(probs.sum(axis=1) - 1.0) <= qcore.STATE_ATOL))
+    if bad.any():
+        h, c = divmod(int(np.argmax(bad)), t_c.size)
+        raise ValueError(f"no preparation at T_H = {t_h[h].item()!r} mK, "
+                         f"T_C = {t_c[c].item()!r} mK: h f / (k_B T) overflows")
     return probs
+
+
+_BASIS = np.eye(qcore.DIM, dtype=complex)
+#: |m><m| for each of the 8 logical basis states m, stacked; read-only
+_BASIS_DENSITIES = _read_only(_BASIS[:, :, None] * _BASIS[:, None, :])
 
 
 @dataclass(frozen=True)
@@ -191,12 +212,10 @@ def transition_matrix(
     generator seeded by seed (an int or a SeedSequence).  One readout_inverse
     of the confusion matrix `mitigation` both mitigates and becomes unmix.
     """
-    basis = np.eye(qcore.DIM, dtype=complex)
-    rhos = basis[:, :, None] * basis[:, None, :]
     if isinstance(engine, Circuit):
-        rhos = evolve_noisy(engine, rhos, nm)
+        rhos = evolve_noisy(engine, _BASIS_DENSITIES, nm)
     else:
-        rhos = engine @ rhos @ engine.conj().T
+        rhos = engine @ _BASIS_DENSITIES @ engine.conj().T
     # row i is the outcome distribution of basis input i: column i of p
     raw = apply_readout_error(qcore.born_probabilities(rhos), nm)
     if shots:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qfridge import qcore
+from qfridge import noise, qcore
 from qfridge.circuits import (
     Circuit,
     LINE3,
@@ -217,6 +217,23 @@ def test_readout_matrix_is_stochastic():
     assert m.shape == (8, 8)
     assert np.allclose(m.sum(axis=0), 1.0)
     assert np.min(m) >= 0.0
+
+
+def test_readout_matrix_is_shared_per_eps_pair_and_read_only():
+    m = readout_matrix(NoiseModel(eps01=0.03, eps10=0.07))
+    # the gate noise does not enter the key
+    assert readout_matrix(NoiseModel(p1=0.001, p2=0.3, eps01=0.03, eps10=0.07)) is m
+    assert readout_matrix(NoiseModel(eps01=0.07, eps10=0.03)) is not m
+    with pytest.raises(ValueError, match="read-only"):
+        m[0, 0] = 1.0
+
+
+def test_readout_matrix_cache_stays_within_its_bound():
+    bound = noise._confusion.cache_info().maxsize
+    assert bound is not None
+    for k in range(100):
+        readout_matrix(NoiseModel(eps01=k / 1000, eps10=0.5 - k / 1000))
+        assert noise._confusion.cache_info().currsize <= bound
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qfridge import circuits, cli, sweep
+from qfridge import circuits, cli, noise, sweep, thermo
 from qfridge.circuits import LINE3, emit_qasm
 from qfridge.cli import cli_main
 from qfridge.oracles import CRITERIA
@@ -216,6 +216,27 @@ def _reject_constant(name):
     raise ValueError(f"{name} is not a JSON number")
 
 
+@pytest.mark.parametrize("scheme", ["swap4", "full8"])
+@pytest.mark.parametrize("axis", ["th", "tc"])
+def test_point_and_sweep_reject_a_temperature_whose_weights_overflow(
+        scheme, axis, tmp_path, monkeypatch, capsys):
+    # below about 1e-306 mK the Gibbs weights overflow; the run fails
+    # with the point named instead of writing NaN rows tagged H
+    temps = {"th": "100", "tc": "50", axis: "1e-320"}
+    assert cli_main(["point", "--th", temps["th"], "--tc", temps["tc"], "--scheme", scheme,
+                     "--shots", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "1e-320 mK" in err
+    monkeypatch.chdir(tmp_path)
+    key = {"th": "t_h_min", "tc": "t_c_min"}[axis]
+    Path("tiny.conf").write_text(f"scheme = {scheme}\nshots = 0\nn_h = 2\nn_c = 2\n"
+                                 f"{key} = 1e-320\noutputs = csv, json\n")
+    assert cli_main(["sweep", "tiny.conf"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "1e-320 mK" in err
+    assert sorted(os.listdir()) == ["tiny.conf"]
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 
@@ -251,6 +272,38 @@ def test_exact_mitigated_runs_do_not_depend_on_the_seed():
     a = sweep_transition_matrix(SweepConfig(seed=0, **cfg)).p
     b = sweep_transition_matrix(SweepConfig(seed=1, **cfg)).p
     assert np.array_equal(a, b)
+
+
+def test_exact_runs_spawn_no_seeds(monkeypatch, capsys):
+    def no_seeds(*args):
+        raise AssertionError("an exact run spawned seeds")
+
+    monkeypatch.setattr(sweep.np.random, "SeedSequence", no_seeds)
+    for mitigation in (False, True):
+        run_sweep(SweepConfig(shots=0, n_h=2, n_c=2, eps01=0.02, mitigation=mitigation))
+    assert cli_main(["point", "--th", "150", "--tc", "100", "--shots", "0", "--eps01", "0.02",
+                     "--mitigation", "on"]) == 0
+    assert json.loads(capsys.readouterr().out)["mode"] == "R"
+
+
+def test_point_bytes_do_not_depend_on_the_engine_caches(capsys):
+    argv = ["point", "--th", "600", "--tc", "150", "--v", "vstar", "--shots", "8192",
+            "--seed", "11", "--eps01", "0.03", "--eps10", "0.05", "--mitigation", "on"]
+    caches = (circuits._target_unitary, noise._confusion, thermo.cold_energies,
+              thermo.hot_energies)
+    for cached in caches:
+        cached.cache_clear()
+    outs = []
+    for _ in range(2):  # a cold cache, then a warm one
+        assert cli_main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert all(cached.cache_info().hits for cached in caches)
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    fresh = subprocess.run([sys.executable, "-m", "qfridge.cli", *argv], capture_output=True,
+                           text=True, env=env, timeout=300)
+    assert fresh.returncode == 0
+    assert outs[0] == outs[1] == fresh.stdout
 
 
 def test_engine_circuits_are_fixed_and_built_once():

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qfridge import qcore
+from qfridge import qcore, thermo
 from qfridge.circuits import W_SUBSPACE, build_target_unitary, build_vstar_circuit
 from qfridge.noise import NoiseModel
 from qfridge.oracles import (
@@ -85,6 +85,26 @@ def test_energy_spectra():
     assert e_det[4] == spec.detuning / 2 and e_det[2] == -spec.detuning / 2
     with pytest.raises(ValueError):
         hot_energies(spec, "bogus")
+
+
+def test_energy_vectors_are_shared_per_key_and_read_only():
+    spec = DeviceSpec(4.82, 4.76, 4.90)
+    vectors = [cold_energies(spec)] + [hot_energies(spec, mode) for mode in HOT_ENERGY_MODES]
+    assert cold_energies(DeviceSpec(4.82, 4.76, 4.90)) is vectors[0]
+    for mode, e in zip(HOT_ENERGY_MODES, vectors[1:]):
+        assert hot_energies(DeviceSpec(4.82, 4.76, 4.90), mode) is e
+    for e in vectors:
+        with pytest.raises(ValueError, match="read-only"):
+            e[0] = 0.0
+    for cached in (cold_energies, hot_energies):
+        assert cached.cache_info().maxsize is not None
+
+
+def test_basis_densities_are_one_read_only_constant():
+    rhos = thermo._BASIS_DENSITIES
+    assert np.array_equal(rhos, [np.outer(b, b) for b in np.eye(qcore.DIM)])
+    with pytest.raises(ValueError, match="read-only"):
+        rhos[0, 0, 0] = 0.0
 
 
 def _frozen_cold_energies(spec):
@@ -182,6 +202,37 @@ def test_preparation_grid_rejects_nan_and_accepts_infinite_temperatures(scheme):
     # infinite temperature is the maximally mixed limit
     probs = preparation_grid(scheme, spec, [np.inf], [50.0])
     assert np.isfinite(probs).all() and abs(probs.sum() - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("scheme", ["swap4", "full8"])
+def test_preparation_grid_rejects_temperatures_whose_weights_overflow(scheme):
+    # h f / (k_B T) overflows below about 1e-306 mK; the check names the point
+    for t_h_axis, t_c_axis, point in (([100.0], [50.0, 1e-320], "T_H = 100.0 mK, T_C = 1e-320 mK"),
+                                      ([200.0, 1e-320], [50.0], "T_H = 1e-320 mK, T_C = 50.0 mK")):
+        with pytest.raises(ValueError, match=f"no preparation at {point}"):
+            preparation_grid(scheme, CASABLANCA, t_h_axis, t_c_axis)
+    probs = preparation_grid(scheme, CASABLANCA, [2e-306], [2e-306])
+    assert np.isfinite(probs).all() and abs(probs.sum() - 1.0) < 1e-12
+
+
+TINY_TO_WARM = st.floats(5e-324, 1e4, allow_subnormal=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scheme=st.sampled_from(["swap4", "full8"]), v_choice=st.sampled_from(["identity", "vstar"]),
+       t_h_axis=st.lists(TINY_TO_WARM, min_size=1, max_size=3),
+       t_c_axis=st.lists(TINY_TO_WARM, min_size=1, max_size=3))
+def test_temperatures_down_to_the_least_subnormal_raise_or_give_finite_rows(
+        scheme, v_choice, t_h_axis, t_c_axis):
+    try:
+        res = _kernel(CASABLANCA, _exact_tm(v_choice), t_h_axis, t_c_axis, scheme)
+    except ValueError as err:
+        assert str(err).startswith("no preparation at T_H = ")
+        assert min(t_h_axis + t_c_axis) < 1e-300
+        return
+    assert np.isfinite([res.de_hot, res.de_cold, res.p_g_final]).all()
+    finite = res.t_cold_final_kind == "finite"
+    assert np.isfinite(res.t_cold_final[finite]).all()
 
 
 # ---------------------------------------------------------------------------
