@@ -3,7 +3,10 @@
 A sweep evaluates the engine once (the transition matrix does not depend on
 the preparation temperatures), then reweights it over the whole (T_H, T_C)
 grid with thermo's per-point array rules; only the energy ledger and the
-sampling boundary tolerance are computed here.  ``evaluate_grid`` is the one
+sampling boundary tolerance are computed here.  The engine's readout-free
+outcome channel depends on (v, p1, p2) alone, so it is evaluated once per
+distinct key among the last 8 and shared read-only; readout, sampling and
+mitigation act on it afresh in every run.  ``evaluate_grid`` is the one
 way to evaluate points: ``qfridge point`` and the oracles run it on a 1x1 or
 small grid.  The SweepResult holds the two axes and one array per other
 column.  Outputs are plain CSV / JSON / binary PPM so any external plotter
@@ -32,7 +35,7 @@ import numpy as np
 from .circuits import V_CHOICES, build_identity_circuit, build_target_unitary, build_vstar_circuit
 from .noise import NoiseModel, calibrate, readout_matrix
 from . import thermo
-from .thermo import BOUNDARY_EPS, DeviceSpec, cold_energies, hot_energies, transition_matrix
+from .thermo import BOUNDARY_EPS, DeviceSpec, cold_energies, hot_energies
 
 
 class ConfigError(ValueError):
@@ -170,12 +173,12 @@ def parse_config(text: str) -> SweepConfig:
     return SweepConfig(**values)
 
 
-def build_engine(cfg: SweepConfig):
-    """The engine to run: the exact target unitary without gate noise, else
-    engine_circuit(cfg.v)."""
-    if cfg.noise().is_gate_noiseless():
-        return build_target_unitary(cfg.v)
-    return engine_circuit(cfg.v)
+def build_engine(v: str, nm: NoiseModel):
+    """The engine that runs V under nm: the exact target unitary without gate
+    noise, else engine_circuit(v)."""
+    if nm.is_gate_noiseless():
+        return build_target_unitary(v)
+    return engine_circuit(v)
 
 
 @functools.cache
@@ -189,11 +192,25 @@ def engine_circuit(v: str):
     raise ValueError(f"unknown v {v!r}")
 
 
+# the channel is cached for the last few engines and shared, so read-only;
+# typed, so that a float32 p never shares an entry with the float64 it equals
+@functools.lru_cache(maxsize=8, typed=True)
+def _outcome_channel(v: str, p1: float, p2: float) -> np.ndarray:
+    """thermo.outcome_channel of the engine that runs V at gate noise (p1, p2)."""
+    nm = NoiseModel(p1, p2)
+    channel = thermo.outcome_channel(build_engine(v, nm), nm)
+    channel.flags.writeable = False
+    return channel
+
+
 def sweep_transition_matrix(cfg: SweepConfig):
-    """The engine's transition matrix; exact runs mitigate with the exact
-    confusion matrix, sampled runs with one calibrated at cfg.shots.  The two
-    streams of SeedSequence(cfg.seed).spawn(2) sample the matrix and the
-    calibration; they are spawned for sampled runs only, as exact runs draw nothing."""
+    """The engine's transition matrix: thermo.measure_channel of its
+    readout-free outcome channel, which depends on (v, p1, p2) alone and is
+    evaluated once per distinct key among the last 8.  Exact runs mitigate
+    with the exact confusion matrix, sampled runs with one calibrated at
+    cfg.shots.  The two streams of SeedSequence(cfg.seed).spawn(2) sample
+    the matrix and the calibration; they are spawned for sampled runs only,
+    as exact runs draw nothing."""
     nm = cfg.noise()
     tm_seed = calibration_seed = None
     if cfg.shots:
@@ -201,7 +218,8 @@ def sweep_transition_matrix(cfg: SweepConfig):
     conf = None
     if cfg.mitigation:
         conf = calibrate(nm, cfg.shots, calibration_seed) if cfg.shots else readout_matrix(nm)
-    return transition_matrix(build_engine(cfg), nm, cfg.shots, tm_seed, mitigation=conf)
+    channel = _outcome_channel(cfg.v, cfg.p1, cfg.p2)
+    return thermo.measure_channel(channel, nm, cfg.shots, tm_seed, mitigation=conf)
 
 
 def grid_axes(cfg: SweepConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -308,7 +326,8 @@ _BOOL_TEXTS = np.array(["false", "true"], dtype=object)
 
 class _JsonStrings(dict):
     """The JSON string of a text: looked up for the mode tags and the
-    T_C_final kinds' texts, encoded for any other text."""
+    T_C_final kinds' texts, encoded for any other text, such as a mode of a
+    SweepResult built by hand."""
 
     __missing__ = staticmethod(encode_basestring_ascii)
 
@@ -318,8 +337,9 @@ _JSON_STRINGS = _JsonStrings((text, encode_basestring_ascii(text)) for text in (
 
 
 def _json_number(value: float) -> str:
-    """json's text of a float; NaN and the infinities are the JSON string of their CSV text."""
-    return repr(value) if math.isfinite(value) else encode_basestring_ascii("%.9g" % value)
+    """json's text of a float; NaN and the infinities are the JSON string of
+    their CSV text ("nan", "inf", "-inf")."""
+    return repr(value) if math.isfinite(value) else '"%.9g"' % value
 
 
 #: grid points per block of text that the CSV and JSON writers yield

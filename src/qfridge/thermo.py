@@ -195,6 +195,22 @@ class TransitionMatrix:
         return (f ** 2) @ self.raw - (f @ self.raw) ** 2
 
 
+def outcome_channel(engine: Circuit | np.ndarray, nm: NoiseModel) -> np.ndarray:
+    """The engine's readout-free outcome channel: row i is the Born
+    distribution of basis input i after the engine, before readout (8, 8).
+
+    engine may be a circuit (evolved with nm's per-gate depolarizing noise)
+    or a bare unitary in logical order (exact conjugation; gate noise does
+    not apply since there are no gates).  The 8 basis densities are evolved
+    together as one stack; nm's readout probabilities play no part.
+    """
+    if isinstance(engine, Circuit):
+        rhos = evolve_noisy(engine, _BASIS_DENSITIES, nm)
+    else:
+        rhos = engine @ _BASIS_DENSITIES @ engine.conj().T
+    return qcore.born_probabilities(rhos)
+
+
 def transition_matrix(
     engine: Circuit | np.ndarray,
     nm: NoiseModel,
@@ -202,22 +218,29 @@ def transition_matrix(
     seed: int | np.random.SeedSequence,
     mitigation: np.ndarray | None = None,
 ) -> TransitionMatrix:
-    """Measure the engine's outcome statistics per prepared basis state.
+    """Measure the engine's outcome statistics per prepared basis state:
+    measure_channel of the engine's outcome_channel."""
+    return measure_channel(outcome_channel(engine, nm), nm, shots, seed, mitigation)
 
-    engine may be a circuit (evolved with per-gate depolarizing noise) or a
-    bare unitary in logical order (exact conjugation; gate noise does not
-    apply since there are no gates).  The 8 basis densities are evolved,
-    read out and mitigated together as one stack.  shots = 0 means exact
-    probabilities; otherwise the 8 columns are one multinomial draw from the
-    generator seeded by seed (an int or a SeedSequence).  One readout_inverse
-    of the confusion matrix `mitigation` both mitigates and becomes unmix.
+
+def measure_channel(
+    channel: np.ndarray,
+    nm: NoiseModel,
+    shots: int,
+    seed: int | np.random.SeedSequence,
+    mitigation: np.ndarray | None = None,
+) -> TransitionMatrix:
+    """The transition matrix measured through a readout-free outcome channel
+    (outcome_channel's rows, one per basis input), which is only read.
+
+    The 8 rows are read out with nm's flip probabilities and mitigated
+    together as one stack.  shots = 0 means exact probabilities; otherwise
+    the 8 columns are one multinomial draw from the generator seeded by seed
+    (an int or a SeedSequence).  One readout_inverse of the confusion matrix
+    `mitigation` both mitigates and becomes unmix.
     """
-    if isinstance(engine, Circuit):
-        rhos = evolve_noisy(engine, _BASIS_DENSITIES, nm)
-    else:
-        rhos = engine @ _BASIS_DENSITIES @ engine.conj().T
     # row i is the outcome distribution of basis input i: column i of p
-    raw = apply_readout_error(qcore.born_probabilities(rhos), nm)
+    raw = apply_readout_error(channel, nm)
     if shots:
         raw = qcore.sample_counts(raw, shots, seed) / shots
     if mitigation is None:

@@ -11,8 +11,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qfridge import circuits, cli, noise, sweep, thermo
+from qfridge import circuits, cli, noise, qcore, sweep, thermo
 from qfridge.circuits import LINE3, emit_qasm
 from qfridge.cli import cli_main
 from qfridge.oracles import CRITERIA
@@ -289,21 +290,92 @@ def test_exact_runs_spawn_no_seeds(monkeypatch, capsys):
 def test_point_bytes_do_not_depend_on_the_engine_caches(capsys):
     argv = ["point", "--th", "600", "--tc", "150", "--v", "vstar", "--shots", "8192",
             "--seed", "11", "--eps01", "0.03", "--eps10", "0.05", "--mitigation", "on"]
-    caches = (circuits._target_unitary, noise._confusion, thermo.cold_energies,
-              thermo.hot_energies)
-    for cached in caches:
+    # the target unitary is built inside the channel's evaluation, so only a
+    # cold run reaches it
+    hit = (sweep._outcome_channel, noise._confusion, thermo.cold_energies, thermo.hot_energies)
+    for cached in (circuits._target_unitary, *hit):
         cached.cache_clear()
     outs = []
     for _ in range(2):  # a cold cache, then a warm one
         assert cli_main(argv) == 0
         outs.append(capsys.readouterr().out)
-    assert all(cached.cache_info().hits for cached in caches)
+    assert all(cached.cache_info().hits for cached in hit)
     path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
     fresh = subprocess.run([sys.executable, "-m", "qfridge.cli", *argv], capture_output=True,
                            text=True, env=env, timeout=300)
     assert fresh.returncode == 0
     assert outs[0] == outs[1] == fresh.stdout
+
+
+def _frozen_sweep_transition_matrix(cfg):
+    """sweep_transition_matrix with thermo.transition_matrix inlined, as both
+    stood before the outcome channel was cached: every call evolves the engine."""
+    nm = cfg.noise()
+    tm_seed = calibration_seed = None
+    if cfg.shots:
+        tm_seed, calibration_seed = np.random.SeedSequence(cfg.seed).spawn(2)
+    conf = None
+    if cfg.mitigation:
+        conf = (noise.calibrate(nm, cfg.shots, calibration_seed) if cfg.shots
+                else noise.readout_matrix(nm))
+    if nm.is_gate_noiseless():
+        u = circuits.build_target_unitary(cfg.v)
+        rhos = u @ thermo._BASIS_DENSITIES @ u.conj().T
+    else:
+        rhos = noise.evolve_noisy(sweep.engine_circuit(cfg.v), thermo._BASIS_DENSITIES, nm)
+    raw = noise.apply_readout_error(qcore.born_probabilities(rhos), nm)
+    if cfg.shots:
+        raw = qcore.sample_counts(raw, cfg.shots, tm_seed) / cfg.shots
+    if conf is None:
+        return TransitionMatrix(raw.T)
+    unmix = noise.readout_inverse(conf)
+    return TransitionMatrix(noise.mitigate(raw, unmix).T, raw.T, unmix)
+
+
+_GATE_NOISE = st.one_of(st.sampled_from([0.0, -0.0, 0.01]), st.floats(0.0, 0.3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(v=st.sampled_from(CHOICES["v"]), p1=_GATE_NOISE, p2=_GATE_NOISE,
+       eps01=st.floats(0.0, 0.2), eps10=st.floats(0.0, 0.2),
+       shots=st.sampled_from([0, 64, 8192]), mitigation=st.booleans(),
+       seed=st.integers(0, 2 ** 32))
+def test_cached_channel_gives_the_frozen_matrices_bit_for_bit(
+        v, p1, p2, eps01, eps10, shots, mitigation, seed):
+    cfg = SweepConfig(v=v, p1=p1, p2=p2, eps01=eps01, eps10=eps10, shots=shots,
+                      mitigation=mitigation, seed=seed)
+    want = _frozen_sweep_transition_matrix(cfg)
+    # as earlier examples left the cache (0.0 and -0.0 share a key), cleared, then warm
+    for clear in (False, True, False):
+        if clear:
+            sweep._outcome_channel.cache_clear()
+        got = sweep_transition_matrix(cfg)
+        for name in ("p", "raw", "unmix"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert sweep._outcome_channel.cache_info().hits
+
+
+def test_cached_channel_is_shared_and_read_only():
+    sweep._outcome_channel.cache_clear()
+    nm = noise.NoiseModel(0.001, 0.01)
+    channel = sweep._outcome_channel("vstar", nm.p1, nm.p2)
+    assert sweep._outcome_channel("vstar", nm.p1, nm.p2) is channel
+    assert np.array_equal(channel, thermo.outcome_channel(sweep.engine_circuit("vstar"), nm))
+    assert not channel.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        channel[0, 0] = 1.0
+
+
+def test_channel_cache_stays_bounded_over_a_noise_scan():
+    # noise_scan's pattern: a fresh p2 for every run
+    sweep._outcome_channel.cache_clear()
+    for p2 in np.linspace(0.0, 0.1, 100).tolist():
+        sweep_transition_matrix(SweepConfig(v="vstar", p2=p2, shots=0))
+        assert sweep._outcome_channel.cache_info().currsize <= 8
+    info = sweep._outcome_channel.cache_info()
+    assert (info.misses, info.maxsize, info.currsize) == (100, 8, 8)
 
 
 def test_engine_circuits_are_fixed_and_built_once():
@@ -330,6 +402,21 @@ def test_sampled_boundary_tolerance_widens_bands():
     exact_b = np.sum(run_sweep(cfg_exact).mode == "Boundary")
     sampled_b = np.sum(run_sweep(cfg_sampled).mode == "Boundary")
     assert sampled_b >= exact_b
+
+
+def test_gate_noise_lifts_the_lowest_purifying_cold_temperature():
+    # the abstract's "purification down to 200 mK" on the engine that runs:
+    # the default exact grid (full8, V = identity, 64x64 over 20-1000 mK, so
+    # a T_C step of 15.6 mK) at p1 = p2/10
+    p2s = (0.0, 0.001, 0.004, 0.01, 0.03, 0.04, 0.05)
+    counts, lowest = [], []
+    for p2 in p2s:
+        res = run_sweep(SweepConfig(p1=p2 / 10, p2=p2, shots=0))
+        counts.append(int(res.purifier.sum()))
+        lowest.append(round(res.t_cold[res.purifier].min(), 1) if counts[-1] else None)
+    assert counts == [1101, 1082, 1018, 897, 464, 223, 0]
+    assert lowest == [35.6, 51.1, 66.7, 82.2, 160.0, 268.9, None]
+    assert counts == sorted(counts, reverse=True) and lowest[:-1] == sorted(lowest[:-1])
 
 
 # ---------------------------------------------------------------------------

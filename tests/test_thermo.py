@@ -12,11 +12,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qfridge import qcore, thermo
-from qfridge.circuits import W_SUBSPACE, build_target_unitary, build_vstar_circuit
+from qfridge import noise, qcore, thermo
+from qfridge.circuits import (
+    W_SUBSPACE, Circuit, build_identity_circuit, build_target_unitary, build_vstar_circuit,
+)
 from qfridge.noise import NoiseModel
 from qfridge.oracles import (
-    CASABLANCA, JAKARTA, ground_population_map, random_density, renyi2_purity_check,
+    CASABLANCA, JAKARTA, ground_population_map, haar_unitary, random_density,
+    renyi2_purity_check,
 )
 from qfridge.sweep import SweepConfig, evaluate_grid
 from qfridge.thermo import (
@@ -273,6 +276,59 @@ def test_sampled_transition_matrix_is_deterministic_and_stochastic():
     b = transition_matrix(build_target_unitary("identity"), nm, 4096, 3)
     assert np.array_equal(a.p, b.p)
     assert np.allclose(a.p.sum(axis=0), 1.0)
+
+
+def _frozen_transition_matrix(engine, nm, shots, seed, mitigation=None):
+    """transition_matrix as one body, as it stood before outcome_channel and
+    measure_channel were split out of it."""
+    if isinstance(engine, Circuit):
+        rhos = noise.evolve_noisy(engine, thermo._BASIS_DENSITIES, nm)
+    else:
+        rhos = engine @ thermo._BASIS_DENSITIES @ engine.conj().T
+    raw = noise.apply_readout_error(qcore.born_probabilities(rhos), nm)
+    if shots:
+        raw = qcore.sample_counts(raw, shots, seed) / shots
+    if mitigation is None:
+        return TransitionMatrix(raw.T)
+    unmix = noise.readout_inverse(mitigation)
+    return TransitionMatrix(noise.mitigate(raw, unmix).T, raw.T, unmix)
+
+
+_ENGINES = {
+    "identity": lambda: build_target_unitary("identity"),
+    "vstar": lambda: build_target_unitary("vstar"),
+    "haar": lambda: haar_unitary(8, np.random.default_rng(5)),
+    "identity circuit": build_identity_circuit,
+    "vstar circuit": build_vstar_circuit,
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(engine=st.sampled_from(sorted(_ENGINES)), p=st.tuples(*[st.floats(0.0, 0.3)] * 2),
+       eps=st.tuples(*[st.floats(0.0, 0.2)] * 2), shots=st.sampled_from([0, 64, 8192]),
+       seed=st.integers(0, 2 ** 32), mitigation=st.booleans())
+def test_transition_matrix_equals_its_frozen_body_bit_for_bit(engine, p, eps, shots, seed,
+                                                              mitigation):
+    engine, nm = _ENGINES[engine](), NoiseModel(*p, *eps)
+    conf = noise.readout_matrix(nm) if mitigation else None
+    got = transition_matrix(engine, nm, shots, seed, conf)
+    want = _frozen_transition_matrix(engine, nm, shots, seed, conf)
+    for name in ("p", "raw", "unmix"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    # the channel is only read, so a read-only one measures the same
+    channel = thermo.outcome_channel(engine, nm)
+    channel.flags.writeable = False
+    again = thermo.measure_channel(channel, nm, shots, seed, conf)
+    assert again.p.tobytes() == got.p.tobytes()
+
+
+def test_outcome_channel_ignores_readout():
+    for engine in (build_target_unitary("vstar"), build_vstar_circuit()):
+        want = thermo.outcome_channel(engine, NoiseModel(0.01, 0.05))
+        got = thermo.outcome_channel(engine, NoiseModel(0.01, 0.05, 0.1, 0.2))
+        assert got.tobytes() == want.tobytes()
+        assert np.allclose(want.sum(axis=1), 1.0)
 
 
 # ---------------------------------------------------------------------------

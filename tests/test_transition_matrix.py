@@ -155,11 +155,14 @@ def test_noiseless_vstar_circuit_and_unitary_agree_bit_for_bit(shots, seed, eps,
 def test_noiseless_vstar_sweep_writes_the_same_bytes_with_either_engine(monkeypatch, scheme, run):
     # swap4 prepares no state that V acts on; full8 reaches the V block too
     cfg = SweepConfig(scheme=scheme, v="vstar", n_h=8, n_c=8, **run)
-    assert isinstance(sweep.build_engine(cfg), np.ndarray)
-    assert isinstance(sweep.build_engine(SweepConfig(v="vstar", p2=0.01)), Circuit)
+    assert isinstance(sweep.build_engine("vstar", cfg.noise()), np.ndarray)
+    assert isinstance(sweep.build_engine("vstar", NoiseModel(p2=0.01)), Circuit)
     res = run_sweep(cfg)
-    monkeypatch.setattr(sweep, "build_engine", lambda cfg: build_vstar_circuit())
+    # the engine is built only where the outcome channel's cache misses
+    sweep._outcome_channel.cache_clear()
+    monkeypatch.setattr(sweep, "build_engine", lambda v, nm: build_vstar_circuit())
     via_circuit = run_sweep(cfg)
+    sweep._outcome_channel.cache_clear()  # drop the channel of the patched engine
     assert write_csv(res) == write_csv(via_circuit)
     assert write_json(res) == write_json(via_circuit)
 
