@@ -163,24 +163,17 @@ V_SUBSPACE = [qcore.basis_index(i, 1 - i, k) for i in (0, 1) for k in (0, 1)]
 
 
 def build_target_unitary(v: str) -> np.ndarray:
-    """8x8 cooling unitary in logical order, built once per process for each
-    v and shared: the array is read-only.
+    """8x8 cooling unitary in logical order.
 
     The gate is block diagonal: the swap block on span{|00,.>, |11,.>}, which
     exchanges |00,1> and |11,0>, and a block V on span{|01,.>, |10,.>}: the
     identity for v = "identity", the swap block again for v = "vstar".
     """
-    if not isinstance(v, str) or v not in V_CHOICES:  # before the cache: v may be unhashable
+    if not isinstance(v, str) or v not in V_CHOICES:  # v may be an array
         raise ValueError(f"unknown v {v!r}")
-    return _target_unitary(v)
-
-
-@functools.cache
-def _target_unitary(v: str) -> np.ndarray:
     u = np.zeros((qcore.DIM, qcore.DIM), dtype=complex)
     u[np.ix_(W_SUBSPACE, W_SUBSPACE)] = SWAP_BLOCK
     u[np.ix_(V_SUBSPACE, V_SUBSPACE)] = SWAP_BLOCK if v == "vstar" else np.eye(4)
-    u.flags.writeable = False
     return u
 
 

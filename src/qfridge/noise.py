@@ -140,23 +140,18 @@ def apply_readout_error(p: np.ndarray, nm: NoiseModel) -> np.ndarray:
 def calibrate(nm: NoiseModel, shots: int, seed: int | np.random.SeedSequence) -> np.ndarray:
     """Empirical readout_matrix: prepare each basis state, read out, count.
     All columns are one multinomial draw from the generator seeded by seed."""
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
     counts = qcore.sample_counts(readout_matrix(nm).T, shots, seed)
     return counts.T / shots
 
 
 def readout_inverse(confusion: np.ndarray) -> np.ndarray:
-    """The inverse of a confusion matrix (square, non-negative, columns
-    summing to 1), from the one SVD that also gives its condition number;
-    a matrix with cond > 1e12 counts as singular and raises ValueError."""
+    """The inverse of a confusion matrix (square, its columns checked by
+    qcore.check_probabilities), from the one SVD that also gives its
+    condition number; cond > 1e12 counts as singular and raises ValueError."""
     m = np.asarray(confusion, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("confusion matrix must be square")
-    if not np.min(m) >= 0:  # NaN fails too
-        raise ValueError("confusion matrix has a negative or NaN entry")
-    if np.max(np.abs(m.sum(axis=0) - 1.0)) > qcore.STATE_ATOL:
-        raise ValueError("confusion matrix columns must sum to 1")
+    qcore.check_probabilities(m.T)
     u, s, vt = np.linalg.svd(m)
     if not s[0] <= 1e12 * s[-1]:  # cond = s[0] / s[-1]; NaN fails too
         raise ValueError(f"confusion matrix is singular (cond={s[0] / s[-1] if s[-1] else np.inf:.3g})")

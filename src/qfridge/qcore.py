@@ -75,7 +75,7 @@ def check_unitary(u: np.ndarray) -> np.ndarray:
 
 
 def check_probabilities(p: np.ndarray) -> np.ndarray:
-    """A probability vector, or a stack (..., d) of them."""
+    """A probability vector, or a stack (..., d) of them, such as m.T for a column-stochastic m."""
     p = np.asarray(p, dtype=float)
     if p.ndim < 1:
         raise ValueError("probability vector must be at least one-dimensional")

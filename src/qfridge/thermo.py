@@ -161,7 +161,8 @@ _BASIS_DENSITIES = _read_only(_BASIS[:, :, None] * _BASIS[:, None, :])
 
 @dataclass(frozen=True)
 class TransitionMatrix:
-    """Column-stochastic p[i'|i] over the 8 logical basis states.
+    """Column-stochastic p[i'|i] over the 8 logical basis states: each
+    column passes qcore.check_probabilities, as p.T, at STATE_ATOL.
 
     raw holds the read-out columns that p was estimated from, and unmix the
     linear map from them to p before clipping: the readout_inverse of the
@@ -176,12 +177,7 @@ class TransitionMatrix:
         p = np.ascontiguousarray(self.p, dtype=float)  # BLAS may round by layout
         if p.shape != (qcore.DIM, qcore.DIM):
             raise ValueError("transition matrix must be 8x8")
-        if not np.isfinite(p).all():
-            raise ValueError("transition matrix has a non-finite entry")
-        if np.min(p) < 0:
-            raise ValueError("transition matrix has a negative entry")
-        if np.max(np.abs(p.sum(axis=0) - 1.0)) > 1e-9:
-            raise ValueError("transition matrix columns must sum to 1")
+        qcore.check_probabilities(p.T)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "raw", p if self.raw is None else np.asarray(self.raw, float))
         object.__setattr__(self, "unmix", np.eye(qcore.DIM) if self.unmix is None else self.unmix)

@@ -199,14 +199,6 @@ def test_target_unitary_rejects_bad_v():
         build_target_unitary(np.eye(2))
 
 
-@pytest.mark.parametrize("v_choice", V_CHOICES)
-def test_target_unitary_is_one_shared_read_only_array(v_choice):
-    u = build_target_unitary(v_choice)
-    assert build_target_unitary(v_choice) is u
-    with pytest.raises(ValueError, match="read-only"):
-        u[0, 0] = 2.0
-
-
 # ---------------------------------------------------------------------------
 # circuit evaluation
 

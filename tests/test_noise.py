@@ -240,8 +240,12 @@ def test_readout_matrix_cache_stays_within_its_bound():
 # calibration and mitigation
 
 def test_readout_inverse_validation_and_inverse():
-    with pytest.raises(ValueError, match="columns must sum to 1"):
+    with pytest.raises(ValueError, match="does not sum to 1"):
         readout_inverse(np.ones((8, 8)))
+    with_inf = np.eye(8)
+    with_inf[3, 5] = np.inf
+    with pytest.raises(ValueError, match="does not sum to 1"):
+        readout_inverse(with_inf)
     with pytest.raises(ValueError, match="negative or NaN entry"):
         readout_inverse(-np.eye(4))
     with_nan = np.eye(8)

@@ -290,10 +290,8 @@ def test_exact_runs_spawn_no_seeds(monkeypatch, capsys):
 def test_point_bytes_do_not_depend_on_the_engine_caches(capsys):
     argv = ["point", "--th", "600", "--tc", "150", "--v", "vstar", "--shots", "8192",
             "--seed", "11", "--eps01", "0.03", "--eps10", "0.05", "--mitigation", "on"]
-    # the target unitary is built inside the channel's evaluation, so only a
-    # cold run reaches it
     hit = (sweep._outcome_channel, noise._confusion, thermo.cold_energies, thermo.hot_energies)
-    for cached in (circuits._target_unitary, *hit):
+    for cached in hit:
         cached.cache_clear()
     outs = []
     for _ in range(2):  # a cold cache, then a warm one
@@ -417,6 +415,24 @@ def test_gate_noise_lifts_the_lowest_purifying_cold_temperature():
     assert counts == [1101, 1082, 1018, 897, 464, 223, 0]
     assert lowest == [35.6, 51.1, 66.7, 82.2, 160.0, 268.9, None]
     assert counts == sorted(counts, reverse=True) and lowest[:-1] == sorted(lowest[:-1])
+
+
+def test_unmitigated_asymmetric_readout_adds_purifiers_the_gates_do_not_make():
+    # the same default exact grid at p1 = p2/10, read out with eps01 = 0.02,
+    # eps10 = 0.05: the cold qubit reads colder, so unmitigated runs tag more
+    # purifier cells, and at p2 = 0 tag R where W = dE_H + dE_C < 0;
+    # mitigation at shots = 0 gives back the gate-only tags
+    def tags(p2, **readout):
+        res = run_sweep(SweepConfig(p1=p2 / 10, p2=p2, shots=0, **readout))
+        n = int(res.purifier.sum())
+        lowest = round(res.t_cold[res.purifier].min(), 1) if n else None
+        return n, lowest, int(np.sum((res.mode == "R") & (res.de_hot + res.de_cold < 0)))
+
+    readout = dict(eps01=0.02, eps10=0.05)
+    assert tags(0.0, **readout) == (1128, 66.7, 618)
+    assert tags(0.0) == tags(0.0, **readout, mitigation=True) == (1101, 35.6, 0)
+    assert tags(0.05, **readout) == (267, 424.4, 0)
+    assert tags(0.05) == tags(0.05, **readout, mitigation=True) == (0, None, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -248,6 +248,13 @@ def test_transition_matrix_validation():
         TransitionMatrix(-np.eye(8))
     with pytest.raises(ValueError):
         TransitionMatrix(np.eye(8) * 0.5)
+    # columns sum to 1 within qcore.STATE_ATOL: off by 1e-10 is out, 1e-13 in
+    off = np.eye(8)
+    off[2, 2] += 1e-10
+    with pytest.raises(ValueError, match="does not sum to 1"):
+        TransitionMatrix(off)
+    off[2, 2] = 1 + 1e-13
+    assert TransitionMatrix(off).p[2, 2] == 1 + 1e-13
     # a unitary of the wrong dimension cannot act on the 8 basis states
     with pytest.raises(ValueError):
         transition_matrix(np.eye(4), NoiseModel(), 0, 0)
@@ -257,8 +264,76 @@ def test_transition_matrix_rejects_non_finite_entries():
     one_nan = np.eye(8)
     one_nan[3, 5] = np.nan
     for p in (np.full((8, 8), np.nan), one_nan):
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="NaN"):
             TransitionMatrix(p)
+    # +inf sums to inf; -inf is negative
+    for value, match in ((np.inf, "does not sum to 1"), (-np.inf, "negative")):
+        one_inf = np.eye(8)
+        one_inf[3, 5] = value
+        with pytest.raises(ValueError, match=match):
+            TransitionMatrix(one_inf)
+
+
+def _frozen_transition_matrix_accepts(p) -> bool:
+    """TransitionMatrix's entry checks as they stood before qcore.check_probabilities
+    served them: finite, non-negative, columns summing to 1 within 1e-9."""
+    p = np.ascontiguousarray(p, dtype=float)
+    return bool(np.isfinite(p).all() and not np.min(p) < 0
+                and not np.max(np.abs(p.sum(axis=0) - 1.0)) > 1e-9)
+
+
+def _frozen_readout_inverse(confusion):
+    """noise.readout_inverse as it stood before qcore.check_probabilities
+    checked its columns."""
+    m = np.asarray(confusion, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError("confusion matrix must be square")
+    if not np.min(m) >= 0:  # NaN fails too
+        raise ValueError("confusion matrix has a negative or NaN entry")
+    if np.max(np.abs(m.sum(axis=0) - 1.0)) > qcore.STATE_ATOL:
+        raise ValueError("confusion matrix columns must sum to 1")
+    u, s, vt = np.linalg.svd(m)
+    if not s[0] <= 1e12 * s[-1]:  # cond = s[0] / s[-1]; NaN fails too
+        raise ValueError(f"confusion matrix is singular (cond={s[0] / s[-1] if s[-1] else np.inf:.3g})")
+    return (vt.T / s) @ u.T
+
+
+# an entry of a column-stochastic matrix shifted by a sum error, or replaced
+# by a negative or non-finite value
+_DEFECTS = st.one_of(
+    st.tuples(st.just("add"), st.sampled_from([1e-13, -1e-13, 1e-11, -1e-11, 1e-10, -1e-10])),
+    st.tuples(st.just("set"), st.sampled_from([-0.0, -1e-17, -0.25, np.nan, np.inf, -np.inf])),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(counts=st.lists(st.integers(0, 1000), min_size=64, max_size=64),
+       defects=st.lists(st.tuples(_DEFECTS, st.integers(0, 7), st.integers(0, 7)), max_size=3))
+@example(counts=[0] * 64, defects=[(("add", 1e-10), 2, 2)])
+@example(counts=[0] * 64, defects=[(("add", 1e-13), 2, 2)])
+@example(counts=[0] * 64, defects=[(("set", np.inf), 3, 5)])
+def test_stochastic_matrix_verdicts_are_the_one_rule(counts, defects):
+    # columns of counts, with the diagonal raised by one so that none is empty
+    m = np.reshape(counts, (8, 8)) + np.eye(8)
+    m = m / m.sum(axis=0)
+    for (kind, value), i, j in defects:
+        m[i, j] = m[i, j] + value if kind == "add" else value
+    try:
+        TransitionMatrix(m)
+        accepted = True
+    except ValueError:
+        accepted = False
+    if not _frozen_transition_matrix_accepts(m):
+        assert not accepted
+    else:  # the frozen 1e-9 bound also lets through (STATE_ATOL, 1e-9]
+        assert accepted == (np.max(np.abs(m.sum(axis=0) - 1.0)) <= qcore.STATE_ATOL)
+    try:
+        want = _frozen_readout_inverse(m)
+    except ValueError:
+        with pytest.raises(ValueError):
+            noise.readout_inverse(m)
+    else:
+        assert np.array_equal(noise.readout_inverse(m), want)
 
 
 def test_exact_transition_matrices_are_the_basis_permutations():
