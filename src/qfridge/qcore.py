@@ -79,9 +79,9 @@ def check_probabilities(p: np.ndarray) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.ndim < 1:
         raise ValueError("probability vector must be at least one-dimensional")
-    if not np.min(p) >= 0:  # NaN fails too
+    if not p.min() >= 0:  # NaN fails too
         raise ValueError("probability vector has a negative or NaN entry")
-    if not np.max(np.abs(p.sum(axis=-1) - 1.0)) <= STATE_ATOL:
+    if not abs(p.sum(axis=-1) - 1.0).max() <= STATE_ATOL:
         raise ValueError("probability vector does not sum to 1")
     return p
 

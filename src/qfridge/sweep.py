@@ -6,16 +6,19 @@ grid with thermo's per-point array rules; only the energy ledger and the
 sampling boundary tolerance are computed here.  The engine's readout-free
 outcome channel depends on (v, p1, p2) alone, so it is evaluated once per
 distinct key among the last 8 and shared read-only; readout, sampling and
-mitigation act on it afresh in every run.  ``evaluate_grid`` is the one
+mitigation act on it afresh in every sampled run, which builds only the
+seed streams it draws from.  An exact run draws nothing, so its whole
+transition matrix depends on (v, p1, p2, eps01, eps10, mitigation) alone and
+is cached and shared read-only the same way.  ``evaluate_grid`` is the one
 way to evaluate points: ``qfridge point`` and the oracles run it on a 1x1 or
 small grid.  The SweepResult holds the two axes and one array per other
 column.  Outputs are plain CSV / JSON / binary PPM so any external plotter
-can reproduce the phase diagrams.  The CSV file, the JSON file and the
-record of ``qfridge point`` come from one pass over the columns in blocks
-of a fixed number of grid points: each block's columns are read once for
-every text being written, and T_H and T_C are formatted once per axis
-value, so ``write_outputs`` streams the CSV and JSON files together in
-memory that does not grow with the grid.  A CSV block is one ``%`` of a
+can reproduce the phase diagrams.  The CSV and JSON files come from one
+pass over the columns in blocks of a fixed number of grid points: each
+block's columns are read once for every text being written, and T_H and
+T_C are formatted once per axis value, so ``write_outputs`` streams the two
+files together in memory that does not grow with the grid.  The record of
+``qfridge point`` is the JSON record text of its one-point block.  A CSV block is one ``%`` of a
 repeated row, numbers as ``%.9g``; a JSON block is one join of the record's
 literal pieces with the values' texts, the repr json writes for a float,
 with NaN and the infinities as quoted CSV text.
@@ -203,22 +206,41 @@ def _outcome_channel(v: str, p1: float, p2: float) -> np.ndarray:
     return channel
 
 
+# an exact run draws nothing, so its whole matrix is cached the same way
+@functools.lru_cache(maxsize=8, typed=True)
+def _exact_transition_matrix(v: str, p1: float, p2: float, eps01: float, eps10: float,
+                             mitigation: bool) -> thermo.TransitionMatrix:
+    """The exact (shots = 0) measured matrix of the engine that runs V under
+    these noise parameters, mitigated with the exact confusion matrix if asked;
+    p, raw and unmix are read-only."""
+    nm = NoiseModel(p1, p2, eps01, eps10)
+    conf = readout_matrix(nm) if mitigation else None
+    tm = thermo.measure_channel(_outcome_channel(v, p1, p2), nm, 0, None, mitigation=conf)
+    for a in (tm.p, tm.raw, tm.unmix):
+        a.flags.writeable = False
+    return tm
+
+
 def sweep_transition_matrix(cfg: SweepConfig):
     """The engine's transition matrix: thermo.measure_channel of its
     readout-free outcome channel, which depends on (v, p1, p2) alone and is
-    evaluated once per distinct key among the last 8.  Exact runs mitigate
-    with the exact confusion matrix, sampled runs with one calibrated at
-    cfg.shots.  The two streams of SeedSequence(cfg.seed).spawn(2) sample
-    the matrix and the calibration; they are spawned for sampled runs only,
-    as exact runs draw nothing."""
+    evaluated once per distinct key among the last 8.  An exact run's whole
+    matrix, mitigated with the exact confusion matrix if asked, depends on
+    (v, p1, p2, eps01, eps10, mitigation) alone and is cached, read-only, for
+    the last 8 keys.  A sampled run mitigates with a confusion matrix
+    calibrated at cfg.shots.  Child 0 of SeedSequence(cfg.seed) samples the
+    matrix and child 1 the calibration; child i is built on its own as
+    SeedSequence(cfg.seed, spawn_key=(i,)), the stream of
+    SeedSequence(cfg.seed).spawn(2)[i], and child 1 only when mitigating."""
+    if not cfg.shots:
+        return _exact_transition_matrix(cfg.v, cfg.p1, cfg.p2, cfg.eps01, cfg.eps10,
+                                        cfg.mitigation)
     nm = cfg.noise()
-    tm_seed = calibration_seed = None
-    if cfg.shots:
-        tm_seed, calibration_seed = np.random.SeedSequence(cfg.seed).spawn(2)
     conf = None
     if cfg.mitigation:
-        conf = calibrate(nm, cfg.shots, calibration_seed) if cfg.shots else readout_matrix(nm)
+        conf = calibrate(nm, cfg.shots, np.random.SeedSequence(cfg.seed, spawn_key=(1,)))
     channel = _outcome_channel(cfg.v, cfg.p1, cfg.p2)
+    tm_seed = np.random.SeedSequence(cfg.seed, spawn_key=(0,))
     return thermo.measure_channel(channel, nm, cfg.shots, tm_seed, mitigation=conf)
 
 
@@ -247,13 +269,14 @@ class SweepResult:
     purifier: np.ndarray
 
     def __post_init__(self):
-        for f in fields(self):
-            object.__setattr__(self, f.name, np.asarray(getattr(self, f.name)))
+        for name in _RESULT_FIELDS:
+            object.__setattr__(self, name, np.asarray(getattr(self, name)))
         if self.t_h_axis.ndim != 1 or self.t_c_axis.ndim != 1:
             raise ValueError("the axes must be one-dimensional")
-        for f in fields(self)[2:]:
-            if getattr(self, f.name).shape != (self.n_h * self.n_c,):
-                raise ValueError(f"column {f.name} does not fill a {self.n_h}x{self.n_c} grid")
+        shape = (self.n_h * self.n_c,)
+        for name in _RESULT_FIELDS[2:]:
+            if getattr(self, name).shape != shape:
+                raise ValueError(f"column {name} does not fill a {self.n_h}x{self.n_c} grid")
 
     @property
     def n_h(self) -> int:
@@ -276,6 +299,10 @@ class SweepResult:
         return self.de_hot + self.de_cold
 
 
+#: SweepResult's fields in order: the two axes, then the columns
+_RESULT_FIELDS = tuple(f.name for f in fields(SweepResult))
+
+
 def evaluate_grid(cfg: SweepConfig, tm, t_h_axis, t_c_axis) -> SweepResult:
     """Every (T_H, T_C) pair of the two axes through the engine `tm`: thermo's
     per-point rules (preparation, roles, mode, final temperature, purifier)
@@ -291,8 +318,9 @@ def evaluate_grid(cfg: SweepConfig, tm, t_h_axis, t_c_axis) -> SweepResult:
     # propagated through the mitigation (see TransitionMatrix.shot_variances)
     eps = BOUNDARY_EPS
     if cfg.shots > 0:
+        squares = probs ** 2
         for e in (e_h, e_c, e_h + e_c):
-            var = (probs ** 2) @ tm.shot_variances(e) / cfg.shots
+            var = squares @ tm.shot_variances(e) / cfg.shots
             eps = np.maximum(eps, 3.0 * np.sqrt(np.maximum(var, 0.0)))
     swap = thermo.roles_exchanged(t_hot, t_cold)
     mode = thermo.mode_tags(np.where(swap, de_cold, de_hot), np.where(swap, de_hot, de_cold), eps)
@@ -428,17 +456,21 @@ def _texts(res: SweepResult, formats):
     axes = [[np.array(list(map(f.number, axis.tolist())), dtype=object)
              for axis in (res.t_h_axis, res.t_c_axis)] for f in formats]
     for start in range(0, size, _BLOCK_POINTS):
-        s = slice(start, start + _BLOCK_POINTS)
+        block = _block(res, slice(start, start + _BLOCK_POINTS))
         h, c = np.divmod(np.arange(start, min(start + _BLOCK_POINTS, size)), res.n_c)
-        de_hot, de_cold, kinds = res.de_hot[s], res.de_cold[s], res.t_cold_final_kind[s]
-        floats = (de_hot, de_cold, de_hot + de_cold, res.t_cold_final[s], res.p_g_final[s])
-        block = _Block(
-            floats, [col.tolist() for col in floats], res.mode[s].tolist(),
-            {n: _NON_FINITE_TEXT[kinds[n]] for n in np.flatnonzero(kinds != "finite").tolist()},
-            _BOOL_TEXTS.take(res.purifier[s].astype(bool)).tolist())
         yield (f.text(block, h_texts[h].tolist(), c_texts[c].tolist(), start == 0)
                for f, (h_texts, c_texts) in zip(formats, axes))
     yield tuple(f.tail for f in formats)
+
+
+def _block(res: SweepResult, s: slice) -> _Block:
+    """The columns of the grid points in slice `s` of `res`, as every format reads them."""
+    de_hot, de_cold, kinds = res.de_hot[s], res.de_cold[s], res.t_cold_final_kind[s]
+    floats = (de_hot, de_cold, de_hot + de_cold, res.t_cold_final[s], res.p_g_final[s])
+    return _Block(
+        floats, [col.tolist() for col in floats], res.mode[s].tolist(),
+        {n: _NON_FINITE_TEXT[kinds[n]] for n in np.flatnonzero(kinds != "finite").tolist()},
+        _BOOL_TEXTS.take(res.purifier[s].astype(bool)).tolist())
 
 
 def _text(res: SweepResult, fmt) -> str:
@@ -458,10 +490,11 @@ def write_json(res: SweepResult) -> str:
 
 def write_record(res: SweepResult) -> str:
     """The one point of a 1x1 result as one object of write_json, written as
-    ``json.dumps(record, indent=2)`` writes it."""
+    ``json.dumps(record, indent=2)`` writes it: _POINT's text of its one block."""
     if res.de_hot.size != 1:
         raise ValueError(f"a record holds one point, not {res.n_h}x{res.n_c}")
-    return _text(res, _POINT)
+    return _POINT.text(_block(res, slice(None)), [_json_number(res.t_h_axis.item())],
+                       [_json_number(res.t_c_axis.item())], True)
 
 
 MODE_COLORS = {

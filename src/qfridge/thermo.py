@@ -72,7 +72,7 @@ def ground_populations(p: np.ndarray) -> np.ndarray:
     """Ground populations (g0, g1, g2) of q0, q1, q2 in each 8-outcome row of
     `p` (..., 8), stacked on a new first axis."""
     # logical index 4i + 2j + k: q0 bit i, q2 bit j, cold (q1) bit k
-    return np.stack([p[..., 0] + p[..., 1] + p[..., 2] + p[..., 3],
+    return np.array([p[..., 0] + p[..., 1] + p[..., 2] + p[..., 3],
                      p[..., 0] + p[..., 2] + p[..., 4] + p[..., 6],
                      p[..., 0] + p[..., 1] + p[..., 4] + p[..., 5]])
 
@@ -115,6 +115,10 @@ def hot_energies(spec: DeviceSpec, mode: str) -> np.ndarray:
     return _read_only(np.where(_BITS_I == _BITS_J, (_BITS_I - 0.5) * spec.omega_sum, off))
 
 
+#: the two levels of a qubit in units of its quantum, as a read-only pair
+_LEVELS = _read_only(np.array([-0.5, 0.5]))
+
+
 # below about 1e-306 mK, h f / (k_B T) overflows and the rows it reaches come
 # out NaN; the check at the end rejects them, so numpy need not warn
 @np.errstate(over="ignore", invalid="ignore")
@@ -138,7 +142,7 @@ def preparation_grid(scheme: str, spec: DeviceSpec, t_h_axis, t_c_axis) -> np.nd
         # single-qubit Gibbs weights of q0 and q2 per T_H, q1 per T_C
         u = np.concatenate([H_OVER_KB * spec.f0 / t_h, H_OVER_KB * spec.f2 / t_h,
                             H_OVER_KB * spec.f1 / t_c])
-        s = _gibbs_weights(np.array([-0.5, 0.5]), u[:, None])
+        s = _gibbs_weights(_LEVELS, u[:, None])
         s0, s2, s1 = s[:t_h.size], s[t_h.size:2 * t_h.size], s[2 * t_h.size:]
         # logical index 4i + 2j + k: q0 bit i, q2 bit j, cold bit k
         hot = (s0[:, :, None] * s2[:, None, :]).reshape(-1, 1, 4, 1)
@@ -157,6 +161,8 @@ def preparation_grid(scheme: str, spec: DeviceSpec, t_h_axis, t_c_axis) -> np.nd
 _BASIS = np.eye(qcore.DIM, dtype=complex)
 #: |m><m| for each of the 8 logical basis states m, stacked; read-only
 _BASIS_DENSITIES = _read_only(_BASIS[:, :, None] * _BASIS[:, None, :])
+#: the default unmix of a TransitionMatrix; read-only
+_IDENTITY = _read_only(np.eye(qcore.DIM))
 
 
 @dataclass(frozen=True)
@@ -166,7 +172,8 @@ class TransitionMatrix:
 
     raw holds the read-out columns that p was estimated from, and unmix the
     linear map from them to p before clipping: the readout_inverse of the
-    confusion matrix when mitigated, else the identity (the defaults).
+    confusion matrix when mitigated, else the identity (the defaults; the
+    default identity is one shared read-only array).
     """
 
     p: np.ndarray
@@ -180,7 +187,7 @@ class TransitionMatrix:
         qcore.check_probabilities(p.T)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "raw", p if self.raw is None else np.asarray(self.raw, float))
-        object.__setattr__(self, "unmix", np.eye(qcore.DIM) if self.unmix is None else self.unmix)
+        object.__setattr__(self, "unmix", _IDENTITY if self.unmix is None else self.unmix)
 
     def shot_variances(self, e: np.ndarray) -> np.ndarray:
         """Per column i, the variance of one shot's estimate of e @ p[:, i], by
@@ -268,12 +275,15 @@ _MODE_TAGS = np.array(["H", "A", "E", "E", "R", "R", "R", "R"] + ["Boundary"] * 
 def mode_tags(de_hot, de_cold, eps=BOUNDARY_EPS) -> np.ndarray:
     """Operation mode tag per point from the signs of the energy changes.
 
-    Any quantity within eps of zero makes the point a boundary.  R takes
+    Any quantity within eps of zero makes the point a boundary, and so does
+    a NaN among them (or a NaN eps), which has no sign to read.  R takes
     precedence over E; they are disjoint for exact dynamics, and the
-    precedence only resolves noise-induced sign conflicts.
+    precedence only resolves noise-induced sign conflicts.  No NaN reaches
+    here from a sweep: preparation_grid rejects a row that is not a
+    distribution, and TransitionMatrix a NaN entry.
     """
     w = de_hot + de_cold
-    near_zero = np.minimum(np.minimum(abs(de_hot), abs(de_cold)), abs(w)) < eps
+    near_zero = ~(np.minimum(np.minimum(abs(de_hot), abs(de_cold)), abs(w)) >= eps)  # NaN too
     return _MODE_TAGS[near_zero * 8 + (de_cold < 0) * 4 + (w < 0) * 2 + (de_hot < 0), ...]
 
 
@@ -316,7 +326,10 @@ def final_temperatures(q, f1: float) -> tuple[np.ndarray, np.ndarray]:
     """(kind, mK) per cold excited population q at frequency f1 (GHz).
 
     kind is "infinite" within 1e-12 of q = 1/2, "inverted" above it, else
-    "finite"; q <= 0 reads 0 mK.  mK is NaN where the kind is not finite.
+    "finite"; q <= 0 reads 0 mK.  mK is NaN where the kind is not finite,
+    and a NaN q reads kind "finite" with NaN mK.  No NaN q reaches here from
+    a sweep: preparation_grid rejects a row that is not a distribution, and
+    TransitionMatrix a NaN entry.
     """
     q = np.asarray(q, float)
     kind = _FINAL_KINDS[(abs(q - 0.5) < 1e-12) * 2 + (q > 0.5), ...]

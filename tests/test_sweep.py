@@ -288,22 +288,27 @@ def test_exact_runs_spawn_no_seeds(monkeypatch, capsys):
 
 
 def test_point_bytes_do_not_depend_on_the_engine_caches(capsys):
-    argv = ["point", "--th", "600", "--tc", "150", "--v", "vstar", "--shots", "8192",
-            "--seed", "11", "--eps01", "0.03", "--eps10", "0.05", "--mitigation", "on"]
-    hit = (sweep._outcome_channel, noise._confusion, thermo.cold_energies, thermo.hot_energies)
+    argvs = (["point", "--th", "600", "--tc", "150", "--v", "vstar", "--shots", "8192",
+              "--seed", "11", "--eps01", "0.03", "--eps10", "0.05", "--mitigation", "on"],
+             ["point", "--th", "150", "--tc", "100", "--shots", "0", "--eps01", "0.02",
+              "--eps10", "0.04", "--mitigation", "on"])
+    hit = (sweep._exact_transition_matrix, sweep._outcome_channel, noise._confusion,
+           thermo.cold_energies, thermo.hot_energies)
     for cached in hit:
         cached.cache_clear()
-    outs = []
-    for _ in range(2):  # a cold cache, then a warm one
-        assert cli_main(argv) == 0
-        outs.append(capsys.readouterr().out)
+    outs = [[] for _ in argvs]
+    for _ in range(2):  # cold caches, then warm ones
+        for argv, out in zip(argvs, outs):
+            assert cli_main(argv) == 0
+            out.append(capsys.readouterr().out)
     assert all(cached.cache_info().hits for cached in hit)
     path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
-    fresh = subprocess.run([sys.executable, "-m", "qfridge.cli", *argv], capture_output=True,
-                           text=True, env=env, timeout=300)
-    assert fresh.returncode == 0
-    assert outs[0] == outs[1] == fresh.stdout
+    for argv, out in zip(argvs, outs):
+        fresh = subprocess.run([sys.executable, "-m", "qfridge.cli", *argv], capture_output=True,
+                               text=True, env=env, timeout=300)
+        assert fresh.returncode == 0
+        assert out == [fresh.stdout] * 2
 
 
 def _frozen_sweep_transition_matrix(cfg):
@@ -352,7 +357,9 @@ def test_cached_channel_gives_the_frozen_matrices_bit_for_bit(
         for name in ("p", "raw", "unmix"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
-    assert sweep._outcome_channel.cache_info().hits
+    # an exact run takes its whole matrix from the exact cache, a sampled one its channel
+    serving = sweep._exact_transition_matrix if shots == 0 else sweep._outcome_channel
+    assert serving.cache_info().hits
 
 
 def test_cached_channel_is_shared_and_read_only():
@@ -364,6 +371,61 @@ def test_cached_channel_is_shared_and_read_only():
     assert not channel.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         channel[0, 0] = 1.0
+
+
+def test_exact_matrix_cache_is_shared_read_only_bounded_and_typed():
+    sweep._exact_transition_matrix.cache_clear()
+    cfg = SweepConfig(v="vstar", p1=0.001, p2=0.01, eps01=0.02, eps10=0.04, shots=0)
+    for mitigation in (False, True):
+        cfg = dataclasses.replace(cfg, mitigation=mitigation)
+        tm = sweep_transition_matrix(cfg)
+        # other seeds and grids share it: an exact run draws nothing
+        assert sweep_transition_matrix(dataclasses.replace(cfg, seed=7, n_h=3)) is tm
+        want = thermo.transition_matrix(sweep.engine_circuit("vstar"), cfg.noise(), 0, None,
+                                         noise.readout_matrix(cfg.noise()) if mitigation else None)
+        for name in ("p", "raw", "unmix"):
+            a = getattr(tm, name)
+            assert np.array_equal(a, getattr(want, name)), name
+            assert not a.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = 1.0
+    info = sweep._exact_transition_matrix.cache_info()
+    assert (info.hits, info.misses) == (2, 2)
+    # typed: a float32 p2 gets its own entry beside the float64 it equals
+    sweep_transition_matrix(dataclasses.replace(cfg, p2=np.float32(0.5)))
+    sweep_transition_matrix(dataclasses.replace(cfg, p2=0.5))
+    assert sweep._exact_transition_matrix.cache_info().misses == 4
+    for p2 in np.linspace(0.0, 0.1, 20).tolist():
+        sweep_transition_matrix(dataclasses.replace(cfg, p2=p2))
+    info = sweep._exact_transition_matrix.cache_info()
+    assert (info.maxsize, info.currsize) == (8, 8)
+    # sampled runs never enter it
+    sweep_transition_matrix(dataclasses.replace(cfg, shots=64))
+    assert sweep._exact_transition_matrix.cache_info() == info
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 64), mitigation=st.booleans())
+def test_seed_streams_are_the_children_of_spawn(seed, mitigation):
+    children = np.random.SeedSequence(seed).spawn(2)
+    p = np.full((8, 8), 0.125)
+    for i, child in enumerate(children):
+        stream = np.random.SeedSequence(seed, spawn_key=(i,))
+        assert np.array_equal(stream.generate_state(8), child.generate_state(8))
+        assert np.array_equal(qcore.sample_counts(p, 1000, stream),
+                              qcore.sample_counts(p, 1000, child))
+    # a sampled run builds the streams it draws from: the calibration's only when mitigating
+    built, seed_sequence = [], np.random.SeedSequence
+
+    def counting(*args, **kwargs):
+        built.append(args[0])
+        return seed_sequence(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sweep.np.random, "SeedSequence", counting)
+        sweep_transition_matrix(SweepConfig(v="vstar", eps01=0.02, shots=64, seed=seed,
+                                            mitigation=mitigation))
+    assert built == [seed] * (1 + mitigation)
 
 
 def test_channel_cache_stays_bounded_over_a_noise_scan():

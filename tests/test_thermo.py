@@ -450,6 +450,18 @@ def test_classify_mode():
         "R", "E", "A", "H", "Boundary", "Boundary"]
 
 
+def test_a_nan_energy_change_reads_boundary():
+    nan, inf = np.nan, np.inf
+    # a NaN dE_H with dE_C < 0 read R, a NaN dE_C read H; inf - inf is a NaN W
+    de_hot = np.array([nan, nan, 1.0, -2.0, nan, inf])
+    de_cold = np.array([-1.0, 1.0, nan, nan, nan, -inf])
+    with np.errstate(invalid="ignore"):  # inf - inf
+        assert mode_tags(de_hot, de_cold).tolist() == ["Boundary"] * 6
+    # and a NaN tolerance
+    assert mode_tags(np.array([2.0, -2.0]), np.array([-1.0, 1.0]), nan).tolist() == ["Boundary"] * 2
+    assert mode_tags(np.array(nan), np.array(-1.0)).tolist() == "Boundary"
+
+
 def test_analytic_regions():
     spec = CASABLANCA
     ratio = spec.omega_sum / spec.f1
@@ -611,6 +623,14 @@ def test_final_temperatures_carry_a_value_only_when_finite():
     assert kind.tolist() == ["finite"] * 3 + ["infinite"] * 3 + ["inverted"] * 2
     assert np.array_equal(np.isnan(mk), kind != "finite")
     assert mk[0] == 0.0 and mk[1] == 0.0
+
+
+def test_a_nan_excitation_reads_finite_with_nan_mk():
+    kind, mk = final_temperatures(np.array([np.nan, 0.2]), 5.0)
+    assert kind.tolist() == ["finite", "finite"]
+    assert np.isnan(mk[0]) and mk[1] == H_OVER_KB * 5.0 / np.log(4.0)
+    kind, mk = final_temperatures(np.nan, 5.0)
+    assert (kind.tolist(), np.isnan(mk)) == ("finite", True)
 
 
 def _brute_force_ground_map(x: float) -> float:
