@@ -3,13 +3,13 @@
 A sweep evaluates the engine once (the transition matrix does not depend on
 the preparation temperatures), then reweights it over the whole (T_H, T_C)
 grid with thermo's per-point array rules; only the energy ledger and the
-sampling boundary tolerance are computed here.  The engine's readout-free
-outcome channel depends on (v, p1, p2) alone, so it is evaluated once per
-distinct key among the last 8 and shared read-only; readout, sampling and
-mitigation act on it afresh in every sampled run, which builds only the
-seed streams it draws from.  An exact run draws nothing, so its whole
-transition matrix depends on (v, p1, p2, eps01, eps10, mitigation) alone and
-is cached and shared read-only the same way.  ``evaluate_grid`` is the one
+sampling boundary tolerance are computed here.  An exact run draws nothing,
+so its whole transition matrix depends on (v, p1, p2, eps01, eps10,
+mitigation) alone; it is the one engine cache, kept for the last 8 keys and
+shared read-only.  Its readout-free entry (eps01 = eps10 = 0, unmitigated)
+holds the engine's outcome channel bit for bit, so a sampled run reads out,
+samples and mitigates that channel afresh, building only the seed streams it
+draws from.  ``evaluate_grid`` is the one
 way to evaluate points: ``qfridge point`` and the oracles run it on a 1x1 or
 small grid.  The SweepResult holds the two axes and one array per other
 column.  Outputs are plain CSV / JSON / binary PPM so any external plotter
@@ -195,18 +195,8 @@ def engine_circuit(v: str):
     raise ValueError(f"unknown v {v!r}")
 
 
-# the channel is cached for the last few engines and shared, so read-only;
-# typed, so that a float32 p never shares an entry with the float64 it equals
-@functools.lru_cache(maxsize=8, typed=True)
-def _outcome_channel(v: str, p1: float, p2: float) -> np.ndarray:
-    """thermo.outcome_channel of the engine that runs V at gate noise (p1, p2)."""
-    nm = NoiseModel(p1, p2)
-    channel = thermo.outcome_channel(build_engine(v, nm), nm)
-    channel.flags.writeable = False
-    return channel
-
-
-# an exact run draws nothing, so its whole matrix is cached the same way
+# the one engine cache, shared and so read-only; typed, so that a float32 p
+# never shares an entry with the float64 it equals
 @functools.lru_cache(maxsize=8, typed=True)
 def _exact_transition_matrix(v: str, p1: float, p2: float, eps01: float, eps10: float,
                              mitigation: bool) -> thermo.TransitionMatrix:
@@ -215,23 +205,24 @@ def _exact_transition_matrix(v: str, p1: float, p2: float, eps01: float, eps10: 
     p, raw and unmix are read-only."""
     nm = NoiseModel(p1, p2, eps01, eps10)
     conf = readout_matrix(nm) if mitigation else None
-    tm = thermo.measure_channel(_outcome_channel(v, p1, p2), nm, 0, None, mitigation=conf)
+    tm = thermo.transition_matrix(build_engine(v, nm), nm, 0, None, mitigation=conf)
     for a in (tm.p, tm.raw, tm.unmix):
         a.flags.writeable = False
     return tm
 
 
 def sweep_transition_matrix(cfg: SweepConfig):
-    """The engine's transition matrix: thermo.measure_channel of its
-    readout-free outcome channel, which depends on (v, p1, p2) alone and is
-    evaluated once per distinct key among the last 8.  An exact run's whole
-    matrix, mitigated with the exact confusion matrix if asked, depends on
-    (v, p1, p2, eps01, eps10, mitigation) alone and is cached, read-only, for
-    the last 8 keys.  A sampled run mitigates with a confusion matrix
-    calibrated at cfg.shots.  Child 0 of SeedSequence(cfg.seed) samples the
-    matrix and child 1 the calibration; child i is built on its own as
-    SeedSequence(cfg.seed, spawn_key=(i,)), the stream of
-    SeedSequence(cfg.seed).spawn(2)[i], and child 1 only when mitigating."""
+    """The engine's transition matrix.  An exact run's whole matrix, mitigated
+    with the exact confusion matrix if asked, depends on (v, p1, p2, eps01,
+    eps10, mitigation) alone and is cached, read-only, for the last 8 keys.
+    A sampled run measures the readout-free outcome channel, the p.T of that
+    cache's entry at eps01 = eps10 = 0 unmitigated (the identity readout
+    leaves each bit), with thermo.measure_channel, and mitigates with a
+    confusion matrix calibrated at cfg.shots.  Child 0 of
+    SeedSequence(cfg.seed) samples the matrix and child 1 the calibration;
+    child i is built on its own as SeedSequence(cfg.seed, spawn_key=(i,)),
+    the stream of SeedSequence(cfg.seed).spawn(2)[i], and child 1 only when
+    mitigating."""
     if not cfg.shots:
         return _exact_transition_matrix(cfg.v, cfg.p1, cfg.p2, cfg.eps01, cfg.eps10,
                                         cfg.mitigation)
@@ -239,7 +230,9 @@ def sweep_transition_matrix(cfg: SweepConfig):
     conf = None
     if cfg.mitigation:
         conf = calibrate(nm, cfg.shots, np.random.SeedSequence(cfg.seed, spawn_key=(1,)))
-    channel = _outcome_channel(cfg.v, cfg.p1, cfg.p2)
+    # C order, as outcome_channel returns it: BLAS may round by layout
+    channel = np.ascontiguousarray(_exact_transition_matrix(cfg.v, cfg.p1, cfg.p2, 0.0, 0.0,
+                                                            False).p.T)
     tm_seed = np.random.SeedSequence(cfg.seed, spawn_key=(0,))
     return thermo.measure_channel(channel, nm, cfg.shots, tm_seed, mitigation=conf)
 

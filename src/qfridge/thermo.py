@@ -222,7 +222,8 @@ def transition_matrix(
     mitigation: np.ndarray | None = None,
 ) -> TransitionMatrix:
     """Measure the engine's outcome statistics per prepared basis state:
-    measure_channel of the engine's outcome_channel."""
+    measure_channel of the engine's outcome_channel.  This is the one path
+    from an engine to a matrix; sweep caches its exact results."""
     return measure_channel(outcome_channel(engine, nm), nm, shots, seed, mitigation)
 
 

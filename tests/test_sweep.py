@@ -292,8 +292,8 @@ def test_point_bytes_do_not_depend_on_the_engine_caches(capsys):
               "--seed", "11", "--eps01", "0.03", "--eps10", "0.05", "--mitigation", "on"],
              ["point", "--th", "150", "--tc", "100", "--shots", "0", "--eps01", "0.02",
               "--eps10", "0.04", "--mitigation", "on"])
-    hit = (sweep._exact_transition_matrix, sweep._outcome_channel, noise._confusion,
-           thermo.cold_energies, thermo.hot_energies)
+    hit = (sweep._exact_transition_matrix, noise._confusion, thermo.cold_energies,
+           thermo.hot_energies)
     for cached in hit:
         cached.cache_clear()
     outs = [[] for _ in argvs]
@@ -352,25 +352,64 @@ def test_cached_channel_gives_the_frozen_matrices_bit_for_bit(
     # as earlier examples left the cache (0.0 and -0.0 share a key), cleared, then warm
     for clear in (False, True, False):
         if clear:
-            sweep._outcome_channel.cache_clear()
+            sweep._exact_transition_matrix.cache_clear()
         got = sweep_transition_matrix(cfg)
         for name in ("p", "raw", "unmix"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
-    # an exact run takes its whole matrix from the exact cache, a sampled one its channel
-    serving = sweep._exact_transition_matrix if shots == 0 else sweep._outcome_channel
-    assert serving.cache_info().hits
+    # an exact run takes its whole matrix from the one cache, a sampled one its channel
+    assert sweep._exact_transition_matrix.cache_info().hits
 
 
-def test_cached_channel_is_shared_and_read_only():
-    sweep._outcome_channel.cache_clear()
-    nm = noise.NoiseModel(0.001, 0.01)
-    channel = sweep._outcome_channel("vstar", nm.p1, nm.p2)
-    assert sweep._outcome_channel("vstar", nm.p1, nm.p2) is channel
-    assert np.array_equal(channel, thermo.outcome_channel(sweep.engine_circuit("vstar"), nm))
-    assert not channel.flags.writeable
-    with pytest.raises(ValueError, match="read-only"):
-        channel[0, 0] = 1.0
+@settings(max_examples=100, deadline=None)
+@given(v=st.sampled_from(CHOICES["v"]), p1=_GATE_NOISE, p2=_GATE_NOISE, gate_noise=st.booleans())
+def test_readout_free_entry_is_the_outcome_channel_bit_for_bit(v, p1, p2, gate_noise):
+    if not gate_noise:
+        p1 = p2 = 0.0
+    nm = noise.NoiseModel(p1, p2)
+    want = thermo.outcome_channel(sweep.build_engine(v, nm), nm)
+    entry = sweep._exact_transition_matrix(v, p1, p2, 0.0, 0.0, False)
+    assert entry.p.T.tobytes() == want.tobytes()
+    # the channel a sampled run measures is that entry, in the C order of want
+    measured, measure_channel = [], thermo.measure_channel
+
+    def capturing(channel, *args, **kwargs):
+        measured.append(channel)
+        return measure_channel(channel, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(thermo, "measure_channel", capturing)
+        sweep_transition_matrix(SweepConfig(v=v, p1=p1, p2=p2, eps01=0.02, shots=64))
+    [channel] = measured
+    assert channel.flags.c_contiguous and channel.tobytes() == want.tobytes()
+
+
+def test_sampled_runs_enter_the_engine_cache_only_at_the_readout_free_key():
+    sweep._exact_transition_matrix.cache_clear()
+    cfg = SweepConfig(v="vstar", p1=0.001, p2=0.01, shots=64)
+    for eps01, eps10, mitigation, seed in ((0.0, 0.0, False, 0), (0.02, 0.04, False, 1),
+                                           (0.02, 0.04, True, 2), (0.1, 0.0, True, 3)):
+        sweep_transition_matrix(dataclasses.replace(cfg, eps01=eps01, eps10=eps10,
+                                                    mitigation=mitigation, seed=seed))
+    info = sweep._exact_transition_matrix.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (3, 1, 1)
+    sweep._exact_transition_matrix("vstar", cfg.p1, cfg.p2, 0.0, 0.0, False)
+    assert sweep._exact_transition_matrix.cache_info().hits == 4
+
+
+def test_exact_and_sampled_runs_build_the_engine_once(monkeypatch):
+    sweep._exact_transition_matrix.cache_clear()
+    built, build_engine = [], sweep.build_engine
+
+    def counting(v, nm):
+        built.append(v)
+        return build_engine(v, nm)
+
+    monkeypatch.setattr(sweep, "build_engine", counting)
+    cfg = SweepConfig(v="vstar", p1=0.001, p2=0.01, shots=0)
+    sweep_transition_matrix(cfg)
+    sweep_transition_matrix(dataclasses.replace(cfg, shots=8192, seed=3))
+    assert built == ["vstar"]
 
 
 def test_exact_matrix_cache_is_shared_read_only_bounded_and_typed():
@@ -399,9 +438,12 @@ def test_exact_matrix_cache_is_shared_read_only_bounded_and_typed():
         sweep_transition_matrix(dataclasses.replace(cfg, p2=p2))
     info = sweep._exact_transition_matrix.cache_info()
     assert (info.maxsize, info.currsize) == (8, 8)
-    # sampled runs never enter it
+    # a sampled run enters only at its readout-free key
     sweep_transition_matrix(dataclasses.replace(cfg, shots=64))
-    assert sweep._exact_transition_matrix.cache_info() == info
+    sampled = sweep._exact_transition_matrix.cache_info()
+    assert (sampled.hits, sampled.misses) == (info.hits, info.misses + 1)
+    sweep._exact_transition_matrix("vstar", cfg.p1, cfg.p2, 0.0, 0.0, False)
+    assert sweep._exact_transition_matrix.cache_info().hits == info.hits + 1
 
 
 @settings(max_examples=100, deadline=None)
@@ -428,13 +470,13 @@ def test_seed_streams_are_the_children_of_spawn(seed, mitigation):
     assert built == [seed] * (1 + mitigation)
 
 
-def test_channel_cache_stays_bounded_over_a_noise_scan():
-    # noise_scan's pattern: a fresh p2 for every run
-    sweep._outcome_channel.cache_clear()
-    for p2 in np.linspace(0.0, 0.1, 100).tolist():
-        sweep_transition_matrix(SweepConfig(v="vstar", p2=p2, shots=0))
-        assert sweep._outcome_channel.cache_info().currsize <= 8
-    info = sweep._outcome_channel.cache_info()
+def test_engine_cache_stays_bounded_over_a_noise_scan():
+    # noise_scan's pattern: a fresh p2 for every run, one entry each
+    sweep._exact_transition_matrix.cache_clear()
+    for n, p2 in enumerate(np.linspace(0.0, 0.1, 100).tolist(), start=1):
+        sweep_transition_matrix(SweepConfig(v="vstar", p2=p2, eps01=0.01, eps10=0.01, shots=0))
+        assert sweep._exact_transition_matrix.cache_info().currsize == min(n, 8)
+    info = sweep._exact_transition_matrix.cache_info()
     assert (info.misses, info.maxsize, info.currsize) == (100, 8, 8)
 
 

@@ -158,11 +158,13 @@ def test_noiseless_vstar_sweep_writes_the_same_bytes_with_either_engine(monkeypa
     assert isinstance(sweep.build_engine("vstar", cfg.noise()), np.ndarray)
     assert isinstance(sweep.build_engine("vstar", NoiseModel(p2=0.01)), Circuit)
     res = run_sweep(cfg)
-    # the engine is built only where the outcome channel's cache misses
-    sweep._outcome_channel.cache_clear()
-    monkeypatch.setattr(sweep, "build_engine", lambda v, nm: build_vstar_circuit())
+    # the engine is built only where the engine cache misses: once, at the run's one key
+    sweep._exact_transition_matrix.cache_clear()
+    built = []
+    monkeypatch.setattr(sweep, "build_engine", lambda v, nm: built.append(v) or build_vstar_circuit())
     via_circuit = run_sweep(cfg)
-    sweep._outcome_channel.cache_clear()  # drop the channel of the patched engine
+    sweep._exact_transition_matrix.cache_clear()  # drop the matrix of the patched engine
+    assert built == ["vstar"]
     assert write_csv(res) == write_csv(via_circuit)
     assert write_json(res) == write_json(via_circuit)
 
