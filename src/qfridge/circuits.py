@@ -153,6 +153,19 @@ class Circuit:
         return max(level, default=0)
 
 
+@dataclass(frozen=True)
+class CompileReport:
+    """Gate counts of a circuit, as ``qfridge compile`` prints them."""
+
+    total_gates: int
+    cnot_count: int
+    depth: int
+
+    @classmethod
+    def of(cls, circuit: Circuit) -> "CompileReport":
+        return cls(len(circuit.gates), circuit.cnot_count(), circuit.depth())
+
+
 #: the V blocks a run can choose
 V_CHOICES = ("identity", "vstar")
 #: 4x4 block that swaps the inner pair of its states and keeps the outer two

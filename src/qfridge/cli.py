@@ -13,6 +13,11 @@ Subcommands:
   itself.
 * ``selftest``: run the eleven release criteria of ``qfridge.oracles``.
 
+Each command has its own argparse parser, built once per process.  argv
+that starts with a command name goes straight to that command's parser; only
+argv that names no command (none, ``-h``, an unknown one) is read by the
+top-level parser.
+
 Exit codes: 0 success, 1 usage error, 2 runtime error (selftest failures
 included).
 """
@@ -24,8 +29,7 @@ import functools
 import json
 import sys
 
-from .circuits import emit_qasm
-from .compiler import CompileReport
+from .circuits import CompileReport, emit_qasm
 from .sweep import (
     CHOICES,
     SweepConfig,
@@ -57,6 +61,8 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="qfridge")
     sub = parser.add_subparsers(dest="command", required=True)
+    #: command name -> its own parser, which _parse_args calls directly
+    parser.commands = sub.choices
 
     p_sweep = sub.add_parser("sweep", help="run a grid sweep from a config file")
     p_sweep.add_argument("config", help="path to a key = value config file")
@@ -82,6 +88,8 @@ def _build_parser() -> _Parser:
     p_compile.add_argument("--qasm", help="write OpenQASM 2.0 to this path")
 
     sub.add_parser("selftest", help="run the eleven release criteria")
+    for name, command in parser.commands.items():
+        command.set_defaults(command=name)
     return parser
 
 
@@ -132,10 +140,19 @@ def _cmd_selftest() -> int:
     return 0
 
 
-def cli_main(argv: list[str] | None = None) -> int:
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """argv as the top-level parser reads it.  That parser hands every token
+    after a command name on to the command's own parser, so a known command
+    goes there directly; argv that names no command is read by the
+    top-level parser."""
     parser = _build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    return command.parse_args(argv[1:]) if command else parser.parse_args(argv)
+
+
+def cli_main(argv: list[str] | None = None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1

@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import cmath
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import qcore
 from .circuits import (
     Circuit,
+    CompileReport,
     CouplingMap,
     Gate,
     SX_MATRIX,
@@ -42,17 +42,6 @@ from .circuits import (
 )
 
 _ATOL = 1e-12
-
-
-@dataclass(frozen=True)
-class CompileReport:
-    total_gates: int
-    cnot_count: int
-    depth: int
-
-    @classmethod
-    def of(cls, circuit: Circuit) -> "CompileReport":
-        return cls(len(circuit.gates), circuit.cnot_count(), circuit.depth())
 
 
 # ---------------------------------------------------------------------------

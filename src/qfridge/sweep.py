@@ -303,10 +303,10 @@ def evaluate_grid(cfg: SweepConfig, tm, t_h_axis, t_c_axis) -> SweepResult:
     t_h_axis, t_c_axis = np.asarray(t_h_axis, float), np.asarray(t_c_axis, float)
     spec = cfg.device()
     probs = thermo.preparation_grid(cfg.scheme, spec, t_h_axis, t_c_axis)
-    t_hot, t_cold = np.repeat(t_h_axis, t_c_axis.size), np.tile(t_c_axis, t_h_axis.size)
     after = probs @ tm.p.T
     e_h, e_c = hot_energies(spec, cfg.hot_energy_mode), cold_energies(spec)
-    de_hot, de_cold = (after - probs) @ e_h, (after - probs) @ e_c
+    delta = after - probs
+    de_hot, de_cold = delta @ e_h, delta @ e_c
     # boundary tolerance: 3 standard errors of the sampled energy changes,
     # propagated through the mitigation (see TransitionMatrix.shot_variances)
     eps = BOUNDARY_EPS
@@ -315,15 +315,16 @@ def evaluate_grid(cfg: SweepConfig, tm, t_h_axis, t_c_axis) -> SweepResult:
         for e in (e_h, e_c, e_h + e_c):
             var = squares @ tm.shot_variances(e) / cfg.shots
             eps = np.maximum(eps, 3.0 * np.sqrt(np.maximum(var, 0.0)))
-    swap = thermo.roles_exchanged(t_hot, t_cold)
+    # one roles mask over the grid, row-major with T_H outer like the columns
+    swap = thermo.roles_exchanged(t_h_axis[:, None], t_c_axis).ravel()
     mode = thermo.mode_tags(np.where(swap, de_cold, de_hot), np.where(swap, de_hot, de_cold), eps)
     q = thermo.cold_excitation(after)
     kind, t_final = thermo.final_temperatures(q, spec.f1)
     p_g_final = 1.0 - q
-    purifier = np.zeros(t_hot.size, dtype=bool)
+    purifier = np.zeros(swap.size, dtype=bool)
     if cfg.scheme == "full8":
         g = thermo.ground_populations(probs)
-        purifier = (mode == "R") & thermo.purifies(g, p_g_final, t_hot, t_cold)
+        purifier = (mode == "R") & thermo.purifies(g, p_g_final, swap)
     return SweepResult(t_h_axis, t_c_axis, de_hot, de_cold, mode, t_final, kind, p_g_final, purifier)
 
 

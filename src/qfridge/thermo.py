@@ -311,7 +311,7 @@ def analytic_regions(spec: DeviceSpec, t_hot, t_cold,
     g = [0.5 + 0.5 * np.tanh(H_OVER_KB * f / t / 2)
          for f, t in ((spec.f0, t_hot), (spec.f1, t_cold), (spec.f2, t_hot))]
     final = g[1] - analytic_energy_changes(spec, t_hot, t_cold)[1] / spec.f1
-    return tags, (tags == "R") & purifies(g, final, t_hot, t_cold)
+    return tags, (tags == "R") & purifies(g, final, roles_exchanged(t_hot, t_cold))
 
 
 def cold_excitation(after: np.ndarray) -> np.ndarray:
@@ -339,15 +339,15 @@ def final_temperatures(q, f1: float) -> tuple[np.ndarray, np.ndarray]:
     return kind, np.where(kind == "finite", t, np.nan)
 
 
-def purifies(g, final_ground, t_hot, t_cold) -> np.ndarray:
+def purifies(g, final_ground, exchanged) -> np.ndarray:
     """Per point: does the cold qubit end at a ground population final_ground
     above every initial one, g = (g0, g1, g2) of a full thermal preparation?
 
     Defined only when every initial ground population is at least 1/2.
     Purification is a claim about the refrigeration regime, so preparations
-    with t_hot < t_cold never qualify.
+    whose roles are exchanged (roles_exchanged: t_hot < t_cold) never qualify.
     """
-    return (~roles_exchanged(t_hot, t_cold) & (np.min(g, axis=0) >= 0.5)
+    return (np.logical_not(exchanged) & (np.min(g, axis=0) >= 0.5)
             & (final_ground > np.max(g, axis=0)))
 
 

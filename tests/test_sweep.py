@@ -1,5 +1,7 @@
 """Config parsing, grid sweeps, file outputs, and the CLI."""
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import re
@@ -11,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qfridge import circuits, cli, noise, qcore, sweep, thermo
 from qfridge.circuits import LINE3, emit_qasm
@@ -820,14 +822,140 @@ def test_cli_reuses_one_parser(tmp_path, monkeypatch, capsys):
     point = ["point", "--th", "300", "--tc", "80", "--shots", "64", "--seed", "3",
              "--eps01", "0.02", "--mitigation", "on"]
     cli._build_parser.cache_clear()
+
+    def top_level_parse(argv=None, namespace=None):
+        raise AssertionError(f"the top-level parser read {argv}")
+
+    # a known command goes straight to its own parser
+    monkeypatch.setattr(cli._build_parser(), "parse_args", top_level_parse)
     assert cli_main(point) == 0
     first = capsys.readouterr().out
     assert cli_main(["point", "--th", "300"]) == 1
     assert cli_main(["sweep", "tiny.conf"]) == 0
+    assert cli_main(["compile", "--v", "vstar"]) == 0
     capsys.readouterr()
     assert cli_main(point) == 0
     assert capsys.readouterr().out == first
     assert cli._build_parser.cache_info().misses == 1
+
+
+def test_cli_reads_argv_without_a_command_at_the_top_level(monkeypatch, capsys):
+    parser = cli._build_parser()
+    read = []
+    parse_args = parser.parse_args
+    monkeypatch.setattr(parser, "parse_args", lambda argv: read.append(argv) or parse_args(argv))
+    assert cli_main([]) == 1
+    assert capsys.readouterr().err == "usage error: the following arguments are required: command\n"
+    assert cli_main(["bogus"]) == 1
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exit_:
+        cli_main(["-h"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out == parser.format_help()
+    assert read == [[], ["bogus"], ["-h"]]
+    monkeypatch.setattr(sys, "argv", ["qfridge", "--help"])
+    with pytest.raises(SystemExit):
+        cli_main()
+    assert read[-1] == ["--help"]
+
+
+#: single tokens that a command line may hold anywhere: each command's flags,
+#: whole or abbreviated, with and without "=", help, "--", negative numbers,
+#: command names and flags no command knows
+_TOKENS = st.sampled_from([
+    "--th", "--tc", "--f0", "--f1", "--f2", "--p1", "--p2", "--eps01", "--eps10", "--scheme",
+    "--v", "--shots", "--seed", "--mitigation", "--hot-energy-mode", "--qasm", "--th=5",
+    "--tc=-3", "--v=vstar", "--shots=0", "--t", "--f", "--e", "--eps", "--s", "--sh", "--hot",
+    "--m", "--q", "-h", "--help", "--h", "--", "-", "-5", "-1e3", "0", "5", "nan", "on", "vstar",
+    "bogus", "tiny.conf", "--bogus", "-x", "--th-x", "point", "sweep",
+])
+_FLOATS = ("0", "5", "300", "-5", "-1e3", "-0.5", "1e-320", "inf", "nan", "2.5e2", "x")
+_INTS = ("0", "5", "-5", "8192", "2.5")
+#: per command, its flags, whole or abbreviated, with values mostly of their kind
+_FLAG_VALUES = {
+    "point": {**dict.fromkeys(("--th", "--tc", "--f0", "--f2", "--p1", "--p2", "--eps01",
+                               "--eps10"), _FLOATS),
+              **dict.fromkeys(("--shots", "--seed", "--sh", "--see"), _INTS),
+              **dict.fromkeys(("--scheme", "--sc"), ("full8", "swap4", "x")),
+              **dict.fromkeys(("--v", "--hot-energy-mode", "--hot"), ("identity", "ideal")),
+              **dict.fromkeys(("--mitigation", "--mit"), ("on", "off", "true"))},
+    "compile": {"--v": ("identity", "vstar", "x"), "--qasm": ("out.qasm",), "--q": ("-",)},
+    "sweep": {},
+    "selftest": {},
+}
+_PAIRS = {command: [(flag, value) for flag, values in flags.items() for value in values]
+          for command, flags in _FLAG_VALUES.items()}
+#: the arguments each command needs
+_REQUIRED = {"sweep": ["tiny.conf"], "point": ["--th", "300", "--tc", "-80"],
+             "compile": ["--v", "vstar"], "selftest": []}
+
+
+@st.composite
+def _command_lines(draw):
+    """A command, often its required arguments, flag-value pairs of it (or
+    of any command) given as two tokens or as one with "=", and now and then
+    a few tokens anywhere."""
+    command = draw(st.sampled_from(sorted(_REQUIRED)))
+    tokens = list(_REQUIRED[command]) if draw(st.booleans()) else []
+    own = draw(st.booleans()) and _PAIRS[command]
+    pairs = st.sampled_from(own or [pair for pairs in _PAIRS.values() for pair in pairs])
+    for flag, value in draw(st.lists(pairs, max_size=4)):
+        tokens += draw(st.sampled_from([[flag, value], [f"{flag}={value}"]]))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(_TOKENS))
+    return [command, *tokens]
+
+
+def _parse_outcome(parse, argv):
+    """What parsing argv gives: the namespace, the usage error or the exit
+    code, with all that is printed on the way."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = ("namespace", sorted(vars(parse(argv)).items()))
+        except cli._UsageError as usage:
+            result = ("usage error", str(usage))
+        except SystemExit as exit_:
+            result = ("exit", exit_.code)
+    return repr(result), out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=1000, deadline=None)
+@given(argv=_command_lines())
+@example(argv=["point", "-h"])
+@example(argv=["point", "--th", "5", "--tc=6", "--help"])
+@example(argv=["compile", "--h"])
+@example(argv=["sweep", "-h", "tiny.conf"])
+@example(argv=["selftest", "--", "-h"])
+def test_cli_dispatch_parses_as_the_top_level_parser(argv):
+    assert sorted(cli._build_parser().commands) == sorted(_REQUIRED)
+    want = _parse_outcome(cli._build_parser().parse_args, argv)
+    assert _parse_outcome(cli._parse_args, argv) == want
+    assert want[0].startswith((f"('namespace', [('command', '{argv[0]}')", "('usage", "('exit"))
+
+
+def test_runs_do_not_import_the_compiler():
+    # the compiler loads on first access of qfridge.compile_generic, and the
+    # report moved beside Circuit resolves under every old name
+    script = textwrap.dedent("""
+        import contextlib, io, json, sys
+        import qfridge, qfridge.cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [qfridge.cli.cli_main(["point", "--th", "300", "--tc", "80", "--shots", "0"]),
+                     qfridge.cli.cli_main(["compile", "--v", "identity"])]
+        lazy = "qfridge.compiler" not in sys.modules
+        compile_generic = qfridge.compile_generic
+        compiler = sys.modules.get("qfridge.compiler")
+        print(json.dumps([codes, lazy, compile_generic is compiler.compile_generic,
+                          qfridge.CompileReport is compiler.CompileReport
+                          is qfridge.circuits.CompileReport, hasattr(qfridge, "no_such_name")]))
+    """)
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == [[0, 0], True, True, True, False]
 
 
 def test_cli_selftest(capsys):

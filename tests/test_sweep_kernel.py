@@ -33,6 +33,7 @@ instead of one generator per column seeded ``seed + i``.  To rewrite
     gzip -n -9 <name>.csv <name>.json && cp <name>.* $REPO/tests/data/
 """
 import contextlib
+import dataclasses
 import functools
 import gzip
 import io
@@ -67,6 +68,7 @@ from qfridge.thermo import (
     DeviceSpec,
     TransitionMatrix,
     cold_energies,
+    cold_excitation,
     final_temperatures,
     ground_populations,
     hot_energies,
@@ -293,6 +295,76 @@ def test_kernel_matches_the_reference_chain(
     if engine in ENGINES and cfg.shots == 0 and freqs is None:
         # no cooling together with work extraction on the default device
         assert not np.any((res.de_cold < 0) & (res.work < 0))
+
+
+def _frozen_evaluate_grid(cfg, tm, t_h_axis, t_c_axis):
+    """evaluate_grid as it stood while it spread the axes into T_H and T_C
+    columns, took the roles mask from them twice (once inside the purifier
+    rule, inlined here) and subtracted the preparation once per energy."""
+    t_h_axis, t_c_axis = np.asarray(t_h_axis, float), np.asarray(t_c_axis, float)
+    spec = cfg.device()
+    probs = preparation_grid(cfg.scheme, spec, t_h_axis, t_c_axis)
+    t_hot, t_cold = np.repeat(t_h_axis, t_c_axis.size), np.tile(t_c_axis, t_h_axis.size)
+    after = probs @ tm.p.T
+    e_h, e_c = hot_energies(spec, cfg.hot_energy_mode), cold_energies(spec)
+    de_hot, de_cold = (after - probs) @ e_h, (after - probs) @ e_c
+    eps = BOUNDARY_EPS
+    if cfg.shots > 0:
+        squares = probs ** 2
+        for e in (e_h, e_c, e_h + e_c):
+            var = squares @ tm.shot_variances(e) / cfg.shots
+            eps = np.maximum(eps, 3.0 * np.sqrt(np.maximum(var, 0.0)))
+    swap = np.less(t_hot, t_cold)
+    mode = mode_tags(np.where(swap, de_cold, de_hot), np.where(swap, de_hot, de_cold), eps)
+    q = cold_excitation(after)
+    kind, t_final = final_temperatures(q, spec.f1)
+    p_g_final = 1.0 - q
+    purifier = np.zeros(t_hot.size, dtype=bool)
+    if cfg.scheme == "full8":
+        g = ground_populations(probs)
+        purifier = (mode == "R") & (~np.less(t_hot, t_cold) & (np.min(g, axis=0) >= 0.5)
+                                    & (p_g_final > np.max(g, axis=0)))
+    return SweepResult(t_h_axis, t_c_axis, de_hot, de_cold, mode, t_final, kind, p_g_final, purifier)
+
+
+#: exact, sampled and mitigated runs, with and without readout error
+RUNS = {
+    "exact": dict(shots=0),
+    "exact_vstar_noisy": dict(v="vstar", p1=0.001, p2=0.01, shots=0),
+    "exact_readout": dict(shots=0, eps01=0.02, eps10=0.05),
+    "exact_mitigated": dict(shots=0, eps01=0.02, eps10=0.05, mitigation=True),
+    "sampled": dict(shots=8192, seed=5, eps01=0.02, eps10=0.03),
+    "sampled_mitigated": dict(shots=256, seed=9, eps01=0.03, eps10=0.05, mitigation=True),
+}
+
+
+@functools.cache
+def _run_tm(run):
+    return sweep_transition_matrix(SweepConfig(**RUNS[run]))
+
+
+#: a few values that both axes draw from, so that grids hold T_H == T_C points
+_SHARED = st.sampled_from([20.0, 80.0, 100.0, 150.0, 300.0, 1000.0])
+ragged_axes = st.lists(st.one_of(_SHARED, st.floats(1.0, 5000.0)), min_size=1, max_size=7)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    run=st.sampled_from(sorted(RUNS)),
+    scheme=st.sampled_from(SCHEMES),
+    hot_energy_mode=st.sampled_from(HOT_ENERGY_MODES),
+    t_h_axis=st.one_of(_SHARED.map(lambda t: [t]), ragged_axes),
+    t_c_axis=st.one_of(_SHARED.map(lambda t: [t]), ragged_axes),
+)
+def test_kernel_columns_equal_the_frozen_kernel_bit_for_bit(
+    run, scheme, hot_energy_mode, t_h_axis, t_c_axis
+):
+    cfg = SweepConfig(scheme=scheme, hot_energy_mode=hot_energy_mode, **RUNS[run])
+    got = evaluate_grid(cfg, _run_tm(run), t_h_axis, t_c_axis)
+    want = _frozen_evaluate_grid(cfg, _run_tm(run), t_h_axis, t_c_axis)
+    for field in dataclasses.fields(SweepResult):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), field.name
 
 
 @settings(max_examples=300, deadline=None)

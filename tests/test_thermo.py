@@ -485,7 +485,7 @@ def test_analytic_purifier_flag_matches_is_purifier():
         axis = np.linspace(20, 1000, n)
         res = _kernel(spec, tm, axis, axis)
         g = ground_populations(preparation_grid("full8", spec, axis, axis))
-        flags = purifies(g, res.p_g_final, res.t_hot, res.t_cold)
+        flags = purifies(g, res.p_g_final, roles_exchanged(res.t_hot, res.t_cold))
         tags, purifier = analytic_regions(spec, res.t_hot, res.t_cold)
         inside_r = tags == "R"
         assert np.array_equal(purifier[inside_r], flags[inside_r])
@@ -680,8 +680,9 @@ def test_is_purifier():
     assert _kernel(spec, _exact_tm(), [t], [t], "swap4").purifier.tolist() == [False]
     # a non-Gibbs start with every qubit excited: the rule is not defined there
     g = ground_populations(np.eye(8)[7])
-    assert not purifies(g, 1.0, 300.0, 200.0)
-    assert purifies(np.full(3, 0.8), 0.9, 300.0, 200.0)
+    assert not purifies(g, 1.0, roles_exchanged(300.0, 200.0))
+    assert purifies(np.full(3, 0.8), 0.9, roles_exchanged(300.0, 200.0))
+    assert not purifies(np.full(3, 0.8), 0.9, roles_exchanged(200.0, 300.0))
 
 
 def test_swap_engine_cop():
