@@ -6,9 +6,9 @@ grid with thermo's per-point array rules; only the energy ledger and the
 sampling boundary tolerance are computed here.  An exact run draws nothing,
 so its whole transition matrix depends on (v, p1, p2, eps01, eps10,
 mitigation) alone; it is the one engine cache, kept for the last 8 keys and
-shared read-only.  Its readout-free entry (eps01 = eps10 = 0, unmitigated)
-holds the engine's outcome channel bit for bit, so a sampled run reads out,
-samples and mitigates that channel afresh, building only the seed streams it
+shared read-only.  Each entry keeps the outcome channel it was measured from;
+a sampled run reads out, samples and mitigates afresh that of the readout-free
+entry (eps01 = eps10 = 0, unmitigated), building only the seed streams it
 draws from.  ``evaluate_grid`` is the one
 way to evaluate points: ``qfridge point`` and the oracles run it on a 1x1 or
 small grid.  The SweepResult holds the two axes and one array per other
@@ -202,11 +202,11 @@ def _exact_transition_matrix(v: str, p1: float, p2: float, eps01: float, eps10: 
                              mitigation: bool) -> thermo.TransitionMatrix:
     """The exact (shots = 0) measured matrix of the engine that runs V under
     these noise parameters, mitigated with the exact confusion matrix if asked;
-    p, raw and unmix are read-only."""
+    p, raw, unmix and channel are read-only."""
     nm = NoiseModel(p1, p2, eps01, eps10)
     conf = readout_matrix(nm) if mitigation else None
     tm = thermo.transition_matrix(build_engine(v, nm), nm, 0, None, mitigation=conf)
-    for a in (tm.p, tm.raw, tm.unmix):
+    for a in (tm.p, tm.raw, tm.unmix, tm.channel):
         a.flags.writeable = False
     return tm
 
@@ -215,24 +215,19 @@ def sweep_transition_matrix(cfg: SweepConfig):
     """The engine's transition matrix.  An exact run's whole matrix, mitigated
     with the exact confusion matrix if asked, depends on (v, p1, p2, eps01,
     eps10, mitigation) alone and is cached, read-only, for the last 8 keys.
-    A sampled run measures the readout-free outcome channel, the p.T of that
-    cache's entry at eps01 = eps10 = 0 unmitigated (the identity readout
-    leaves each bit), with thermo.measure_channel, and mitigates with a
-    confusion matrix calibrated at cfg.shots.  Child 0 of
-    SeedSequence(cfg.seed) samples the matrix and child 1 the calibration;
-    child i is built on its own as SeedSequence(cfg.seed, spawn_key=(i,)),
-    the stream of SeedSequence(cfg.seed).spawn(2)[i], and child 1 only when
-    mitigating."""
+    A sampled run measures the channel of the entry at eps01 = eps10 = 0
+    unmitigated with thermo.measure_channel, and mitigates with a confusion
+    matrix calibrated at cfg.shots.  Child 0 of SeedSequence(cfg.seed) samples
+    the matrix and child 1 the calibration; child i is built on its own as
+    SeedSequence(cfg.seed, spawn_key=(i,)), the stream of
+    SeedSequence(cfg.seed).spawn(2)[i], and child 1 only when mitigating."""
     if not cfg.shots:
         return _exact_transition_matrix(cfg.v, cfg.p1, cfg.p2, cfg.eps01, cfg.eps10,
                                         cfg.mitigation)
     nm = cfg.noise()
-    conf = None
-    if cfg.mitigation:
-        conf = calibrate(nm, cfg.shots, np.random.SeedSequence(cfg.seed, spawn_key=(1,)))
-    # C order, as outcome_channel returns it: BLAS may round by layout
-    channel = np.ascontiguousarray(_exact_transition_matrix(cfg.v, cfg.p1, cfg.p2, 0.0, 0.0,
-                                                            False).p.T)
+    conf = (calibrate(nm, cfg.shots, np.random.SeedSequence(cfg.seed, spawn_key=(1,)))
+            if cfg.mitigation else None)
+    channel = _exact_transition_matrix(cfg.v, cfg.p1, cfg.p2, 0.0, 0.0, False).channel
     tm_seed = np.random.SeedSequence(cfg.seed, spawn_key=(0,))
     return thermo.measure_channel(channel, nm, cfg.shots, tm_seed, mitigation=conf)
 

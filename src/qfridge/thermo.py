@@ -172,22 +172,27 @@ class TransitionMatrix:
 
     raw holds the read-out columns that p was estimated from, and unmix the
     linear map from them to p before clipping: the readout_inverse of the
-    confusion matrix when mitigated, else the identity (the defaults; the
-    default identity is one shared read-only array).
+    confusion matrix when mitigated, else one shared read-only identity (the
+    defaults).  channel is the outcome channel measure_channel read out,
+    shared, not copied; None for a matrix built by hand.  Each is 8x8 floats.
     """
 
     p: np.ndarray
     raw: np.ndarray | None = None
     unmix: np.ndarray | None = None
+    channel: np.ndarray | None = None
 
     def __post_init__(self):
         p = np.ascontiguousarray(self.p, dtype=float)  # BLAS may round by layout
-        if p.shape != (qcore.DIM, qcore.DIM):
-            raise ValueError("transition matrix must be 8x8")
+        for name, a in (("p", p), ("raw", p if self.raw is None else self.raw),
+                        ("unmix", _IDENTITY if self.unmix is None else self.unmix),
+                        ("channel", self.channel)):
+            if a is not None:
+                a = np.asarray(a, float)
+                if a.shape != (qcore.DIM, qcore.DIM):
+                    raise ValueError(f"transition matrix {name} must be 8x8")
+            object.__setattr__(self, name, a)
         qcore.check_probabilities(p.T)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "raw", p if self.raw is None else np.asarray(self.raw, float))
-        object.__setattr__(self, "unmix", _IDENTITY if self.unmix is None else self.unmix)
 
     def shot_variances(self, e: np.ndarray) -> np.ndarray:
         """Per column i, the variance of one shot's estimate of e @ p[:, i], by
@@ -235,7 +240,7 @@ def measure_channel(
     mitigation: np.ndarray | None = None,
 ) -> TransitionMatrix:
     """The transition matrix measured through a readout-free outcome channel
-    (outcome_channel's rows, one per basis input), which is only read.
+    (outcome_channel's rows, one per basis input): the matrix's channel, never written.
 
     The 8 rows are read out with nm's flip probabilities and mitigated
     together as one stack.  shots = 0 means exact probabilities; otherwise
@@ -248,9 +253,9 @@ def measure_channel(
     if shots:
         raw = qcore.sample_counts(raw, shots, seed) / shots
     if mitigation is None:
-        return TransitionMatrix(raw.T)
+        return TransitionMatrix(raw.T, channel=channel)
     unmix = readout_inverse(mitigation)
-    return TransitionMatrix(mitigate(raw, unmix).T, raw.T, unmix)
+    return TransitionMatrix(mitigate(raw, unmix).T, raw.T, unmix, channel)
 
 
 def roles_exchanged(t_hot, t_cold) -> np.ndarray:

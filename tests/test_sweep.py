@@ -338,6 +338,18 @@ def _frozen_sweep_transition_matrix(cfg):
     return TransitionMatrix(noise.mitigate(raw, unmix).T, raw.T, unmix)
 
 
+def _frozen_readout_free_channel(cfg):
+    """The Born probabilities that _frozen_sweep_transition_matrix reads out:
+    the engine's outcome channel, evolved as that body evolves it."""
+    nm = cfg.noise()
+    if nm.is_gate_noiseless():
+        u = circuits.build_target_unitary(cfg.v)
+        rhos = u @ thermo._BASIS_DENSITIES @ u.conj().T
+    else:
+        rhos = noise.evolve_noisy(sweep.engine_circuit(cfg.v), thermo._BASIS_DENSITIES, nm)
+    return qcore.born_probabilities(rhos)
+
+
 _GATE_NOISE = st.one_of(st.sampled_from([0.0, -0.0, 0.01]), st.floats(0.0, 0.3))
 
 
@@ -351,6 +363,7 @@ def test_cached_channel_gives_the_frozen_matrices_bit_for_bit(
     cfg = SweepConfig(v=v, p1=p1, p2=p2, eps01=eps01, eps10=eps10, shots=shots,
                       mitigation=mitigation, seed=seed)
     want = _frozen_sweep_transition_matrix(cfg)
+    channel = _frozen_readout_free_channel(cfg)
     # as earlier examples left the cache (0.0 and -0.0 share a key), cleared, then warm
     for clear in (False, True, False):
         if clear:
@@ -359,31 +372,38 @@ def test_cached_channel_gives_the_frozen_matrices_bit_for_bit(
         for name in ("p", "raw", "unmix"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        assert got.channel.shape == channel.shape
+        assert got.channel.tobytes() == channel.tobytes()
     # an exact run takes its whole matrix from the one cache, a sampled one its channel
     assert sweep._exact_transition_matrix.cache_info().hits
 
 
-@settings(max_examples=100, deadline=None)
-@given(v=st.sampled_from(CHOICES["v"]), p1=_GATE_NOISE, p2=_GATE_NOISE, gate_noise=st.booleans())
-def test_readout_free_entry_is_the_outcome_channel_bit_for_bit(v, p1, p2, gate_noise):
-    if not gate_noise:
-        p1 = p2 = 0.0
-    nm = noise.NoiseModel(p1, p2)
-    want = thermo.outcome_channel(sweep.build_engine(v, nm), nm)
+@pytest.mark.parametrize("v", CHOICES["v"])
+@pytest.mark.parametrize("p1, p2", [(0.0, 0.0), (0.001, 0.01)])
+def test_sampled_runs_measure_the_readout_free_entrys_own_channel(v, p1, p2, monkeypatch):
+    sweep._exact_transition_matrix.cache_clear()
     entry = sweep._exact_transition_matrix(v, p1, p2, 0.0, 0.0, False)
-    assert entry.p.T.tobytes() == want.tobytes()
-    # the channel a sampled run measures is that entry, in the C order of want
     measured, measure_channel = [], thermo.measure_channel
 
     def capturing(channel, *args, **kwargs):
         measured.append(channel)
         return measure_channel(channel, *args, **kwargs)
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(thermo, "measure_channel", capturing)
-        sweep_transition_matrix(SweepConfig(v=v, p1=p1, p2=p2, eps01=0.02, shots=64))
-    [channel] = measured
-    assert channel.flags.c_contiguous and channel.tobytes() == want.tobytes()
+    monkeypatch.setattr(thermo, "measure_channel", capturing)
+    cfg = SweepConfig(v=v, p1=p1, p2=p2, eps01=0.02, eps10=0.04, shots=64)
+    tms = [sweep_transition_matrix(dataclasses.replace(cfg, mitigation=m)) for m in (False, True)]
+    # mitigated or not, both runs measure the entry's one channel, and keep it
+    assert len(measured) == 2
+    assert all(channel is entry.channel for channel in measured)
+    assert all(tm.channel is entry.channel for tm in tms)
+    # every array of a cache entry is read-only, its channel too
+    for name in ("p", "raw", "unmix", "channel"):
+        a = getattr(entry, name)
+        assert not a.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 1.0
+    # a matrix built by hand was measured from no channel
+    assert TransitionMatrix(entry.p).channel is None
 
 
 def test_sampled_runs_enter_the_engine_cache_only_at_the_readout_free_key():

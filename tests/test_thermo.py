@@ -258,6 +258,16 @@ def test_transition_matrix_validation():
     # a unitary of the wrong dimension cannot act on the 8 basis states
     with pytest.raises(ValueError):
         transition_matrix(np.eye(4), NoiseModel(), 0, 0)
+    # every array is read as floats, a list too (shot_variances transposes unmix)
+    tm = TransitionMatrix(np.eye(8), np.eye(8), np.eye(8).tolist(), np.eye(8).tolist())
+    for name in ("p", "raw", "unmix", "channel"):
+        assert getattr(tm, name).dtype == float, name
+    assert np.array_equal(tm.shot_variances(np.arange(8.0)), np.zeros(8))
+    # and one that is not 8x8 is named
+    for name, a in (("p", np.eye(4)), ("raw", np.eye(4)), ("unmix", np.eye(4)),
+                    ("channel", np.ones(8)), ("unmix", [[1.0]])):
+        with pytest.raises(ValueError, match=f"transition matrix {name} must be 8x8"):
+            TransitionMatrix(**{"p": np.eye(8), name: a})
 
 
 def test_transition_matrix_rejects_non_finite_entries():
@@ -391,11 +401,12 @@ def test_transition_matrix_equals_its_frozen_body_bit_for_bit(engine, p, eps, sh
     for name in ("p", "raw", "unmix"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
-    # the channel is only read, so a read-only one measures the same
+    # the channel is kept, never written, so a read-only one measures the same
     channel = thermo.outcome_channel(engine, nm)
+    assert got.channel.tobytes() == channel.tobytes()
     channel.flags.writeable = False
     again = thermo.measure_channel(channel, nm, shots, seed, conf)
-    assert again.p.tobytes() == got.p.tobytes()
+    assert again.p.tobytes() == got.p.tobytes() and again.channel is channel
 
 
 def test_outcome_channel_ignores_readout():
