@@ -50,11 +50,12 @@ def check_density(rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError("density operator must be a square matrix")
-    if np.max(np.abs(rho - rho.conj().T)) > qcore.STATE_ATOL:
+    # each test in the form that NaN fails, as qcore.check_probabilities
+    if not np.max(np.abs(rho - rho.conj().T)) <= qcore.STATE_ATOL:
         raise ValueError("density operator is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > qcore.STATE_ATOL:
+    if not abs(np.trace(rho).real - 1.0) <= qcore.STATE_ATOL:
         raise ValueError("density operator trace is not 1")
-    if np.min(np.linalg.eigvalsh(rho)) < -qcore.NEG_CLIP:
+    if not np.min(np.linalg.eigvalsh(rho)) >= -qcore.NEG_CLIP:
         raise ValueError("density operator has a negative eigenvalue")
     return rho
 

@@ -69,7 +69,8 @@ def check_unitary(u: np.ndarray) -> np.ndarray:
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError("unitary must be a square matrix")
     d = u.shape[0]
-    if np.max(np.abs(u.conj().T @ u - np.eye(d))) > UNITARY_ATOL:
+    # a NaN or infinite entry fails before the product, where inf * 0 would warn
+    if not (np.isfinite(u).all() and np.max(np.abs(u.conj().T @ u - np.eye(d))) <= UNITARY_ATOL):
         raise ValueError("matrix is not unitary")
     return u
 
@@ -91,13 +92,13 @@ def born_probabilities(rho: np.ndarray) -> np.ndarray:
     of each operator in a stack (..., d, d), as (..., d).
 
     Diagonal entries within -NEG_CLIP of zero are clipped to zero and the
-    vector renormalized; anything more negative signals an upstream bug and
-    raises.
+    vector renormalized; anything more negative, or NaN, signals an upstream
+    bug and raises.
     """
     rho = np.asarray(rho, dtype=complex)
     diag = np.diagonal(rho, axis1=-2, axis2=-1).real
-    if np.min(diag) < -NEG_CLIP:
-        raise ValueError(f"diagonal entry {np.min(diag)} below -{NEG_CLIP}")
+    if not np.min(diag) >= -NEG_CLIP:  # NaN fails too
+        raise ValueError(f"diagonal entry {np.min(diag)} is NaN or below -{NEG_CLIP}")
     p = np.clip(diag, 0.0, None, order="C")  # in C order each row sums as a lone vector does
     return p / p.sum(axis=-1, keepdims=True)
 

@@ -3,25 +3,25 @@
 A sweep evaluates the engine once (the transition matrix does not depend on
 the preparation temperatures), then reweights it over the whole (T_H, T_C)
 grid with thermo's per-point array rules; only the energy ledger and the
-sampling boundary tolerance are computed here.  An exact run draws nothing,
-so its whole transition matrix depends on (v, p1, p2, eps01, eps10,
-mitigation) alone; it is the one engine cache, kept for the last 8 keys and
-shared read-only.  Each entry keeps the outcome channel it was measured from;
-a sampled run reads out, samples and mitigates afresh that of the readout-free
-entry (eps01 = eps10 = 0, unmitigated), building only the seed streams it
-draws from.  ``evaluate_grid`` is the one
-way to evaluate points: ``qfridge point`` and the oracles run it on a 1x1 or
-small grid.  The SweepResult holds the two axes and one array per other
-column.  Outputs are plain CSV / JSON / binary PPM so any external plotter
-can reproduce the phase diagrams.  The CSV and JSON files come from one
-pass over the columns in blocks of a fixed number of grid points: each
-block's columns are read once for every text being written, and T_H and
-T_C are formatted once per axis value, so ``write_outputs`` streams the two
-files together in memory that does not grow with the grid.  The record of
-``qfridge point`` is the JSON record text of its one-point block.  A CSV block is one ``%`` of a
-repeated row, numbers as ``%.9g``; a JSON block is one join of the record's
-literal pieces with the values' texts, the repr json writes for a float,
-with NaN and the infinities as quoted CSV text.
+sampling boundary tolerance are computed here.  Only the engine's evolution
+is costly, and it depends on (v, p1, p2) alone: the one engine cache keeps
+the engine's exact matrix read out without error for the last 8 such keys,
+shared read-only.  An exact run without readout error or mitigation is that
+entry; any other run reads out, samples and mitigates the entry's outcome
+channel at one call, building only the seed streams it draws from.
+``evaluate_grid`` is the one way to evaluate points: ``qfridge point`` and
+the oracles run it on a 1x1 or small grid.  The SweepResult holds the two
+axes and one array per other column.  Outputs are plain CSV / JSON / binary
+PPM so any external plotter can reproduce the phase diagrams.  The CSV and
+JSON files come from one pass over the columns in blocks of a fixed number
+of grid points: each block's columns are read once for every text being
+written, and T_H and T_C are formatted once per axis value, so
+``write_outputs`` streams the two files together in memory that does not
+grow with the grid.  The record of ``qfridge point`` is the JSON record text
+of its one-point block.  A CSV block is one ``%`` of a repeated row, numbers
+as ``%.9g``; a JSON block is one join of the record's literal pieces with
+the values' texts, the repr json writes for a float, with NaN and the
+infinities as quoted CSV text.
 """
 from __future__ import annotations
 
@@ -176,14 +176,6 @@ def parse_config(text: str) -> SweepConfig:
     return SweepConfig(**values)
 
 
-def build_engine(v: str, nm: NoiseModel):
-    """The engine that runs V under nm: the exact target unitary without gate
-    noise, else engine_circuit(v)."""
-    if nm.is_gate_noiseless():
-        return build_target_unitary(v)
-    return engine_circuit(v)
-
-
 @functools.cache
 def engine_circuit(v: str):
     """The circuit that runs V, built once per process: the 4-CNOT circuit
@@ -198,38 +190,38 @@ def engine_circuit(v: str):
 # the one engine cache, shared and so read-only; typed, so that a float32 p
 # never shares an entry with the float64 it equals
 @functools.lru_cache(maxsize=8, typed=True)
-def _exact_transition_matrix(v: str, p1: float, p2: float, eps01: float, eps10: float,
-                             mitigation: bool) -> thermo.TransitionMatrix:
-    """The exact (shots = 0) measured matrix of the engine that runs V under
-    these noise parameters, mitigated with the exact confusion matrix if asked;
-    p, raw, unmix and channel are read-only."""
-    nm = NoiseModel(p1, p2, eps01, eps10)
-    conf = readout_matrix(nm) if mitigation else None
-    tm = thermo.transition_matrix(build_engine(v, nm), nm, 0, None, mitigation=conf)
-    for a in (tm.p, tm.raw, tm.unmix, tm.channel):
+def _readout_free_matrix(v: str, p1: float, p2: float) -> thermo.TransitionMatrix:
+    """The exact matrix of the engine that runs V under gate noise (p1, p2),
+    read out without error: the exact target unitary without gate noise, else
+    engine_circuit(v).  p, which is also raw, and channel are read-only;
+    unmix is thermo's shared read-only identity."""
+    nm = NoiseModel(p1, p2)
+    tm = thermo.transition_matrix(
+        build_target_unitary(v) if nm.is_gate_noiseless() else engine_circuit(v), nm, 0, None)
+    for a in (tm.p, tm.channel):
         a.flags.writeable = False
     return tm
 
 
 def sweep_transition_matrix(cfg: SweepConfig):
-    """The engine's transition matrix.  An exact run's whole matrix, mitigated
-    with the exact confusion matrix if asked, depends on (v, p1, p2, eps01,
-    eps10, mitigation) alone and is cached, read-only, for the last 8 keys.
-    A sampled run measures the channel of the entry at eps01 = eps10 = 0
-    unmitigated with thermo.measure_channel, and mitigates with a confusion
-    matrix calibrated at cfg.shots.  Child 0 of SeedSequence(cfg.seed) samples
-    the matrix and child 1 the calibration; child i is built on its own as
+    """The engine's transition matrix: the cached readout-free matrix at (v,
+    p1, p2) itself for an exact run without readout error or mitigation, else
+    its channel measured with thermo.measure_channel.  Mitigation uses the
+    exact confusion matrix at shots = 0, else one calibrated at cfg.shots.
+    Child 0 of SeedSequence(cfg.seed) samples the matrix and child 1 the
+    calibration; child i is built only when drawn from, on its own as
     SeedSequence(cfg.seed, spawn_key=(i,)), the stream of
-    SeedSequence(cfg.seed).spawn(2)[i], and child 1 only when mitigating."""
-    if not cfg.shots:
-        return _exact_transition_matrix(cfg.v, cfg.p1, cfg.p2, cfg.eps01, cfg.eps10,
-                                        cfg.mitigation)
+    SeedSequence(cfg.seed).spawn(2)[i]."""
+    entry = _readout_free_matrix(cfg.v, cfg.p1, cfg.p2)
+    if not (cfg.shots or cfg.mitigation or cfg.eps01 or cfg.eps10):
+        return entry
     nm = cfg.noise()
-    conf = (calibrate(nm, cfg.shots, np.random.SeedSequence(cfg.seed, spawn_key=(1,)))
-            if cfg.mitigation else None)
-    channel = _exact_transition_matrix(cfg.v, cfg.p1, cfg.p2, 0.0, 0.0, False).channel
-    tm_seed = np.random.SeedSequence(cfg.seed, spawn_key=(0,))
-    return thermo.measure_channel(channel, nm, cfg.shots, tm_seed, mitigation=conf)
+    conf = None
+    if cfg.mitigation:
+        conf = (calibrate(nm, cfg.shots, np.random.SeedSequence(cfg.seed, spawn_key=(1,)))
+                if cfg.shots else readout_matrix(nm))
+    tm_seed = np.random.SeedSequence(cfg.seed, spawn_key=(0,)) if cfg.shots else None
+    return thermo.measure_channel(entry.channel, nm, cfg.shots, tm_seed, mitigation=conf)
 
 
 def grid_axes(cfg: SweepConfig) -> tuple[np.ndarray, np.ndarray]:

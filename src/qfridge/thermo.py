@@ -165,7 +165,7 @@ _BASIS_DENSITIES = _read_only(_BASIS[:, :, None] * _BASIS[:, None, :])
 _IDENTITY = _read_only(np.eye(qcore.DIM))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays have no one truth value: == is identity
 class TransitionMatrix:
     """Column-stochastic p[i'|i] over the 8 logical basis states: each
     column passes qcore.check_probabilities, as p.T, at STATE_ATOL.
@@ -228,7 +228,7 @@ def transition_matrix(
 ) -> TransitionMatrix:
     """Measure the engine's outcome statistics per prepared basis state:
     measure_channel of the engine's outcome_channel.  This is the one path
-    from an engine to a matrix; sweep caches its exact results."""
+    from an engine to a matrix; sweep caches its exact readout-free results."""
     return measure_channel(outcome_channel(engine, nm), nm, shots, seed, mitigation)
 
 

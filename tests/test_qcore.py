@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from qfridge import qcore
+from qfridge.compiler import compile_generic
 from qfridge.oracles import check_density, haar_unitary, random_density
 
 
@@ -78,6 +79,16 @@ def test_check_unitary():
         qcore.check_unitary(np.ones((4, 4)))
     with pytest.raises(ValueError):
         qcore.check_unitary(np.ones((2, 3)))
+    # a NaN or an infinity is no unitary entry, where the compiler checks its target too
+    for value in (np.nan, np.inf, -np.inf, complex(0, np.nan)):
+        u = np.eye(8, dtype=complex)
+        u[2, 5] = value
+        with pytest.raises(ValueError, match="not unitary"):
+            qcore.check_unitary(u)
+    u = np.eye(8)
+    u[0, 0] = np.nan
+    with pytest.raises(ValueError, match="not unitary"):
+        compile_generic(u)
 
 
 def test_check_density():
@@ -89,6 +100,12 @@ def test_check_density():
         check_density(np.eye(2))
     with pytest.raises(ValueError, match="negative"):
         check_density(np.diag([1.5, -0.5]))
+    # a NaN entry fails the first check it reaches, off the diagonal or on it
+    for index in ((0, 1), (1, 0), (0, 0)):
+        rho = np.diag([0.5, 0.5]).astype(complex)
+        rho[index] = np.nan
+        with pytest.raises(ValueError, match="Hermitian"):
+            check_density(rho)
 
 
 def test_check_probabilities():
@@ -120,6 +137,12 @@ def test_born_probabilities_clips_tiny_negatives():
 def test_born_probabilities_rejects_large_negatives():
     with pytest.raises(ValueError):
         qcore.born_probabilities(np.diag([1.0 + 1e-6, -1e-6]).astype(complex))
+    # a NaN diagonal entry has no probability to give, alone or in a stack
+    for diag in ([np.nan, 1.0], [[0.5, 0.5], [0.5, np.nan]]):
+        rho = np.zeros(np.shape(diag) + (2,), dtype=complex)
+        rho[..., [0, 1], [0, 1]] = diag
+        with pytest.raises(ValueError, match="NaN"):
+            qcore.born_probabilities(rho)
 
 
 def test_sample_counts_deterministic_and_conserving():

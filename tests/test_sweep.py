@@ -294,7 +294,7 @@ def test_point_bytes_do_not_depend_on_the_engine_caches(capsys):
               "--seed", "11", "--eps01", "0.03", "--eps10", "0.05", "--mitigation", "on"],
              ["point", "--th", "150", "--tc", "100", "--shots", "0", "--eps01", "0.02",
               "--eps10", "0.04", "--mitigation", "on"])
-    hit = (sweep._exact_transition_matrix, noise._confusion, thermo.cold_energies,
+    hit = (sweep._readout_free_matrix, noise._confusion, thermo.cold_energies,
            thermo.hot_energies)
     for cached in hit:
         cached.cache_clear()
@@ -367,22 +367,40 @@ def test_cached_channel_gives_the_frozen_matrices_bit_for_bit(
     # as earlier examples left the cache (0.0 and -0.0 share a key), cleared, then warm
     for clear in (False, True, False):
         if clear:
-            sweep._exact_transition_matrix.cache_clear()
+            sweep._readout_free_matrix.cache_clear()
         got = sweep_transition_matrix(cfg)
         for name in ("p", "raw", "unmix"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
         assert got.channel.shape == channel.shape
         assert got.channel.tobytes() == channel.tobytes()
-    # an exact run takes its whole matrix from the one cache, a sampled one its channel
-    assert sweep._exact_transition_matrix.cache_info().hits
+    # every run takes the entry at (v, p1, p2) from the one cache
+    assert sweep._readout_free_matrix.cache_info().hits
 
 
 @pytest.mark.parametrize("v", CHOICES["v"])
 @pytest.mark.parametrize("p1, p2", [(0.0, 0.0), (0.001, 0.01)])
-def test_sampled_runs_measure_the_readout_free_entrys_own_channel(v, p1, p2, monkeypatch):
-    sweep._exact_transition_matrix.cache_clear()
-    entry = sweep._exact_transition_matrix(v, p1, p2, 0.0, 0.0, False)
+def test_exact_runs_without_readout_error_return_the_cache_entry_itself(v, p1, p2, monkeypatch):
+    sweep._readout_free_matrix.cache_clear()
+    entry = sweep._readout_free_matrix(v, p1, p2)
+
+    def no_measuring(*args, **kwargs):
+        raise AssertionError("an exact run without readout error measured its channel")
+
+    monkeypatch.setattr(thermo, "measure_channel", no_measuring)
+    cfg = SweepConfig(v=v, p1=p1, p2=p2, shots=0)
+    # other seeds and grids share it: an exact run draws nothing
+    for seed, n_h in ((0, 64), (7, 3), (2 ** 40, 2)):
+        assert sweep_transition_matrix(dataclasses.replace(cfg, seed=seed, n_h=n_h)) is entry
+    info = sweep._readout_free_matrix.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (3, 1, 1)
+
+
+@pytest.mark.parametrize("v", CHOICES["v"])
+@pytest.mark.parametrize("p1, p2", [(0.0, 0.0), (0.001, 0.01)])
+def test_every_other_run_measures_the_entrys_channel_at_one_call(v, p1, p2, monkeypatch):
+    sweep._readout_free_matrix.cache_clear()
+    entry = sweep._readout_free_matrix(v, p1, p2)
     measured, measure_channel = [], thermo.measure_channel
 
     def capturing(channel, *args, **kwargs):
@@ -390,82 +408,57 @@ def test_sampled_runs_measure_the_readout_free_entrys_own_channel(v, p1, p2, mon
         return measure_channel(channel, *args, **kwargs)
 
     monkeypatch.setattr(thermo, "measure_channel", capturing)
-    cfg = SweepConfig(v=v, p1=p1, p2=p2, eps01=0.02, eps10=0.04, shots=64)
-    tms = [sweep_transition_matrix(dataclasses.replace(cfg, mitigation=m)) for m in (False, True)]
-    # mitigated or not, both runs measure the entry's one channel, and keep it
-    assert len(measured) == 2
-    assert all(channel is entry.channel for channel in measured)
-    assert all(tm.channel is entry.channel for tm in tms)
-    # every array of a cache entry is read-only, its channel too
-    for name in ("p", "raw", "unmix", "channel"):
-        a = getattr(entry, name)
-        assert not a.flags.writeable, name
-        with pytest.raises(ValueError, match="read-only"):
-            a[0, 0] = 1.0
-    # a matrix built by hand was measured from no channel
-    assert TransitionMatrix(entry.p).channel is None
-
-
-def test_sampled_runs_enter_the_engine_cache_only_at_the_readout_free_key():
-    sweep._exact_transition_matrix.cache_clear()
-    cfg = SweepConfig(v="vstar", p1=0.001, p2=0.01, shots=64)
-    for eps01, eps10, mitigation, seed in ((0.0, 0.0, False, 0), (0.02, 0.04, False, 1),
-                                           (0.02, 0.04, True, 2), (0.1, 0.0, True, 3)):
-        sweep_transition_matrix(dataclasses.replace(cfg, eps01=eps01, eps10=eps10,
-                                                    mitigation=mitigation, seed=seed))
-    info = sweep._exact_transition_matrix.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (3, 1, 1)
-    sweep._exact_transition_matrix("vstar", cfg.p1, cfg.p2, 0.0, 0.0, False)
-    assert sweep._exact_transition_matrix.cache_info().hits == 4
-
-
-def test_exact_and_sampled_runs_build_the_engine_once(monkeypatch):
-    sweep._exact_transition_matrix.cache_clear()
-    built, build_engine = [], sweep.build_engine
-
-    def counting(v, nm):
-        built.append(v)
-        return build_engine(v, nm)
-
-    monkeypatch.setattr(sweep, "build_engine", counting)
-    cfg = SweepConfig(v="vstar", p1=0.001, p2=0.01, shots=0)
-    sweep_transition_matrix(cfg)
-    sweep_transition_matrix(dataclasses.replace(cfg, shots=8192, seed=3))
-    assert built == ["vstar"]
-
-
-def test_exact_matrix_cache_is_shared_read_only_bounded_and_typed():
-    sweep._exact_transition_matrix.cache_clear()
-    cfg = SweepConfig(v="vstar", p1=0.001, p2=0.01, eps01=0.02, eps10=0.04, shots=0)
-    for mitigation in (False, True):
-        cfg = dataclasses.replace(cfg, mitigation=mitigation)
-        tm = sweep_transition_matrix(cfg)
-        # other seeds and grids share it: an exact run draws nothing
-        assert sweep_transition_matrix(dataclasses.replace(cfg, seed=7, n_h=3)) is tm
-        want = thermo.transition_matrix(sweep.engine_circuit("vstar"), cfg.noise(), 0, None,
-                                         noise.readout_matrix(cfg.noise()) if mitigation else None)
+    cfg = SweepConfig(v=v, p1=p1, p2=p2)
+    runs = [dict(shots=0, eps01=0.02, eps10=0.04), dict(shots=0, mitigation=True),
+            dict(shots=0, eps01=0.02, mitigation=True), dict(shots=64, seed=3),
+            dict(shots=64, eps10=0.04, mitigation=True, seed=3)]
+    for run in runs:
+        run_cfg = dataclasses.replace(cfg, **run)
+        tm, again = sweep_transition_matrix(run_cfg), sweep_transition_matrix(run_cfg)
+        # a fresh matrix each time, keeping the entry's channel: no measured matrix is cached
+        assert tm is not entry and again is not tm and tm.channel is entry.channel
         for name in ("p", "raw", "unmix"):
-            a = getattr(tm, name)
-            assert np.array_equal(a, getattr(want, name)), name
+            assert getattr(again, name).tobytes() == getattr(tm, name).tobytes(), name
+    # each run measured the entry's own channel at one call
+    assert len(measured) == 2 * len(runs) and all(c is entry.channel for c in measured)
+    # and entered the cache only at its (v, p1, p2)
+    info = sweep._readout_free_matrix.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (2 * len(runs), 1, 1)
+
+
+def test_engine_cache_entry_is_read_only_typed_and_built_once(monkeypatch):
+    sweep._readout_free_matrix.cache_clear()
+    built, build_target_unitary, engine_circuit = [], sweep.build_target_unitary, sweep.engine_circuit
+
+    def counting(build):
+        return lambda v: built.append((build.__name__, v)) or build(v)
+
+    monkeypatch.setattr(sweep, "build_target_unitary", counting(build_target_unitary))
+    monkeypatch.setattr(sweep, "engine_circuit", counting(engine_circuit))
+    for p2 in (0.0, 0.01):
+        cfg = SweepConfig(v="vstar", p1=0.001 if p2 else 0.0, p2=p2, shots=0)
+        for run in (dict(), dict(eps01=0.02, mitigation=True), dict(shots=8192, seed=3),
+                    dict(shots=64, eps10=0.04, mitigation=True)):
+            sweep_transition_matrix(dataclasses.replace(cfg, **run))
+        # the engine is built once per key, the unitary without gate noise
+        assert built[-1] == ("build_target_unitary" if p2 == 0.0 else "engine_circuit", "vstar")
+        entry = sweep._readout_free_matrix("vstar", cfg.p1, p2)
+        # read out without error: raw is p, unmix the shared identity, and all read-only
+        assert entry.raw is entry.p and entry.unmix is thermo._IDENTITY
+        for name in ("p", "raw", "unmix", "channel"):
+            a = getattr(entry, name)
             assert not a.flags.writeable, name
             with pytest.raises(ValueError, match="read-only"):
                 a[0, 0] = 1.0
-    info = sweep._exact_transition_matrix.cache_info()
-    assert (info.hits, info.misses) == (2, 2)
+    assert len(built) == 2
     # typed: a float32 p2 gets its own entry beside the float64 it equals
-    sweep_transition_matrix(dataclasses.replace(cfg, p2=np.float32(0.5)))
-    sweep_transition_matrix(dataclasses.replace(cfg, p2=0.5))
-    assert sweep._exact_transition_matrix.cache_info().misses == 4
-    for p2 in np.linspace(0.0, 0.1, 20).tolist():
-        sweep_transition_matrix(dataclasses.replace(cfg, p2=p2))
-    info = sweep._exact_transition_matrix.cache_info()
-    assert (info.maxsize, info.currsize) == (8, 8)
-    # a sampled run enters only at its readout-free key
-    sweep_transition_matrix(dataclasses.replace(cfg, shots=64))
-    sampled = sweep._exact_transition_matrix.cache_info()
-    assert (sampled.hits, sampled.misses) == (info.hits, info.misses + 1)
-    sweep._exact_transition_matrix("vstar", cfg.p1, cfg.p2, 0.0, 0.0, False)
-    assert sweep._exact_transition_matrix.cache_info().hits == info.hits + 1
+    info = sweep._readout_free_matrix.cache_info()
+    sweep_transition_matrix(SweepConfig(v="vstar", p2=np.float32(0.5), shots=0))
+    sweep_transition_matrix(SweepConfig(v="vstar", p2=0.5, shots=0))
+    assert sweep._readout_free_matrix.cache_info().misses == info.misses + 2
+    assert len(built) == 4
+    # a matrix built by hand was measured from no channel
+    assert TransitionMatrix(entry.p).channel is None
 
 
 @settings(max_examples=100, deadline=None)
@@ -494,11 +487,11 @@ def test_seed_streams_are_the_children_of_spawn(seed, mitigation):
 
 def test_engine_cache_stays_bounded_over_a_noise_scan():
     # noise_scan's pattern: a fresh p2 for every run, one entry each
-    sweep._exact_transition_matrix.cache_clear()
+    sweep._readout_free_matrix.cache_clear()
     for n, p2 in enumerate(np.linspace(0.0, 0.1, 100).tolist(), start=1):
         sweep_transition_matrix(SweepConfig(v="vstar", p2=p2, eps01=0.01, eps10=0.01, shots=0))
-        assert sweep._exact_transition_matrix.cache_info().currsize == min(n, 8)
-    info = sweep._exact_transition_matrix.cache_info()
+        assert sweep._readout_free_matrix.cache_info().currsize == min(n, 8)
+    info = sweep._readout_free_matrix.cache_info()
     assert (info.misses, info.maxsize, info.currsize) == (100, 8, 8)
 
 

@@ -270,6 +270,13 @@ def test_transition_matrix_validation():
             TransitionMatrix(**{"p": np.eye(8), name: a})
 
 
+def test_transition_matrices_compare_by_identity_and_hash():
+    # the arrays have no one truth value, so == is identity and hashing works
+    a, b = TransitionMatrix(np.eye(8)), TransitionMatrix(np.eye(8))
+    assert a == a and a != b and not a == b
+    assert hash(a) == hash(a) and len({a, b, a}) == 2
+
+
 def test_transition_matrix_rejects_non_finite_entries():
     one_nan = np.eye(8)
     one_nan[3, 5] = np.nan

@@ -155,15 +155,15 @@ def test_noiseless_vstar_circuit_and_unitary_agree_bit_for_bit(shots, seed, eps,
 def test_noiseless_vstar_sweep_writes_the_same_bytes_with_either_engine(monkeypatch, scheme, run):
     # swap4 prepares no state that V acts on; full8 reaches the V block too
     cfg = SweepConfig(scheme=scheme, v="vstar", n_h=8, n_c=8, **run)
-    assert isinstance(sweep.build_engine("vstar", cfg.noise()), np.ndarray)
-    assert isinstance(sweep.build_engine("vstar", NoiseModel(p2=0.01)), Circuit)
     res = run_sweep(cfg)
-    # the engine is built only where the engine cache misses: once, at the run's one key
-    sweep._exact_transition_matrix.cache_clear()
+    # without gate noise the engine is the target unitary, built only where the
+    # engine cache misses: once, at the run's one key
+    sweep._readout_free_matrix.cache_clear()
     built = []
-    monkeypatch.setattr(sweep, "build_engine", lambda v, nm: built.append(v) or build_vstar_circuit())
+    monkeypatch.setattr(sweep, "build_target_unitary",
+                        lambda v: built.append(v) or build_vstar_circuit())
     via_circuit = run_sweep(cfg)
-    sweep._exact_transition_matrix.cache_clear()  # drop the matrix of the patched engine
+    sweep._readout_free_matrix.cache_clear()  # drop the matrix of the patched engine
     assert built == ["vstar"]
     assert write_csv(res) == write_csv(via_circuit)
     assert write_json(res) == write_json(via_circuit)
