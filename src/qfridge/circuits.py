@@ -21,19 +21,19 @@ from . import qcore
 
 GATE_NAMES = ("rz", "x", "sx", "cx")
 
-X_MATRIX = np.array([[0, 1], [1, 0]], dtype=complex)
+X_MATRIX = qcore.read_only(np.array([[0, 1], [1, 0]], dtype=complex))
 # fixed convention for sqrt(X)
-SX_MATRIX = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])
+SX_MATRIX = qcore.read_only(0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]]))
 # control most significant: the identity with its last two rows swapped
-CX_MATRIX = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
+CX_MATRIX = qcore.read_only(np.eye(4, dtype=complex)[[0, 1, 3, 2]])
 
 
 FIXED_MATRICES = {"x": X_MATRIX, "sx": SX_MATRIX, "cx": CX_MATRIX}
-_EYE2 = np.eye(2, dtype=bool)
+_EYE2 = qcore.read_only(np.eye(2, dtype=bool))
 # theta's factors in the two exponents, and the zeros that the products
 # -0.5j * theta and 0.5j * theta add to them (the second turns -0.0 into +0.0)
-_HALF = np.array([-0.5, 0.5])
-_ADDED_ZERO = np.array([-0.0, 0.0])
+_HALF = qcore.read_only(np.array([-0.5, 0.5]))
+_ADDED_ZERO = qcore.read_only(np.array([-0.0, 0.0]))
 
 
 def rz_matrix(theta: float | np.ndarray) -> np.ndarray:
@@ -120,8 +120,8 @@ LINE3 = CouplingMap.line(3)
 
 @dataclass(frozen=True)
 class Circuit:
-    """Gates in application order, on wires in physical order; checked when
-    built: each gate stays in the register, each cx on the coupling map."""
+    """Gates in application order, on wires in physical order; checked when built: the
+    register is an int >= 1, not a bool, each gate stays in it, each cx on the coupling map."""
 
     n_wires: int
     gates: tuple[Gate, ...] = ()
@@ -129,6 +129,9 @@ class Circuit:
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
+        n = self.n_wires
+        if not (isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1):
+            raise ValueError(f"register size {n!r} is not an int >= 1")
         # only cx has two wires, so the checks depend on the wires alone; each
         # distinct tuple is checked once, in the order of its first gate
         for wires in dict.fromkeys(g.wires for g in self.gates):
@@ -169,7 +172,7 @@ class CompileReport:
 #: the V blocks a run can choose
 V_CHOICES = ("identity", "vstar")
 #: 4x4 block that swaps the inner pair of its states and keeps the outer two
-SWAP_BLOCK = np.eye(4, dtype=complex)[:, [0, 2, 1, 3]]
+SWAP_BLOCK = qcore.read_only(np.eye(4, dtype=complex)[:, [0, 2, 1, 3]])
 # logical indices of the two invariant subspaces of the cooling gate
 W_SUBSPACE = [qcore.basis_index(i, i, k) for i in (0, 1) for k in (0, 1)]
 V_SUBSPACE = [qcore.basis_index(i, 1 - i, k) for i in (0, 1) for k in (0, 1)]
@@ -199,8 +202,8 @@ def _embed_tables(wires: tuple[int, ...], n_wires: int):
     for w in wires:
         local = 2 * local + ((s >> (n_wires - 1 - w)) & 1)
     others = s & ~sum(1 << (n_wires - 1 - w) for w in wires)
-    flat = local[:, None] * 2 ** len(wires) + local[None, :]
-    return flat, (others[:, None] == others[None, :]).astype(complex)
+    flat = qcore.read_only(local[:, None] * 2 ** len(wires) + local[None, :])
+    return flat, qcore.read_only((others[:, None] == others[None, :]).astype(complex))
 
 
 def embed_gate(matrix: np.ndarray, wires, n_wires: int) -> np.ndarray:

@@ -156,9 +156,7 @@ def _demultiplex(a1: np.ndarray, a2: np.ndarray):
 def _walsh_gray(m: int) -> np.ndarray:
     """The 2^m x 2^m Walsh-Hadamard matrix, rows in Gray-code order; read-only."""
     walsh = functools.reduce(np.kron, [[[1.0, 1.0], [1.0, -1.0]]] * m, np.ones((1, 1)))
-    table = walsh[[k ^ (k >> 1) for k in range(2 ** m)]]
-    table.flags.writeable = False
-    return table
+    return qcore.read_only(walsh[[k ^ (k >> 1) for k in range(2 ** m)]])
 
 
 def _ucr_ops(

@@ -46,20 +46,21 @@ class NoiseModel:
 def _pauli_basis(n: int):
     """Pauli strings P_s on n wires (the base-4 digits of s, wire 0 first, pick I, X, Y, Z):
     the matrices taking vec(rho) to c_s = Tr(P_s rho) and c back to vec(rho), and
-    mask[w, s] = 1 where P_s acts on wire w."""
+    mask[w, s] = 1 where P_s acts on wire w; all shared, so read-only."""
     sigma = np.array([np.eye(2), X_MATRIX, [[0, -1j], [1j, 0]], np.diag([1, -1])], dtype=complex)
     p = np.ones((1, 1, 1), dtype=complex)
     for _ in range(n):
         p = np.einsum("sij,tkl->stikjl", p, sigma).reshape(4 * len(p), 2 * p.shape[1], -1)
     mask = (np.arange(4 ** n) // 4 ** np.arange(n - 1, -1, -1)[:, None] % 4 != 0).astype(int)
-    return p.transpose(0, 2, 1).reshape(4 ** n, -1), p.reshape(4 ** n, -1).T / 2 ** n, mask
+    return tuple(map(qcore.read_only, (p.transpose(0, 2, 1).reshape(4 ** n, -1),
+                                       p.reshape(4 ** n, -1).T / 2 ** n, mask)))
 
 
 @functools.lru_cache(maxsize=8)
 def _plan(c: Circuit):
     """The circuit as steps in the Pauli basis: per step, a real transfer
     matrix R and the exponents E1, E2 of (1 - p1), (1 - p2) that scale each
-    Pauli component before R.
+    Pauli component before R; shared, so all three are read-only.
 
     Each cx closes a step, the product of the one-wire gates since the
     previous cx and the cx; the last step holds the gates after the last cx.
@@ -86,7 +87,7 @@ def _plan(c: Circuit):
         ptm[i], e1[i], e2[i] = transfer(u), counts @ mask, mask[list(g.wires)].max(axis=0)
         counts[:], i, u = 0, i + 1, np.eye(2 ** n, dtype=complex)
     ptm[i], e1[i] = transfer(u), counts @ mask
-    return ptm, e1, e2
+    return qcore.read_only(ptm), qcore.read_only(e1), qcore.read_only(e2)
 
 
 def evolve_noisy(c: Circuit, rho: np.ndarray, nm: NoiseModel) -> np.ndarray:
@@ -124,9 +125,7 @@ def readout_matrix(nm: NoiseModel) -> np.ndarray:
 @functools.lru_cache(maxsize=8)
 def _confusion(eps01: float, eps10: float) -> np.ndarray:
     f = np.array([[1 - eps01, eps10], [eps01, 1 - eps10]])
-    m = np.einsum("ab,cd,ef->acebdf", f, f, f).reshape(qcore.DIM, qcore.DIM)
-    m.flags.writeable = False
-    return m
+    return qcore.read_only(np.einsum("ab,cd,ef->acebdf", f, f, f).reshape(qcore.DIM, qcore.DIM))
 
 
 def apply_readout_error(p: np.ndarray, nm: NoiseModel) -> np.ndarray:

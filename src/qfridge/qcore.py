@@ -28,6 +28,12 @@ STATE_ATOL = 1e-12
 NEG_CLIP = 1e-10
 
 
+def read_only(a: np.ndarray) -> np.ndarray:
+    """a, locked: the one rule for arrays a module keeps or caches; a write raises ValueError."""
+    a.flags.writeable = False
+    return a
+
+
 def basis_index(i: int, j: int, k: int) -> int:
     """Index of |ij,k> in logical order."""
     return 4 * i + 2 * j + k
@@ -44,9 +50,7 @@ def physical_index(i: int, j: int, k: int) -> int:
 
 
 #: phys_of_logical[m] is the physical index of logical basis state m.
-phys_of_logical = np.array(
-    [physical_index(*basis_label(m)) for m in range(DIM)], dtype=int
-)
+phys_of_logical = read_only(np.array([physical_index(*basis_label(m)) for m in range(DIM)]))
 
 
 def to_physical(a: np.ndarray) -> np.ndarray:

@@ -37,7 +37,7 @@ import numpy as np
 
 from .circuits import V_CHOICES, build_identity_circuit, build_target_unitary, build_vstar_circuit
 from .noise import NoiseModel, calibrate, readout_matrix
-from . import thermo
+from . import qcore, thermo
 from .thermo import BOUNDARY_EPS, DeviceSpec, cold_energies, hot_energies
 
 
@@ -199,7 +199,7 @@ def _readout_free_matrix(v: str, p1: float, p2: float) -> thermo.TransitionMatri
     tm = thermo.transition_matrix(
         build_target_unitary(v) if nm.is_gate_noiseless() else engine_circuit(v), nm, 0, None)
     for a in (tm.p, tm.channel):
-        a.flags.writeable = False
+        qcore.read_only(a)
     return tm
 
 
@@ -231,7 +231,7 @@ def grid_axes(cfg: SweepConfig) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays have no one truth value: == is identity
 class SweepResult:
     """Sweep outputs as columns over the grid of the two axes, row-major, T_H
     outer; t_hot and t_cold spread the axes over it.  t_cold_final_kind is
@@ -329,8 +329,8 @@ _NON_FINITE_TEXT = {"infinite": "inf", "inverted": "inverted"}
 _CSV_ROW = "%s,%s,%.9g,%.9g,%.9g,%s,%s,%.9g,%s\n"
 #: one point's object as json.dumps(record, indent=2) writes it
 _RECORD = "{\n" + ",\n".join(f'  "{key}": %s' for key in RECORD_KEYS) + "\n}"
-#: the text of False and True, as an index table
-_BOOL_TEXTS = np.array(["false", "true"], dtype=object)
+#: the text of False and True, as a shared index table
+_BOOL_TEXTS = qcore.read_only(np.array(["false", "true"], dtype=object))
 
 
 class _JsonStrings(dict):

@@ -86,19 +86,14 @@ def _gibbs_weights(energies: np.ndarray, u_per_unit: float) -> np.ndarray:
 
 
 #: logical bits (i, j, k) of the 8 basis states, one row per bit
-_BITS_I, _BITS_J, _BITS_K = np.array([qcore.basis_label(m) for m in range(qcore.DIM)]).T
+_BITS_I, _BITS_J, _BITS_K = qcore.read_only(
+    np.array([qcore.basis_label(m) for m in range(qcore.DIM)])).T
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
-# the energy vectors are cached for the last few devices and shared, so read-only
 @functools.lru_cache(maxsize=8)
 def cold_energies(spec: DeviceSpec) -> np.ndarray:
     """E^C over the 8 logical states: -f1/2 for k=0, +f1/2 for k=1."""
-    return _read_only((_BITS_K - 0.5) * spec.f1)
+    return qcore.read_only((_BITS_K - 0.5) * spec.f1)
 
 
 @functools.lru_cache(maxsize=8)
@@ -112,11 +107,11 @@ def hot_energies(spec: DeviceSpec, mode: str) -> np.ndarray:
     if mode not in HOT_ENERGY_MODES:
         raise ValueError(f"unknown hot energy mode {mode!r}")
     off = (_BITS_I - _BITS_J) / 2 * spec.detuning if mode == "detuned" else 0.0
-    return _read_only(np.where(_BITS_I == _BITS_J, (_BITS_I - 0.5) * spec.omega_sum, off))
+    return qcore.read_only(np.where(_BITS_I == _BITS_J, (_BITS_I - 0.5) * spec.omega_sum, off))
 
 
-#: the two levels of a qubit in units of its quantum, as a read-only pair
-_LEVELS = _read_only(np.array([-0.5, 0.5]))
+#: the two levels of a qubit in units of its quantum
+_LEVELS = qcore.read_only(np.array([-0.5, 0.5]))
 
 
 # below about 1e-306 mK, h f / (k_B T) overflows and the rows it reaches come
@@ -158,11 +153,11 @@ def preparation_grid(scheme: str, spec: DeviceSpec, t_h_axis, t_c_axis) -> np.nd
     return probs
 
 
-_BASIS = np.eye(qcore.DIM, dtype=complex)
-#: |m><m| for each of the 8 logical basis states m, stacked; read-only
-_BASIS_DENSITIES = _read_only(_BASIS[:, :, None] * _BASIS[:, None, :])
-#: the default unmix of a TransitionMatrix; read-only
-_IDENTITY = _read_only(np.eye(qcore.DIM))
+_BASIS = qcore.read_only(np.eye(qcore.DIM, dtype=complex))
+#: |m><m| for each of the 8 logical basis states m, stacked
+_BASIS_DENSITIES = qcore.read_only(_BASIS[:, :, None] * _BASIS[:, None, :])
+#: the default unmix of a TransitionMatrix
+_IDENTITY = qcore.read_only(np.eye(qcore.DIM))
 
 
 @dataclass(frozen=True, eq=False)  # arrays have no one truth value: == is identity
@@ -275,7 +270,7 @@ def analytic_energy_changes(spec: DeviceSpec, t_hot, t_cold) -> tuple[np.ndarray
 #: mode tag per 4-bit code (near zero, dE_C < 0, W < 0, dE_H < 0), highest
 #: bit first: the first of them that holds decides the tag.  Indexing a
 #: table with `[code, ...]` keeps a 0-d code a 0-d array.
-_MODE_TAGS = np.array(["H", "A", "E", "E", "R", "R", "R", "R"] + ["Boundary"] * 8)
+_MODE_TAGS = qcore.read_only(np.array(["H", "A", "E", "E", "R", "R", "R", "R"] + ["Boundary"] * 8))
 
 
 def mode_tags(de_hot, de_cold, eps=BOUNDARY_EPS) -> np.ndarray:
@@ -325,7 +320,7 @@ def cold_excitation(after: np.ndarray) -> np.ndarray:
 
 
 #: final-temperature kind per 2-bit code (within 1e-12 of 1/2, above 1/2)
-_FINAL_KINDS = np.array(["finite", "inverted", "infinite", "infinite"])
+_FINAL_KINDS = qcore.read_only(np.array(["finite", "inverted", "infinite", "infinite"]))
 
 
 def final_temperatures(q, f1: float) -> tuple[np.ndarray, np.ndarray]:

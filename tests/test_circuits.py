@@ -93,6 +93,13 @@ def test_circuit_validation_and_counters():
         Circuit(3, [cx(0, 2)], LINE3)
     with pytest.raises(ValueError, match="wire"):
         Circuit(2, [x(2)])
+    # the register is an int of at least one wire: numpy integers count, a bool does not
+    for n_wires in (-1, 0, 2.5, True, np.True_, np.float64(3.0), "3", None):
+        with pytest.raises(ValueError, match="register size"):
+            Circuit(n_wires, [])
+    c = Circuit(np.int64(2), [cx(0, 1)])
+    assert "qreg q[2];" in emit_qasm(c)
+    assert np.array_equal(unitary_of_circuit(c), Gate("cx", (0, 1)).matrix())
 
 
 def _frozen_validate(n_wires, gates, coupling):

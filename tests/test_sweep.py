@@ -495,6 +495,60 @@ def test_engine_cache_stays_bounded_over_a_noise_scan():
     assert (info.misses, info.maxsize, info.currsize) == (100, 8, 8)
 
 
+def _shared_arrays(value):
+    """The arrays a cache returns: itself, the items of a tuple, or a matrix's four."""
+    if isinstance(value, TransitionMatrix):
+        return value.p, value.raw, value.unmix, value.channel
+    return value if isinstance(value, tuple) else (value,)
+
+
+def test_every_array_a_module_keeps_is_read_only():
+    from qfridge import compiler
+
+    arrays = {f"{m.__name__.rpartition('.')[2]}.{name}": a
+              for m in (qcore, circuits, noise, compiler, thermo, sweep)
+              for name, a in vars(m).items() if isinstance(a, np.ndarray)}
+    arrays.update((f"FIXED_MATRICES[{k!r}]", a) for k, a in circuits.FIXED_MATRICES.items())
+    assert {"qcore.phys_of_logical", "circuits.SWAP_BLOCK", "thermo._BITS_K",
+            "thermo._MODE_TAGS", "sweep._BOOL_TEXTS", "FIXED_MATRICES['cx']"} <= set(arrays)
+    for name, a in arrays.items():
+        assert not a.flags.writeable, name
+        corner = (0,) * a.ndim
+        with pytest.raises(ValueError, match="read-only"):
+            a[corner] = a[corner]
+
+
+def test_every_cache_returns_the_same_read_only_arrays():
+    from qfridge import compiler
+
+    spec, c = thermo.DeviceSpec(4.82, 4.76, 4.90), circuits.build_identity_circuit()
+    calls = {
+        "_embed_tables": lambda: circuits._embed_tables((1, 2), 3),
+        "_pauli_basis": lambda: noise._pauli_basis(3),
+        "_plan": lambda: noise._plan(c),
+        "readout_matrix": lambda: noise.readout_matrix(noise.NoiseModel(eps01=0.02, eps10=0.05)),
+        "_walsh_gray": lambda: compiler._walsh_gray(2),
+        "cold_energies": lambda: thermo.cold_energies(spec),
+        "hot_energies": lambda: thermo.hot_energies(spec, "ideal"),
+        "_readout_free_matrix": lambda: sweep._readout_free_matrix("identity", 0.001, 0.01),
+    }
+    for name, call in calls.items():
+        first, again = _shared_arrays(call()), _shared_arrays(call())
+        assert len(first) == len(again) and all(a is b for a, b in zip(first, again)), name
+        assert all(not a.flags.writeable for a in first), name
+
+
+def test_fixed_gate_matrices_refuse_writes_and_circuits_keep_their_bits():
+    before = circuits.unitary_of_circuit(circuits.build_vstar_circuit())
+    for name, wires in (("x", (0,)), ("sx", (1,)), ("cx", (0, 1))):
+        m = circuits.Gate(name, wires).matrix()
+        with pytest.raises(ValueError, match="read-only"):
+            m[-1, -1] = 7
+        assert m is circuits.FIXED_MATRICES[name]
+    after = circuits.unitary_of_circuit(circuits.build_vstar_circuit())
+    assert after.tobytes() == before.tobytes()
+
+
 def test_engine_circuits_are_fixed_and_built_once():
     for v, build in (("identity", circuits.build_identity_circuit),
                      ("vstar", circuits.build_vstar_circuit)):
@@ -589,6 +643,13 @@ def test_sweep_result_columns_fill_the_grid_of_its_axes():
         SweepResult([100.0, 200.0], [10.0, 20.0], **columns)
     with pytest.raises(ValueError, match="axes must be one-dimensional"):
         SweepResult([100.0, 200.0], [[10.0, 20.0, 30.0]], **columns)
+
+
+def test_sweep_results_compare_and_hash_by_identity():
+    cfg = SweepConfig(shots=0, n_h=2, n_c=2)
+    res, again = run_sweep(cfg), run_sweep(cfg)
+    assert res == res and res != again
+    assert hash(res) == hash(res) and len({res, again, res}) == 2
 
 
 def test_write_csv():
