@@ -50,6 +50,11 @@ def rz_matrix(theta: float | np.ndarray) -> np.ndarray:
     return np.where(_EYE2, np.exp(z)[..., None], 0j)
 
 
+def _is_int(n) -> bool:
+    """A register size or a wire is an int, numpy integers included, and not a bool."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+
+
 @dataclass(frozen=True)
 class Gate:
     name: str
@@ -60,6 +65,8 @@ class Gate:
         object.__setattr__(self, "wires", tuple(self.wires))
         if self.name not in GATE_NAMES:
             raise ValueError(f"unknown gate {self.name!r}")
+        if not all(map(_is_int, self.wires)):
+            raise ValueError(f"wires {self.wires!r} are not all ints")
         if self.name == "cx":
             if len(self.wires) != 2 or self.wires[0] == self.wires[1]:
                 raise ValueError("cx needs two distinct wires")
@@ -79,19 +86,19 @@ def rz(wire: int, angle: float) -> Gate:
     return Gate("rz", (wire,), angle)
 
 
-# x, sx and cx are built and checked once per distinct wires; errors are not
-# cached, so bad wires raise on every call
-@functools.cache
+# x, sx and cx are built and checked once per distinct wires, typed so that a bool
+# never shares an int's entry; errors are not cached, so bad wires always raise
+@functools.lru_cache(maxsize=None, typed=True)
 def x(wire: int) -> Gate:
     return Gate("x", (wire,))
 
 
-@functools.cache
+@functools.lru_cache(maxsize=None, typed=True)
 def sx(wire: int) -> Gate:
     return Gate("sx", (wire,))
 
 
-@functools.cache
+@functools.lru_cache(maxsize=None, typed=True)
 def cx(control: int, target: int) -> Gate:
     return Gate("cx", (control, target))
 
@@ -130,7 +137,7 @@ class Circuit:
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
         n = self.n_wires
-        if not (isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1):
+        if not (_is_int(n) and n >= 1):
             raise ValueError(f"register size {n!r} is not an int >= 1")
         # only cx has two wires, so the checks depend on the wires alone; each
         # distinct tuple is checked once, in the order of its first gate

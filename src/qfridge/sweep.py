@@ -18,16 +18,15 @@ of grid points: each block's columns are read once for every text being
 written, and T_H and T_C are formatted once per axis value, so
 ``write_outputs`` streams the two files together in memory that does not
 grow with the grid.  The record of ``qfridge point`` is the JSON record text
-of its one-point block.  A CSV block is one ``%`` of a repeated row, numbers
-as ``%.9g``; a JSON block is one join of the record's literal pieces with
-the values' texts, the repr json writes for a float, with NaN and the
-infinities as quoted CSV text.
+of its one-point block.  Every block of each text is one join of its
+record's literal pieces with the values' texts: a float as ``%.9g`` in CSV
+and as json's repr in JSON; NaN, the infinities and a T_C_final kind that
+is not finite as their CSV text, a JSON string in JSON.
 """
 from __future__ import annotations
 
 import contextlib
 import functools
-import itertools
 import math
 from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
@@ -326,100 +325,91 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
 CSV_HEADER = "T_H_mK,T_C_mK,dE_H,dE_C,W,mode,T_C_final_mK,p_g_final,purifier"
 RECORD_KEYS = ("T_H", "T_C", "dE_H", "dE_C", "W", "mode", "T_C_final", "p_g_final", "purifier")
 _NON_FINITE_TEXT = {"infinite": "inf", "inverted": "inverted"}
-_CSV_ROW = "%s,%s,%.9g,%.9g,%.9g,%s,%s,%.9g,%s\n"
 #: one point's object as json.dumps(record, indent=2) writes it
 _RECORD = "{\n" + ",\n".join(f'  "{key}": %s' for key in RECORD_KEYS) + "\n}"
 #: the text of False and True, as a shared index table
 _BOOL_TEXTS = qcore.read_only(np.array(["false", "true"], dtype=object))
-
-
-class _JsonStrings(dict):
-    """The JSON string of a text: looked up for the mode tags and the
-    T_C_final kinds' texts, encoded for any other text, such as a mode of a
-    SweepResult built by hand."""
-
-    __missing__ = staticmethod(encode_basestring_ascii)
-
-
-_JSON_STRINGS = _JsonStrings((text, encode_basestring_ascii(text)) for text in (
-    "E", "R", "A", "H", "Boundary", *_NON_FINITE_TEXT.values()))
-
-
-def _json_number(value: float) -> str:
-    """json's text of a float; NaN and the infinities are the JSON string of
-    their CSV text ("nan", "inf", "-inf")."""
-    return repr(value) if math.isfinite(value) else '"%.9g"' % value
-
+#: the JSON string of a text, cached for the mode tags and the kinds' texts
+_json_string = functools.lru_cache(maxsize=64)(encode_basestring_ascii)
 
 #: grid points per block of text that the CSV and JSON writers yield
 _BLOCK_POINTS = 512
 
 
-class _Block(NamedTuple):
-    """The columns of one block that every format reads: the float columns
-    dE_H, dE_C, W, T_C_final and p_g_final as arrays and as lists, the modes,
-    the text of each T_C_final whose kind is not finite (by position) and the
-    purifier texts."""
+def _floats(column: np.ndarray, kinds: np.ndarray | None = None) -> tuple[list, list, list]:
+    """A float column as a list, the positions of its values that are not
+    finite floats, and their CSV texts: where T_C_final's `kinds` are not
+    "finite", the kind's text."""
+    values, odd = column.tolist(), ~np.isfinite(column)
+    if kinds is not None:
+        odd |= kinds != "finite"
+    odd = odd.nonzero()[0].tolist()
+    texts = ["%.9g" % values[n] for n in odd]
+    if kinds is not None:
+        texts = [_NON_FINITE_TEXT.get(kinds[n], text) for n, text in zip(odd, texts)]
+    return values, odd, texts
 
-    floats: tuple
-    values: list
+
+class _Block(NamedTuple):
+    """The columns of one block that every format reads: dE_H, dE_C, W,
+    T_C_final and p_g_final as _floats, the modes and the purifier texts."""
+
+    floats: list
     modes: list
-    tags: dict
     purifier: list
 
 
-class _CsvFormat:
-    """One `%` of a block of rows; T_C_final comes as text, a kind's where it is not finite."""
-
-    head, tail, empty = CSV_HEADER + "\n", "", CSV_HEADER + "\n"
-    number = "%.9g".__mod__
-
-    def text(self, b: _Block, t_h: list, t_c: list, first: bool) -> str:
-        de_hot, de_cold, work, t_final, p_g = b.values
-        t_final = ("%.9g\n" * len(t_final) % tuple(t_final)).split("\n")[:-1]  # one C-level fill
-        for n, tag in b.tags.items():
-            t_final[n] = tag
-        return "".join([_CSV_ROW] * len(t_h)) % tuple(itertools.chain.from_iterable(
-            zip(t_h, t_c, de_hot, de_cold, work, b.modes, t_final, p_g, b.purifier)))
+def _block(res: SweepResult, s: slice) -> _Block:
+    """The columns of the grid points in slice `s` of `res`, as every format reads them."""
+    de_hot, de_cold = res.de_hot[s], res.de_cold[s]
+    return _Block(
+        [*map(_floats, (de_hot, de_cold, de_hot + de_cold)),
+         _floats(res.t_cold_final[s], res.t_cold_final_kind[s]), _floats(res.p_g_final[s])],
+        res.mode[s].tolist(), _BOOL_TEXTS.take(res.purifier[s].astype(bool)).tolist())
 
 
-class _JsonFormat:
-    """`record` once per point, joined by `sep`, as one join of the record's
-    literal pieces (the text around its nine `%s` fields) and the values' texts;
-    a float's text is its repr, or _json_number's where it is not finite."""
+class _Format:
+    """`record` once per point, joined by `sep`, after `head` and before
+    `tail` (`empty` alone for no point).  A block is one join of the record's
+    literal pieces (the text around its nine `%s` fields) and the values'
+    texts: `number` writes a list of floats and `string` a text (None: as it
+    is); a value that is not a finite float is the string of its CSV text."""
 
-    number = staticmethod(_json_number)
-    #: the part of each float value (dE_H, dE_C, W, T_C_final, p_g_final) among a point's 18
-    float_slots = (5, 7, 9, 13, 15)
-
-    def __init__(self, record: str, sep: str, head: str = "", tail: str = "", empty: str = ""):
+    def __init__(self, record: str, sep: str, number, string=None, head="", tail="", empty=""):
         pieces = record.split("%s")
+        self.number = number
+        self.strings = (lambda texts: texts) if string is None else functools.partial(map, string)
         self.head, self.tail, self.empty = head, tail, empty
         self.first, self.lead, self.last = pieces[0], sep + pieces[0], pieces[-1]
-        # a point's 18 parts: the text before each of its nine values (for
-        # the first value, the end of the previous record and this one's lead)
-        # and a slot (None) for the value
+        # a point's parts: the text before each value (before the first, the end of
+        # the previous record and this one's lead) and a slot (None) for the value
         self.unit = [x for piece in (self.last + self.lead, *pieces[1:-1]) for x in (piece, None)]
+
+    def numbers(self, values: list, odd: list, odd_texts: list) -> list:
+        """A column's texts from _floats: an odd value's is the string of its CSV text."""
+        texts = self.number(values)
+        for n, text in zip(odd, self.strings(odd_texts)):
+            texts[n] = text
+        return texts
 
     def text(self, b: _Block, t_h: list, t_c: list, first: bool) -> str:
         parts = self.unit * len(t_h)
         parts[0] = self.first if first else self.lead
         parts.append(self.last)
-        parts[1::18], parts[3::18], parts[11::18], parts[17::18] = (
-            t_h, t_c, map(_JSON_STRINGS.__getitem__, b.modes), b.purifier)
-        for slot, values in zip(self.float_slots, b.values):
-            parts[slot::18] = map(repr, values)
-        for k, n in np.argwhere(~np.isfinite(b.floats)).tolist():
-            parts[self.float_slots[k] + 18 * n] = _json_number(b.values[k][n])
-        for n, tag in b.tags.items():
-            parts[13 + 18 * n] = _JSON_STRINGS[tag]
+        de_hot, de_cold, work, t_final, p_g = (self.numbers(*floats) for floats in b.floats)
+        for i, texts in enumerate((t_h, t_c, de_hot, de_cold, work, self.strings(b.modes),
+                                   t_final, p_g, b.purifier)):
+            parts[2 * i + 1::len(self.unit)] = texts
         return "".join(parts)
 
 
-_CSV = _CsvFormat()
+_CSV = _Format("%s,%s,%s,%s,%s,%s,%s,%s,%s\n", "",
+               lambda values: ("%.9g\n" * len(values) % tuple(values)).split("\n")[:-1],  # one C-level fill
+               head=CSV_HEADER + "\n", empty=CSV_HEADER + "\n")
 #: the JSON file's records are one level deeper, inside the list
-_JSON = _JsonFormat("  " + _RECORD.replace("\n", "\n  "), ",\n", "[\n", "\n]\n", "[]\n")
-_POINT = _JsonFormat(_RECORD, "")
+_JSON = _Format("  " + _RECORD.replace("\n", "\n  "), ",\n", lambda values: list(map(repr, values)),
+                _json_string, "[\n", "\n]\n", "[]\n")
+_POINT = _Format(_RECORD, "", _JSON.number, _json_string)
 
 
 def _texts(res: SweepResult, formats):
@@ -434,24 +424,14 @@ def _texts(res: SweepResult, formats):
         yield tuple(f.empty for f in formats)
         return
     yield tuple(f.head for f in formats)
-    axes = [[np.array(list(map(f.number, axis.tolist())), dtype=object)
-             for axis in (res.t_h_axis, res.t_c_axis)] for f in formats]
+    axes = [[np.array(f.numbers(*_floats(axis)), dtype=object) for axis in (res.t_h_axis, res.t_c_axis)]
+            for f in formats]
     for start in range(0, size, _BLOCK_POINTS):
         block = _block(res, slice(start, start + _BLOCK_POINTS))
         h, c = np.divmod(np.arange(start, min(start + _BLOCK_POINTS, size)), res.n_c)
         yield (f.text(block, h_texts[h].tolist(), c_texts[c].tolist(), start == 0)
                for f, (h_texts, c_texts) in zip(formats, axes))
     yield tuple(f.tail for f in formats)
-
-
-def _block(res: SweepResult, s: slice) -> _Block:
-    """The columns of the grid points in slice `s` of `res`, as every format reads them."""
-    de_hot, de_cold, kinds = res.de_hot[s], res.de_cold[s], res.t_cold_final_kind[s]
-    floats = (de_hot, de_cold, de_hot + de_cold, res.t_cold_final[s], res.p_g_final[s])
-    return _Block(
-        floats, [col.tolist() for col in floats], res.mode[s].tolist(),
-        {n: _NON_FINITE_TEXT[kinds[n]] for n in np.flatnonzero(kinds != "finite").tolist()},
-        _BOOL_TEXTS.take(res.purifier[s].astype(bool)).tolist())
 
 
 def _text(res: SweepResult, fmt) -> str:
@@ -474,8 +454,8 @@ def write_record(res: SweepResult) -> str:
     ``json.dumps(record, indent=2)`` writes it: _POINT's text of its one block."""
     if res.de_hot.size != 1:
         raise ValueError(f"a record holds one point, not {res.n_h}x{res.n_c}")
-    return _POINT.text(_block(res, slice(None)), [_json_number(res.t_h_axis.item())],
-                       [_json_number(res.t_c_axis.item())], True)
+    return _POINT.text(_block(res, slice(None)), _POINT.numbers(*_floats(res.t_h_axis)),
+                       _POINT.numbers(*_floats(res.t_c_axis)), True)
 
 
 MODE_COLORS = {

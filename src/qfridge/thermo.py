@@ -34,6 +34,8 @@ HOT_ENERGY_MODES = ("ideal", "detuned")
 
 #: default boundary tolerance for exact (non-sampled) runs, in h*GHz
 BOUNDARY_EPS = 1e-4
+#: the relative tolerance of analytic_regions' boundaries (see _isclose)
+_REGION_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -288,23 +290,22 @@ def mode_tags(de_hot, de_cold, eps=BOUNDARY_EPS) -> np.ndarray:
     return _MODE_TAGS[near_zero * 8 + (de_cold < 0) * 4 + (w < 0) * 2 + (de_hot < 0), ...]
 
 
-def _isclose(a, b, rtol: float) -> np.ndarray:
-    """math.isclose per point: the tolerance scales with the larger of the
-    two values, and an infinity is close only to itself."""
+def _isclose(a, b) -> np.ndarray:
+    """math.isclose per point at _REGION_RTOL: the tolerance scales with the
+    larger of the two values, and an infinity is close only to itself."""
     with np.errstate(invalid="ignore"):  # inf - inf
-        near = abs(a - b) <= rtol * np.maximum(abs(a), abs(b))
+        near = abs(a - b) <= _REGION_RTOL * np.maximum(abs(a), abs(b))
     return (a == b) | (near & np.isfinite(a) & np.isfinite(b))
 
 
-def analytic_regions(spec: DeviceSpec, t_hot, t_cold,
-                     rtol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+def analytic_regions(spec: DeviceSpec, t_hot, t_cold) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form (mode tags, purifier flags) per (t_hot, t_cold) point for
     the ideal V = identity engine on the full thermal preparation; equalities
-    to rtol (see _isclose) are reported as boundaries."""
+    to _REGION_RTOL (see _isclose) are reported as boundaries."""
     t_hot, t_cold = np.broadcast_arrays(*_positive_temperatures(t_hot, t_cold))
     line = spec.omega_sum / spec.f1 * t_cold
     tags = np.select(
-        [_isclose(t_hot, t_cold, rtol) | _isclose(t_hot, line, rtol), t_hot < t_cold, t_hot > line],
+        [_isclose(t_hot, t_cold) | _isclose(t_hot, line), t_hot < t_cold, t_hot > line],
         ["Boundary", "A", "E"], "R")
     # the purifier test in closed form: the cold qubit ends at ground
     # population g1 - dE_C / f1

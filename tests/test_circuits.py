@@ -50,14 +50,33 @@ def test_gate_validation():
         Gate("x", (0,), angle=0.5)
     with pytest.raises(ValueError):
         Gate("rz", (0,), angle=float("nan"))
+    # a wire is an int, numpy integers included, a bool not, as the register size is:
+    # Gate("x", (0.5,)) emitted "x q[0.5];" and Gate("cx", (True, 2)) "cx q[True],q[2];"
+    for wire in (0.5, True, False, np.True_, np.float64(1.0), "1", None):
+        for gate in (lambda: Gate("x", (wire,)), lambda: Gate("sx", (wire,)), lambda: rz(wire, 0.5),
+                     lambda: Gate("cx", (wire, 2)), lambda: Gate("cx", (2, wire))):
+            with pytest.raises(ValueError, match="not all ints"):
+                gate()
+    g = Gate("cx", (np.int64(1), np.int32(2)))
+    assert g == cx(1, 2) and emit_qasm(Circuit(3, [g])).endswith("cx q[1],q[2];\n")
 
 
 def test_fixed_gates_are_built_once_and_bad_wires_always_raise():
-    assert x(1) is x(1) and sx(2) is sx(2) and cx(0, 1) is cx(0, 1)
-    assert cx(0, 1) is not cx(1, 0) and cx(1, 0) == Gate("cx", (1, 0))
-    for _ in range(2):
+    # the caches are typed: True == 1 and hash(True) == hash(1), so an untyped
+    # cache filled by cx(True, 2) handed that gate to every later cx(1, 2), and
+    # the V* QASM read "cx q[True],q[2];"
+    for cache in (x, sx, cx):
+        cache.cache_clear()
+    for _ in range(2):  # before and after the int entries are cached
         with pytest.raises(ValueError, match="distinct"):
             cx(1, 1)
+        for call in (lambda: cx(True, 2), lambda: cx(0, True), lambda: x(True), lambda: sx(False)):
+            with pytest.raises(ValueError, match="not all ints"):
+                call()
+        qasm = emit_qasm(build_vstar_circuit())
+        assert "cx q[1],q[2];" in qasm and "True" not in qasm
+    assert x(1) is x(1) and sx(2) is sx(2) and cx(0, 1) is cx(0, 1)
+    assert cx(0, 1) is not cx(1, 0) and cx(1, 0) == Gate("cx", (1, 0))
 
 
 def test_sx_squares_to_x_up_to_phase():

@@ -761,18 +761,21 @@ def test_write_outputs_takes_the_heatmap_range_once(tmp_path, monkeypatch):
     assert range_path.read_text() == "min 0.3\nmax 0.9\n"
 
 
-def _write_files(tmp_path, res):
-    cfg = SweepConfig(outputs=("csv", "json"), output_prefix=str(tmp_path / "run"))
+def _write_files(tmp_path, res, outputs=("csv", "json")):
+    cfg = SweepConfig(outputs=outputs, output_prefix=str(tmp_path / "run"))
     return [Path(path) for path in write_outputs(cfg, res)]
 
 
-def test_streamed_files_are_the_bytes_of_the_writers_over_several_blocks(tmp_path):
-    # 40 x 40 points: three full blocks and a ragged last one
+@pytest.mark.parametrize("outputs", [("csv",), ("json",), ("csv", "json")], ids="+".join)
+def test_streamed_files_are_the_bytes_of_the_writers_over_several_blocks(tmp_path, outputs):
+    # 40 x 40 points: three full blocks and a ragged last one, streamed alone or together
     res = run_sweep(SweepConfig(shots=0, n_h=40, n_c=40))
     assert res.de_hot.size > 3 * sweep._BLOCK_POINTS
-    csv_path, json_path = _write_files(tmp_path, res)
-    assert csv_path.read_bytes() == write_csv(res).encode()
-    assert json_path.read_bytes() == write_json(res).encode()
+    paths = _write_files(tmp_path, res, outputs)
+    assert [path.name for path in paths] == [f"run.{name}" for name in outputs]
+    writers = {"csv": write_csv, "json": write_json}
+    for name, path in zip(outputs, paths):
+        assert path.read_bytes() == writers[name](res).encode()
 
 
 def test_streamed_write_memory_stays_below_a_quarter_of_the_json_file(tmp_path):
