@@ -10,7 +10,10 @@ matrix) in one pass over its Pauli components: the noise stays per gate, but
 a plan cached per circuit fuses it into one step per cx, a diagonal scale
 followed by a real Pauli transfer matrix.  The plan reads its gates from
 ``circuits.gate_stack``, so ``circuits.embed_gate`` stays the one gate
-kernel.
+kernel.  :func:`channel_polynomial` carries the basis inputs through the
+same plan with the noise kept symbolic, which makes a circuit's outcome
+channel an exact polynomial in (1 - p1, 1 - p2); :func:`evaluate_channel`
+gives it at any noise model in one weighted sum.
 """
 from __future__ import annotations
 
@@ -110,6 +113,47 @@ def evolve_noisy(c: Circuit, rho: np.ndarray, nm: NoiseModel) -> np.ndarray:
         x = r @ (s[:, None] * x)
     rho = (from_pauli @ x.view(complex)).T.reshape(rho.shape)
     return qcore.to_logical(rho)
+
+
+def channel_polynomial(c: Circuit) -> tuple[np.ndarray, np.ndarray]:
+    """The circuit's readout-free outcome channel as an exact polynomial
+    sum_k a^i_k b^j_k C_k in a = 1 - p1 and b = 1 - p2: the exponent pairs
+    (i_k, j_k) as (K, 2) and the coefficients C_k as (K, d, d), row m the
+    Born diagonal that basis input m contributes, in logical order; both
+    read-only, and evaluated by :func:`evaluate_channel`.
+
+    This is evolve_noisy's rule with the noise kept symbolic: the basis
+    inputs' Pauli components go through _plan's steps, and at each step
+    every term splits by the (E1, E2) exponents of its components before R.
+    Every pair the split reaches is kept, even where its diagonals cancel.
+    """
+    ptm, e1, e2 = _plan(c)
+    d = 2 ** c.n_wires
+    to_pauli, from_pauli, _ = _pauli_basis(c.n_wires)
+    # the components of |m><m| are to_pauli's column at m's diagonal entry
+    # of vec(rho), and real: one column per physical basis input
+    terms = {(0, 0): to_pauli[:, ::d + 1].real}
+    for r, u, w in zip(ptm, e1, e2):
+        split = {}
+        for du, dw in sorted(set(zip(u.tolist(), w.tolist()))):
+            rows = (u == du) & (w == dw)
+            for (i, j), x in terms.items():
+                key, y = (i + du, j + dw), r[:, rows] @ x[rows]
+                split[key] = split[key] + y if key in split else y
+        terms = split
+    pairs = sorted(terms)
+    diagonals = from_pauli[::d + 1].real  # the rows of vec(rho) on its diagonal
+    coefficients = qcore.to_logical(np.array([(diagonals @ terms[k]).T for k in pairs]))
+    return qcore.read_only(np.array(pairs)), qcore.read_only(coefficients)
+
+
+def evaluate_channel(polynomial: tuple[np.ndarray, np.ndarray], nm: NoiseModel) -> np.ndarray:
+    """channel_polynomial's channel at nm's gate noise, as thermo.outcome_channel
+    gives it: one weighted sum of the coefficients, through qcore.clip_probabilities."""
+    exponents, coefficients = polynomial
+    weights = (1 - nm.p1) ** exponents[:, 0] * (1 - nm.p2) ** exponents[:, 1]
+    channel = weights @ coefficients.reshape(len(weights), -1)  # one product, not tensordot's copies
+    return qcore.clip_probabilities(channel.reshape(coefficients.shape[1:]))
 
 
 def readout_matrix(nm: NoiseModel) -> np.ndarray:

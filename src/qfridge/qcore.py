@@ -94,13 +94,17 @@ def check_probabilities(p: np.ndarray) -> np.ndarray:
 def born_probabilities(rho: np.ndarray) -> np.ndarray:
     """Computational-basis outcome probabilities of a density operator, or
     of each operator in a stack (..., d, d), as (..., d).
-
-    Diagonal entries within -NEG_CLIP of zero are clipped to zero and the
-    vector renormalized; anything more negative, or NaN, signals an upstream
-    bug and raises.
+    The diagonals go through :func:`clip_probabilities`.
     """
     rho = np.asarray(rho, dtype=complex)
-    diag = np.diagonal(rho, axis1=-2, axis2=-1).real
+    return clip_probabilities(np.diagonal(rho, axis1=-2, axis2=-1).real)
+
+
+def clip_probabilities(diag: np.ndarray) -> np.ndarray:
+    """Born diagonals, or each row of a stack (..., d) of them, as
+    probabilities: entries within -NEG_CLIP of zero are clipped to zero and
+    each row renormalized; anything more negative, or NaN, signals an
+    upstream bug and raises."""
     if not np.min(diag) >= -NEG_CLIP:  # NaN fails too
         raise ValueError(f"diagonal entry {np.min(diag)} is NaN or below -{NEG_CLIP}")
     p = np.clip(diag, 0.0, None, order="C")  # in C order each row sums as a lone vector does

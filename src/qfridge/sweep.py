@@ -3,12 +3,15 @@
 A sweep evaluates the engine once (the transition matrix does not depend on
 the preparation temperatures), then reweights it over the whole (T_H, T_C)
 grid with thermo's per-point array rules; only the energy ledger and the
-sampling boundary tolerance are computed here.  Only the engine's evolution
-is costly, and it depends on (v, p1, p2) alone: the one engine cache keeps
-the engine's exact matrix read out without error for the last 8 such keys,
-shared read-only.  An exact run without readout error or mitigation is that
-entry; any other run reads out, samples and mitigates the entry's outcome
-channel at one call, building only the seed streams it draws from.
+sampling boundary tolerance are computed here.  The engine's readout-free
+outcome channel depends on (v, p1, p2) alone.  Without gate noise it is the
+exact target unitary's, whose matrix read out without error is kept once
+per V, shared read-only; an exact run without readout error or mitigation
+is that matrix.  With gate noise it is the engine circuit's exact
+polynomial in (1 - p1, 1 - p2), built once per V, at (p1, p2): one
+weighted sum, so no run evolves the engine and no cache is keyed on a
+float.  Every other run reads out, samples and mitigates the channel at
+one call, building only the seed streams it draws from.
 ``evaluate_grid`` is the one way to evaluate points: ``qfridge point`` and
 the oracles run it on a 1x1 or small grid.  The SweepResult holds the two
 axes and one array per other column.  Outputs are plain CSV / JSON / binary
@@ -35,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .circuits import V_CHOICES, build_identity_circuit, build_target_unitary, build_vstar_circuit
-from .noise import NoiseModel, calibrate, readout_matrix
+from .noise import NoiseModel, calibrate, channel_polynomial, evaluate_channel, readout_matrix
 from . import qcore, thermo
 from .thermo import BOUNDARY_EPS, DeviceSpec, cold_energies, hot_energies
 
@@ -186,41 +189,49 @@ def engine_circuit(v: str):
     raise ValueError(f"unknown v {v!r}")
 
 
-# the one engine cache, shared and so read-only; typed, so that a float32 p
-# never shares an entry with the float64 it equals
-@functools.lru_cache(maxsize=8, typed=True)
-def _readout_free_matrix(v: str, p1: float, p2: float) -> thermo.TransitionMatrix:
-    """The exact matrix of the engine that runs V under gate noise (p1, p2),
-    read out without error: the exact target unitary without gate noise, else
-    engine_circuit(v).  p, which is also raw, and channel are read-only;
-    unmix is thermo's shared read-only identity."""
-    nm = NoiseModel(p1, p2)
-    tm = thermo.transition_matrix(
-        build_target_unitary(v) if nm.is_gate_noiseless() else engine_circuit(v), nm, 0, None)
+@functools.cache
+def _exact_matrix(v: str) -> thermo.TransitionMatrix:
+    """The matrix of the exact target unitary that runs V, read out without
+    error: built once per V choice and shared, so p, which is also raw, and
+    channel are read-only; unmix is thermo's shared read-only identity."""
+    tm = thermo.transition_matrix(build_target_unitary(v), NoiseModel(), 0, None)
     for a in (tm.p, tm.channel):
         qcore.read_only(a)
     return tm
 
 
+@functools.cache
+def _engine_polynomial(v: str) -> tuple[np.ndarray, np.ndarray]:
+    """noise.channel_polynomial of engine_circuit(v), built at the first
+    noisy run of V and shared read-only."""
+    return channel_polynomial(engine_circuit(v))
+
+
 def sweep_transition_matrix(cfg: SweepConfig):
-    """The engine's transition matrix: the cached readout-free matrix at (v,
-    p1, p2) itself for an exact run without readout error or mitigation, else
-    its channel measured with thermo.measure_channel.  Mitigation uses the
-    exact confusion matrix at shots = 0, else one calibrated at cfg.shots.
-    Child 0 of SeedSequence(cfg.seed) samples the matrix and child 1 the
+    """The engine's transition matrix.  Without gate noise the engine is the
+    exact target unitary, and an exact run without readout error or
+    mitigation is its cached matrix itself; with gate noise the readout-free
+    channel is the engine's polynomial at (p1, p2).  Every other run is one
+    thermo.measure_channel of that channel.  Mitigation uses the exact
+    confusion matrix at shots = 0, else one calibrated at cfg.shots.  Child
+    0 of SeedSequence(cfg.seed) samples the matrix and child 1 the
     calibration; child i is built only when drawn from, on its own as
     SeedSequence(cfg.seed, spawn_key=(i,)), the stream of
     SeedSequence(cfg.seed).spawn(2)[i]."""
-    entry = _readout_free_matrix(cfg.v, cfg.p1, cfg.p2)
-    if not (cfg.shots or cfg.mitigation or cfg.eps01 or cfg.eps10):
-        return entry
     nm = cfg.noise()
+    if nm.is_gate_noiseless():
+        exact = _exact_matrix(cfg.v)
+        if not (cfg.shots or cfg.mitigation or cfg.eps01 or cfg.eps10):
+            return exact
+        channel = exact.channel
+    else:
+        channel = evaluate_channel(_engine_polynomial(cfg.v), nm)
     conf = None
     if cfg.mitigation:
         conf = (calibrate(nm, cfg.shots, np.random.SeedSequence(cfg.seed, spawn_key=(1,)))
                 if cfg.shots else readout_matrix(nm))
     tm_seed = np.random.SeedSequence(cfg.seed, spawn_key=(0,)) if cfg.shots else None
-    return thermo.measure_channel(entry.channel, nm, cfg.shots, tm_seed, mitigation=conf)
+    return thermo.measure_channel(channel, nm, cfg.shots, tm_seed, mitigation=conf)
 
 
 def grid_axes(cfg: SweepConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -336,23 +347,33 @@ _json_string = functools.lru_cache(maxsize=64)(encode_basestring_ascii)
 _BLOCK_POINTS = 512
 
 
-def _floats(column: np.ndarray, kinds: np.ndarray | None = None) -> tuple[list, list, list]:
-    """A float column as a list, the positions of its values that are not
-    finite floats, and their CSV texts: where T_C_final's `kinds` are not
-    "finite", the kind's text."""
-    values, odd = column.tolist(), ~np.isfinite(column)
+#: the row of T_C_final in a block's stacked float columns
+_T_FINAL = 3
+
+
+def _floats(columns: np.ndarray, kinds: np.ndarray | None = None) -> list[tuple[list, list, list]]:
+    """Per row of a stack of float columns, in one pass over the stack: the
+    row as a list, the positions of its values that are not finite floats,
+    and their CSV texts.  Given T_C_final's `kinds`, row _T_FINAL is
+    T_C_final, and where its kind is not "finite" the value is odd too, with
+    the kind's text."""
+    values, odd = columns.tolist(), ~np.isfinite(columns)
     if kinds is not None:
-        odd |= kinds != "finite"
-    odd = odd.nonzero()[0].tolist()
-    texts = ["%.9g" % values[n] for n in odd]
-    if kinds is not None:
-        texts = [_NON_FINITE_TEXT.get(kinds[n], text) for n, text in zip(odd, texts)]
-    return values, odd, texts
+        odd[_T_FINAL] |= kinds != "finite"
+    rows, (odd_rows, odd_positions) = [(row, [], []) for row in values], odd.nonzero()
+    for r, n in zip(odd_rows.tolist(), odd_positions.tolist()):
+        text = "%.9g" % values[r][n]
+        if kinds is not None and r == _T_FINAL:
+            text = _NON_FINITE_TEXT.get(kinds[n], text)
+        rows[r][1].append(n)
+        rows[r][2].append(text)
+    return rows
 
 
 class _Block(NamedTuple):
     """The columns of one block that every format reads: dE_H, dE_C, W,
-    T_C_final and p_g_final as _floats, the modes and the purifier texts."""
+    T_C_final and p_g_final as the rows of one _floats, the modes and the
+    purifier texts."""
 
     floats: list
     modes: list
@@ -362,10 +383,9 @@ class _Block(NamedTuple):
 def _block(res: SweepResult, s: slice) -> _Block:
     """The columns of the grid points in slice `s` of `res`, as every format reads them."""
     de_hot, de_cold = res.de_hot[s], res.de_cold[s]
-    return _Block(
-        [*map(_floats, (de_hot, de_cold, de_hot + de_cold)),
-         _floats(res.t_cold_final[s], res.t_cold_final_kind[s]), _floats(res.p_g_final[s])],
-        res.mode[s].tolist(), _BOOL_TEXTS.take(res.purifier[s].astype(bool)).tolist())
+    columns = np.array([de_hot, de_cold, de_hot + de_cold, res.t_cold_final[s], res.p_g_final[s]])
+    return _Block(_floats(columns, res.t_cold_final_kind[s]), res.mode[s].tolist(),
+                  _BOOL_TEXTS.take(res.purifier[s].astype(bool)).tolist())
 
 
 class _Format:
@@ -424,8 +444,8 @@ def _texts(res: SweepResult, formats):
         yield tuple(f.empty for f in formats)
         return
     yield tuple(f.head for f in formats)
-    axes = [[np.array(f.numbers(*_floats(axis)), dtype=object) for axis in (res.t_h_axis, res.t_c_axis)]
-            for f in formats]
+    axes = [[np.array(f.numbers(*_floats(axis[None])[0]), dtype=object)
+             for axis in (res.t_h_axis, res.t_c_axis)] for f in formats]
     for start in range(0, size, _BLOCK_POINTS):
         block = _block(res, slice(start, start + _BLOCK_POINTS))
         h, c = np.divmod(np.arange(start, min(start + _BLOCK_POINTS, size)), res.n_c)
@@ -454,8 +474,8 @@ def write_record(res: SweepResult) -> str:
     ``json.dumps(record, indent=2)`` writes it: _POINT's text of its one block."""
     if res.de_hot.size != 1:
         raise ValueError(f"a record holds one point, not {res.n_h}x{res.n_c}")
-    return _POINT.text(_block(res, slice(None)), _POINT.numbers(*_floats(res.t_h_axis)),
-                       _POINT.numbers(*_floats(res.t_c_axis)), True)
+    t_h, t_c = (_POINT.numbers(*axis) for axis in _floats(np.array([res.t_h_axis, res.t_c_axis])))
+    return _POINT.text(_block(res, slice(None)), t_h, t_c, True)
 
 
 MODE_COLORS = {

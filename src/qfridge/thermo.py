@@ -224,8 +224,11 @@ def transition_matrix(
     mitigation: np.ndarray | None = None,
 ) -> TransitionMatrix:
     """Measure the engine's outcome statistics per prepared basis state:
-    measure_channel of the engine's outcome_channel.  This is the one path
-    from an engine to a matrix; sweep caches its exact readout-free results."""
+    measure_channel of the engine's outcome_channel.  This is the general
+    path from any circuit or unitary to a matrix.  Sweeps build the exact
+    target unitary's matrix with it once per V; under gate noise they
+    measure the fixed engine's noise.channel_polynomial instead, which this
+    path checks."""
     return measure_channel(outcome_channel(engine, nm), nm, shots, seed, mitigation)
 
 

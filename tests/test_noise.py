@@ -1,7 +1,8 @@
 """Depolarizing evolution, readout error, calibration, mitigation.
 
 ``_flip_channel`` is noisy cx-only evolution as a classical channel, built
-from bit operations alone (no gate kernel, no Pauli tables).
+from bit operations alone (no gate kernel, no Pauli tables); it checks the
+V* engine's channel polynomial too.
 ``_lstsq_mitigate`` is ``mitigate`` as it stood before ``readout_inverse``:
 a condition-number check and a least-squares solve per call.
 """
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qfridge import noise, qcore
+from qfridge import noise, qcore, thermo
 from qfridge.circuits import (
     Circuit,
     LINE3,
@@ -25,6 +26,8 @@ from qfridge.noise import (
     _plan,
     apply_readout_error,
     calibrate,
+    channel_polynomial,
+    evaluate_channel,
     evolve_noisy,
     mitigate,
     readout_inverse,
@@ -177,6 +180,41 @@ def test_noisy_cx_circuits_are_classical_flip_channels(c, p1, p2):
     out = evolve_noisy(c, basis[:, :, None] * basis[:, None, :], NoiseModel(p1, p2))
     got = np.diagonal(out, axis1=-2, axis2=-1).real.T  # logical order; to_physical keeps 2 and 4 wires
     assert np.max(np.abs(qcore.to_physical(got) - _flip_channel(c, p2))) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the engines' outcome channels as exact polynomials in a = 1 - p1, b = 1 - p2
+
+@settings(max_examples=200, deadline=None)
+@given(v=st.sampled_from(["identity", "vstar"]), p1=unit, p2=unit)
+def test_engine_polynomials_give_the_outcome_channel(v, p1, p2):
+    nm, engine = NoiseModel(p1, p2), engine_circuit(v)
+    got = evaluate_channel(channel_polynomial(engine), nm)
+    assert np.max(np.abs(got - thermo.outcome_channel(engine, nm))) <= 1e-15
+    # row i is column i of the transition matrix: a distribution
+    assert got.min() >= 0 and np.max(np.abs(got.sum(axis=1) - 1)) <= qcore.STATE_ATOL
+
+
+def test_engine_polynomials_have_their_terms():
+    exponents, coefficients = channel_polynomial(engine_circuit("identity"))
+    assert exponents.shape == (30, 2) and coefficients.shape == (30, 8, 8)
+    assert len(set(map(tuple, exponents.tolist()))) == 30
+    assert exponents[:, 0].max() == 16 and exponents[:, 1].max() == 7
+    # V* has no one-wire gate: its polynomial is in b alone, up to b^4
+    exponents, coefficients = channel_polynomial(build_vstar_circuit())
+    assert exponents.tolist() == [[0, j] for j in range(5)] and coefficients.shape == (5, 8, 8)
+    for a in (exponents, coefficients):
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(p1=unit, p2=unit)
+def test_vstar_polynomial_is_the_classical_flip_channel(p1, p2):
+    c = build_vstar_circuit()
+    got = evaluate_channel(channel_polynomial(c), NoiseModel(p1, p2))
+    # the channel has a row per input in logical order, _flip_channel a column per input in physical
+    assert np.max(np.abs(qcore.to_physical(got).T - _flip_channel(c, p2))) <= 1e-15
 
 
 def test_evolve_noisy_dimension_check():

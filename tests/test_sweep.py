@@ -294,8 +294,7 @@ def test_point_bytes_do_not_depend_on_the_engine_caches(capsys):
               "--seed", "11", "--eps01", "0.03", "--eps10", "0.05", "--mitigation", "on"],
              ["point", "--th", "150", "--tc", "100", "--shots", "0", "--eps01", "0.02",
               "--eps10", "0.04", "--mitigation", "on"])
-    hit = (sweep._readout_free_matrix, noise._confusion, thermo.cold_energies,
-           thermo.hot_energies)
+    hit = (sweep._exact_matrix, noise._confusion, thermo.cold_energies, thermo.hot_energies)
     for cached in hit:
         cached.cache_clear()
     outs = [[] for _ in argvs]
@@ -353,6 +352,10 @@ def _frozen_readout_free_channel(cfg):
 _GATE_NOISE = st.one_of(st.sampled_from([0.0, -0.0, 0.01]), st.floats(0.0, 0.3))
 
 
+#: a few grid points on both sides of the refrigeration boundaries
+_TAG_AXES = ([60.0, 150.0, 400.0, 1000.0], [40.0, 100.0, 300.0])
+
+
 @settings(max_examples=200, deadline=None)
 @given(v=st.sampled_from(CHOICES["v"]), p1=_GATE_NOISE, p2=_GATE_NOISE,
        eps01=st.floats(0.0, 0.2), eps10=st.floats(0.0, 0.2),
@@ -364,43 +367,75 @@ def test_cached_channel_gives_the_frozen_matrices_bit_for_bit(
                       mitigation=mitigation, seed=seed)
     want = _frozen_sweep_transition_matrix(cfg)
     channel = _frozen_readout_free_channel(cfg)
-    # as earlier examples left the cache (0.0 and -0.0 share a key), cleared, then warm
+    noisy = not cfg.noise().is_gate_noiseless()
+    want_tags = evaluate_grid(cfg, want, *_TAG_AXES)
+    # as earlier examples left the caches (0.0 and -0.0 are both noiseless), cleared, then warm
     for clear in (False, True, False):
         if clear:
-            sweep._readout_free_matrix.cache_clear()
+            sweep._exact_matrix.cache_clear()
+            sweep._engine_polynomial.cache_clear()
         got = sweep_transition_matrix(cfg)
-        for name in ("p", "raw", "unmix"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
-        assert got.channel.shape == channel.shape
-        assert got.channel.tobytes() == channel.tobytes()
-    # every run takes the entry at (v, p1, p2) from the one cache
-    assert sweep._readout_free_matrix.cache_info().hits
+        # the multinomial draw skips an exact zero: where the identity engine has
+        # structural zeros (b = 1 - p2 rounds to 1), one summation order's zero can
+        # be the other's rounding-level positive, and the two draws then read their
+        # streams differently; those runs compare only their channels and unmix
+        drawn_alike = not shots or np.array_equal(got.channel > 0, channel > 0)
+        arrays = [("unmix", got.unmix, want.unmix), ("channel", got.channel, channel)]
+        if drawn_alike:
+            arrays += [("p", got.p, want.p), ("raw", got.raw, want.raw)]
+        for name, a, b in arrays:
+            assert a.shape == b.shape, name
+            if noisy and name != "unmix":
+                # the polynomial sums the channel in another order than the evolution
+                assert np.max(np.abs(a - b)) <= 1e-15, name
+            else:
+                assert a.tobytes() == b.tobytes(), name
+        if drawn_alike:
+            tags = evaluate_grid(cfg, got, *_TAG_AXES)
+            for name in ("mode", "t_cold_final_kind", "purifier"):
+                assert np.array_equal(getattr(tags, name), getattr(want_tags, name)), name
+    # a noiseless run takes the exact matrix from its cache, a noisy one the polynomial
+    assert (sweep._engine_polynomial if noisy else sweep._exact_matrix).cache_info().hits
 
 
 @pytest.mark.parametrize("v", CHOICES["v"])
-@pytest.mark.parametrize("p1, p2", [(0.0, 0.0), (0.001, 0.01)])
-def test_exact_runs_without_readout_error_return_the_cache_entry_itself(v, p1, p2, monkeypatch):
-    sweep._readout_free_matrix.cache_clear()
-    entry = sweep._readout_free_matrix(v, p1, p2)
+def test_exact_runs_without_readout_error_return_the_cache_entry_itself(v, monkeypatch):
+    sweep._exact_matrix.cache_clear()
+    entry = sweep._exact_matrix(v)
 
     def no_measuring(*args, **kwargs):
         raise AssertionError("an exact run without readout error measured its channel")
 
     monkeypatch.setattr(thermo, "measure_channel", no_measuring)
-    cfg = SweepConfig(v=v, p1=p1, p2=p2, shots=0)
-    # other seeds and grids share it: an exact run draws nothing
-    for seed, n_h in ((0, 64), (7, 3), (2 ** 40, 2)):
-        assert sweep_transition_matrix(dataclasses.replace(cfg, seed=seed, n_h=n_h)) is entry
-    info = sweep._readout_free_matrix.cache_info()
+    cfg = SweepConfig(v=v, shots=0)
+    # other seeds, grids and zeros share it: an exact run draws nothing
+    for seed, n_h, p2 in ((0, 64, 0.0), (7, 3, -0.0), (2 ** 40, 2, np.float32(0.0))):
+        assert sweep_transition_matrix(dataclasses.replace(cfg, seed=seed, n_h=n_h, p2=p2)) is entry
+    info = sweep._exact_matrix.cache_info()
     assert (info.hits, info.misses, info.currsize) == (3, 1, 1)
+    # read out without error: raw is p, unmix the shared identity, and all read-only
+    assert entry.raw is entry.p and entry.unmix is thermo._IDENTITY
+    for name in ("p", "raw", "unmix", "channel"):
+        a = getattr(entry, name)
+        assert not a.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 1.0
+    # a matrix built by hand was measured from no channel
+    assert TransitionMatrix(entry.p).channel is None
 
 
 @pytest.mark.parametrize("v", CHOICES["v"])
 @pytest.mark.parametrize("p1, p2", [(0.0, 0.0), (0.001, 0.01)])
 def test_every_other_run_measures_the_entrys_channel_at_one_call(v, p1, p2, monkeypatch):
-    sweep._readout_free_matrix.cache_clear()
-    entry = sweep._readout_free_matrix(v, p1, p2)
+    sweep._exact_matrix.cache_clear()
+    sweep._engine_polynomial.cache_clear()
+    nm = noise.NoiseModel(p1, p2)
+    if nm.is_gate_noiseless():
+        cache, entry = sweep._exact_matrix, sweep._exact_matrix(v)
+        channel = entry.channel
+    else:
+        cache, entry = sweep._engine_polynomial, None
+        channel = noise.evaluate_channel(sweep._engine_polynomial(v), nm)
     measured, measure_channel = [], thermo.measure_channel
 
     def capturing(channel, *args, **kwargs):
@@ -415,50 +450,39 @@ def test_every_other_run_measures_the_entrys_channel_at_one_call(v, p1, p2, monk
     for run in runs:
         run_cfg = dataclasses.replace(cfg, **run)
         tm, again = sweep_transition_matrix(run_cfg), sweep_transition_matrix(run_cfg)
-        # a fresh matrix each time, keeping the entry's channel: no measured matrix is cached
-        assert tm is not entry and again is not tm and tm.channel is entry.channel
-        for name in ("p", "raw", "unmix"):
+        # a fresh matrix each time: no measured matrix is cached
+        assert tm is not entry and again is not tm
+        for name in ("p", "raw", "unmix", "channel"):
             assert getattr(again, name).tobytes() == getattr(tm, name).tobytes(), name
-    # each run measured the entry's own channel at one call
-    assert len(measured) == 2 * len(runs) and all(c is entry.channel for c in measured)
-    # and entered the cache only at its (v, p1, p2)
-    info = sweep._readout_free_matrix.cache_info()
+    # each run measured the engine's channel at one call: the exact matrix's own
+    # without gate noise, else the polynomial's at (p1, p2)
+    assert len(measured) == 2 * len(runs)
+    assert all(c.tobytes() == channel.tobytes() for c in measured)
+    assert entry is None or all(c is channel for c in measured)
+    # and built the cache's entry for v once
+    info = cache.cache_info()
     assert (info.hits, info.misses, info.currsize) == (2 * len(runs), 1, 1)
 
 
-def test_engine_cache_entry_is_read_only_typed_and_built_once(monkeypatch):
-    sweep._readout_free_matrix.cache_clear()
-    built, build_target_unitary, engine_circuit = [], sweep.build_target_unitary, sweep.engine_circuit
+def test_a_noise_scan_never_evolves_and_builds_each_polynomial_once(monkeypatch):
+    def no_evolving(*args, **kwargs):
+        raise AssertionError("a sweep evolved the engine")
 
-    def counting(build):
-        return lambda v: built.append((build.__name__, v)) or build(v)
-
-    monkeypatch.setattr(sweep, "build_target_unitary", counting(build_target_unitary))
-    monkeypatch.setattr(sweep, "engine_circuit", counting(engine_circuit))
-    for p2 in (0.0, 0.01):
-        cfg = SweepConfig(v="vstar", p1=0.001 if p2 else 0.0, p2=p2, shots=0)
-        for run in (dict(), dict(eps01=0.02, mitigation=True), dict(shots=8192, seed=3),
-                    dict(shots=64, eps10=0.04, mitigation=True)):
-            sweep_transition_matrix(dataclasses.replace(cfg, **run))
-        # the engine is built once per key, the unitary without gate noise
-        assert built[-1] == ("build_target_unitary" if p2 == 0.0 else "engine_circuit", "vstar")
-        entry = sweep._readout_free_matrix("vstar", cfg.p1, p2)
-        # read out without error: raw is p, unmix the shared identity, and all read-only
-        assert entry.raw is entry.p and entry.unmix is thermo._IDENTITY
-        for name in ("p", "raw", "unmix", "channel"):
-            a = getattr(entry, name)
-            assert not a.flags.writeable, name
-            with pytest.raises(ValueError, match="read-only"):
-                a[0, 0] = 1.0
-    assert len(built) == 2
-    # typed: a float32 p2 gets its own entry beside the float64 it equals
-    info = sweep._readout_free_matrix.cache_info()
-    sweep_transition_matrix(SweepConfig(v="vstar", p2=np.float32(0.5), shots=0))
-    sweep_transition_matrix(SweepConfig(v="vstar", p2=0.5, shots=0))
-    assert sweep._readout_free_matrix.cache_info().misses == info.misses + 2
-    assert len(built) == 4
-    # a matrix built by hand was measured from no channel
-    assert TransitionMatrix(entry.p).channel is None
+    for module in (noise, thermo):
+        monkeypatch.setattr(module, "evolve_noisy", no_evolving)
+    sweep._engine_polynomial.cache_clear()
+    built, engine_circuit = [], sweep.engine_circuit
+    monkeypatch.setattr(sweep, "engine_circuit", lambda v: built.append(v) or engine_circuit(v))
+    # noise_scan's pattern: a fresh p2 for every run
+    p2s = np.linspace(0.0005, 0.05, 9).tolist()
+    for v in CHOICES["v"]:
+        de_cold = [run_sweep(SweepConfig(v=v, p1=p2 / 10, p2=p2, eps01=0.01, eps10=0.01, shots=0,
+                                         n_h=4, n_c=4)).de_cold for p2 in p2s]
+        # each p2 ran its own engine
+        assert len({d.tobytes() for d in de_cold}) == len(p2s)
+    assert built == list(CHOICES["v"])
+    info = sweep._engine_polynomial.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (2 * (len(p2s) - 1), 2, 2)
 
 
 @settings(max_examples=100, deadline=None)
@@ -483,16 +507,6 @@ def test_seed_streams_are_the_children_of_spawn(seed, mitigation):
         sweep_transition_matrix(SweepConfig(v="vstar", eps01=0.02, shots=64, seed=seed,
                                             mitigation=mitigation))
     assert built == [seed] * (1 + mitigation)
-
-
-def test_engine_cache_stays_bounded_over_a_noise_scan():
-    # noise_scan's pattern: a fresh p2 for every run, one entry each
-    sweep._readout_free_matrix.cache_clear()
-    for n, p2 in enumerate(np.linspace(0.0, 0.1, 100).tolist(), start=1):
-        sweep_transition_matrix(SweepConfig(v="vstar", p2=p2, eps01=0.01, eps10=0.01, shots=0))
-        assert sweep._readout_free_matrix.cache_info().currsize == min(n, 8)
-    info = sweep._readout_free_matrix.cache_info()
-    assert (info.misses, info.maxsize, info.currsize) == (100, 8, 8)
 
 
 def _shared_arrays(value):
@@ -530,7 +544,8 @@ def test_every_cache_returns_the_same_read_only_arrays():
         "_walsh_gray": lambda: compiler._walsh_gray(2),
         "cold_energies": lambda: thermo.cold_energies(spec),
         "hot_energies": lambda: thermo.hot_energies(spec, "ideal"),
-        "_readout_free_matrix": lambda: sweep._readout_free_matrix("identity", 0.001, 0.01),
+        "_exact_matrix": lambda: sweep._exact_matrix("identity"),
+        "_engine_polynomial": lambda: sweep._engine_polynomial("vstar"),
     }
     for name, call in calls.items():
         first, again = _shared_arrays(call()), _shared_arrays(call())

@@ -156,14 +156,14 @@ def test_noiseless_vstar_sweep_writes_the_same_bytes_with_either_engine(monkeypa
     # swap4 prepares no state that V acts on; full8 reaches the V block too
     cfg = SweepConfig(scheme=scheme, v="vstar", n_h=8, n_c=8, **run)
     res = run_sweep(cfg)
-    # without gate noise the engine is the target unitary, built only where the
-    # engine cache misses: once, at the run's one key
-    sweep._readout_free_matrix.cache_clear()
+    # without gate noise the engine is the target unitary, built once per V:
+    # at the first run after the exact matrix's cache is cleared
+    sweep._exact_matrix.cache_clear()
     built = []
     monkeypatch.setattr(sweep, "build_target_unitary",
                         lambda v: built.append(v) or build_vstar_circuit())
     via_circuit = run_sweep(cfg)
-    sweep._readout_free_matrix.cache_clear()  # drop the matrix of the patched engine
+    sweep._exact_matrix.cache_clear()  # drop the matrix of the patched engine
     assert built == ["vstar"]
     assert write_csv(res) == write_csv(via_circuit)
     assert write_json(res) == write_json(via_circuit)
