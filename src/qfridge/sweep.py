@@ -347,27 +347,17 @@ _json_string = functools.lru_cache(maxsize=64)(encode_basestring_ascii)
 _BLOCK_POINTS = 512
 
 
-#: the row of T_C_final in a block's stacked float columns
-_T_FINAL = 3
-
-
-def _floats(columns: np.ndarray, kinds: np.ndarray | None = None) -> list[tuple[list, list, list]]:
-    """Per row of a stack of float columns, in one pass over the stack: the
-    row as a list, the positions of its values that are not finite floats,
-    and their CSV texts.  Given T_C_final's `kinds`, row _T_FINAL is
-    T_C_final, and where its kind is not "finite" the value is odd too, with
-    the kind's text."""
-    values, odd = columns.tolist(), ~np.isfinite(columns)
-    if kinds is not None:
-        odd[_T_FINAL] |= kinds != "finite"
-    rows, (odd_rows, odd_positions) = [(row, [], []) for row in values], odd.nonzero()
-    for r, n in zip(odd_rows.tolist(), odd_positions.tolist()):
-        text = "%.9g" % values[r][n]
-        if kinds is not None and r == _T_FINAL:
-            text = _NON_FINITE_TEXT.get(kinds[n], text)
-        rows[r][1].append(n)
-        rows[r][2].append(text)
-    return rows
+def _floats(columns: np.ndarray) -> list[tuple[list, list, list]]:
+    """Per row of a stack of float columns (one column is a stack of one),
+    in one pass over the stack: the row as a list, the positions of its
+    values that are not finite floats, and their CSV texts."""
+    columns = np.atleast_2d(columns)
+    values, (rows, positions) = columns.tolist(), np.nonzero(~np.isfinite(columns))
+    floats = [(row, [], []) for row in values]
+    for r, n in zip(rows.tolist(), positions.tolist()):
+        floats[r][1].append(n)
+        floats[r][2].append("%.9g" % values[r][n])
+    return floats
 
 
 class _Block(NamedTuple):
@@ -382,10 +372,13 @@ class _Block(NamedTuple):
 
 def _block(res: SweepResult, s: slice) -> _Block:
     """The columns of the grid points in slice `s` of `res`, as every format reads them."""
-    de_hot, de_cold = res.de_hot[s], res.de_cold[s]
-    columns = np.array([de_hot, de_cold, de_hot + de_cold, res.t_cold_final[s], res.p_g_final[s]])
-    return _Block(_floats(columns, res.t_cold_final_kind[s]), res.mode[s].tolist(),
-                  _BOOL_TEXTS.take(res.purifier[s].astype(bool)).tolist())
+    de_hot, de_cold, kinds = res.de_hot[s], res.de_cold[s], res.t_cold_final_kind[s]
+    floats = _floats(np.array([de_hot, de_cold, de_hot + de_cold, res.t_cold_final[s], res.p_g_final[s]]))
+    # where T_C_final's kind is not "finite", its text is the kind's, written after any other
+    values, odd, texts = floats[3]
+    kinded = np.nonzero(kinds != "finite")[0].tolist()
+    floats[3] = values, odd + kinded, texts + [_NON_FINITE_TEXT[kinds[n]] for n in kinded]
+    return _Block(floats, res.mode[s].tolist(), _BOOL_TEXTS.take(res.purifier[s].astype(bool)).tolist())
 
 
 class _Format:
@@ -444,7 +437,7 @@ def _texts(res: SweepResult, formats):
         yield tuple(f.empty for f in formats)
         return
     yield tuple(f.head for f in formats)
-    axes = [[np.array(f.numbers(*_floats(axis[None])[0]), dtype=object)
+    axes = [[np.array(f.numbers(*_floats(axis)[0]), dtype=object)
              for axis in (res.t_h_axis, res.t_c_axis)] for f in formats]
     for start in range(0, size, _BLOCK_POINTS):
         block = _block(res, slice(start, start + _BLOCK_POINTS))
