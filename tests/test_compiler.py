@@ -320,15 +320,10 @@ def test_global_phase_distance_properties():
 
 
 # ---------------------------------------------------------------------------
-# frozen reference: the one-wire rewrite, the merge and the scalar Ry as they
-# were before the rewrite read |m00|, |m10| once, the merge stopped seeding
-# each run with the identity, and the rewrite and the ladder's rotations went
-# to stacks; the code is verbatim, only the names carry a _frozen prefix
-
-def _frozen_ry2(a):
-    c, s = np.cos(a / 2), np.sin(a / 2)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
+# frozen reference: the one-wire rewrite and the merge as they were before
+# the rewrite read |m00|, |m10| once, the merge stopped seeding each run with
+# the identity, and the rewrite went to stacks; the code is verbatim, only
+# the names carry a _frozen prefix
 
 def _frozen_is_phase_of(m, ref):
     k = np.unravel_index(np.argmax(np.abs(ref)), ref.shape)
@@ -444,12 +439,18 @@ def _same_bits(a, b):
 
 @settings(max_examples=100, deadline=None)
 @given(angles=st.lists(st.floats(-1e6, 1e6), max_size=16))
-def test_ry2_of_an_array_stacks_the_frozen_scalar_matrices(angles):
+def test_ry2_of_an_array_stacks_the_lone_real_matrices(angles):
     angles = [0.0, -0.0, 1e-13, -1e-13, np.pi, -np.pi] + angles
     stack = _ry2(np.array(angles))
     assert stack.shape == (len(angles), 2, 2)
     for a, m in zip(angles, stack, strict=True):
-        assert _same_bits(m, _frozen_ry2(a)) and _same_bits(_ry2(a), _frozen_ry2(a))
+        lone = _ry2(float(a))
+        assert _same_bits(m, lone)
+        # Ry is real: each imaginary part is +0.0, a sign that np.angle reads
+        # (np.angle(complex(-1.0, -0.0)) is -pi)
+        c, s = np.cos(a / 2), np.sin(a / 2)
+        assert _same_bits(lone.real, np.array([[c, -s], [s, c]]))
+        assert not np.signbit(lone.imag).any()
 
 
 def test_walsh_gray_is_the_kron_walsh_matrix_in_gray_row_order():

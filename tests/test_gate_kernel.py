@@ -237,7 +237,7 @@ def test_full_depolarization_of_the_whole_register_is_maximally_mixed():
     assert np.max(np.abs(out - np.eye(4) / 4)) < 1e-15
 
 
-# frozen copies of the per-gate paths that gate_stack and the new depth loop replaced
+# frozen copies of the per-gate paths that gate_stack replaced
 
 def _frozen_rz_matrix(theta: float) -> np.ndarray:
     return np.array(
@@ -249,15 +249,6 @@ def _frozen_gate_matrix(g: Gate) -> np.ndarray:
     if g.name == "rz":
         return _frozen_rz_matrix(g.angle)
     return {"x": X_MATRIX, "sx": SX_MATRIX, "cx": CX_MATRIX}[g.name]
-
-
-def _frozen_depth(c: Circuit) -> int:
-    level = [0] * c.n_wires
-    for g in c.gates:
-        d = 1 + max(level[w] for w in g.wires)
-        for w in g.wires:
-            level[w] = d
-    return max(level, default=0)
 
 
 def _frozen_plan(c: Circuit):
@@ -350,9 +341,3 @@ def test_plan_of_the_engines_is_the_per_gate_plan(c):
 @given(c=long_circuits())
 def test_plan_of_long_circuits_is_the_per_gate_plan(c):
     _assert_plan_is_frozen(c)
-
-
-@settings(max_examples=200, deadline=None)
-@given(c=st.one_of(circuits(), long_circuits()))
-def test_depth_is_the_per_gate_loop(c):
-    assert c.depth() == _frozen_depth(c)

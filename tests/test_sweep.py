@@ -460,6 +460,8 @@ def test_every_other_run_measures_the_entrys_channel_at_one_call(v, p1, p2, monk
         tm, again = sweep_transition_matrix(run_cfg), sweep_transition_matrix(run_cfg)
         # a fresh matrix each time: no measured matrix is cached
         assert tm is not entry and again is not tm
+        # each keeps the channel it was measured from, not a copy
+        assert tm.channel is measured[-2] and again.channel is measured[-1]
         for name in ("p", "raw", "unmix", "channel"):
             assert getattr(again, name).tobytes() == getattr(tm, name).tobytes(), name
     # each run measured the engine's channel at one call: the exact matrix's own

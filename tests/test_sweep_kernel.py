@@ -1,15 +1,13 @@
 """The columnar sweep kernel, thermo's array rules and the sweep writers
-against frozen references, and against golden outputs.
+against references, and against golden outputs.
 
 The ``_reference_*`` helpers are thermo's per-point scalar bodies as they
 stood before the kernel and thermo came to share one set of array rules (the
 scalar API was later deleted); they keep the checks independent of the code
 under test.  ``_reference_write_csv`` and ``_reference_write_json`` are the
 row-by-row writers that the column writers replaced, over
-``_frozen_as_records``, the dict-per-point renderer that ``qfridge point``
-printed through before ``sweep.write_record`` replaced it; and
-``_frozen_select_*`` are the ``np.select`` bodies of the tag rules that table
-lookups replaced.
+``_reference_records``, the dict-per-point renderer that ``qfridge point``
+printed through before ``sweep.write_record`` replaced it.
 
 The golden files in tests/data were written from the configs next to them:
 ``python -m qfridge.cli sweep tests/data/<name>.conf``, then ``gzip -n -9``
@@ -32,11 +30,8 @@ instead of one generator per column seeded ``seed + i``.  To rewrite
     PYTHONPATH=$REPO/src python -m qfridge.cli sweep $REPO/tests/data/<name>.conf
     gzip -n -9 <name>.csv <name>.json && cp <name>.* $REPO/tests/data/
 """
-import contextlib
-import dataclasses
 import functools
 import gzip
-import io
 import json
 import math
 from pathlib import Path
@@ -50,7 +45,6 @@ from qfridge import sweep
 from qfridge.cli import cli_main
 from qfridge.qcore import DIM, basis_index, basis_label
 from qfridge.sweep import (
-    CHOICES,
     CSV_HEADER,
     SweepConfig,
     SweepResult,
@@ -58,7 +52,6 @@ from qfridge.sweep import (
     sweep_transition_matrix,
     write_csv,
     write_json,
-    write_record,
 )
 from qfridge.thermo import (
     BOUNDARY_EPS,
@@ -68,8 +61,6 @@ from qfridge.thermo import (
     DeviceSpec,
     TransitionMatrix,
     cold_energies,
-    cold_excitation,
-    final_temperatures,
     ground_populations,
     hot_energies,
     mode_tags,
@@ -297,76 +288,6 @@ def test_kernel_matches_the_reference_chain(
         assert not np.any((res.de_cold < 0) & (res.work < 0))
 
 
-def _frozen_evaluate_grid(cfg, tm, t_h_axis, t_c_axis):
-    """evaluate_grid as it stood while it spread the axes into T_H and T_C
-    columns, took the roles mask from them twice (once inside the purifier
-    rule, inlined here) and subtracted the preparation once per energy."""
-    t_h_axis, t_c_axis = np.asarray(t_h_axis, float), np.asarray(t_c_axis, float)
-    spec = cfg.device()
-    probs = preparation_grid(cfg.scheme, spec, t_h_axis, t_c_axis)
-    t_hot, t_cold = np.repeat(t_h_axis, t_c_axis.size), np.tile(t_c_axis, t_h_axis.size)
-    after = probs @ tm.p.T
-    e_h, e_c = hot_energies(spec, cfg.hot_energy_mode), cold_energies(spec)
-    de_hot, de_cold = (after - probs) @ e_h, (after - probs) @ e_c
-    eps = BOUNDARY_EPS
-    if cfg.shots > 0:
-        squares = probs ** 2
-        for e in (e_h, e_c, e_h + e_c):
-            var = squares @ tm.shot_variances(e) / cfg.shots
-            eps = np.maximum(eps, 3.0 * np.sqrt(np.maximum(var, 0.0)))
-    swap = np.less(t_hot, t_cold)
-    mode = mode_tags(np.where(swap, de_cold, de_hot), np.where(swap, de_hot, de_cold), eps)
-    q = cold_excitation(after)
-    kind, t_final = final_temperatures(q, spec.f1)
-    p_g_final = 1.0 - q
-    purifier = np.zeros(t_hot.size, dtype=bool)
-    if cfg.scheme == "full8":
-        g = ground_populations(probs)
-        purifier = (mode == "R") & (~np.less(t_hot, t_cold) & (np.min(g, axis=0) >= 0.5)
-                                    & (p_g_final > np.max(g, axis=0)))
-    return SweepResult(t_h_axis, t_c_axis, de_hot, de_cold, mode, t_final, kind, p_g_final, purifier)
-
-
-#: exact, sampled and mitigated runs, with and without readout error
-RUNS = {
-    "exact": dict(shots=0),
-    "exact_vstar_noisy": dict(v="vstar", p1=0.001, p2=0.01, shots=0),
-    "exact_readout": dict(shots=0, eps01=0.02, eps10=0.05),
-    "exact_mitigated": dict(shots=0, eps01=0.02, eps10=0.05, mitigation=True),
-    "sampled": dict(shots=8192, seed=5, eps01=0.02, eps10=0.03),
-    "sampled_mitigated": dict(shots=256, seed=9, eps01=0.03, eps10=0.05, mitigation=True),
-}
-
-
-@functools.cache
-def _run_tm(run):
-    return sweep_transition_matrix(SweepConfig(**RUNS[run]))
-
-
-#: a few values that both axes draw from, so that grids hold T_H == T_C points
-_SHARED = st.sampled_from([20.0, 80.0, 100.0, 150.0, 300.0, 1000.0])
-ragged_axes = st.lists(st.one_of(_SHARED, st.floats(1.0, 5000.0)), min_size=1, max_size=7)
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    run=st.sampled_from(sorted(RUNS)),
-    scheme=st.sampled_from(SCHEMES),
-    hot_energy_mode=st.sampled_from(HOT_ENERGY_MODES),
-    t_h_axis=st.one_of(_SHARED.map(lambda t: [t]), ragged_axes),
-    t_c_axis=st.one_of(_SHARED.map(lambda t: [t]), ragged_axes),
-)
-def test_kernel_columns_equal_the_frozen_kernel_bit_for_bit(
-    run, scheme, hot_energy_mode, t_h_axis, t_c_axis
-):
-    cfg = SweepConfig(scheme=scheme, hot_energy_mode=hot_energy_mode, **RUNS[run])
-    got = evaluate_grid(cfg, _run_tm(run), t_h_axis, t_c_axis)
-    want = _frozen_evaluate_grid(cfg, _run_tm(run), t_h_axis, t_c_axis)
-    for field in dataclasses.fields(SweepResult):
-        a, b = getattr(got, field.name), getattr(want, field.name)
-        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), field.name
-
-
 @settings(max_examples=300, deadline=None)
 @given(de_hot=st.floats(-10.0, 10.0), de_cold=st.floats(-10.0, 10.0), eps=st.floats(1e-8, 1e-1))
 def test_mode_tags_match_the_reference_precedence(de_hot, de_cold, eps):
@@ -375,49 +296,6 @@ def test_mode_tags_match_the_reference_precedence(de_hot, de_cold, eps):
     for e in (BOUNDARY_EPS, eps):
         want = [_reference_mode(h, c, e) for h, c in zip(de_h, de_c)]
         assert mode_tags(np.array(de_h), np.array(de_c), e).tolist() == want
-
-
-def _frozen_select_mode_tags(de_hot, de_cold, eps=BOUNDARY_EPS):
-    """mode_tags as it stood with np.select."""
-    w = de_hot + de_cold
-    near_zero = np.minimum(np.minimum(abs(de_hot), abs(de_cold)), abs(w)) < eps
-    return np.select([near_zero, de_cold < 0, w < 0, de_hot < 0], ["Boundary", "R", "E", "A"], "H")
-
-
-def _frozen_select_kinds(q):
-    """final_temperatures' kind as it stood with np.select."""
-    q = np.asarray(q, float)
-    return np.select([abs(q - 0.5) < 1e-12, q > 0.5], ["infinite", "inverted"], "finite")
-
-
-#: any float, with zeros, tolerances and the edges of q = 1/2 drawn often
-_edge_floats = st.one_of(
-    st.floats(),
-    st.sampled_from([0.0, -0.0, 1e-4, -1e-4, 0.5, 0.5 - 1e-12, 0.5 + 1e-12, 0.5 - 1e-13, 0.5 + 1e-13]),
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(data=st.data(), size=st.one_of(st.none(), st.integers(0, 8)),
-       eps=st.one_of(st.just(BOUNDARY_EPS), st.floats(0.0, 1.0)))
-def test_tag_tables_match_the_frozen_select_bodies(data, size, eps):
-    # size None draws 0-d arrays
-    def column():
-        if size is None:
-            return np.array(data.draw(_edge_floats))
-        return np.array(data.draw(st.lists(_edge_floats, min_size=size, max_size=size)), dtype=float)
-
-    de_hot, de_cold, q = column(), column(), column()
-    with np.errstate(over="ignore", invalid="ignore"):  # W of huge or infinite energies
-        # a NaN ledger entry (W = inf - inf too) has no sign: it reads Boundary,
-        # where the select body read a sign tag; every other point reads as before
-        no_sign = np.isnan(de_hot) | np.isnan(de_cold) | np.isnan(de_hot + de_cold) | np.isnan(eps)
-        pairs = [(mode_tags(de_hot, de_cold, eps),
-                  np.where(no_sign, "Boundary", _frozen_select_mode_tags(de_hot, de_cold, eps))),
-                 (final_temperatures(q, 5.0)[0], _frozen_select_kinds(q))]
-    for got, want in pairs:
-        assert (type(got), got.dtype, got.shape) == (type(want), want.dtype, want.shape)
-        assert got.tolist() == want.tolist()
 
 
 def test_kernel_final_temperature_kinds_at_the_edges():
@@ -467,7 +345,19 @@ def test_outputs_match_golden_files(name, tmp_path, monkeypatch, capsys):
             assert got == want, path
 
 
-def _frozen_as_records(res):
+def test_point_prints_the_golden_records_of_exact64(capsys):
+    # exact64 is the default grid at shots = 0: a point at its axis values,
+    # each given as the repr of its float, prints that point's record
+    records = json.loads(gzip.decompress((DATA / "exact64.json.gz").read_bytes()))
+    firsts = [next(n for n, r in enumerate(records) if r["mode"] == mode)
+              for mode in ("R", "A", "E", "Boundary")]
+    for n in sorted({*firsts, *range(0, len(records), 511), len(records) - 1}):
+        r = records[n]
+        assert cli_main(["point", "--th", repr(r["T_H"]), "--tc", repr(r["T_C"]), "--shots", "0"]) == 0
+        assert capsys.readouterr().out == json.dumps(r, indent=2) + "\n", n
+
+
+def _reference_records(res):
     """One dict per grid point with Python values, as sweep.as_records built
     them: T_C_final may be "inf"/"inverted", and a non-finite float is its
     CSV text ("nan", "inf", "-inf")."""
@@ -492,14 +382,14 @@ def _reference_write_csv(res):
     lines = [
         f"{g9(th)},{g9(tc)},{g9(dh)},{g9(dc)},{g9(w)},{mode},"
         f"{g9(t)},{g9(pg)},{'true' if pur else 'false'}"
-        for th, tc, dh, dc, w, mode, t, pg, pur in (r.values() for r in _frozen_as_records(res))
+        for th, tc, dh, dc, w, mode, t, pg, pur in (r.values() for r in _reference_records(res))
     ]
     return "\n".join([CSV_HEADER, *lines]) + "\n"
 
 
 def _reference_write_json(res):
     # allow_nan=False: strict JSON, no NaN or Infinity constants
-    return json.dumps(_frozen_as_records(res), indent=2, allow_nan=False) + "\n"
+    return json.dumps(_reference_records(res), indent=2, allow_nan=False) + "\n"
 
 
 @st.composite
@@ -535,41 +425,3 @@ def test_writers_match_the_row_by_row_references_byte_for_byte(res, block_points
         with mock.patch.object(sweep, "_BLOCK_POINTS", block_points):
             assert write_csv(res) == want_csv
             assert write_json(res) == want_json
-
-
-@settings(max_examples=300, deadline=None)
-@given(res=sweep_results(n_h=st.just(1), n_c=st.just(1)))
-def test_write_record_matches_the_frozen_record_byte_for_byte(res):
-    with np.errstate(over="ignore", invalid="ignore"):  # W of huge or infinite energies
-        assert write_record(res) == json.dumps(_frozen_as_records(res)[0], indent=2)
-
-
-#: drawn `qfridge point` flags: each one given or left at its default
-_point_flags = st.fixed_dictionaries({}, optional={
-    "f1": st.floats(4.5, 5.0),
-    "p2": st.sampled_from([0.0, 0.01]),
-    "eps01": st.floats(0.0, 0.05),
-    "eps10": st.floats(0.0, 0.05),
-    "scheme": st.sampled_from(CHOICES["scheme"]),
-    "v": st.sampled_from(CHOICES["v"]),
-    "shots": st.sampled_from([0, 0, 256]),
-    "seed": st.integers(0, 2**31),
-    "mitigation": st.booleans(),
-    "hot_energy_mode": st.sampled_from(CHOICES["hot_energy_mode"]),
-})
-
-
-@settings(max_examples=100, deadline=None)
-@given(th=st.one_of(st.just(math.inf), st.floats(1.0, 2000.0)), tc=st.floats(1.0, 2000.0),
-       flags=_point_flags)
-def test_point_prints_the_frozen_record_byte_for_byte(th, tc, flags):
-    argv = ["point", "--th", repr(th), "--tc", repr(tc)]
-    for key, value in flags.items():
-        text = ("on" if value else "off") if isinstance(value, bool) else str(value)
-        argv += ["--" + key.replace("_", "-"), text]  # str of a float is its repr
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert cli_main(argv) == 0
-    cfg = SweepConfig(**flags)
-    res = evaluate_grid(cfg, sweep_transition_matrix(cfg), [th], [tc])
-    assert out.getvalue() == json.dumps(_frozen_as_records(res)[0], indent=2) + "\n"

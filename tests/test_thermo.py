@@ -13,13 +13,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qfridge import noise, qcore, thermo
-from qfridge.circuits import (
-    W_SUBSPACE, Circuit, build_identity_circuit, build_target_unitary, build_vstar_circuit,
-)
+from qfridge.circuits import W_SUBSPACE, build_target_unitary, build_vstar_circuit
 from qfridge.noise import NoiseModel
 from qfridge.oracles import (
-    CASABLANCA, JAKARTA, ground_population_map, haar_unitary, random_density,
-    renyi2_purity_check,
+    CASABLANCA, JAKARTA, ground_population_map, random_density, renyi2_purity_check,
 )
 from qfridge.sweep import SweepConfig, evaluate_grid
 from qfridge.thermo import (
@@ -108,40 +105,6 @@ def test_basis_densities_are_one_read_only_constant():
     assert np.array_equal(rhos, [np.outer(b, b) for b in np.eye(qcore.DIM)])
     with pytest.raises(ValueError, match="read-only"):
         rhos[0, 0, 0] = 0.0
-
-
-def _frozen_cold_energies(spec):
-    """The state-by-state loop that cold_energies replaced, kept verbatim."""
-    return np.array(
-        [(0.5 if qcore.basis_label(m)[2] else -0.5) * spec.f1 for m in range(qcore.DIM)]
-    )
-
-
-def _frozen_hot_energies(spec, mode):
-    """The state-by-state loop that hot_energies replaced, kept verbatim."""
-    e = np.zeros(qcore.DIM)
-    for m in range(qcore.DIM):
-        i, j, _ = qcore.basis_label(m)
-        if i == j:
-            e[m] = (0.5 if i else -0.5) * spec.omega_sum
-        elif mode == "detuned":
-            e[m] = (0.5 if i > j else -0.5) * spec.detuning
-    return e
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    freqs=st.tuples(*[st.floats(1e-3, 1e3, allow_subnormal=False)] * 3),
-    resonant=st.booleans(),
-)
-def test_energy_spectra_match_the_state_loops_bit_for_bit(freqs, resonant):
-    # f0 = f2 makes the detuning 0, where the loop writes -0.0 on (01)
-    f0, f1, f2 = freqs
-    spec = DeviceSpec(f0, f1, f0 if resonant else f2)
-    assert cold_energies(spec).tobytes() == _frozen_cold_energies(spec).tobytes()
-    for mode in HOT_ENERGY_MODES:
-        got, want = hot_energies(spec, mode), _frozen_hot_energies(spec, mode)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -291,66 +254,23 @@ def test_transition_matrix_rejects_non_finite_entries():
             TransitionMatrix(one_inf)
 
 
-def _frozen_transition_matrix_accepts(p) -> bool:
-    """TransitionMatrix's entry checks as they stood before qcore.check_probabilities
-    served them: finite, non-negative, columns summing to 1 within 1e-9."""
-    p = np.ascontiguousarray(p, dtype=float)
-    return bool(np.isfinite(p).all() and not np.min(p) < 0
-                and not np.max(np.abs(p.sum(axis=0) - 1.0)) > 1e-9)
-
-
-def _frozen_readout_inverse(confusion):
-    """noise.readout_inverse as it stood before qcore.check_probabilities
-    checked its columns."""
-    m = np.asarray(confusion, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("confusion matrix must be square")
-    if not np.min(m) >= 0:  # NaN fails too
-        raise ValueError("confusion matrix has a negative or NaN entry")
-    if np.max(np.abs(m.sum(axis=0) - 1.0)) > qcore.STATE_ATOL:
-        raise ValueError("confusion matrix columns must sum to 1")
-    u, s, vt = np.linalg.svd(m)
-    if not s[0] <= 1e12 * s[-1]:  # cond = s[0] / s[-1]; NaN fails too
-        raise ValueError(f"confusion matrix is singular (cond={s[0] / s[-1] if s[-1] else np.inf:.3g})")
-    return (vt.T / s) @ u.T
-
-
-# an entry of a column-stochastic matrix shifted by a sum error, or replaced
-# by a negative or non-finite value
-_DEFECTS = st.one_of(
-    st.tuples(st.just("add"), st.sampled_from([1e-13, -1e-13, 1e-11, -1e-11, 1e-10, -1e-10])),
-    st.tuples(st.just("set"), st.sampled_from([-0.0, -1e-17, -0.25, np.nan, np.inf, -np.inf])),
-)
-
-
-@settings(max_examples=400, deadline=None)
-@given(counts=st.lists(st.integers(0, 1000), min_size=64, max_size=64),
-       defects=st.lists(st.tuples(_DEFECTS, st.integers(0, 7), st.integers(0, 7)), max_size=3))
-@example(counts=[0] * 64, defects=[(("add", 1e-10), 2, 2)])
-@example(counts=[0] * 64, defects=[(("add", 1e-13), 2, 2)])
-@example(counts=[0] * 64, defects=[(("set", np.inf), 3, 5)])
-def test_stochastic_matrix_verdicts_are_the_one_rule(counts, defects):
-    # columns of counts, with the diagonal raised by one so that none is empty
-    m = np.reshape(counts, (8, 8)) + np.eye(8)
-    m = m / m.sum(axis=0)
-    for (kind, value), i, j in defects:
-        m[i, j] = m[i, j] + value if kind == "add" else value
-    try:
-        TransitionMatrix(m)
-        accepted = True
-    except ValueError:
-        accepted = False
-    if not _frozen_transition_matrix_accepts(m):
-        assert not accepted
-    else:  # the frozen 1e-9 bound also lets through (STATE_ATOL, 1e-9]
-        assert accepted == (np.max(np.abs(m.sum(axis=0) - 1.0)) <= qcore.STATE_ATOL)
-    try:
-        want = _frozen_readout_inverse(m)
-    except ValueError:
-        with pytest.raises(ValueError):
-            noise.readout_inverse(m)
-    else:
-        assert np.array_equal(noise.readout_inverse(m), want)
+def test_every_checked_probability_sums_to_one_within_state_atol():
+    # qcore.check_probabilities checks a vector, a stack of them, each
+    # TransitionMatrix column and each confusion-matrix column that
+    # noise.readout_inverse takes, at STATE_ATOL = 1e-12
+    confusion = noise.readout_matrix(NoiseModel(eps01=0.02, eps10=0.05))
+    for off, accepted in ((0.5e-12, True), (-0.5e-12, True), (5e-12, False), (-5e-12, False)):
+        vector, stack, m = np.full(8, 0.125), np.full((2, 3, 8), 0.125), confusion.copy()
+        vector[3] += off
+        stack[1, 2, 3] += off
+        m[5, 2] += off
+        for check in (lambda: qcore.check_probabilities(vector), lambda: qcore.check_probabilities(stack),
+                      lambda: TransitionMatrix(m), lambda: noise.readout_inverse(m)):
+            if accepted:
+                check()
+            else:
+                with pytest.raises(ValueError, match="does not sum to 1"):
+                    check()
 
 
 def test_exact_transition_matrices_are_the_basis_permutations():
@@ -368,52 +288,6 @@ def test_sampled_transition_matrix_is_deterministic_and_stochastic():
     b = transition_matrix(build_target_unitary("identity"), nm, 4096, 3)
     assert np.array_equal(a.p, b.p)
     assert np.allclose(a.p.sum(axis=0), 1.0)
-
-
-def _frozen_transition_matrix(engine, nm, shots, seed, mitigation=None):
-    """transition_matrix as one body, as it stood before outcome_channel and
-    measure_channel were split out of it."""
-    if isinstance(engine, Circuit):
-        rhos = noise.evolve_noisy(engine, thermo._BASIS_DENSITIES, nm)
-    else:
-        rhos = engine @ thermo._BASIS_DENSITIES @ engine.conj().T
-    raw = noise.apply_readout_error(qcore.born_probabilities(rhos), nm)
-    if shots:
-        raw = qcore.sample_counts(raw, shots, seed) / shots
-    if mitigation is None:
-        return TransitionMatrix(raw.T)
-    unmix = noise.readout_inverse(mitigation)
-    return TransitionMatrix(noise.mitigate(raw, unmix).T, raw.T, unmix)
-
-
-_ENGINES = {
-    "identity": lambda: build_target_unitary("identity"),
-    "vstar": lambda: build_target_unitary("vstar"),
-    "haar": lambda: haar_unitary(8, np.random.default_rng(5)),
-    "identity circuit": build_identity_circuit,
-    "vstar circuit": build_vstar_circuit,
-}
-
-
-@settings(max_examples=200, deadline=None)
-@given(engine=st.sampled_from(sorted(_ENGINES)), p=st.tuples(*[st.floats(0.0, 0.3)] * 2),
-       eps=st.tuples(*[st.floats(0.0, 0.2)] * 2), shots=st.sampled_from([0, 64, 8192]),
-       seed=st.integers(0, 2 ** 32), mitigation=st.booleans())
-def test_transition_matrix_equals_its_frozen_body_bit_for_bit(engine, p, eps, shots, seed,
-                                                              mitigation):
-    engine, nm = _ENGINES[engine](), NoiseModel(*p, *eps)
-    conf = noise.readout_matrix(nm) if mitigation else None
-    got = transition_matrix(engine, nm, shots, seed, conf)
-    want = _frozen_transition_matrix(engine, nm, shots, seed, conf)
-    for name in ("p", "raw", "unmix"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
-    # the channel is kept, never written, so a read-only one measures the same
-    channel = thermo.outcome_channel(engine, nm)
-    assert got.channel.tobytes() == channel.tobytes()
-    channel.flags.writeable = False
-    again = thermo.measure_channel(channel, nm, shots, seed, conf)
-    assert again.p.tobytes() == got.p.tobytes() and again.channel is channel
 
 
 def test_outcome_channel_ignores_readout():
