@@ -345,16 +345,22 @@ def test_outputs_match_golden_files(name, tmp_path, monkeypatch, capsys):
             assert got == want, path
 
 
-def test_point_prints_the_golden_records_of_exact64(capsys):
+_EXACT64 = json.loads(gzip.decompress((DATA / "exact64.json.gz").read_bytes()))
+# the first point of each mode, every 511th point and the last
+_EXACT64_POINTS = sorted({
+    *(next(n for n, r in enumerate(_EXACT64) if r["mode"] == mode) for mode in ("R", "A", "E", "Boundary")),
+    *range(0, len(_EXACT64), 511),
+    len(_EXACT64) - 1,
+})
+
+
+@pytest.mark.parametrize("n", _EXACT64_POINTS)
+def test_point_prints_the_golden_records_of_exact64(n, capsys):
     # exact64 is the default grid at shots = 0: a point at its axis values,
     # each given as the repr of its float, prints that point's record
-    records = json.loads(gzip.decompress((DATA / "exact64.json.gz").read_bytes()))
-    firsts = [next(n for n, r in enumerate(records) if r["mode"] == mode)
-              for mode in ("R", "A", "E", "Boundary")]
-    for n in sorted({*firsts, *range(0, len(records), 511), len(records) - 1}):
-        r = records[n]
-        assert cli_main(["point", "--th", repr(r["T_H"]), "--tc", repr(r["T_C"]), "--shots", "0"]) == 0
-        assert capsys.readouterr().out == json.dumps(r, indent=2) + "\n", n
+    r = _EXACT64[n]
+    assert cli_main(["point", "--th", repr(r["T_H"]), "--tc", repr(r["T_C"]), "--shots", "0"]) == 0
+    assert capsys.readouterr().out == json.dumps(r, indent=2) + "\n"
 
 
 def _reference_records(res):

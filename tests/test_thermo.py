@@ -254,7 +254,8 @@ def test_transition_matrix_rejects_non_finite_entries():
             TransitionMatrix(one_inf)
 
 
-def test_every_checked_probability_sums_to_one_within_state_atol():
+@pytest.mark.parametrize("name", ["vector", "stack", "transition_matrix_column", "readout_inverse_column"])
+def test_every_checked_probability_sums_to_one_within_state_atol(name):
     # qcore.check_probabilities checks a vector, a stack of them, each
     # TransitionMatrix column and each confusion-matrix column that
     # noise.readout_inverse takes, at STATE_ATOL = 1e-12
@@ -264,13 +265,17 @@ def test_every_checked_probability_sums_to_one_within_state_atol():
         vector[3] += off
         stack[1, 2, 3] += off
         m[5, 2] += off
-        for check in (lambda: qcore.check_probabilities(vector), lambda: qcore.check_probabilities(stack),
-                      lambda: TransitionMatrix(m), lambda: noise.readout_inverse(m)):
-            if accepted:
+        check = {
+            "vector": lambda: qcore.check_probabilities(vector),
+            "stack": lambda: qcore.check_probabilities(stack),
+            "transition_matrix_column": lambda: TransitionMatrix(m),
+            "readout_inverse_column": lambda: noise.readout_inverse(m),
+        }[name]
+        if accepted:
+            check()
+        else:
+            with pytest.raises(ValueError, match="does not sum to 1"):
                 check()
-            else:
-                with pytest.raises(ValueError, match="does not sum to 1"):
-                    check()
 
 
 def test_exact_transition_matrices_are_the_basis_permutations():
