@@ -24,7 +24,6 @@ from .noise import (
     NoiseModel,
     apply_readout_error,
     calibrate,
-    evolve_noisy,
     mitigate,
     readout_inverse,
     readout_matrix,

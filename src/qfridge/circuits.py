@@ -5,7 +5,8 @@ wire order.  :func:`embed_gate`, the one gate kernel, lifts a gate matrix, or
 a stack of them, to the full register through cached index tables; its one
 caller is :func:`gate_stack`, which lifts every gate of a circuit with one
 call per (name, wires) group.  :func:`unitary_of_circuit` multiplies that
-stack pairwise, and the step unitaries of ``noise.evolve_noisy`` are read
+stack pairwise, and the step unitaries of the noise plan (``noise._plan``,
+behind ``noise.circuit_channel`` and ``noise.channel_polynomial``) are read
 from it.  Three-wire unitaries are returned in the logical |ij,k> order of
 :func:`build_target_unitary`.
 """

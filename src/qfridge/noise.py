@@ -4,16 +4,16 @@ The gate-noise model is deliberately minimal: after each gate's unitary, the
 gate's wires are depolarized with probability p1 (single-qubit gates) or p2
 (two-qubit gates); depolarizing is unital, so it cannot cool anything for
 free.  Readout error flips each qubit's outcome bit with the same two
-probabilities, eps01 and eps10, on every qubit.  :func:`evolve_noisy`
-evolves a whole stack of densities (say the 8 basis inputs of a transition
-matrix) in one pass over its Pauli components: the noise stays per gate, but
-a plan cached per circuit fuses it into one step per cx, a diagonal scale
-followed by a real Pauli transfer matrix.  The plan reads its gates from
-``circuits.gate_stack``, so ``circuits.embed_gate`` stays the one gate
-kernel.  :func:`channel_polynomial` carries the basis inputs through the
-same plan with the noise kept symbolic, which makes a circuit's outcome
-channel an exact polynomial in (1 - p1, 1 - p2); :func:`evaluate_channel`
-gives it at any noise model in one weighted sum.
+probabilities, eps01 and eps10, on every qubit.  :func:`circuit_channel`
+gives a circuit's readout-free outcome channel: it carries the Pauli
+components of the basis inputs, and nothing else, through a plan of the
+circuit that keeps the noise per gate but fuses it into one step per cx, a
+diagonal scale followed by a real Pauli transfer matrix.  The plan reads its
+gates from ``circuits.gate_stack``, so ``circuits.embed_gate`` stays the one
+gate kernel.  :func:`channel_polynomial` carries the same inputs through the
+same steps with the noise kept symbolic, which makes the channel an exact
+polynomial in (1 - p1, 1 - p2); :func:`evaluate_channel` gives it at any
+noise model in one weighted sum.
 """
 from __future__ import annotations
 
@@ -59,11 +59,11 @@ def _pauli_basis(n: int):
                                        p.reshape(4 ** n, -1).T / 2 ** n, mask)))
 
 
-@functools.lru_cache(maxsize=8)
 def _plan(c: Circuit):
     """The circuit as steps in the Pauli basis: per step, a real transfer
     matrix R and the exponents E1, E2 of (1 - p1), (1 - p2) that scale each
-    Pauli component before R; shared, so all three are read-only.
+    Pauli component before R.  Built at every call: sweeps keep the one
+    build per V they need, as sweep._engine_polynomial.
 
     Each cx closes a step, the product of the one-wire gates since the
     previous cx and the cx; the last step holds the gates after the last cx.
@@ -90,29 +90,30 @@ def _plan(c: Circuit):
         ptm[i], e1[i], e2[i] = transfer(u), counts @ mask, mask[list(g.wires)].max(axis=0)
         counts[:], i, u = 0, i + 1, np.eye(2 ** n, dtype=complex)
     ptm[i], e1[i] = transfer(u), counts @ mask
-    return qcore.read_only(ptm), qcore.read_only(e1), qcore.read_only(e2)
+    return ptm, e1, e2
 
 
-def evolve_noisy(c: Circuit, rho: np.ndarray, nm: NoiseModel) -> np.ndarray:
-    """Run a circuit on a density operator, or a stack (..., d, d) of them,
-    with per-gate depolarizing noise.
-
-    rho is taken and returned in logical order; the evolution runs in
-    physical wire order, on the Pauli components of rho.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    n = c.n_wires
-    if rho.shape[-2:] != (2 ** n, 2 ** n):
-        raise ValueError("state dimension does not match the circuit")
-    ptm, e1, e2 = _plan(c)
+def _basis_ends(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where an outcome channel starts and ends in the Pauli basis: the
+    components of the basis inputs |m><m|, one real column per physical
+    basis input (to_pauli's columns at the diagonal entries of vec(rho)),
+    and the real rows of from_pauli there, which read Born diagonals back."""
+    d = 2 ** n
     to_pauli, from_pauli, _ = _pauli_basis(n)
-    rho = qcore.to_physical(rho)
-    # a column of Pauli components per density, viewed as real and imaginary parts side by side
-    x = (to_pauli @ rho.reshape(-1, 4 ** n).T).view(float)
+    return to_pauli[:, ::d + 1].real, from_pauli[::d + 1].real
+
+
+def circuit_channel(c: Circuit, nm: NoiseModel) -> np.ndarray:
+    """The circuit's readout-free outcome channel under nm's per-gate
+    depolarizing noise: row m is the Born distribution of basis input m
+    after the circuit, (d, d) in logical order, through
+    qcore.clip_probabilities.  The inputs' Pauli components go through
+    _plan's steps in physical wire order."""
+    ptm, e1, e2 = _plan(c)
+    x, diagonals = _basis_ends(c.n_wires)
     for r, s in zip(ptm, (1 - nm.p1) ** e1 * (1 - nm.p2) ** e2):
         x = r @ (s[:, None] * x)
-    rho = (from_pauli @ x.view(complex)).T.reshape(rho.shape)
-    return qcore.to_logical(rho)
+    return qcore.clip_probabilities(qcore.to_logical((diagonals @ x).T))
 
 
 def channel_polynomial(c: Circuit) -> tuple[np.ndarray, np.ndarray]:
@@ -122,17 +123,14 @@ def channel_polynomial(c: Circuit) -> tuple[np.ndarray, np.ndarray]:
     Born diagonal that basis input m contributes, in logical order; both
     read-only, and evaluated by :func:`evaluate_channel`.
 
-    This is evolve_noisy's rule with the noise kept symbolic: the basis
-    inputs' Pauli components go through _plan's steps, and at each step
-    every term splits by the (E1, E2) exponents of its components before R.
-    Every pair the split reaches is kept, even where its diagonals cancel.
+    This is circuit_channel with the noise kept symbolic: at each of
+    _plan's steps every term splits by the (E1, E2) exponents of its
+    components before R.  Every pair the split reaches is kept, even where
+    its diagonals cancel.
     """
     ptm, e1, e2 = _plan(c)
-    d = 2 ** c.n_wires
-    to_pauli, from_pauli, _ = _pauli_basis(c.n_wires)
-    # the components of |m><m| are to_pauli's column at m's diagonal entry
-    # of vec(rho), and real: one column per physical basis input
-    terms = {(0, 0): to_pauli[:, ::d + 1].real}
+    start, diagonals = _basis_ends(c.n_wires)
+    terms = {(0, 0): start}
     for r, u, w in zip(ptm, e1, e2):
         split = {}
         for du, dw in sorted(set(zip(u.tolist(), w.tolist()))):
@@ -142,13 +140,12 @@ def channel_polynomial(c: Circuit) -> tuple[np.ndarray, np.ndarray]:
                 split[key] = split[key] + y if key in split else y
         terms = split
     pairs = sorted(terms)
-    diagonals = from_pauli[::d + 1].real  # the rows of vec(rho) on its diagonal
     coefficients = qcore.to_logical(np.array([(diagonals @ terms[k]).T for k in pairs]))
     return qcore.read_only(np.array(pairs)), qcore.read_only(coefficients)
 
 
 def evaluate_channel(polynomial: tuple[np.ndarray, np.ndarray], nm: NoiseModel) -> np.ndarray:
-    """channel_polynomial's channel at nm's gate noise, as thermo.outcome_channel
+    """channel_polynomial's channel at nm's gate noise, as circuit_channel
     gives it: one weighted sum of the coefficients, through qcore.clip_probabilities."""
     exponents, coefficients = polynomial
     weights = (1 - nm.p1) ** exponents[:, 0] * (1 - nm.p2) ** exponents[:, 1]

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import qcore
 from .circuits import Circuit
-from .noise import NoiseModel, apply_readout_error, evolve_noisy, mitigate, readout_inverse
+from .noise import NoiseModel, apply_readout_error, circuit_channel, mitigate, readout_inverse
 
 #: h / k_B in mK per GHz
 H_OVER_KB = 47.9924
@@ -204,16 +204,14 @@ def outcome_channel(engine: Circuit | np.ndarray, nm: NoiseModel) -> np.ndarray:
     """The engine's readout-free outcome channel: row i is the Born
     distribution of basis input i after the engine, before readout (8, 8).
 
-    engine may be a circuit (evolved with nm's per-gate depolarizing noise)
-    or a bare unitary in logical order (exact conjugation; gate noise does
-    not apply since there are no gates).  The 8 basis densities are evolved
-    together as one stack; nm's readout probabilities play no part.
+    engine may be a circuit (noise.circuit_channel under nm's per-gate
+    depolarizing noise) or a bare unitary in logical order (the 8 basis
+    densities conjugated as one stack; gate noise does not apply since there
+    are no gates).  nm's readout probabilities play no part.
     """
     if isinstance(engine, Circuit):
-        rhos = evolve_noisy(engine, _BASIS_DENSITIES, nm)
-    else:
-        rhos = engine @ _BASIS_DENSITIES @ engine.conj().T
-    return qcore.born_probabilities(rhos)
+        return circuit_channel(engine, nm)
+    return qcore.born_probabilities(engine @ _BASIS_DENSITIES @ engine.conj().T)
 
 
 def transition_matrix(

@@ -1,14 +1,16 @@
 """The gate kernel (``circuits.embed_gate``, its one caller
-``circuits.gate_stack``, stacked ``noise.evolve_noisy``) against the dense
-per-gate path that it replaced.  ``evolve_noisy`` fuses
-the noise of each cx and the one-wire gates before it into one Pauli-basis
-step, so the long-circuit pins below draw runs of one-wire gates between cx
-gates, where a step carries several noises on one wire.
+``circuits.gate_stack``, and the noise plan that ``noise.circuit_channel``
+and ``noise.channel_polynomial`` read) against the dense per-gate path that
+it replaced.  The plan fuses the noise of each cx and the one-wire gates
+before it into one Pauli-basis step, so the long-circuit pins below draw
+runs of one-wire gates between cx gates, where a step carries several
+noises on one wire.
 
 The reference below builds every gate's full-register matrix with Kronecker
 products or a loop over basis states, depolarizes through an einsum over
 letter subscripts, and permutes with the logical/physical permutation
-matrix, one density operator at a time.
+matrix, one density operator at a time; its channel evolves each basis
+input on its own and reads the Born diagonal.
 """
 import itertools
 import string
@@ -34,8 +36,14 @@ from qfridge.circuits import (
     unitary_of_circuit,
     x,
 )
-from qfridge.noise import NoiseModel, _pauli_basis, _plan, evolve_noisy
-from qfridge.oracles import random_density
+from qfridge.noise import (
+    NoiseModel,
+    _pauli_basis,
+    _plan,
+    channel_polynomial,
+    circuit_channel,
+    evaluate_channel,
+)
 from qfridge.sweep import engine_circuit
 
 
@@ -108,6 +116,12 @@ def _reference_evolve(c: Circuit, rho: np.ndarray, nm: NoiseModel) -> np.ndarray
     return rho
 
 
+def _reference_channel(c: Circuit, nm: NoiseModel) -> np.ndarray:
+    """Row m: the Born diagonal of basis input m evolved by _reference_evolve."""
+    return np.array([np.diagonal(_reference_evolve(c, np.diag(b), nm)).real
+                     for b in np.eye(2 ** c.n_wires)])
+
+
 @st.composite
 def circuits(draw, max_gates=12):
     n = draw(st.integers(1, 4))
@@ -142,11 +156,8 @@ def long_circuits(draw):
 
 
 probabilities = st.floats(0.0, 1.0)
-
-
-def _densities(n_wires, seed, k):
-    rng = np.random.default_rng(seed)
-    return np.array([random_density(2 ** n_wires, rng) for _ in range(k)])
+# the ends 0 and 1 drawn as often as the rest
+unit = st.one_of(st.sampled_from([0.0, 1.0]), probabilities)
 
 
 @settings(max_examples=200, deadline=None)
@@ -156,57 +167,34 @@ def test_unitary_of_circuit_matches_dense_reference(c):
 
 
 @settings(max_examples=200, deadline=None)
-@given(c=circuits(), p1=probabilities, p2=probabilities, seed=st.integers(0, 2 ** 32 - 1))
-def test_evolve_noisy_matches_dense_reference(c, p1, p2, seed):
+@given(c=circuits(), p1=probabilities, p2=probabilities)
+def test_circuit_channel_matches_dense_reference(c, p1, p2):
     nm = NoiseModel(p1=p1, p2=p2)
-    (rho,) = _densities(c.n_wires, seed, 1)
-    got = evolve_noisy(c, rho, nm)
-    assert got.shape == rho.shape
-    assert np.max(np.abs(got - _reference_evolve(c, rho, nm))) < 1e-12
+    got = circuit_channel(c, nm)
+    assert np.max(np.abs(got - _reference_channel(c, nm))) < 1e-12
 
 
 @settings(max_examples=100, deadline=None)
-@given(
-    c=circuits(),
-    p1=probabilities,
-    p2=probabilities,
-    seed=st.integers(0, 2 ** 32 - 1),
-    shape=st.sampled_from([(1,), (3,), (2, 2)]),
-)
-def test_a_stack_evolves_like_single_calls(c, p1, p2, seed, shape):
+@given(c=long_circuits(), p1=unit, p2=unit)
+def test_long_circuit_channels_match_the_dense_reference(c, p1, p2):
     nm = NoiseModel(p1=p1, p2=p2)
-    dim = 2 ** c.n_wires
-    stack = _densities(c.n_wires, seed, int(np.prod(shape))).reshape(shape + (dim, dim))
-    got = evolve_noisy(c, stack, nm)
-    assert got.shape == stack.shape
-    for idx in np.ndindex(shape):
-        assert np.max(np.abs(got[idx] - evolve_noisy(c, stack[idx], nm))) < 1e-12
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    c=long_circuits(),
-    p1=st.one_of(st.sampled_from([0.0, 1.0]), probabilities),
-    p2=st.one_of(st.sampled_from([0.0, 1.0]), probabilities),
-    seed=st.integers(0, 2 ** 32 - 1),
-    k=st.integers(1, 3),
-)
-def test_long_circuits_evolve_like_the_dense_reference(c, p1, p2, seed, k):
-    nm = NoiseModel(p1=p1, p2=p2)
-    stack = _densities(c.n_wires, seed, k)
-    got = evolve_noisy(c, stack, nm)
-    for rho, out in zip(stack, got, strict=True):
-        assert np.max(np.abs(out - _reference_evolve(c, rho, nm))) < 1e-12
+    assert np.max(np.abs(circuit_channel(c, nm) - _reference_channel(c, nm))) < 1e-12
 
 
 @pytest.mark.parametrize("p1,p2", [(0.0, 0.0), (2e-4, 2e-3), (0.2, 0.3), (1.0, 1.0)])
-def test_identity_engine_evolves_like_the_dense_reference(p1, p2):
+def test_identity_engine_channel_matches_the_dense_reference(p1, p2):
     engine = engine_circuit("identity")
     nm = NoiseModel(p1=p1, p2=p2)
-    stack = _densities(engine.n_wires, 7, 3)
-    got = evolve_noisy(engine, stack, nm)
-    for rho, out in zip(stack, got, strict=True):
-        assert np.max(np.abs(out - _reference_evolve(engine, rho, nm))) < 1e-12
+    assert np.max(np.abs(circuit_channel(engine, nm) - _reference_channel(engine, nm))) < 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(c=circuits(), p1=unit, p2=unit)
+def test_polynomials_of_random_circuits_give_the_circuit_channel(c, p1, p2):
+    # the polynomial sums its terms in another order than the evolution
+    nm = NoiseModel(p1=p1, p2=p2)
+    got = evaluate_channel(channel_polynomial(c), nm)
+    assert np.max(np.abs(got - circuit_channel(c, nm))) <= 1e-15
 
 
 @pytest.mark.parametrize(
@@ -220,8 +208,7 @@ def test_cx_on_every_ordered_wire_pair(n_wires, wires):
     c = Circuit(n_wires, [sx(wires[0]), g, rz(wires[1], 0.7)])
     assert np.max(np.abs(unitary_of_circuit(c) - _reference_unitary(c))) < 1e-12
     nm = NoiseModel(p1=0.1, p2=0.3)
-    (rho,) = _densities(n_wires, sum(wires), 1)
-    assert np.max(np.abs(evolve_noisy(c, rho, nm) - _reference_evolve(c, rho, nm))) < 1e-12
+    assert np.max(np.abs(circuit_channel(c, nm) - _reference_channel(c, nm))) < 1e-12
 
 
 def test_embed_gate_reads_a_stack_of_matrices():
@@ -232,9 +219,8 @@ def test_embed_gate_reads_a_stack_of_matrices():
 
 
 def test_full_depolarization_of_the_whole_register_is_maximally_mixed():
-    rho = np.diag(np.eye(4)[1]).astype(complex)
-    out = evolve_noisy(Circuit(2, [cx(0, 1)]), rho, NoiseModel(p2=1.0))
-    assert np.max(np.abs(out - np.eye(4) / 4)) < 1e-15
+    out = circuit_channel(Circuit(2, [cx(0, 1)]), NoiseModel(p2=1.0))
+    assert np.max(np.abs(out - 0.25)) < 1e-15
 
 
 # frozen copies of the per-gate paths that gate_stack replaced

@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 from qfridge import noise, qcore, thermo
 from qfridge.circuits import (
     Circuit,
-    LINE3,
     build_vstar_circuit,
     cx,
     rz,
@@ -27,13 +26,12 @@ from qfridge.noise import (
     apply_readout_error,
     calibrate,
     channel_polynomial,
+    circuit_channel,
     evaluate_channel,
-    evolve_noisy,
     mitigate,
     readout_inverse,
     readout_matrix,
 )
-from qfridge.oracles import random_density
 from qfridge.sweep import engine_circuit
 
 
@@ -66,65 +64,29 @@ def test_noise_model_validation():
     assert NoiseModel().is_gate_noiseless()
 
 
-def test_noiseless_evolution_matches_unitary():
+def test_noiseless_channel_is_the_squared_unitary():
     rng = np.random.default_rng(21)
     for c in (build_vstar_circuit(), _random_circuit(rng)):
-        rho = random_density(8, rng)
-        got = evolve_noisy(c, rho, NoiseModel())
-        u = unitary_of_circuit(c)
-        want = u @ rho @ u.conj().T
-        assert np.max(np.abs(got - want)) < 1e-12
+        # row m is basis input m's Born distribution: column m of |U|^2
+        want = np.abs(unitary_of_circuit(c).T) ** 2
+        assert np.max(np.abs(circuit_channel(c, NoiseModel()) - want)) < 1e-12
 
 
-def test_noisy_evolution_preserves_density_structure():
+def test_depolarizing_is_unital_so_noisy_channels_are_doubly_stochastic():
+    # the clip makes each input's row a distribution; the mixed state, the
+    # mean of the basis inputs, maps to itself, so each outcome's column sums to 1
     rng = np.random.default_rng(22)
-    nm = NoiseModel(p1=0.02, p2=0.05)
-    for _ in range(100):
-        c = _random_circuit(rng, depth=6)
-        rho = random_density(8, rng)
-        out = evolve_noisy(c, rho, nm)
-        assert abs(np.trace(out).real - 1.0) < 1e-10
-        assert np.max(np.abs(out - out.conj().T)) < 1e-10
-        assert np.min(np.linalg.eigvalsh(out)) > -1e-10
-
-
-def test_depolarizing_is_unital():
-    rng = np.random.default_rng(23)
     nm = NoiseModel(p1=0.1, p2=0.3)
-    mixed = np.eye(8, dtype=complex) / 8
-    out = evolve_noisy(_random_circuit(rng), mixed, nm)
-    assert np.max(np.abs(out - mixed)) < 1e-12
+    for _ in range(100):
+        out = circuit_channel(_random_circuit(rng, depth=6), nm)
+        assert out.shape == (8, 8)
+        assert np.max(np.abs(out.sum(axis=0) - 1.0)) < 1e-12
 
 
 def test_full_depolarization_of_one_wire():
     # x on the cold wire followed by p1 = 1 wipes the cold bit entirely
-    rho = np.diag(np.eye(8)[0]).astype(complex)
-    out = evolve_noisy(Circuit(3, [x(1)]), rho, NoiseModel(p1=1.0))
-    p = qcore.born_probabilities(out)
-    assert np.allclose(p, [0.5, 0.5, 0, 0, 0, 0, 0, 0])
-
-
-def test_equal_circuits_share_one_plan_and_other_angles_get_their_own():
-    gates = [sx(0), rz(1, 0.3), cx(0, 1), x(2), cx(1, 2), rz(2, 0.5)]
-    c = Circuit(3, gates, LINE3)
-    assert _plan(Circuit(3, list(gates), LINE3)) is _plan(c)
-    other = Circuit(3, gates[:-1] + [rz(2, 0.6)], LINE3)
-    assert _plan(other) is not _plan(c)
-    rho = random_density(8, np.random.default_rng(24))
-    nm = NoiseModel(p1=0.1, p2=0.2)
-    assert np.max(np.abs(evolve_noisy(other, rho, nm) - evolve_noisy(c, rho, nm))) > 1e-3
-
-
-def test_circuit_hash_is_kept_and_a_second_evolution_hits_the_plan_cache():
-    gates = [sx(0), rz(1, 0.7), cx(0, 1), x(2), cx(1, 2)]
-    c, again = Circuit(3, gates, LINE3), Circuit(3, list(gates), LINE3)
-    assert c == again and hash(c) == hash(again) == hash(c)
-    rho = random_density(8, np.random.default_rng(25))
-    nm = NoiseModel(p1=0.01, p2=0.02)
-    first = evolve_noisy(c, rho, nm)
-    hits = _plan.cache_info().hits
-    assert np.array_equal(evolve_noisy(again, rho, nm), first)
-    assert _plan.cache_info().hits == hits + 1
+    out = circuit_channel(Circuit(3, [x(1)]), NoiseModel(p1=1.0))
+    assert np.allclose(out, np.kron(np.eye(4), np.full((2, 2), 0.5)))
 
 
 def test_plan_has_one_step_per_cx_and_one_after_the_last():
@@ -136,14 +98,13 @@ def test_plan_has_one_step_per_cx_and_one_after_the_last():
 def test_a_circuit_without_cx_is_one_step():
     c = Circuit(1, [x(0)])
     assert len(_plan(c)[0]) == 1
-    out = evolve_noisy(c, np.diag([1.0, 0.0]), NoiseModel(p1=1.0))
-    assert np.max(np.abs(out - np.eye(2) / 2)) < 1e-15
+    out = circuit_channel(c, NoiseModel(p1=1.0))
+    assert np.max(np.abs(out - 0.5)) < 1e-15
 
 
-def test_a_circuit_without_gates_returns_rho():
-    rho = random_density(8, np.random.default_rng(25))
-    out = evolve_noisy(Circuit(3), rho, NoiseModel(p1=0.5, p2=0.5))
-    assert np.max(np.abs(out - rho)) < 1e-15
+def test_a_circuit_without_gates_keeps_every_input():
+    out = circuit_channel(Circuit(3), NoiseModel(p1=0.5, p2=0.5))
+    assert np.max(np.abs(out - np.eye(8))) < 1e-15
 
 
 def _flip_channel(c: Circuit, p2: float) -> np.ndarray:
@@ -176,10 +137,9 @@ unit = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
 @settings(max_examples=200, deadline=None)
 @given(c=cx_circuits(), p1=unit, p2=unit)
 def test_noisy_cx_circuits_are_classical_flip_channels(c, p1, p2):
-    basis = np.eye(2 ** c.n_wires)
-    out = evolve_noisy(c, basis[:, :, None] * basis[:, None, :], NoiseModel(p1, p2))
-    got = np.diagonal(out, axis1=-2, axis2=-1).real.T  # logical order; to_physical keeps 2 and 4 wires
-    assert np.max(np.abs(qcore.to_physical(got) - _flip_channel(c, p2))) <= 1e-12
+    # the channel has a row per input in logical order (to_physical keeps 2 and 4 wires)
+    got = qcore.to_physical(circuit_channel(c, NoiseModel(p1, p2))).T
+    assert np.max(np.abs(got - _flip_channel(c, p2))) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -215,11 +175,6 @@ def test_vstar_polynomial_is_the_classical_flip_channel(p1, p2):
     got = evaluate_channel(channel_polynomial(c), NoiseModel(p1, p2))
     # the channel has a row per input in logical order, _flip_channel a column per input in physical
     assert np.max(np.abs(qcore.to_physical(got).T - _flip_channel(c, p2))) <= 1e-15
-
-
-def test_evolve_noisy_dimension_check():
-    with pytest.raises(ValueError):
-        evolve_noisy(build_vstar_circuit(), np.eye(4, dtype=complex) / 4, NoiseModel())
 
 
 # ---------------------------------------------------------------------------

@@ -315,14 +315,12 @@ def test_point_bytes_do_not_depend_on_the_engine_caches(capsys):
 def _frozen_readout_free_channel(cfg):
     """The engine's outcome channel as sweep_transition_matrix, with
     thermo.transition_matrix inlined, evolved it before the channel was
-    cached: every call evolves the engine."""
+    cached: every call evolves the engine's basis inputs."""
     nm = cfg.noise()
-    if nm.is_gate_noiseless():
-        u = circuits.build_target_unitary(cfg.v)
-        rhos = u @ thermo._BASIS_DENSITIES @ u.conj().T
-    else:
-        rhos = noise.evolve_noisy(sweep.engine_circuit(cfg.v), thermo._BASIS_DENSITIES, nm)
-    return qcore.born_probabilities(rhos)
+    if not nm.is_gate_noiseless():
+        return noise.circuit_channel(sweep.engine_circuit(cfg.v), nm)
+    u = circuits.build_target_unitary(cfg.v)
+    return qcore.born_probabilities(u @ thermo._BASIS_DENSITIES @ u.conj().T)
 
 
 def _frozen_measurement(cfg, channel):
@@ -479,10 +477,13 @@ def test_a_noise_scan_never_evolves_and_builds_each_polynomial_once(monkeypatch)
         raise AssertionError("a sweep evolved the engine")
 
     for module in (noise, thermo):
-        monkeypatch.setattr(module, "evolve_noisy", no_evolving)
+        monkeypatch.setattr(module, "circuit_channel", no_evolving)
     sweep._engine_polynomial.cache_clear()
     built, engine_circuit = [], sweep.engine_circuit
     monkeypatch.setattr(sweep, "engine_circuit", lambda v: built.append(v) or engine_circuit(v))
+    # the plan is not cached: a second build for one V would show here
+    planned, plan = [], noise._plan
+    monkeypatch.setattr(noise, "_plan", lambda c: planned.append(c) or plan(c))
     # noise_scan's pattern: a fresh p2 for every run
     p2s = np.linspace(0.0005, 0.05, 9).tolist()
     for v in CHOICES["v"]:
@@ -491,6 +492,7 @@ def test_a_noise_scan_never_evolves_and_builds_each_polynomial_once(monkeypatch)
         # each p2 ran its own engine
         assert len({d.tobytes() for d in de_cold}) == len(p2s)
     assert built == list(CHOICES["v"])
+    assert planned == [engine_circuit(v) for v in CHOICES["v"]]
     info = sweep._engine_polynomial.cache_info()
     assert (info.hits, info.misses, info.currsize) == (2 * (len(p2s) - 1), 2, 2)
 
@@ -545,11 +547,10 @@ def test_every_array_a_module_keeps_is_read_only():
 def test_every_cache_returns_the_same_read_only_arrays():
     from qfridge import compiler
 
-    spec, c = thermo.DeviceSpec(4.82, 4.76, 4.90), circuits.build_identity_circuit()
+    spec = thermo.DeviceSpec(4.82, 4.76, 4.90)
     calls = {
         "_embed_tables": lambda: circuits._embed_tables((1, 2), 3),
         "_pauli_basis": lambda: noise._pauli_basis(3),
-        "_plan": lambda: noise._plan(c),
         "readout_matrix": lambda: noise.readout_matrix(noise.NoiseModel(eps01=0.02, eps10=0.05)),
         "_walsh_gray": lambda: compiler._walsh_gray(2),
         "cold_energies": lambda: thermo.cold_energies(spec),

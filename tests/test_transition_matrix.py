@@ -18,7 +18,7 @@ from qfridge.noise import (
     NoiseModel,
     apply_readout_error,
     calibrate,
-    evolve_noisy,
+    circuit_channel,
     mitigate,
     readout_inverse,
     readout_matrix,
@@ -32,12 +32,11 @@ def _reference_transition_matrix(engine, nm, shots, seed, mitigation=None):
     basis = np.eye(qcore.DIM, dtype=complex)
     rhos = basis[:, :, None] * basis[:, None, :]
     if isinstance(engine, Circuit):
-        rhos = evolve_noisy(engine, rhos, nm)
+        channel = circuit_channel(engine, nm)
     else:
-        rhos = engine @ rhos @ engine.conj().T
+        channel = [qcore.born_probabilities(rho) for rho in engine @ rhos @ engine.conj().T]
     cols = []
-    for i, rho in enumerate(rhos):
-        p = qcore.born_probabilities(rho)
+    for i, p in enumerate(channel):
         p = apply_readout_error(p, nm)
         if shots:
             p = qcore.sample_counts(p, shots, seed + i) / shots
