@@ -22,6 +22,8 @@ from qfridge.circuits import (
 )
 from qfridge.noise import (
     NoiseModel,
+    _basis_ends,
+    _pauli_basis,
     _plan,
     apply_readout_error,
     calibrate,
@@ -105,6 +107,29 @@ def test_a_circuit_without_cx_is_one_step():
 def test_a_circuit_without_gates_keeps_every_input():
     out = circuit_channel(Circuit(3), NoiseModel(p1=0.5, p2=0.5))
     assert np.max(np.abs(out - np.eye(8))) < 1e-15
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_basis_ends_read_every_basis_input_back(n):
+    d = 2 ** n
+    start, diagonals = _basis_ends(n)
+    # the Pauli components of |m><m| are real, so taking .real drops nothing
+    assert not np.any(_pauli_basis(n)[0][:, ::d + 1].imag)
+    assert start.shape == (4 ** n, d) and diagonals.shape == (d, 4 ** n)
+    assert np.array_equal(diagonals @ start, np.eye(d))
+
+
+def test_equal_circuits_give_one_channel_and_other_angles_their_own():
+    gates = [sx(0), rz(0, 0.3), sx(0), cx(0, 1), x(2), cx(1, 2), rz(2, 0.5)]
+    c, again = Circuit(3, gates), Circuit(3, list(gates))
+    assert c == again and hash(c) == hash(again)
+    nm = NoiseModel(p1=0.1, p2=0.2)
+    assert np.array_equal(circuit_channel(again, nm), circuit_channel(c, nm))
+    inner = Circuit(3, [sx(0), rz(0, 0.4)] + gates[2:])
+    assert np.max(np.abs(circuit_channel(inner, nm) - circuit_channel(c, nm))) > 1e-3
+    # a final rz only turns phases, which no Born diagonal sees
+    final = Circuit(3, gates[:-1] + [rz(2, 0.6)])
+    assert np.max(np.abs(circuit_channel(final, nm) - circuit_channel(c, nm))) < 1e-15
 
 
 def _flip_channel(c: Circuit, p2: float) -> np.ndarray:
