@@ -290,22 +290,27 @@ def _merge_and_rewrite(ops: list, n: int) -> list[Gate]:
 def _route(gates: list[Gate], coupling: CouplingMap | None, n: int) -> list[Gate]:
     """Bridge each cx(a, c) the coupling map forbids through a register wire
     b coupled to both: cx(a, c) = cx(a, b) cx(b, c) cx(a, b) cx(b, c) in
-    application order, 4 cx in all."""
+    application order, 4 cx in all.  Each distinct cx wire pair is decided
+    once, in the order of its first gate."""
     if coupling is None:
         return gates
-    routed: list[Gate] = []
-    for g in gates:
-        if g.name != "cx" or coupling.allows(*g.wires):
-            routed.append(g)
+    bridges: dict[tuple[int, ...], list[Gate]] = {}
+    for a, c in dict.fromkeys(g.wires for g in gates if g.name == "cx"):
+        if coupling.allows(a, c):
             continue
-        a, c = g.wires
         b = next(
             (b for b in range(n) if coupling.allows(a, b) and coupling.allows(b, c)),
             None,
         )
         if b is None:
             raise ValueError(f"no wire is coupled to both wires {a} and {c}")
-        routed += [cx(a, b), cx(b, c), cx(a, b), cx(b, c)]
+        bridges[a, c] = [cx(a, b), cx(b, c), cx(a, b), cx(b, c)]
+    routed: list[Gate] = []
+    for g in gates:  # only cx has two wires, so no other gate's wires name a bridge
+        if g.wires in bridges:
+            routed += bridges[g.wires]
+        else:
+            routed.append(g)
     return routed
 
 

@@ -62,7 +62,9 @@ CHOICES = {
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """A run's settings, checked when built; each key's type is its default's."""
+    """A run's settings, checked when built; each key's type is its default's.
+    Each default is checked once, at import, so a build checks each value
+    that is not its field's default object, then the grid bounds."""
 
     f0: float = 4.82
     f1: float = 4.76
@@ -89,7 +91,8 @@ class SweepConfig:
 
     def __post_init__(self):
         for key, value in vars(self).items():  # in field order, as __init__ set them
-            check_key(key, value)
+            if value is not _DEFAULTS[key]:
+                check_key(key, value)
         check_grid_bounds(vars(self))
 
     def device(self) -> DeviceSpec:
@@ -131,6 +134,12 @@ def check_key(key: str, value) -> None:
                 raise ConfigError(f"unknown output {out!r}")
 
 
+#: each config key's default object, checked here once
+_DEFAULTS = {f.name: f.default for f in fields(SweepConfig)}
+for _key, _value in _DEFAULTS.items():
+    check_key(_key, _value)
+
+
 def check_grid_bounds(values, lines: dict[str, int] | None = None) -> None:
     """max > min on both axes of config `values`; an error cites the later line of its pair."""
     for lo, hi in (("t_h_min", "t_h_max"), ("t_c_min", "t_c_max")):
@@ -145,7 +154,6 @@ def parse_config(text: str) -> SweepConfig:
     Each key's own rule is checked on its line, the grid bounds at the end;
     a key given twice is an error on its second line.
     """
-    defaults = {f.name: f.default for f in fields(SweepConfig)}
     values, lines = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -154,7 +162,7 @@ def parse_config(text: str) -> SweepConfig:
         if "=" not in line:
             raise ConfigError(f"malformed line {raw.strip()!r}", lineno)
         key, value = (part.strip() for part in line.split("=", 1))
-        kind = type(defaults.get(key))  # NoneType for an unknown key
+        kind = type(_DEFAULTS.get(key))  # NoneType for an unknown key
         try:
             if key in lines:
                 raise ConfigError(f"{key} given twice, first on line {lines[key]}")
@@ -174,7 +182,7 @@ def parse_config(text: str) -> SweepConfig:
         except ValueError:
             raise ConfigError(f"bad value {value!r} for {key}", lineno) from None
         lines[key] = lineno
-    check_grid_bounds({**defaults, **values}, lines)
+    check_grid_bounds({**_DEFAULTS, **values}, lines)
     return SweepConfig(**values)
 
 
@@ -308,20 +316,21 @@ def evaluate_grid(cfg: SweepConfig, tm, t_h_axis, t_c_axis) -> SweepResult:
     # propagated through the mitigation (see TransitionMatrix.shot_variances)
     eps = BOUNDARY_EPS
     if cfg.shots > 0:
-        squares = probs ** 2
-        for e in (e_h, e_c, e_h + e_c):
-            var = squares @ tm.shot_variances(e) / cfg.shots
-            eps = np.maximum(eps, 3.0 * np.sqrt(np.maximum(var, 0.0)))
+        # dE_H, dE_C and W as one stack; [:, :, None] keeps each a matrix-vector
+        # product, with the bits of one product per vector
+        var = probs ** 2 @ tm.shot_variances(np.array([e_h, e_c, e_h + e_c]))[:, :, None] / cfg.shots
+        eps = np.maximum(eps, 3.0 * np.sqrt(np.maximum(var[..., 0], 0.0)).max(axis=0))
     # one roles mask over the grid, row-major with T_H outer like the columns
     swap = thermo.roles_exchanged(t_h_axis[:, None], t_c_axis).ravel()
     mode = thermo.mode_tags(np.where(swap, de_cold, de_hot), np.where(swap, de_hot, de_cold), eps)
     q = thermo.cold_excitation(after)
     kind, t_final = thermo.final_temperatures(q, spec.f1)
     p_g_final = 1.0 - q
-    purifier = np.zeros(swap.size, dtype=bool)
     if cfg.scheme == "full8":
         g = thermo.ground_populations(probs)
         purifier = (mode == "R") & thermo.purifies(g, p_g_final, swap)
+    else:
+        purifier = np.zeros(swap.size, dtype=bool)
     return SweepResult(t_h_axis, t_c_axis, de_hot, de_cold, mode, t_final, kind, p_g_final, purifier)
 
 
@@ -370,15 +379,19 @@ class _Block(NamedTuple):
     purifier: list
 
 
-def _block(res: SweepResult, s: slice) -> _Block:
-    """The columns of the grid points in slice `s` of `res`, as every format reads them."""
+def _block(res: SweepResult, s: slice, *lead: np.ndarray) -> tuple[list, _Block]:
+    """The columns of the grid points in slice `s` of `res`, as every format
+    reads them, after the _floats rows of `lead`: float columns as long as
+    the slice, read in the same pass (write_record's two axes)."""
     de_hot, de_cold, kinds = res.de_hot[s], res.de_cold[s], res.t_cold_final_kind[s]
-    floats = _floats(np.array([de_hot, de_cold, de_hot + de_cold, res.t_cold_final[s], res.p_g_final[s]]))
+    floats = _floats(np.array([*lead, de_hot, de_cold, de_hot + de_cold, res.t_cold_final[s],
+                               res.p_g_final[s]]))
+    lead, floats = floats[:len(lead)], floats[len(lead):]
     # where T_C_final's kind is not "finite", its text is the kind's, written after any other
     values, odd, texts = floats[3]
     kinded = np.nonzero(kinds != "finite")[0].tolist()
     floats[3] = values, odd + kinded, texts + [_NON_FINITE_TEXT[kinds[n]] for n in kinded]
-    return _Block(floats, res.mode[s].tolist(), _BOOL_TEXTS.take(res.purifier[s].astype(bool)).tolist())
+    return lead, _Block(floats, res.mode[s].tolist(), _BOOL_TEXTS.take(res.purifier[s].astype(bool)).tolist())
 
 
 class _Format:
@@ -440,7 +453,7 @@ def _texts(res: SweepResult, formats):
     axes = [[np.array(f.numbers(*_floats(axis)[0]), dtype=object)
              for axis in (res.t_h_axis, res.t_c_axis)] for f in formats]
     for start in range(0, size, _BLOCK_POINTS):
-        block = _block(res, slice(start, start + _BLOCK_POINTS))
+        block = _block(res, slice(start, start + _BLOCK_POINTS))[1]
         h, c = np.divmod(np.arange(start, min(start + _BLOCK_POINTS, size)), res.n_c)
         yield (f.text(block, h_texts[h].tolist(), c_texts[c].tolist(), start == 0)
                for f, (h_texts, c_texts) in zip(formats, axes))
@@ -464,11 +477,13 @@ def write_json(res: SweepResult) -> str:
 
 def write_record(res: SweepResult) -> str:
     """The one point of a 1x1 result as one object of write_json, written as
-    ``json.dumps(record, indent=2)`` writes it: _POINT's text of its one block."""
+    ``json.dumps(record, indent=2)`` writes it: _POINT's text of its one
+    block, whose floats and the two axes' are read in one _floats pass."""
     if res.de_hot.size != 1:
         raise ValueError(f"a record holds one point, not {res.n_h}x{res.n_c}")
-    t_h, t_c = (_POINT.numbers(*axis) for axis in _floats(np.array([res.t_h_axis, res.t_c_axis])))
-    return _POINT.text(_block(res, slice(None)), t_h, t_c, True)
+    axes, block = _block(res, slice(None), res.t_h_axis, res.t_c_axis)
+    t_h, t_c = (_POINT.numbers(*axis) for axis in axes)
+    return _POINT.text(block, t_h, t_c, True)
 
 
 MODE_COLORS = {

@@ -146,9 +146,11 @@ def preparation_grid(scheme: str, spec: DeviceSpec, t_h_axis, t_c_axis) -> np.nd
         probs = (hot * s1[:, None, :]).reshape(-1, 8)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
-    # per row, as qcore.check_probabilities; NaN fails too
-    bad = ~((probs.min(axis=1) >= 0) & (np.abs(probs.sum(axis=1) - 1.0) <= qcore.STATE_ATOL))
-    if bad.any():
+    # one verdict over the grid, as qcore.check_probabilities (NaN fails too, a
+    # grid without rows passes); the per-row mask only names the first bad row
+    off = abs(probs.sum(axis=1) - 1.0)
+    if not ((probs >= 0).all() and (off <= qcore.STATE_ATOL).all()):
+        bad = ~((probs.min(axis=1) >= 0) & (off <= qcore.STATE_ATOL))
         h, c = divmod(int(np.argmax(bad)), t_c.size)
         raise ValueError(f"no preparation at T_H = {t_h[h].item()!r} mK, "
                          f"T_C = {t_c[c].item()!r} mK: h f / (k_B T) overflows")
@@ -194,10 +196,13 @@ class TransitionMatrix:
     def shot_variances(self, e: np.ndarray) -> np.ndarray:
         """Per column i, the variance of one shot's estimate of e @ p[:, i], by
         the delta method through unmix before clipping: e @ p[:, i] is
-        f @ raw[:, i] with f = unmix.T @ e.  The confusion matrix counts as
-        exact; its calibration's sampling noise is not included."""
-        f = self.unmix.T @ e
-        return (f ** 2) @ self.raw - (f @ self.raw) ** 2
+        f @ raw[:, i] with f = e @ unmix.  e is an energy vector (8,) or a
+        stack (k, 8) of them, one row each; each row goes through as a 1x8
+        matrix, a matrix-vector product, so it has the bits of a lone call.
+        The confusion matrix counts as exact; its calibration's sampling
+        noise is not included."""
+        f = np.asarray(e)[..., None, :] @ self.unmix
+        return ((f ** 2) @ self.raw - (f @ self.raw) ** 2)[..., 0, :]
 
 
 def outcome_channel(engine: Circuit | np.ndarray, nm: NoiseModel) -> np.ndarray:

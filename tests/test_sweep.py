@@ -131,6 +131,9 @@ def test_parse_errors(text, fragment):
         (dict(f0=True), "f0 = True must be of type float"),
         (dict(p2="0.1"), "p2 = '0.1' must be of type float"),
         (dict(mitigation=1), "mitigation = 1 must be of type bool"),
+        # equal to a default, but not the default object, so still checked
+        (dict(mitigation=0), "mitigation = 0 must be of type bool"),
+        (dict(seed=False), "seed = False must be of type int"),
         (dict(scheme=None), "scheme = None must be of type str"),
         (dict(outputs="csv"), "outputs = 'csv' must be of type tuple"),
         (dict(outputs=["csv"]), "outputs = ['csv'] must be of type tuple"),
@@ -140,6 +143,18 @@ def test_config_is_checked_when_built(bad, message):
     with pytest.raises(ConfigError) as err:
         SweepConfig(**bad)
     assert str(err.value) == message and err.value.line is None
+
+
+def test_every_config_default_passes_its_check_and_a_build_checks_the_rest(monkeypatch):
+    for f in dataclasses.fields(SweepConfig):
+        sweep.check_key(f.name, f.default)
+    checked = []
+    monkeypatch.setattr(sweep, "check_key", lambda key, value: checked.append(key))
+    SweepConfig()
+    assert checked == []
+    # a default object passed in is not checked again; the rest are, in field order
+    SweepConfig(shots=0, seed=SweepConfig.seed, v="vstar", mitigation=False, p2=0.01)
+    assert checked == ["v", "p2", "shots"]
 
 
 def test_config_takes_ints_and_numpy_scalars_where_they_fit():
@@ -591,6 +606,19 @@ def test_sweep_is_deterministic():
     a = write_csv(run_sweep(cfg))
     b = write_csv(run_sweep(cfg))
     assert a == b
+
+
+@pytest.mark.parametrize("run", [dict(shots=0), dict(shots=64, eps01=0.02, eps10=0.03, mitigation=True)],
+                         ids=["exact", "sampled"])
+def test_an_empty_axis_evaluates_to_an_empty_result(run):
+    cfg = SweepConfig(**run)
+    tm = sweep_transition_matrix(cfg)
+    for t_h_axis, t_c_axis in (([], [50.0, 80.0]), ([300.0], []), ([], [])):
+        res = evaluate_grid(cfg, tm, t_h_axis, t_c_axis)
+        assert (res.n_h, res.n_c) == (len(t_h_axis), len(t_c_axis))
+        for f in dataclasses.fields(res)[2:]:
+            assert getattr(res, f.name).shape == (0,), f.name
+        assert write_csv(res) == CSV_HEADER + "\n"
 
 
 def test_sampled_boundary_tolerance_widens_bands():

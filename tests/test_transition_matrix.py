@@ -1,7 +1,8 @@
 """The transition matrix as whole-stack operations, against the per-column
 loop it replaced; its sampling streams; the noiseless V* engine, whose exact
 unitary and 4-cx circuit agree bit for bit; and mitigated runs, which
-factor the confusion matrix once, and their boundary tolerance.
+factor the confusion matrix once, and their boundary tolerance, whose
+stacked shot variances have the bits of one call per energy vector.
 
 ``_reference_transition_matrix`` is ``thermo.transition_matrix`` as it stood
 when each of the 8 columns was read out, sampled and mitigated on its own
@@ -25,7 +26,9 @@ from qfridge.noise import (
 )
 from qfridge.oracles import haar_unitary, random_density
 from qfridge.sweep import SweepConfig, evaluate_grid, run_sweep, sweep_transition_matrix, write_csv, write_json
-from qfridge.thermo import TransitionMatrix, hot_energies, preparation_grid, transition_matrix
+from qfridge.thermo import (
+    TransitionMatrix, cold_energies, hot_energies, preparation_grid, transition_matrix,
+)
 
 
 def _reference_transition_matrix(engine, nm, shots, seed, mitigation=None):
@@ -211,3 +214,27 @@ def test_mitigated_spread_matches_the_propagated_sigma():
     assert abs(np.mean(sigma) / spread - 1.0) < 0.2
     # the variance of the mitigated columns alone misses what the inverse amplifies
     assert abs(np.mean(unpropagated) / spread - 1.0) > 0.2
+
+
+@pytest.mark.parametrize("mitigated", [False, True], ids=["identity_unmix", "mitigated"])
+def test_stacked_shot_variances_are_the_rows_of_one_call_per_vector(mitigated):
+    # evaluate_grid stacks the ledger's three energy vectors into one call;
+    # each row must have the bits of a lone call and of the per-vector
+    # formula f = unmix.T @ e it replaced.  With the identity unmix f is e
+    # exactly; a mitigated unmix holds the same on OpenBLAS with numpy 2.4,
+    # since each row is a matrix-vector product either way (one (k, 8) @ (8, 8)
+    # product, by contrast, rounds some entries 1 ulp apart there)
+    cfg = SweepConfig(v="vstar", p2=0.05, eps01=0.03, eps10=0.05)
+    nm, spec = cfg.noise(), cfg.device()
+    energies = [hot_energies(spec, mode) for mode in ("ideal", "detuned")] + [cold_energies(spec)]
+    stack = np.array(energies + [energies[1] + energies[2]])
+    conf = readout_matrix(nm) if mitigated else None
+    for seed in range(10):
+        tm = transition_matrix(build_vstar_circuit(), nm, 1024, seed, mitigation=conf)
+        assert np.array_equal(tm.unmix, np.eye(8)) != mitigated
+        rows = tm.shot_variances(stack)
+        assert rows.shape == (4, 8)
+        for row, e in zip(rows, stack):
+            f = tm.unmix.T @ e
+            assert np.array_equal(row, tm.shot_variances(e))
+            assert np.array_equal(row, (f ** 2) @ tm.raw - (f @ tm.raw) ** 2)
