@@ -13,7 +13,8 @@ weighted sum, so no run evolves the engine and no cache is keyed on a
 float.  Every other run reads out, samples and mitigates the channel at
 one call, building only the seed streams it draws from.
 ``evaluate_grid`` is the one way to evaluate points: ``qfridge point`` and
-the oracles run it on a 1x1 or small grid.  The SweepResult holds the two
+the oracles run it on a 1x1 or small grid, and a point has the bits of its
+row in any grid.  The SweepResult holds the two
 axes and one array per other column.  Outputs are plain CSV / JSON / binary
 PPM so any external plotter can reproduce the phase diagrams.  The CSV and
 JSON files come from one pass over the columns in blocks of a fixed number
@@ -308,18 +309,22 @@ def evaluate_grid(cfg: SweepConfig, tm, t_h_axis, t_c_axis) -> SweepResult:
     t_h_axis, t_c_axis = np.asarray(t_h_axis, float), np.asarray(t_c_axis, float)
     spec = cfg.device()
     probs = thermo.preparation_grid(cfg.scheme, spec, t_h_axis, t_c_axis)
-    after = probs @ tm.p.T
     e_h, e_c = hot_energies(spec, cfg.hot_energy_mode), cold_energies(spec)
-    delta = after - probs
-    de_hot, de_cold = delta @ e_h, delta @ e_c
+    # each product runs once per grid point, on its row as a 1x8 matrix of a
+    # stack, so that a point has the bits a 1x1 grid gives it: one product
+    # over the whole grid runs another BLAS kernel, which may round apart
+    rows = probs[:, None, :]
+    after = (rows @ tm.p.T)[:, 0]
+    # dE_H and dE_C from one stack of the energy vectors, each an 8x1 matrix
+    de_hot, de_cold = ((after - probs)[:, None, :] @ np.array([e_h, e_c])[:, None, :, None])[..., 0, 0]
     # boundary tolerance: 3 standard errors of the sampled energy changes,
     # propagated through the mitigation (see TransitionMatrix.shot_variances)
     eps = BOUNDARY_EPS
     if cfg.shots > 0:
-        # dE_H, dE_C and W as one stack; [:, :, None] keeps each a matrix-vector
-        # product, with the bits of one product per vector
-        var = probs ** 2 @ tm.shot_variances(np.array([e_h, e_c, e_h + e_c]))[:, :, None] / cfg.shots
-        eps = np.maximum(eps, 3.0 * np.sqrt(np.maximum(var[..., 0], 0.0)).max(axis=0))
+        # dE_H, dE_C and W as one stack of energy vectors, each an 8x1 matrix
+        variances = tm.shot_variances(np.array([e_h, e_c, e_h + e_c]))[:, None, :, None]
+        var = rows ** 2 @ variances / cfg.shots
+        eps = np.maximum(eps, 3.0 * np.sqrt(np.maximum(var[..., 0, 0], 0.0)).max(axis=0))
     # one roles mask over the grid, row-major with T_H outer like the columns
     swap = thermo.roles_exchanged(t_h_axis[:, None], t_c_axis).ravel()
     mode = thermo.mode_tags(np.where(swap, de_cold, de_hot), np.where(swap, de_hot, de_cold), eps)
@@ -356,42 +361,38 @@ _json_string = functools.lru_cache(maxsize=64)(encode_basestring_ascii)
 _BLOCK_POINTS = 512
 
 
-def _floats(columns: np.ndarray) -> list[tuple[list, list, list]]:
-    """Per row of a stack of float columns (one column is a stack of one),
-    in one pass over the stack: the row as a list, the positions of its
-    values that are not finite floats, and their CSV texts."""
-    columns = np.atleast_2d(columns)
-    values, (rows, positions) = columns.tolist(), np.nonzero(~np.isfinite(columns))
-    floats = [(row, [], []) for row in values]
-    for r, n in zip(rows.tolist(), positions.tolist()):
-        floats[r][1].append(n)
-        floats[r][2].append("%.9g" % values[r][n])
-    return floats
+def _floats(columns: np.ndarray) -> tuple[list, list, list]:
+    """A stack of float columns (one column is a stack of one) in one pass:
+    its values as one flat list, column after column, the flat positions of
+    the values that are not finite floats, and their CSV texts."""
+    columns = columns.ravel()
+    values, odd = columns.tolist(), (~np.isfinite(columns)).nonzero()[0].tolist()
+    return values, odd, ["%.9g" % values[n] for n in odd]
 
 
 class _Block(NamedTuple):
-    """The columns of one block that every format reads: dE_H, dE_C, W,
-    T_C_final and p_g_final as the rows of one _floats, the modes and the
-    purifier texts."""
+    """The columns of one block that every format reads: the _floats of its
+    stacked float columns (any lead columns, then dE_H, dE_C, W, T_C_final
+    and p_g_final), the modes and the purifier texts."""
 
-    floats: list
+    floats: tuple
     modes: list
     purifier: list
 
 
-def _block(res: SweepResult, s: slice, *lead: np.ndarray) -> tuple[list, _Block]:
+def _block(res: SweepResult, s: slice, *lead: np.ndarray) -> _Block:
     """The columns of the grid points in slice `s` of `res`, as every format
-    reads them, after the _floats rows of `lead`: float columns as long as
-    the slice, read in the same pass (write_record's two axes)."""
+    reads them, after `lead`: float columns as long as the slice, read in
+    the same pass (write_record's two axes)."""
     de_hot, de_cold, kinds = res.de_hot[s], res.de_cold[s], res.t_cold_final_kind[s]
-    floats = _floats(np.array([*lead, de_hot, de_cold, de_hot + de_cold, res.t_cold_final[s],
-                               res.p_g_final[s]]))
-    lead, floats = floats[:len(lead)], floats[len(lead):]
+    values, odd, texts = _floats(np.array([*lead, de_hot, de_cold, de_hot + de_cold,
+                                           res.t_cold_final[s], res.p_g_final[s]]))
     # where T_C_final's kind is not "finite", its text is the kind's, written after any other
-    values, odd, texts = floats[3]
-    kinded = np.nonzero(kinds != "finite")[0].tolist()
-    floats[3] = values, odd + kinded, texts + [_NON_FINITE_TEXT[kinds[n]] for n in kinded]
-    return lead, _Block(floats, res.mode[s].tolist(), _BOOL_TEXTS.take(res.purifier[s].astype(bool)).tolist())
+    kinded = (kinds != "finite").nonzero()[0].tolist()
+    start = (len(lead) + 3) * len(kinds)
+    floats = (values, odd + [start + n for n in kinded],
+              texts + [_NON_FINITE_TEXT[kinds[n]] for n in kinded])
+    return _Block(floats, res.mode[s].tolist(), _BOOL_TEXTS.take(res.purifier[s].astype(bool)).tolist())
 
 
 class _Format:
@@ -412,20 +413,26 @@ class _Format:
         self.unit = [x for piece in (self.last + self.lead, *pieces[1:-1]) for x in (piece, None)]
 
     def numbers(self, values: list, odd: list, odd_texts: list) -> list:
-        """A column's texts from _floats: an odd value's is the string of its CSV text."""
+        """The texts of a _floats stack, in one `number` call: an odd value's
+        is the string of its CSV text."""
         texts = self.number(values)
         for n, text in zip(odd, self.strings(odd_texts)):
             texts[n] = text
         return texts
 
-    def text(self, b: _Block, t_h: list, t_c: list, first: bool) -> str:
-        parts = self.unit * len(t_h)
+    def text(self, b: _Block, first: bool, *axes: list) -> str:
+        """The block's records; `axes` are the T_H and T_C texts, unless the
+        block's floats lead with the two axes."""
+        n = len(b.modes)
+        parts = self.unit * n
         parts[0] = self.first if first else self.lead
         parts.append(self.last)
-        de_hot, de_cold, work, t_final, p_g = (self.numbers(*floats) for floats in b.floats)
-        for i, texts in enumerate((t_h, t_c, de_hot, de_cold, work, self.strings(b.modes),
-                                   t_final, p_g, b.purifier)):
-            parts[2 * i + 1::len(self.unit)] = texts
+        texts = self.numbers(*b.floats)
+        floats = [*axes, *(texts[i:i + n] for i in range(0, len(texts), n))]
+        t_h, t_c, de_hot, de_cold, work, t_final, p_g = floats
+        for i, column in enumerate((t_h, t_c, de_hot, de_cold, work, self.strings(b.modes),
+                                    t_final, p_g, b.purifier)):
+            parts[2 * i + 1::len(self.unit)] = column
         return "".join(parts)
 
 
@@ -450,12 +457,12 @@ def _texts(res: SweepResult, formats):
         yield tuple(f.empty for f in formats)
         return
     yield tuple(f.head for f in formats)
-    axes = [[np.array(f.numbers(*_floats(axis)[0]), dtype=object)
+    axes = [[np.array(f.numbers(*_floats(axis)), dtype=object)
              for axis in (res.t_h_axis, res.t_c_axis)] for f in formats]
     for start in range(0, size, _BLOCK_POINTS):
-        block = _block(res, slice(start, start + _BLOCK_POINTS))[1]
+        block = _block(res, slice(start, start + _BLOCK_POINTS))
         h, c = np.divmod(np.arange(start, min(start + _BLOCK_POINTS, size)), res.n_c)
-        yield (f.text(block, h_texts[h].tolist(), c_texts[c].tolist(), start == 0)
+        yield (f.text(block, start == 0, h_texts[h].tolist(), c_texts[c].tolist())
                for f, (h_texts, c_texts) in zip(formats, axes))
     yield tuple(f.tail for f in formats)
 
@@ -478,12 +485,11 @@ def write_json(res: SweepResult) -> str:
 def write_record(res: SweepResult) -> str:
     """The one point of a 1x1 result as one object of write_json, written as
     ``json.dumps(record, indent=2)`` writes it: _POINT's text of its one
-    block, whose floats and the two axes' are read in one _floats pass."""
+    block, whose floats lead with the two axes, so that its seven floats
+    are read in one _floats pass and written in one `number` call."""
     if res.de_hot.size != 1:
         raise ValueError(f"a record holds one point, not {res.n_h}x{res.n_c}")
-    axes, block = _block(res, slice(None), res.t_h_axis, res.t_c_axis)
-    t_h, t_c = (_POINT.numbers(*axis) for axis in axes)
-    return _POINT.text(block, t_h, t_c, True)
+    return _POINT.text(_block(res, slice(None), res.t_h_axis, res.t_c_axis), True)
 
 
 MODE_COLORS = {
@@ -519,7 +525,8 @@ def write_heatmap(res: SweepResult, fname: str = "mode") -> bytes:
     Mode maps use the fixed color table MODE_COLORS (purifying R points are
     rendered as P); scalar fields use a linear blue-to-red ramp between the
     values returned by heatmap_range, gray for non-finite entries; heatmap_range
-    raises ValueError for any other field.
+    raises ValueError for any other field, and a mode map ValueError for a
+    mode tag that has no color.
     """
     return _heatmap(res, fname)[0]
 
@@ -530,7 +537,10 @@ def _heatmap(res: SweepResult, fname: str):
     if fname == "mode":
         tags = np.where(res.purifier & (res.mode == "R"), "P", res.mode)
         tags, index = np.unique(tags, return_inverse=True)
-        pixels = np.array([MODE_COLORS[t] for t in tags.tolist()])[index]
+        try:
+            pixels = np.array([MODE_COLORS[t] for t in tags.tolist()])[index]
+        except KeyError as err:
+            raise ValueError(f"mode tag {err.args[0]!r} has no heatmap color") from None
     else:
         lo, hi = span = heatmap_range(res, fname)
         values = getattr(res, _SCALAR_FIELDS[fname])

@@ -1,8 +1,10 @@
 """Thermal preparations, transition matrices, the per-point rules, analytics.
 
 Each per-point rule is an array function that ``sweep.evaluate_grid``
-composes over a whole grid (one point is a 1x1 grid); the closed forms for
-the ideal engine are array rules too, over columns of (T_H, T_C) points.
+composes over a whole grid (one point is a 1x1 grid), one numpy pass per
+step, giving a point the same bits alone (0-d), in a column or in a stack;
+the closed forms for the ideal engine are array rules too, over columns of
+(T_H, T_C) points.
 
 Unit conventions, used consistently everywhere:
 
@@ -62,21 +64,13 @@ class DeviceSpec:
 
 
 def _positive_temperatures(*columns) -> list[np.ndarray]:
-    """The columns as float arrays; a temperature that is not > 0 (NaN
-    included) raises ValueError, infinity passes."""
+    """The columns as float arrays (a float array is itself); a temperature
+    that is not > 0 (NaN included) raises ValueError, infinity passes."""
     columns = [np.asarray(t, float) for t in columns]
-    if not all((t > 0).all() for t in columns):  # NaN fails too
+    # one minimum per column; it is NaN if a NaN is in it, which fails too
+    if not all(np.minimum.reduce(t, axis=None, initial=math.inf) > 0 for t in columns):
         raise ValueError("temperatures must be positive")
     return columns
-
-
-def ground_populations(p: np.ndarray) -> np.ndarray:
-    """Ground populations (g0, g1, g2) of q0, q1, q2 in each 8-outcome row of
-    `p` (..., 8), stacked on a new first axis."""
-    # logical index 4i + 2j + k: q0 bit i, q2 bit j, cold (q1) bit k
-    return np.array([p[..., 0] + p[..., 1] + p[..., 2] + p[..., 3],
-                     p[..., 0] + p[..., 2] + p[..., 4] + p[..., 6],
-                     p[..., 0] + p[..., 1] + p[..., 4] + p[..., 5]])
 
 
 def _gibbs_weights(energies: np.ndarray, u_per_unit: float) -> np.ndarray:
@@ -90,6 +84,18 @@ def _gibbs_weights(energies: np.ndarray, u_per_unit: float) -> np.ndarray:
 #: logical bits (i, j, k) of the 8 basis states, one row per bit
 _BITS_I, _BITS_J, _BITS_K = qcore.read_only(
     np.array([qcore.basis_label(m) for m in range(qcore.DIM)])).T
+#: the four outcomes in which q0 (i), q1 (the cold bit k) and q2 (j) read 0,
+#: one row per qubit, in ascending order
+_GROUND = qcore.read_only(np.array([np.flatnonzero(b == 0) for b in (_BITS_I, _BITS_K, _BITS_J)]))
+
+
+def ground_populations(p: np.ndarray) -> np.ndarray:
+    """Ground populations (g0, g1, g2) of q0, q1, q2 in each 8-outcome row of
+    `p` (..., 8), stacked on a new first axis: one gather of each qubit's
+    four ground outcomes and one sum over them, which adds the four left to
+    right, each from the first."""
+    g = p[..., _GROUND].sum(-1)
+    return g.transpose(-1, *range(g.ndim - 1))
 
 
 @functools.lru_cache(maxsize=8)
@@ -275,10 +281,11 @@ def analytic_energy_changes(spec: DeviceSpec, t_hot, t_cold) -> tuple[np.ndarray
     return spec.omega_sum / 4 * f * g, -spec.f1 / 4 * f * g
 
 
-#: mode tag per 4-bit code (near zero, dE_C < 0, W < 0, dE_H < 0), highest
-#: bit first: the first of them that holds decides the tag.  Indexing a
-#: table with `[code, ...]` keeps a 0-d code a 0-d array.
-_MODE_TAGS = qcore.read_only(np.array(["H", "A", "E", "E", "R", "R", "R", "R"] + ["Boundary"] * 8))
+#: mode tag per 4-bit code (clear of zero, dE_C < 0, W < 0, dE_H < 0),
+#: highest bit first: a point not clear of zero is a boundary, else the first
+#: sign that holds decides the tag.  Indexing a table with `[code, ...]`
+#: keeps a 0-d code a 0-d array.
+_MODE_TAGS = qcore.read_only(np.array(["Boundary"] * 8 + ["H", "A", "E", "E", "R", "R", "R", "R"]))
 
 
 def mode_tags(de_hot, de_cold, eps=BOUNDARY_EPS) -> np.ndarray:
@@ -289,11 +296,13 @@ def mode_tags(de_hot, de_cold, eps=BOUNDARY_EPS) -> np.ndarray:
     precedence over E; they are disjoint for exact dynamics, and the
     precedence only resolves noise-induced sign conflicts.  No NaN reaches
     here from a sweep: preparation_grid rejects a row that is not a
-    distribution, and TransitionMatrix a NaN entry.
+    distribution, and TransitionMatrix a NaN entry.  de_hot and de_cold
+    have one shape; (dE_H, W, dE_C) are read as one stack, for the distance
+    from zero and for the three sign bits, packed low bit first.
     """
-    w = de_hot + de_cold
-    near_zero = ~(np.minimum(np.minimum(abs(de_hot), abs(de_cold)), abs(w)) >= eps)  # NaN too
-    return _MODE_TAGS[near_zero * 8 + (de_cold < 0) * 4 + (w < 0) * 2 + (de_hot < 0), ...]
+    ledger = np.array([de_hot, de_hot + de_cold, de_cold])
+    clear = np.minimum.reduce(abs(ledger)) >= eps  # False for a NaN
+    return _MODE_TAGS[clear * 8 + np.packbits(ledger < 0, axis=0, bitorder="little")[0], ...]
 
 
 def _isclose(a, b) -> np.ndarray:
@@ -322,8 +331,9 @@ def analytic_regions(spec: DeviceSpec, t_hot, t_cold) -> tuple[np.ndarray, np.nd
 
 
 def cold_excitation(after: np.ndarray) -> np.ndarray:
-    """Excited population of the cold qubit (k = 1) in each 8-outcome row."""
-    return after[..., 1] + after[..., 3] + after[..., 5] + after[..., 7]
+    """Excited population of the cold qubit (k = 1, the odd outcomes) in each
+    8-outcome row, as one sum that adds the four left to right."""
+    return after[..., 1::2].sum(-1)
 
 
 #: final-temperature kind per 2-bit code (within 1e-12 of 1/2, above 1/2)
@@ -340,10 +350,10 @@ def final_temperatures(q, f1: float) -> tuple[np.ndarray, np.ndarray]:
     TransitionMatrix a NaN entry.
     """
     q = np.asarray(q, float)
-    kind = _FINAL_KINDS[(abs(q - 0.5) < 1e-12) * 2 + (q > 0.5), ...]
+    code = (abs(q - 0.5) < 1e-12) * 2 + (q > 0.5)  # 0: finite
     with np.errstate(all="ignore"):  # q = 0 and subnormal q read 0 mK
         t = np.where(q <= 0.0, 0.0, H_OVER_KB * f1 / np.log((1 - q) / q))
-    return kind, np.where(kind == "finite", t, np.nan)
+    return _FINAL_KINDS[code, ...], np.where(code, np.nan, t)
 
 
 def purifies(g, final_ground, exchanged) -> np.ndarray:
@@ -353,9 +363,11 @@ def purifies(g, final_ground, exchanged) -> np.ndarray:
     Defined only when every initial ground population is at least 1/2.
     Purification is a claim about the refrigeration regime, so preparations
     whose roles are exchanged (roles_exchanged: t_hot < t_cold) never qualify.
+    g is ground_populations' stack, or any sequence of the three.
     """
-    return (np.logical_not(exchanged) & (np.min(g, axis=0) >= 0.5)
-            & (final_ground > np.max(g, axis=0)))
+    g = np.asarray(g)
+    return (np.logical_not(exchanged) & (np.minimum.reduce(g) >= 0.5)
+            & (final_ground > np.maximum.reduce(g)))
 
 
 def swap_engine_cop(spec: DeviceSpec) -> float:

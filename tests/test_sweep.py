@@ -786,22 +786,34 @@ def test_heatmap_rejects_bad_input():
     )
     with pytest.raises(ValueError, match="no finite"):
         heatmap_range(only_bad, "t_c_final")
+    # a tag outside MODE_COLORS is named, not a bare KeyError
+    unknown = SweepResult([1.0], [2.0], [0.1], [0.2], ["X"], [np.nan], ["finite"], [0.5], [False])
+    with pytest.raises(ValueError, match="mode tag 'X' has no heatmap color"):
+        write_heatmap(unknown)
     for field in ("mode", "bogus", "T_C_final"):
         with pytest.raises(ValueError, match=f"'{field}' is not a scalar heatmap field"):
             heatmap_range(_tiny_rows(), field)
 
 
-def test_write_outputs_keeps_csv_and_json_when_the_heatmap_cannot_be_drawn(tmp_path):
-    res = SweepResult([1.0], [1.0, 2.0], [0.0, 0.1], [0.0, 0.2], ["Boundary", "H"],
+def _write_outputs_keeps_csv_and_json(tmp_path, mode, field, error):
+    res = SweepResult([1.0], [1.0, 2.0], [0.0, 0.1], [0.0, 0.2], ["Boundary", mode],
                       [np.nan, np.nan], ["infinite", "inverted"], [0.5, 0.4], [False, False])
     prefix = str(tmp_path / "run")
-    cfg = SweepConfig(outputs=("csv", "json", "heatmap"), heatmap_field="t_c_final",
+    cfg = SweepConfig(outputs=("csv", "json", "heatmap"), heatmap_field=field,
                       output_prefix=prefix)
-    with pytest.raises(ValueError, match="no finite"):
+    with pytest.raises(ValueError, match=error):
         write_outputs(cfg, res)
     assert Path(prefix + ".csv").read_bytes() == write_csv(res).encode()
     assert Path(prefix + ".json").read_bytes() == write_json(res).encode()
     assert not Path(prefix + ".ppm").exists()
+
+
+def test_write_outputs_keeps_csv_and_json_when_the_heatmap_cannot_be_drawn(tmp_path):
+    _write_outputs_keeps_csv_and_json(tmp_path, "H", "t_c_final", "no finite")
+
+
+def test_write_outputs_keeps_csv_and_json_when_a_mode_tag_has_no_color(tmp_path):
+    _write_outputs_keeps_csv_and_json(tmp_path, "X", "mode", "mode tag 'X' has no heatmap color")
 
 
 def test_write_outputs_takes_the_heatmap_range_once(tmp_path, monkeypatch):

@@ -76,9 +76,13 @@ ENGINES = {
 }
 
 
+#: the engines a point is run through: ENGINES and a sampled, mitigated one
+POINT_ENGINES = {**ENGINES, "mitigated": dict(shots=8192, seed=7, eps01=0.02, eps10=0.05, mitigation=True)}
+
+
 @functools.cache
 def _engine_tm(engine):
-    return sweep_transition_matrix(SweepConfig(**ENGINES[engine]))
+    return sweep_transition_matrix(SweepConfig(**POINT_ENGINES[engine]))
 
 
 def _reference_gibbs(energies, u):
@@ -286,6 +290,27 @@ def test_kernel_matches_the_reference_chain(
     if engine in ENGINES and cfg.shots == 0 and freqs is None:
         # no cooling together with work extraction on the default device
         assert not np.any((res.de_cold < 0) & (res.work < 0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(engine=st.sampled_from(sorted(POINT_ENGINES)), scheme=st.sampled_from(SCHEMES),
+       t_h_axis=axis_temperatures, t_c_axis=axis_temperatures)
+def test_a_point_is_its_grid_row_bit_for_bit(engine, scheme, t_h_axis, t_c_axis):
+    # a 1x1 grid runs the rules on one-element arrays, the grid on stacks:
+    # both must give each point the same bits, and the same record text
+    cfg = SweepConfig(scheme=scheme, **POINT_ENGINES[engine])
+    tm = _engine_tm(engine)
+    grid = evaluate_grid(cfg, tm, t_h_axis, t_c_axis)
+    records = []
+    for n, (i, j) in enumerate(np.ndindex(grid.n_h, grid.n_c)):
+        point = evaluate_grid(cfg, tm, [t_h_axis[i]], [t_c_axis[j]])
+        for name, rows in zip(sweep._RESULT_FIELDS, (slice(i, i + 1), slice(j, j + 1))):
+            assert getattr(point, name).tobytes() == getattr(grid, name)[rows].tobytes(), name
+        for name in sweep._RESULT_FIELDS[2:]:
+            got, want = getattr(point, name), getattr(grid, name)[n:n + 1]
+            assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), (name, i, j)
+        records.append("  " + sweep.write_record(point).replace("\n", "\n  "))
+    assert write_json(grid) == "[\n" + ",\n".join(records) + "\n]\n"
 
 
 @settings(max_examples=300, deadline=None)

@@ -27,6 +27,7 @@ from qfridge.thermo import (
     analytic_energy_changes,
     analytic_regions,
     cold_energies,
+    cold_excitation,
     final_temperatures,
     ground_populations,
     hot_energies,
@@ -528,6 +529,56 @@ def test_a_nan_excitation_reads_finite_with_nan_mk():
     assert np.isnan(mk[0]) and mk[1] == H_OVER_KB * 5.0 / np.log(4.0)
     kind, mk = final_temperatures(np.nan, 5.0)
     assert (kind.tolist(), np.isnan(mk)) == ("finite", True)
+
+
+#: each per-point rule over arrays whose leading axes are the points, an
+#: 8-outcome row or a ground-population triple trailing; ground_populations'
+#: triple, which it stacks on a new first axis, and purifies', which it reads
+#: there (as ground_populations' stack, or as analytic_regions' list), are
+#: moved to the end
+POINT_RULES = {
+    "ground_populations": lambda p: np.moveaxis(ground_populations(p), 0, -1),
+    "cold_excitation": cold_excitation,
+    "mode_tags": mode_tags,
+    "final_temperatures": lambda q: final_temperatures(q, 4.76),
+    "purifies": lambda g, final, exchanged: purifies(np.moveaxis(g, -1, 0), final, exchanged),
+    "purifies_of_a_list": lambda g, final, exchanged: purifies(
+        list(np.moveaxis(g, -1, 0)), final, exchanged),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(rule=st.sampled_from(sorted(POINT_RULES)), shape=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+       data=st.data())
+def test_each_rule_gives_a_point_the_same_bits_alone_in_a_column_and_in_a_stack(rule, shape, data):
+    def draw(elements, *trailing):
+        size = math.prod(shape + trailing)
+        return np.array(data.draw(st.lists(elements, min_size=size, max_size=size))).reshape(shape + trailing)
+
+    unit = st.floats(0.0, 1.0)
+    ledger = st.one_of(st.floats(-1.0, 1.0), st.sampled_from([0.0, 1e-4, -1e-4, math.nan]))
+    excitation = st.one_of(unit, st.sampled_from([0.5, 0.5 + 1e-13, 5e-324, math.nan]))
+    args = {
+        "ground_populations": lambda: [draw(unit, 8)],
+        "cold_excitation": lambda: [draw(unit, 8)],
+        "mode_tags": lambda: [draw(ledger), draw(ledger)],
+        "final_temperatures": lambda: [draw(excitation)],
+    }.get(rule, lambda: [draw(st.floats(0.4, 1.0), 3), draw(unit), draw(st.booleans())])()
+    f = POINT_RULES[rule]
+
+    def outputs(*arrays):
+        result = f(*arrays)
+        return [np.asarray(out) for out in (result if isinstance(result, tuple) else (result,))]
+
+    stack = outputs(*args)
+    column = outputs(*(a.reshape(-1, *a.shape[2:]) for a in args))
+    for out, col in zip(stack, column, strict=True):
+        assert out.shape[:2] == shape and col.shape == (out.shape[0] * out.shape[1], *out.shape[2:])
+        assert (col.dtype, col.tobytes()) == (out.dtype, out.tobytes())
+    for i, j in np.ndindex(shape):
+        # each point alone: 0-d arrays, and its own row or triple
+        for out, alone in zip(stack, outputs(*(a[i, j, ...] for a in args)), strict=True):
+            assert (alone.dtype, alone.shape, alone.tobytes()) == (out.dtype, out.shape[2:], out[i, j, ...].tobytes())
 
 
 def _brute_force_ground_map(x: float) -> float:
