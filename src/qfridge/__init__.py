@@ -50,7 +50,6 @@ from .thermo import (
     analytic_energy_changes,
     analytic_regions,
     swap_engine_cop,
-    transition_matrix,
 )
 
 __version__ = "0.1.0"

@@ -6,7 +6,7 @@ Subcommands:
 * ``point --th <mK> --tc <mK> [flags]``: evaluate one grid point, print JSON
   (``sweep.write_record``); each flag is a ``SweepConfig`` key.
 * ``compile --v {identity,vstar} [--qasm <path>]``: print the gate-count
-  report of the circuit that sweeps run for V (``sweep.engine_circuit``),
+  report of the circuit that sweeps run for V (``sweep.engine(v).circuit``),
   optionally emit it as OpenQASM 2.0: the fixed 4-cx circuit for vstar, the
   fixed 7-cx one for identity, which realises the cooling gate up to a final
   diagonal phase.  Nothing is compiled; criterion 3 compiles the target
@@ -33,7 +33,7 @@ from .circuits import CompileReport, emit_qasm
 from .sweep import (
     CHOICES,
     SweepConfig,
-    engine_circuit,
+    engine,
     evaluate_grid,
     parse_config,
     run_sweep,
@@ -113,7 +113,7 @@ def _cmd_point(args) -> int:
 
 
 def _cmd_compile(args) -> int:
-    circuit = engine_circuit(args.v)
+    circuit = engine(args.v).circuit
     print(json.dumps(dataclasses.asdict(CompileReport.of(circuit)), indent=2))
     if args.qasm:
         with open(args.qasm, "wb") as fh:  # binary: the same bytes on every platform

@@ -63,7 +63,7 @@ def _plan(c: Circuit):
     """The circuit as steps in the Pauli basis: per step, a real transfer
     matrix R and the exponents E1, E2 of (1 - p1), (1 - p2) that scale each
     Pauli component before R.  Built at every call: sweeps keep the one
-    build per V they need, as sweep._engine_polynomial.
+    build per V they need, in sweep.engine(v).polynomial.
 
     Each cx closes a step, the product of the one-wire gates since the
     previous cx and the cx; the last step holds the gates after the last cx.

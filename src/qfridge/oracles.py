@@ -20,10 +20,10 @@ from . import qcore
 from .circuits import LINE3, build_target_unitary, build_vstar_circuit, unitary_of_circuit
 from .compiler import compile_generic
 from .noise import NoiseModel, apply_readout_error, calibrate, mitigate, readout_inverse, readout_matrix
-from .sweep import SweepConfig, evaluate_grid, grid_axes, run_sweep
+from .sweep import SweepConfig, engine, evaluate_grid, grid_axes, run_sweep
 from .thermo import (
     H_OVER_KB, DeviceSpec, TransitionMatrix, analytic_energy_changes, analytic_regions,
-    transition_matrix,
+    measure_channel,
 )
 
 
@@ -106,10 +106,6 @@ def _require_everywhere(ok, t_hot, t_cold, detail) -> None:
         raise AssertionError(f"({t_hot[n]}, {t_cold[n]}) mK: {detail(n)}")
 
 
-def _exact_tm(v_choice="identity"):
-    return transition_matrix(build_target_unitary(v_choice), NoiseModel(), 0, 0)
-
-
 def _grid(spec, tm, t_h_axis, t_c_axis, scheme="full8"):
     """The exact-run kernel on spec's device over the grid of the two axes."""
     cfg = SweepConfig(f0=spec.f0, f1=spec.f1, f2=spec.f2, scheme=scheme, shots=0)
@@ -175,7 +171,7 @@ def _compiler_roundtrip() -> str:
 
 
 def _analytics_match_simulation() -> None:
-    tm = _exact_tm()
+    tm = engine("identity").exact
     axis = np.linspace(25, 975, 10)
     for spec in (CASABLANCA, JAKARTA):
         res = _grid(spec, tm, axis, axis)
@@ -213,13 +209,11 @@ def _mode_map_vs_analytic_regions() -> None:
 def _purification_cubic() -> None:
     spec = DeviceSpec(4.76, 4.76, 4.76)
     t = _temp_for_ground_population(0.8, 4.76)
-    exact = _grid(spec, _exact_tm(), [t], [t]).p_g_final[0]
+    exact = _grid(spec, engine("identity").exact, [t], [t]).p_g_final[0]
     cubic = ground_population_map(0.8)
     _require(abs(exact - cubic) < 1e-12, f"engine gives {exact}, the cubic map {cubic}")
     _require(abs(exact - 0.896) < 1e-12, f"engine gives {exact}, want 0.896")
-    tm_mc = transition_matrix(
-        build_target_unitary("identity"), NoiseModel(), 8192, 1
-    )
+    tm_mc = measure_channel(engine("identity").exact.channel, NoiseModel(), 8192, 1)
     sampled = _grid(spec, tm_mc, [t], [t]).p_g_final[0]
     # 3 binomial standard errors at 8192 shots around 0.896
     _require(abs(sampled - 0.896) < 0.0101, f"8192 shots give {sampled}, want 0.896 +- 0.0101")
@@ -257,7 +251,7 @@ def _readout_mitigation() -> None:
 
 def _second_law() -> None:
     axis = np.linspace(20, 1000, 50)
-    res = _grid(CASABLANCA, _exact_tm(), axis, axis)
+    res = _grid(CASABLANCA, engine("identity").exact, axis, axis)
     bad = (res.de_cold < 0) & (res.work < 0)
     _require(not bad.any(), "cools while extracting work at (T_H, T_C) = "
              f"{list(zip(res.t_hot[bad].tolist(), res.t_cold[bad].tolist()))} mK")

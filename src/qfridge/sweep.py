@@ -3,15 +3,16 @@
 A sweep evaluates the engine once (the transition matrix does not depend on
 the preparation temperatures), then reweights it over the whole (T_H, T_C)
 grid with thermo's per-point array rules; only the energy ledger and the
-sampling boundary tolerance are computed here.  The engine's readout-free
-outcome channel depends on (v, p1, p2) alone.  Without gate noise it is the
-exact target unitary's, whose matrix read out without error is kept once
-per V, shared read-only; an exact run without readout error or mitigation
-is that matrix.  With gate noise it is the engine circuit's exact
-polynomial in (1 - p1, 1 - p2), built once per V, at (p1, p2): one
-weighted sum, so no run evolves the engine and no cache is keyed on a
-float.  Every other run reads out, samples and mitigates the channel at
-one call, building only the seed streams it draws from.
+sampling boundary tolerance are computed here.  ``engine(v)`` is the one
+value per V, built once and shared read-only: its fixed circuit, the exact
+target unitary's matrix read out without error, and the circuit's exact
+polynomial in (1 - p1, 1 - p2), built at the first noisy use.  Its
+readout-free outcome channel depends on (p1, p2) alone: without gate noise
+the exact matrix's, else the polynomial at (p1, p2), one weighted sum, so
+no run evolves the engine and no cache is keyed on a float.  An exact run
+without gate noise, readout error or mitigation is the exact matrix itself;
+every other run reads out, samples and mitigates the channel at one call,
+building only the seed streams it draws from.
 ``evaluate_grid`` is the one way to evaluate points: ``qfridge point`` and
 the oracles run it on a 1x1 or small grid, and a point has the bits of its
 row in any grid.  The SweepResult holds the two
@@ -38,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .circuits import V_CHOICES, build_identity_circuit, build_target_unitary, build_vstar_circuit
+from .circuits import V_CHOICES, Circuit, build_identity_circuit, build_target_unitary, build_vstar_circuit
 from .noise import NoiseModel, calibrate, channel_polynomial, evaluate_channel, readout_matrix
 from . import qcore, thermo
 from .thermo import BOUNDARY_EPS, DeviceSpec, cold_energies, hot_energies
@@ -187,60 +188,58 @@ def parse_config(text: str) -> SweepConfig:
     return SweepConfig(**values)
 
 
-@functools.cache
-def engine_circuit(v: str):
-    """The circuit that runs V, built once per process: the 4-CNOT circuit
-    for "vstar", the 7-CNOT one for "identity"."""
-    if v == "vstar":
-        return build_vstar_circuit()
-    if v == "identity":
-        return build_identity_circuit()
-    raise ValueError(f"unknown v {v!r}")
+@dataclass(frozen=True)
+class Engine:
+    """What runs V: the fixed `circuit` (4 cx for "vstar", 7 for "identity",
+    which realises the cooling gate up to a final diagonal phase) and the
+    `exact` matrix of the target unitary, read out without error; its p,
+    which is also raw, and its channel are read-only, and unmix is thermo's
+    shared read-only identity."""
+
+    circuit: Circuit
+    exact: thermo.TransitionMatrix
+
+    @functools.cached_property
+    def polynomial(self) -> tuple[np.ndarray, np.ndarray]:
+        """noise.channel_polynomial of the circuit, read-only, built at its first use."""
+        return channel_polynomial(self.circuit)
+
+    def channel(self, nm: NoiseModel) -> np.ndarray:
+        """The readout-free outcome channel under nm's gate noise: without it
+        the exact unitary's own (the polynomial at no noise is rounding-level
+        off), else the polynomial at (p1, p2); nm's readout plays no part."""
+        if nm.is_gate_noiseless():
+            return self.exact.channel
+        return evaluate_channel(self.polynomial, nm)
 
 
 @functools.cache
-def _exact_matrix(v: str) -> thermo.TransitionMatrix:
-    """The matrix of the exact target unitary that runs V, read out without
-    error: built once per V choice and shared, so p, which is also raw, and
-    channel are read-only; unmix is thermo's shared read-only identity."""
-    tm = thermo.transition_matrix(build_target_unitary(v), NoiseModel(), 0, None)
-    for a in (tm.p, tm.channel):
-        qcore.read_only(a)
-    return tm
-
-
-@functools.cache
-def _engine_polynomial(v: str) -> tuple[np.ndarray, np.ndarray]:
-    """noise.channel_polynomial of engine_circuit(v), built at the first
-    noisy run of V and shared read-only."""
-    return channel_polynomial(engine_circuit(v))
+def engine(v: str) -> Engine:
+    """The Engine of V, built once per process."""
+    u = build_target_unitary(v)  # raises ValueError for an unknown v
+    p = qcore.read_only(u.real ** 2 + u.imag ** 2)  # p[m', m] = |<m'|u|m>|^2
+    exact = thermo.TransitionMatrix(p, channel=qcore.read_only(np.ascontiguousarray(p.T)))
+    return Engine(build_vstar_circuit() if v == "vstar" else build_identity_circuit(), exact)
 
 
 def sweep_transition_matrix(cfg: SweepConfig):
-    """The engine's transition matrix.  Without gate noise the engine is the
-    exact target unitary, and an exact run without readout error or
-    mitigation is its cached matrix itself; with gate noise the readout-free
-    channel is the engine's polynomial at (p1, p2).  Every other run is one
-    thermo.measure_channel of that channel.  Mitigation uses the exact
-    confusion matrix at shots = 0, else one calibrated at cfg.shots.  Child
-    0 of SeedSequence(cfg.seed) samples the matrix and child 1 the
+    """The engine's transition matrix: for an exact run without gate noise,
+    readout error or mitigation the engine's exact matrix itself, else one
+    thermo.measure_channel of the engine's channel.  Mitigation uses the
+    exact confusion matrix at shots = 0, else one calibrated at cfg.shots.
+    Child 0 of SeedSequence(cfg.seed) samples the matrix and child 1 the
     calibration; child i is built only when drawn from, on its own as
     SeedSequence(cfg.seed, spawn_key=(i,)), the stream of
     SeedSequence(cfg.seed).spawn(2)[i]."""
-    nm = cfg.noise()
-    if nm.is_gate_noiseless():
-        exact = _exact_matrix(cfg.v)
-        if not (cfg.shots or cfg.mitigation or cfg.eps01 or cfg.eps10):
-            return exact
-        channel = exact.channel
-    else:
-        channel = evaluate_channel(_engine_polynomial(cfg.v), nm)
+    nm, e = cfg.noise(), engine(cfg.v)
+    if not (cfg.shots or cfg.mitigation or cfg.eps01 or cfg.eps10) and nm.is_gate_noiseless():
+        return e.exact
     conf = None
     if cfg.mitigation:
         conf = (calibrate(nm, cfg.shots, np.random.SeedSequence(cfg.seed, spawn_key=(1,)))
                 if cfg.shots else readout_matrix(nm))
     tm_seed = np.random.SeedSequence(cfg.seed, spawn_key=(0,)) if cfg.shots else None
-    return thermo.measure_channel(channel, nm, cfg.shots, tm_seed, mitigation=conf)
+    return thermo.measure_channel(e.channel(nm), nm, cfg.shots, tm_seed, mitigation=conf)
 
 
 def grid_axes(cfg: SweepConfig) -> tuple[np.ndarray, np.ndarray]:

@@ -1,10 +1,12 @@
 """Thermal preparations, transition matrices, the per-point rules, analytics.
 
-Each per-point rule is an array function that ``sweep.evaluate_grid``
-composes over a whole grid (one point is a 1x1 grid), one numpy pass per
-step, giving a point the same bits alone (0-d), in a column or in a stack;
-the closed forms for the ideal engine are array rules too, over columns of
-(T_H, T_C) points.
+A transition matrix is measured from an engine's readout-free outcome
+channel (``measure_channel``: readout error, sampling, mitigation); which
+channel an engine has is ``sweep.engine``'s business.  Each per-point rule
+is an array function that ``sweep.evaluate_grid`` composes over a whole
+grid (one point is a 1x1 grid), one numpy pass per step, giving a point the
+same bits alone (0-d), in a column or in a stack; the closed forms for the
+ideal engine are array rules too, over columns of (T_H, T_C) points.
 
 Unit conventions, used consistently everywhere:
 
@@ -25,8 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qcore
-from .circuits import Circuit
-from .noise import NoiseModel, apply_readout_error, circuit_channel, mitigate, readout_inverse
+from .noise import NoiseModel, apply_readout_error, mitigate, readout_inverse
 
 #: h / k_B in mK per GHz
 H_OVER_KB = 47.9924
@@ -163,9 +164,6 @@ def preparation_grid(scheme: str, spec: DeviceSpec, t_h_axis, t_c_axis) -> np.nd
     return probs
 
 
-_BASIS = qcore.read_only(np.eye(qcore.DIM, dtype=complex))
-#: |m><m| for each of the 8 logical basis states m, stacked
-_BASIS_DENSITIES = qcore.read_only(_BASIS[:, :, None] * _BASIS[:, None, :])
 #: the default unmix of a TransitionMatrix
 _IDENTITY = qcore.read_only(np.eye(qcore.DIM))
 
@@ -211,36 +209,6 @@ class TransitionMatrix:
         return ((f ** 2) @ self.raw - (f @ self.raw) ** 2)[..., 0, :]
 
 
-def outcome_channel(engine: Circuit | np.ndarray, nm: NoiseModel) -> np.ndarray:
-    """The engine's readout-free outcome channel: row i is the Born
-    distribution of basis input i after the engine, before readout (8, 8).
-
-    engine may be a circuit (noise.circuit_channel under nm's per-gate
-    depolarizing noise) or a bare unitary in logical order (the 8 basis
-    densities conjugated as one stack; gate noise does not apply since there
-    are no gates).  nm's readout probabilities play no part.
-    """
-    if isinstance(engine, Circuit):
-        return circuit_channel(engine, nm)
-    return qcore.born_probabilities(engine @ _BASIS_DENSITIES @ engine.conj().T)
-
-
-def transition_matrix(
-    engine: Circuit | np.ndarray,
-    nm: NoiseModel,
-    shots: int,
-    seed: int | np.random.SeedSequence,
-    mitigation: np.ndarray | None = None,
-) -> TransitionMatrix:
-    """Measure the engine's outcome statistics per prepared basis state:
-    measure_channel of the engine's outcome_channel.  This is the general
-    path from any circuit or unitary to a matrix.  Sweeps build the exact
-    target unitary's matrix with it once per V; under gate noise they
-    measure the fixed engine's noise.channel_polynomial instead, which this
-    path checks."""
-    return measure_channel(outcome_channel(engine, nm), nm, shots, seed, mitigation)
-
-
 def measure_channel(
     channel: np.ndarray,
     nm: NoiseModel,
@@ -248,8 +216,10 @@ def measure_channel(
     seed: int | np.random.SeedSequence,
     mitigation: np.ndarray | None = None,
 ) -> TransitionMatrix:
-    """The transition matrix measured through a readout-free outcome channel
-    (outcome_channel's rows, one per basis input): the matrix's channel, never written.
+    """The transition matrix measured through a readout-free outcome channel,
+    whose row i is the Born distribution of basis input i after the engine
+    (sweep.Engine.channel, or noise.circuit_channel of any circuit): the
+    matrix's channel, never written.
 
     The 8 rows are read out with nm's flip probabilities and mitigated
     together as one stack.  shots = 0 means exact probabilities; otherwise

@@ -27,10 +27,10 @@ from qfridge.circuits import (
     unitary_of_circuit,
     x,
 )
-from qfridge.noise import NoiseModel
+from qfridge.noise import NoiseModel, circuit_channel
 from qfridge.oracles import global_phase_distance
-from qfridge.sweep import engine_circuit
-from qfridge.thermo import transition_matrix
+from qfridge.sweep import engine
+from qfridge.thermo import measure_channel
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +127,7 @@ def test_circuits_and_couplings_are_frozen():
             setattr(obj, name, None)
     assert Gate("cx", [0, 1]).wires == (0, 1)
     assert CouplingMap([(1, 0)]).pairs == frozenset({frozenset({0, 1})})
-    assert isinstance(engine_circuit("identity").gates, tuple)
+    assert isinstance(engine("identity").circuit.gates, tuple)
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +232,8 @@ def test_identity_circuit_is_the_target_after_a_diagonal_phase():
 
 def test_identity_circuit_reads_out_as_the_exact_target():
     nm = NoiseModel()
-    got = transition_matrix(build_identity_circuit(), nm, 0, 0).p
-    want = transition_matrix(build_target_unitary("identity"), nm, 0, 0).p
+    got = measure_channel(circuit_channel(build_identity_circuit(), nm), nm, 0, 0).p
+    want = measure_channel(engine("identity").exact.channel, nm, 0, 0).p
     assert np.max(np.abs(got - want)) < 1e-15
 
 

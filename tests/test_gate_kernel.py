@@ -44,7 +44,7 @@ from qfridge.noise import (
     circuit_channel,
     evaluate_channel,
 )
-from qfridge.sweep import engine_circuit
+from qfridge.sweep import engine
 
 
 def _logical_to_physical_matrix() -> np.ndarray:
@@ -183,9 +183,9 @@ def test_long_circuit_channels_match_the_dense_reference(c, p1, p2):
 
 @pytest.mark.parametrize("p1,p2", [(0.0, 0.0), (2e-4, 2e-3), (0.2, 0.3), (1.0, 1.0)])
 def test_identity_engine_channel_matches_the_dense_reference(p1, p2):
-    engine = engine_circuit("identity")
+    c = engine("identity").circuit
     nm = NoiseModel(p1=p1, p2=p2)
-    assert np.max(np.abs(circuit_channel(engine, nm) - _reference_channel(engine, nm))) < 1e-12
+    assert np.max(np.abs(circuit_channel(c, nm) - _reference_channel(c, nm))) < 1e-12
 
 
 @settings(max_examples=100, deadline=None)
@@ -318,7 +318,7 @@ def _assert_plan_is_frozen(c: Circuit):
         assert _same_bits(got, want)
 
 
-@pytest.mark.parametrize("c", [engine_circuit("identity"), build_vstar_circuit()], ids=["identity", "vstar"])
+@pytest.mark.parametrize("c", [engine("identity").circuit, build_vstar_circuit()], ids=["identity", "vstar"])
 def test_plan_of_the_engines_is_the_per_gate_plan(c):
     _assert_plan_is_frozen(c)
 

@@ -1,34 +1,42 @@
 """Hypothesis pins of thermodynamic invariants: transition matrices are
 column-stochastic, identity dynamics return the cold qubit at T_C, no sweep
-cell cools the colder body while it extracts work, and the ideal swap
-engine refrigerates at the swap-engine COP."""
+cell cools the colder body while it extracts work, the ideal swap engine
+refrigerates at the swap-engine COP, and no doubly stochastic map lowers
+the entropy of the outcomes, or in full8 the summed entropy of the qubits."""
 import functools
 import math
 
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
+from qfridge import qcore
 from qfridge.circuits import LINE3, build_identity_circuit, build_target_unitary, build_vstar_circuit
 from qfridge.compiler import compile_generic
-from qfridge.noise import NoiseModel, calibrate, readout_matrix
-from qfridge.sweep import SweepConfig, evaluate_grid, sweep_transition_matrix
+from qfridge.noise import NoiseModel, calibrate, circuit_channel, readout_matrix
+from qfridge.sweep import CHOICES, SweepConfig, engine, evaluate_grid, sweep_transition_matrix
 from qfridge.thermo import (
-    HOT_ENERGY_MODES, SCHEMES, TransitionMatrix, analytic_energy_changes, swap_engine_cop,
-    transition_matrix,
+    HOT_ENERGY_MODES, SCHEMES, DeviceSpec, TransitionMatrix, analytic_energy_changes,
+    measure_channel, preparation_grid, swap_engine_cop,
 )
 
 ENGINES = ("identity", "vstar", "four_cnot", "seven_cnot", "compiled_identity")
 
 
 @functools.cache
-def _engine(name):
+def _circuit(name):
     if name == "four_cnot":
         return build_vstar_circuit()
     if name == "seven_cnot":
         return build_identity_circuit()
-    if name == "compiled_identity":
-        return compile_generic(build_target_unitary("identity"), LINE3)[0]
-    return build_target_unitary(name)
+    return compile_generic(build_target_unitary("identity"), LINE3)[0]
+
+
+def _channel(name, nm):
+    """The readout-free outcome channel of an engine: a target unitary's
+    exact one, on which gate noise has no gates to act, or a circuit's."""
+    if name in CHOICES["v"]:
+        return engine(name).exact.channel
+    return circuit_channel(_circuit(name), nm)
 
 
 small = st.floats(0.0, 0.2)
@@ -54,7 +62,7 @@ def test_transition_matrices_are_column_stochastic(
         conf = calibrate(nm, shots, seed + 1000) if shots else readout_matrix(nm)
         # a few-shot calibration can be singular, which readout_inverse rejects
         assume(np.linalg.cond(conf) <= 1e12)
-    tm = transition_matrix(_engine(engine), nm, shots, seed, mitigation=conf)
+    tm = measure_channel(_channel(engine, nm), nm, shots, seed, mitigation=conf)
     assert np.min(tm.p) >= 0.0
     assert np.max(np.abs(tm.p.sum(axis=0) - 1.0)) <= 1e-12
 
@@ -121,10 +129,79 @@ def test_refrigeration_runs_at_the_swap_engine_cop(freqs, scheme, hot_energy_mod
     # the way from T_C to (Omega / f1) T_C, where R lies
     t_c_axis = 10.0 ** (np.linspace(-3.0, 9.0, 49) + jitter)
     t_h_axis = np.outer(t_c_axis, 1.0 + np.array(spans) * (spec.omega_sum / spec.f1 - 1.0)).ravel()
-    tm = transition_matrix(build_target_unitary("identity"), NoiseModel(), 0, 0)
-    res = evaluate_grid(cfg, tm, t_h_axis, t_c_axis)
+    res = evaluate_grid(cfg, engine("identity").exact, t_h_axis, t_c_axis)
     r = res.mode == "R"
     cop, bound = swap_engine_cop(spec), 1e-12 * (spec.omega_sum + spec.f1)
     assert np.all(abs(res.de_cold[r] + cop * res.work[r]) <= bound)
     de_hot, de_cold = analytic_energy_changes(spec, res.t_hot[r], res.t_cold[r])
     assert np.all(abs(de_cold + cop * (de_hot + de_cold)) <= bound)
+
+
+#: unit roundoff of a float64
+_U = 2.0 ** -53
+
+
+def _entropy(q):
+    """Shannon entropy in nats of each distribution along the last axis."""
+    return -np.sum(q * np.log(np.where(q > 0, q, 1.0)), axis=-1)
+
+
+def _entropy_error(*entropies):
+    """A bound on the float error of a difference of entropy sums, each over
+    at most 8 outcomes whose entries are within a relative error r = 16u of
+    the exact image under a doubly stochastic map (u = 2^-53): one matrix-vector
+    product of nonnegative terms rounds 8 times, a Birkhoff entry and its
+    weights' sum at most 4 times each, a marginal's sum 4 times.  For an
+    engine's matrix, whose polynomial terms cancel, the same r is assumed.
+    Moving an entry q by r q moves its term q log q by at most
+    r q |1 + log q|, so an entropy H by at most r (1 + H); the logs, the
+    products and the adds of the sum add at most 10u H.  So each entropy
+    errs by at most 16u (1 + H) + 10u H <= 32u (1 + H), and the bound is
+    the sum of that over the entropies compared."""
+    return sum(32 * _U * (1 + h) for h in entropies)
+
+
+@st.composite
+def doubly_stochastic_maps(draw):
+    """A column-stochastic 8x8 map whose rows sum to 1 too: a Birkhoff
+    mixture of permutation matrices, or an engine's measured matrix under
+    depolarizing gate noise and readout flips of equal probability both
+    ways, each a unital map."""
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 4))
+        perms = [draw(st.permutations(range(qcore.DIM))) for _ in range(k)]
+        weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k)))
+        weights /= weights.sum()
+        return sum(w * np.eye(qcore.DIM)[perm] for w, perm in zip(weights, perms))
+    v, p1, p2, flip = draw(st.sampled_from(CHOICES["v"])), draw(small), draw(small), draw(small)
+    nm = NoiseModel(p1, p2, flip, flip)
+    return measure_channel(engine(v).channel(nm), nm, 0, None).p
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=doubly_stochastic_maps(),
+    scheme=st.sampled_from(SCHEMES),
+    freqs=st.tuples(*[st.floats(1.0, 10.0)] * 3),
+    t_h_axis=st.lists(st.floats(1.0, 5000.0), min_size=1, max_size=4),
+    t_c_axis=st.lists(st.floats(1.0, 5000.0), min_size=1, max_size=4),
+)
+def test_doubly_stochastic_maps_never_lower_the_entropy(p, scheme, freqs, t_h_axis, t_c_axis):
+    # H(p q) >= H(q) for any distribution q when p is doubly stochastic.  A
+    # full8 input is a product of the three qubits' Gibbs states, so its
+    # joint entropy is the sum of their entropies; by subadditivity the
+    # joint entropy after is at most the sum of the three marginal
+    # entropies after, so that sum cannot fall either: one qubit is
+    # purified only at the other two's expense
+    before = preparation_grid(scheme, DeviceSpec(*freqs), t_h_axis, t_c_axis)
+    after = (before[:, None, :] @ p.T)[:, 0]  # one row at a time, as sweep.evaluate_grid
+    h_before, h_after = _entropy(before), _entropy(after)
+    assert np.all(h_after - h_before >= -_entropy_error(h_before, h_after))
+    if scheme == "full8":
+        def qubits(q):  # the two-outcome marginal of each qubit, bits (i, j, k) of 4i + 2j + k
+            q = q.reshape(-1, 2, 2, 2)
+            return np.stack([q.sum(axis=(2, 3)), q.sum(axis=(1, 2)), q.sum(axis=(1, 3))], axis=1)
+
+        m_before, m_after = _entropy(qubits(before)), _entropy(qubits(after))
+        bound = _entropy_error(*m_before.T, *m_after.T)
+        assert np.all(m_after.sum(axis=1) - m_before.sum(axis=1) >= -bound)

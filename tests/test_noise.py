@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qfridge import noise, qcore, thermo
+from qfridge import noise, qcore
 from qfridge.circuits import (
     Circuit,
     build_vstar_circuit,
@@ -34,7 +34,7 @@ from qfridge.noise import (
     readout_inverse,
     readout_matrix,
 )
-from qfridge.sweep import engine_circuit
+from qfridge.sweep import engine
 
 
 def _random_circuit(rng, n_wires=3, depth=8):
@@ -92,8 +92,8 @@ def test_full_depolarization_of_one_wire():
 
 
 def test_plan_has_one_step_per_cx_and_one_after_the_last():
-    engine = engine_circuit("identity")
-    assert len(_plan(engine)[0]) == engine.cnot_count() + 1 == 8
+    c = engine("identity").circuit
+    assert len(_plan(c)[0]) == c.cnot_count() + 1 == 8
     assert len(_plan(build_vstar_circuit())[0]) == 5
 
 
@@ -173,20 +173,20 @@ def test_noisy_cx_circuits_are_classical_flip_channels(c, p1, p2):
 @settings(max_examples=200, deadline=None)
 @given(v=st.sampled_from(["identity", "vstar"]), p1=unit, p2=unit)
 def test_engine_polynomials_give_the_outcome_channel(v, p1, p2):
-    nm, engine = NoiseModel(p1, p2), engine_circuit(v)
-    got = evaluate_channel(channel_polynomial(engine), nm)
-    assert np.max(np.abs(got - thermo.outcome_channel(engine, nm))) <= 1e-15
+    nm, e = NoiseModel(p1, p2), engine(v)
+    got = evaluate_channel(e.polynomial, nm)
+    assert np.max(np.abs(got - circuit_channel(e.circuit, nm))) <= 1e-15
     # row i is column i of the transition matrix: a distribution
     assert got.min() >= 0 and np.max(np.abs(got.sum(axis=1) - 1)) <= qcore.STATE_ATOL
 
 
 def test_engine_polynomials_have_their_terms():
-    exponents, coefficients = channel_polynomial(engine_circuit("identity"))
+    exponents, coefficients = engine("identity").polynomial
     assert exponents.shape == (30, 2) and coefficients.shape == (30, 8, 8)
     assert len(set(map(tuple, exponents.tolist()))) == 30
     assert exponents[:, 0].max() == 16 and exponents[:, 1].max() == 7
     # V* has no one-wire gate: its polynomial is in b alone, up to b^4
-    exponents, coefficients = channel_polynomial(build_vstar_circuit())
+    exponents, coefficients = engine("vstar").polynomial
     assert exponents.tolist() == [[0, j] for j in range(5)] and coefficients.shape == (5, 8, 8)
     for a in (exponents, coefficients):
         with pytest.raises(ValueError, match="read-only"):

@@ -309,7 +309,7 @@ def test_point_bytes_do_not_depend_on_the_engine_caches(capsys):
               "--seed", "11", "--eps01", "0.03", "--eps10", "0.05", "--mitigation", "on"],
              ["point", "--th", "150", "--tc", "100", "--shots", "0", "--eps01", "0.02",
               "--eps10", "0.04", "--mitigation", "on"])
-    hit = (sweep._exact_matrix, noise._confusion, thermo.cold_energies, thermo.hot_energies)
+    hit = (sweep.engine, noise._confusion, thermo.cold_energies, thermo.hot_energies)
     for cached in hit:
         cached.cache_clear()
     outs = [[] for _ in argvs]
@@ -327,15 +327,22 @@ def test_point_bytes_do_not_depend_on_the_engine_caches(capsys):
         assert out == [fresh.stdout] * 2
 
 
+#: |m><m| for each of the 8 logical basis states m, stacked, as thermo kept them
+_FROZEN_BASIS_DENSITIES = np.array([np.outer(b, b) for b in np.eye(8, dtype=complex)])
+
+
 def _frozen_readout_free_channel(cfg):
     """The engine's outcome channel as sweep_transition_matrix, with
     thermo.transition_matrix inlined, evolved it before the channel was
-    cached: every call evolves the engine's basis inputs."""
+    cached: every call evolves the engine circuit's basis inputs under gate
+    noise, and conjugates the basis densities with the target unitary
+    without it."""
     nm = cfg.noise()
     if not nm.is_gate_noiseless():
-        return noise.circuit_channel(sweep.engine_circuit(cfg.v), nm)
+        build = circuits.build_vstar_circuit if cfg.v == "vstar" else circuits.build_identity_circuit
+        return noise.circuit_channel(build(), nm)
     u = circuits.build_target_unitary(cfg.v)
-    return qcore.born_probabilities(u @ thermo._BASIS_DENSITIES @ u.conj().T)
+    return qcore.born_probabilities(u @ _FROZEN_BASIS_DENSITIES @ u.conj().T)
 
 
 def _frozen_measurement(cfg, channel):
@@ -392,8 +399,7 @@ def test_cached_channel_gives_the_frozen_matrices_bit_for_bit(
     # as earlier examples left the caches (0.0 and -0.0 are both noiseless), cleared, then warm
     for clear in (False, True, False):
         if clear:
-            sweep._exact_matrix.cache_clear()
-            sweep._engine_polynomial.cache_clear()
+            sweep.engine.cache_clear()
         got = sweep_transition_matrix(cfg)
         if noisy:
             # the polynomial sums the channel in another order than the evolution,
@@ -415,14 +421,37 @@ def test_cached_channel_gives_the_frozen_matrices_bit_for_bit(
         tags = evaluate_grid(cfg, got, *_TAG_AXES)
         for name in ("mode", "t_cold_final_kind", "purifier"):
             assert np.array_equal(getattr(tags, name), getattr(want_tags, name)), name
-    # a noiseless run takes the exact matrix from its cache, a noisy one the polynomial
-    assert (sweep._engine_polynomial if noisy else sweep._exact_matrix).cache_info().hits
+    # each run takes the engine from its cache: a noiseless one its exact matrix, a noisy one
+    # the polynomial, built at the first noisy run
+    assert sweep.engine.cache_info().hits
+    if noisy:
+        assert "polynomial" in vars(sweep.engine(v))
 
 
 @pytest.mark.parametrize("v", CHOICES["v"])
-def test_exact_runs_without_readout_error_return_the_cache_entry_itself(v, monkeypatch):
-    sweep._exact_matrix.cache_clear()
-    entry = sweep._exact_matrix(v)
+def test_exact_channel_is_the_conjugated_basis_densities_bit_for_bit(v):
+    # the exact channel is |u|^2 transposed, which rounds nothing; the
+    # conjugated density stack it replaced gives the same bits, row m the
+    # Born diagonal of u |m><m| u^dagger, and p is its transpose in C order
+    want = _frozen_readout_free_channel(SweepConfig(v=v, shots=0))
+    exact = sweep.engine(v).exact
+    for got, bits in ((exact.channel, want), (exact.p, np.ascontiguousarray(want.T))):
+        assert (got.dtype, got.shape, got.flags.c_contiguous) == (np.float64, (8, 8), True)
+        assert got.tobytes() == bits.tobytes()
+
+
+def _planned(monkeypatch):
+    """The circuits that noise._plan is called with from here on; the plan
+    is not cached, so a second build for one V would show here."""
+    planned, plan = [], noise._plan
+    monkeypatch.setattr(noise, "_plan", lambda c: planned.append(c) or plan(c))
+    return planned
+
+
+@pytest.mark.parametrize("v", CHOICES["v"])
+def test_exact_runs_without_readout_error_return_the_engines_exact_matrix_itself(v, monkeypatch):
+    sweep.engine.cache_clear()
+    planned = _planned(monkeypatch)
 
     def no_measuring(*args, **kwargs):
         raise AssertionError("an exact run without readout error measured its channel")
@@ -430,10 +459,14 @@ def test_exact_runs_without_readout_error_return_the_cache_entry_itself(v, monke
     monkeypatch.setattr(thermo, "measure_channel", no_measuring)
     cfg = SweepConfig(v=v, shots=0)
     # other seeds, grids and zeros share it: an exact run draws nothing
-    for seed, n_h, p2 in ((0, 64, 0.0), (7, 3, -0.0), (2 ** 40, 2, np.float32(0.0))):
-        assert sweep_transition_matrix(dataclasses.replace(cfg, seed=seed, n_h=n_h, p2=p2)) is entry
-    info = sweep._exact_matrix.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (3, 1, 1)
+    runs = [sweep_transition_matrix(dataclasses.replace(cfg, seed=seed, n_h=n_h, p2=p2))
+            for seed, n_h, p2 in ((0, 64, 0.0), (7, 3, -0.0), (2 ** 40, 2, np.float32(0.0)))]
+    info = sweep.engine.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (2, 1, 1)
+    entry = sweep.engine(v).exact
+    assert all(tm is entry for tm in runs)
+    # no noiseless run plans the circuit
+    assert planned == []
     # read out without error: raw is p, unmix the shared identity, and all read-only
     assert entry.raw is entry.p and entry.unmix is thermo._IDENTITY
     for name in ("p", "raw", "unmix", "channel"):
@@ -447,16 +480,10 @@ def test_exact_runs_without_readout_error_return_the_cache_entry_itself(v, monke
 
 @pytest.mark.parametrize("v", CHOICES["v"])
 @pytest.mark.parametrize("p1, p2", [(0.0, 0.0), (0.001, 0.01)])
-def test_every_other_run_measures_the_entrys_channel_at_one_call(v, p1, p2, monkeypatch):
-    sweep._exact_matrix.cache_clear()
-    sweep._engine_polynomial.cache_clear()
-    nm = noise.NoiseModel(p1, p2)
-    if nm.is_gate_noiseless():
-        cache, entry = sweep._exact_matrix, sweep._exact_matrix(v)
-        channel = entry.channel
-    else:
-        cache, entry = sweep._engine_polynomial, None
-        channel = noise.evaluate_channel(sweep._engine_polynomial(v), nm)
+def test_every_other_run_measures_the_engines_channel_at_one_call(v, p1, p2, monkeypatch):
+    sweep.engine.cache_clear()
+    planned = _planned(monkeypatch)
+    e, nm = sweep.engine(v), noise.NoiseModel(p1, p2)
     measured, measure_channel = [], thermo.measure_channel
 
     def capturing(channel, *args, **kwargs):
@@ -472,18 +499,22 @@ def test_every_other_run_measures_the_entrys_channel_at_one_call(v, p1, p2, monk
         run_cfg = dataclasses.replace(cfg, **run)
         tm, again = sweep_transition_matrix(run_cfg), sweep_transition_matrix(run_cfg)
         # a fresh matrix each time: no measured matrix is cached
-        assert tm is not entry and again is not tm
+        assert tm is not e.exact and again is not tm
         # each keeps the channel it was measured from, not a copy
         assert tm.channel is measured[-2] and again.channel is measured[-1]
         for name in ("p", "raw", "unmix", "channel"):
             assert getattr(again, name).tobytes() == getattr(tm, name).tobytes(), name
+    # the circuit is planned at the first run under gate noise only, whether
+    # the run is exact, sampled or mitigated
+    assert planned == ([] if nm.is_gate_noiseless() else [e.circuit])
     # each run measured the engine's channel at one call: the exact matrix's own
     # without gate noise, else the polynomial's at (p1, p2)
     assert len(measured) == 2 * len(runs)
+    channel = e.channel(nm)
     assert all(c.tobytes() == channel.tobytes() for c in measured)
-    assert entry is None or all(c is channel for c in measured)
-    # and built the cache's entry for v once
-    info = cache.cache_info()
+    assert not nm.is_gate_noiseless() or all(c is e.exact.channel for c in measured)
+    # and took the one engine of v from its cache
+    info = sweep.engine.cache_info()
     assert (info.hits, info.misses, info.currsize) == (2 * len(runs), 1, 1)
 
 
@@ -491,25 +522,25 @@ def test_a_noise_scan_never_evolves_and_builds_each_polynomial_once(monkeypatch)
     def no_evolving(*args, **kwargs):
         raise AssertionError("a sweep evolved the engine")
 
-    for module in (noise, thermo):
-        monkeypatch.setattr(module, "circuit_channel", no_evolving)
-    sweep._engine_polynomial.cache_clear()
-    built, engine_circuit = [], sweep.engine_circuit
-    monkeypatch.setattr(sweep, "engine_circuit", lambda v: built.append(v) or engine_circuit(v))
-    # the plan is not cached: a second build for one V would show here
-    planned, plan = [], noise._plan
-    monkeypatch.setattr(noise, "_plan", lambda c: planned.append(c) or plan(c))
+    monkeypatch.setattr(noise, "circuit_channel", no_evolving)
+    sweep.engine.cache_clear()
+    planned = _planned(monkeypatch)
     # noise_scan's pattern: a fresh p2 for every run
     p2s = np.linspace(0.0005, 0.05, 9).tolist()
-    for v in CHOICES["v"]:
+    for n, v in enumerate(CHOICES["v"]):
+        for run in (dict(shots=0), dict(shots=64, eps01=0.01, eps10=0.01, mitigation=True)):
+            run_sweep(SweepConfig(v=v, n_h=2, n_c=2, **run))
+        # noiseless runs, exact, sampled and mitigated, plan nothing
+        assert len(planned) == n
         de_cold = [run_sweep(SweepConfig(v=v, p1=p2 / 10, p2=p2, eps01=0.01, eps10=0.01, shots=0,
                                          n_h=4, n_c=4)).de_cold for p2 in p2s]
         # each p2 ran its own engine
         assert len({d.tobytes() for d in de_cold}) == len(p2s)
-    assert built == list(CHOICES["v"])
-    assert planned == [engine_circuit(v) for v in CHOICES["v"]]
-    info = sweep._engine_polynomial.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (2 * (len(p2s) - 1), 2, 2)
+        # and the first noisy run planned the circuit, once
+        assert planned[n:] == [sweep.engine(v).circuit]
+    # one engine per V
+    info = sweep.engine.cache_info()
+    assert (info.misses, info.currsize) == (2, 2)
 
 
 @settings(max_examples=100, deadline=None)
@@ -537,7 +568,10 @@ def test_seed_streams_are_the_children_of_spawn(seed, mitigation):
 
 
 def _shared_arrays(value):
-    """The arrays a cache returns: itself, the items of a tuple, or a matrix's four."""
+    """The arrays a cache returns: itself, the items of a tuple, a matrix's
+    four, or an engine's: its exact matrix's and its polynomial's."""
+    if isinstance(value, sweep.Engine):
+        return (*_shared_arrays(value.exact), *value.polynomial)
     if isinstance(value, TransitionMatrix):
         return value.p, value.raw, value.unmix, value.channel
     return value if isinstance(value, tuple) else (value,)
@@ -570,8 +604,8 @@ def test_every_cache_returns_the_same_read_only_arrays():
         "_walsh_gray": lambda: compiler._walsh_gray(2),
         "cold_energies": lambda: thermo.cold_energies(spec),
         "hot_energies": lambda: thermo.hot_energies(spec, "ideal"),
-        "_exact_matrix": lambda: sweep._exact_matrix("identity"),
-        "_engine_polynomial": lambda: sweep._engine_polynomial("vstar"),
+        "engine identity": lambda: sweep.engine("identity"),
+        "engine vstar": lambda: sweep.engine("vstar"),
     }
     for name, call in calls.items():
         first, again = _shared_arrays(call()), _shared_arrays(call())
@@ -590,13 +624,13 @@ def test_fixed_gate_matrices_refuse_writes_and_circuits_keep_their_bits():
     assert after.tobytes() == before.tobytes()
 
 
-def test_engine_circuits_are_fixed_and_built_once():
+def test_engines_are_fixed_and_built_once():
     for v, build in (("identity", circuits.build_identity_circuit),
                      ("vstar", circuits.build_vstar_circuit)):
-        assert sweep.engine_circuit(v) is sweep.engine_circuit(v)
-        assert sweep.engine_circuit(v) == build()
+        assert sweep.engine(v) is sweep.engine(v)
+        assert sweep.engine(v).circuit == build()
     with pytest.raises(ValueError, match="unknown v 'hadamard'"):
-        sweep.engine_circuit("hadamard")
+        sweep.engine("hadamard")
     # no sweep or point run compiles
     assert not hasattr(sweep, "compile_generic")
 
@@ -880,7 +914,7 @@ def test_cli_compile_identity_emits_routed_qasm(tmp_path, capsys):
     assert all(LINE3.allows(int(a), int(b)) for a, b in pairs)
     assert len(pairs) == report["cnot_count"] <= 54
     # the file is the circuit that noisy V = identity sweeps run
-    assert path.read_bytes() == emit_qasm(sweep.engine_circuit("identity")).encode()
+    assert path.read_bytes() == emit_qasm(sweep.engine("identity").circuit).encode()
 
 
 def test_v_choices_are_shared_by_config_and_cli(capsys):

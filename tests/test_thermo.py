@@ -12,13 +12,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qfridge import noise, qcore, thermo
+from qfridge import noise, qcore
 from qfridge.circuits import W_SUBSPACE, build_target_unitary, build_vstar_circuit
-from qfridge.noise import NoiseModel
+from qfridge.noise import NoiseModel, circuit_channel
 from qfridge.oracles import (
     CASABLANCA, JAKARTA, ground_population_map, random_density, renyi2_purity_check,
 )
-from qfridge.sweep import SweepConfig, evaluate_grid
+from qfridge.sweep import SweepConfig, engine, evaluate_grid
 from qfridge.thermo import (
     H_OVER_KB,
     HOT_ENERGY_MODES,
@@ -31,17 +31,17 @@ from qfridge.thermo import (
     final_temperatures,
     ground_populations,
     hot_energies,
+    measure_channel,
     mode_tags,
     preparation_grid,
     purifies,
     roles_exchanged,
     swap_engine_cop,
-    transition_matrix,
 )
 
 
 def _exact_tm(v_choice="identity"):
-    return transition_matrix(build_target_unitary(v_choice), NoiseModel(), 0, 0)
+    return engine(v_choice).exact
 
 
 def _kernel(spec, tm, t_h_axis, t_c_axis, scheme="full8"):
@@ -99,13 +99,6 @@ def test_energy_vectors_are_shared_per_key_and_read_only():
             e[0] = 0.0
     for cached in (cold_energies, hot_energies):
         assert cached.cache_info().maxsize is not None
-
-
-def test_basis_densities_are_one_read_only_constant():
-    rhos = thermo._BASIS_DENSITIES
-    assert np.array_equal(rhos, [np.outer(b, b) for b in np.eye(qcore.DIM)])
-    with pytest.raises(ValueError, match="read-only"):
-        rhos[0, 0, 0] = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -219,9 +212,6 @@ def test_transition_matrix_validation():
         TransitionMatrix(off)
     off[2, 2] = 1 + 1e-13
     assert TransitionMatrix(off).p[2, 2] == 1 + 1e-13
-    # a unitary of the wrong dimension cannot act on the 8 basis states
-    with pytest.raises(ValueError):
-        transition_matrix(np.eye(4), NoiseModel(), 0, 0)
     # every array is read as floats, a list too (shot_variances transposes unmix)
     tm = TransitionMatrix(np.eye(8), np.eye(8), np.eye(8).tolist(), np.eye(8).tolist())
     for name in ("p", "raw", "unmix", "channel"):
@@ -284,22 +274,22 @@ def test_exact_transition_matrices_are_the_basis_permutations():
     want = np.eye(8)
     want[[1, 6]] = want[[6, 1]]
     assert np.max(np.abs(tm.p - want)) < 1e-12
-    tm_v = transition_matrix(build_vstar_circuit(), NoiseModel(), 0, 0)
+    tm_v = measure_channel(circuit_channel(build_vstar_circuit(), NoiseModel()), NoiseModel(), 0, 0)
     assert np.max(np.abs(tm_v.p - np.abs(build_target_unitary("vstar")) ** 2)) < 1e-12
 
 
 def test_sampled_transition_matrix_is_deterministic_and_stochastic():
     nm = NoiseModel(eps01=0.02, eps10=0.02)
-    a = transition_matrix(build_target_unitary("identity"), nm, 4096, 3)
-    b = transition_matrix(build_target_unitary("identity"), nm, 4096, 3)
+    a = measure_channel(engine("identity").exact.channel, nm, 4096, 3)
+    b = measure_channel(engine("identity").exact.channel, nm, 4096, 3)
     assert np.array_equal(a.p, b.p)
     assert np.allclose(a.p.sum(axis=0), 1.0)
 
 
 def test_outcome_channel_ignores_readout():
-    for engine in (build_target_unitary("vstar"), build_vstar_circuit()):
-        want = thermo.outcome_channel(engine, NoiseModel(0.01, 0.05))
-        got = thermo.outcome_channel(engine, NoiseModel(0.01, 0.05, 0.1, 0.2))
+    for channel in (engine("vstar").channel, lambda nm: circuit_channel(build_vstar_circuit(), nm)):
+        want = channel(NoiseModel(0.01, 0.05))
+        got = channel(NoiseModel(0.01, 0.05, 0.1, 0.2))
         assert got.tobytes() == want.tobytes()
         assert np.allclose(want.sum(axis=1), 1.0)
 

@@ -4,17 +4,18 @@ unitary and 4-cx circuit agree bit for bit; and mitigated runs, which
 factor the confusion matrix once, and their boundary tolerance, whose
 stacked shot variances have the bits of one call per energy vector.
 
-``_reference_transition_matrix`` is ``thermo.transition_matrix`` as it stood
-when each of the 8 columns was read out, sampled and mitigated on its own
-(column i sampled with ``seed + i``).  It keeps the exact (shots = 0) checks
-independent of the code under test.
+``_reference_transition_matrix`` is the measured transition matrix as it
+stood when each of the 8 columns was read out, sampled and mitigated on its
+own (column i sampled with ``seed + i``), and a unitary's channel was read
+from each conjugated basis density on its own.  It keeps the exact
+(shots = 0) checks independent of the code under test.
 """
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qfridge import qcore, sweep
-from qfridge.circuits import Circuit, build_target_unitary, build_vstar_circuit, cx, rz, sx, x
+from qfridge.circuits import Circuit, build_vstar_circuit, cx, rz, sx, x
 from qfridge.noise import (
     NoiseModel,
     apply_readout_error,
@@ -27,17 +28,18 @@ from qfridge.noise import (
 from qfridge.oracles import haar_unitary, random_density
 from qfridge.sweep import SweepConfig, evaluate_grid, run_sweep, sweep_transition_matrix, write_csv, write_json
 from qfridge.thermo import (
-    TransitionMatrix, cold_energies, hot_energies, preparation_grid, transition_matrix,
+    TransitionMatrix, cold_energies, hot_energies, measure_channel, preparation_grid,
 )
+
+#: |m><m| for each of the 8 logical basis states m, stacked
+_BASIS_DENSITIES = np.array([np.outer(b, b) for b in np.eye(qcore.DIM, dtype=complex)])
 
 
 def _reference_transition_matrix(engine, nm, shots, seed, mitigation=None):
-    basis = np.eye(qcore.DIM, dtype=complex)
-    rhos = basis[:, :, None] * basis[:, None, :]
     if isinstance(engine, Circuit):
         channel = circuit_channel(engine, nm)
     else:
-        channel = [qcore.born_probabilities(rho) for rho in engine @ rhos @ engine.conj().T]
+        channel = [qcore.born_probabilities(rho) for rho in engine @ _BASIS_DENSITIES @ engine.conj().T]
     cols = []
     for i, p in enumerate(channel):
         p = apply_readout_error(p, nm)
@@ -112,7 +114,10 @@ small = st.floats(0.0, 0.2)
 def test_exact_matrix_matches_the_per_column_reference(engine, p1, p2, eps, mitigated):
     nm = NoiseModel(p1, p2, *eps)
     conf = readout_matrix(nm) if mitigated else None
-    got = transition_matrix(engine, nm, 0, 0, mitigation=conf).p
+    # a unitary's Born rows of its conjugated basis densities, as one stack
+    channel = (circuit_channel(engine, nm) if isinstance(engine, Circuit)
+               else qcore.born_probabilities(engine @ _BASIS_DENSITIES @ engine.conj().T))
+    got = measure_channel(channel, nm, 0, 0, mitigation=conf).p
     want = _reference_transition_matrix(engine, nm, 0, 0, mitigation=conf).p
     assert np.min(got) >= 0.0
     assert np.max(np.abs(got.sum(axis=0) - 1.0)) <= 1e-12
@@ -146,8 +151,8 @@ def test_stacked_primitives_act_row_by_row():
 def test_noiseless_vstar_circuit_and_unitary_agree_bit_for_bit(shots, seed, eps, mitigation):
     nm = NoiseModel(0.0, 0.0, *eps)
     conf = {None: None, "exact": readout_matrix(nm), "calibrated": calibrate(nm, 4096, seed)}[mitigation]
-    circuit = transition_matrix(build_vstar_circuit(), nm, shots, seed, mitigation=conf)
-    unitary = transition_matrix(build_target_unitary("vstar"), nm, shots, seed, mitigation=conf)
+    channels = circuit_channel(build_vstar_circuit(), nm), sweep.engine("vstar").exact.channel
+    circuit, unitary = (measure_channel(c, nm, shots, seed, mitigation=conf) for c in channels)
     assert np.array_equal(circuit.p, unitary.p)
     assert np.array_equal(circuit.raw, unitary.raw)
 
@@ -158,14 +163,14 @@ def test_noiseless_vstar_sweep_writes_the_same_bytes_with_either_engine(monkeypa
     # swap4 prepares no state that V acts on; full8 reaches the V block too
     cfg = SweepConfig(scheme=scheme, v="vstar", n_h=8, n_c=8, **run)
     res = run_sweep(cfg)
-    # without gate noise the engine is the target unitary, built once per V:
-    # at the first run after the exact matrix's cache is cleared
-    sweep._exact_matrix.cache_clear()
+    # without gate noise a run reads the engine's exact matrix, the target
+    # unitary's; one whose exact matrix is the 4-cx circuit's, read out
+    # without error, writes the same bytes
+    channel = circuit_channel(build_vstar_circuit(), NoiseModel())
+    via = sweep.Engine(build_vstar_circuit(), measure_channel(channel, NoiseModel(), 0, None))
     built = []
-    monkeypatch.setattr(sweep, "build_target_unitary",
-                        lambda v: built.append(v) or build_vstar_circuit())
+    monkeypatch.setattr(sweep, "engine", lambda v: built.append(v) or via)
     via_circuit = run_sweep(cfg)
-    sweep._exact_matrix.cache_clear()  # drop the matrix of the patched engine
     assert built == ["vstar"]
     assert write_csv(res) == write_csv(via_circuit)
     assert write_json(res) == write_json(via_circuit)
@@ -188,7 +193,7 @@ def test_a_mitigated_matrix_factors_the_confusion_matrix_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     for name in ("cond", "lstsq", "pinv", "inv", "solve"):
         monkeypatch.setattr(np.linalg, name, forbidden)
-    tm = transition_matrix(build_vstar_circuit(), nm, 8192, 1, mitigation=conf)
+    tm = measure_channel(circuit_channel(build_vstar_circuit(), nm), nm, 8192, 1, mitigation=conf)
     assert len(factored) == 1 and np.array_equal(factored[0], conf)
     # shot_variances propagates through the very map that produced p
     assert np.array_equal(tm.p, mitigate(tm.raw.T, tm.unmix).T)
@@ -198,14 +203,15 @@ def test_mitigated_spread_matches_the_propagated_sigma():
     # V* under depolarizing noise keeps every outcome off zero, where clipping
     # (which the delta method leaves out) would narrow the spread
     cfg = SweepConfig(v="vstar", p2=0.3, eps01=0.15, eps10=0.15, mitigation=True)
-    nm, engine, conf = cfg.noise(), build_vstar_circuit(), readout_matrix(cfg.noise())
+    nm, conf = cfg.noise(), readout_matrix(cfg.noise())
+    channel = circuit_channel(build_vstar_circuit(), nm)
     th, tc = 600.0, 150.0
     spec = cfg.device()
     probs = preparation_grid(cfg.scheme, spec, [th], [tc])[0]
     e_h = hot_energies(spec, cfg.hot_energy_mode)
     de_hot, sigma, unpropagated = [], [], []
     for seed in range(200):
-        tm = transition_matrix(engine, nm, cfg.shots, seed, mitigation=conf)
+        tm = measure_channel(channel, nm, cfg.shots, seed, mitigation=conf)
         de_hot.append(evaluate_grid(cfg, tm, [th], [tc]).de_hot[0])
         sigma.append(np.sqrt(probs ** 2 @ tm.shot_variances(e_h) / cfg.shots))
         naive = (e_h ** 2) @ tm.p - (e_h @ tm.p) ** 2
@@ -229,8 +235,9 @@ def test_stacked_shot_variances_are_the_rows_of_one_call_per_vector(mitigated):
     energies = [hot_energies(spec, mode) for mode in ("ideal", "detuned")] + [cold_energies(spec)]
     stack = np.array(energies + [energies[1] + energies[2]])
     conf = readout_matrix(nm) if mitigated else None
+    channel = circuit_channel(build_vstar_circuit(), nm)
     for seed in range(10):
-        tm = transition_matrix(build_vstar_circuit(), nm, 1024, seed, mitigation=conf)
+        tm = measure_channel(channel, nm, 1024, seed, mitigation=conf)
         assert np.array_equal(tm.unmix, np.eye(8)) != mitigated
         rows = tm.shot_variances(stack)
         assert rows.shape == (4, 8)
